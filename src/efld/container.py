@@ -221,13 +221,14 @@ def _assemble_float(path, config, arrays) -> Model:
 
 def _assemble_quantized(path, config, arrays, quant) -> QuantizedModel:
     weights, weight_scales, biases, bias_scales, activations = {}, {}, {}, {}, {}
+    layers, sites = list(iter_layers(config)), plan_sites(config)
     expected = set()
-    for spec in iter_layers(config):
+    for spec in layers:
         expected.update((spec.name + ".w", spec.name + ".b"))
-    expected.update(f"site:{site}" for site in plan_sites(config))
+    expected.update(f"site:{site}" for site in sites)
     if set(arrays) != expected:
         raise ContainerError(f"{path}: tensor names do not match the architecture")
-    for spec in iter_layers(config):
+    for spec in layers:
         w_name, b_name = spec.name + ".w", spec.name + ".b"
         if arrays[w_name].dtype != np.int8 or arrays[b_name].dtype != np.int32:
             raise ContainerError(f"{path}: layer {spec.name!r} has wrong quantized dtypes")
@@ -235,7 +236,7 @@ def _assemble_quantized(path, config, arrays, quant) -> QuantizedModel:
         weight_scales[spec.name] = quant[w_name][0]
         biases[spec.name] = arrays[b_name]
         bias_scales[spec.name] = quant[b_name][0]
-    for site in plan_sites(config):
+    for site in sites:
         scale, zero_point = quant[f"site:{site}"]
         activations[site] = QuantParams(scale=scale, zero_point=zero_point)
     return QuantizedModel(config, weights, weight_scales, biases, bias_scales, activations)

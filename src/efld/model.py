@@ -13,12 +13,19 @@ coordinates.
 ReLU follows every convolution and every head block linear; there is no
 activation after the decoder's depthwise layer or the final head linear, and
 no normalization layers anywhere.
+
+``build_plan`` is the one description of this network: conv, depthwise,
+linear, relu and concat steps over named activation sites. ``iter_layers``
+(parameters, costing, the container) is a view of it, each stage forward
+interprets its steps, and the int8 path in ``quantize`` interprets the same
+steps, accumulating integers through these float kernels in exact float64.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -177,49 +184,88 @@ class LayerSpec:
         return self.cin
 
 
-def head_widths(config: ModelConfig, hc: HeadConfig) -> list:
-    """Feature widths entering each head block and the final linear."""
-    widths = [config.decoder_dim]
-    for _ in range(hc.blocks):
-        widths.append(widths[-1] + hc.width)
-    return widths
+class PlanStep(NamedTuple):
+    """One step of the execution plan. ``inputs`` and ``output`` name
+    activation sites; layer steps carry the geometry of their layer."""
+
+    stage: str  # eosa1 .. eosaN | decoder | head.<format>
+    op: str  # conv | depthwise | linear | relu | concat
+    inputs: tuple
+    output: str
+    spec: LayerSpec | None = None
+    flatten: bool = False  # reshape the (B, 1, 1, C) output to (B, C)
+
+    @property
+    def layer(self) -> str | None:
+        return self.spec.name if self.spec is not None else None
+
+
+_LAYER_OPS = {"conv": "conv", "depthwise-conv": "depthwise", "linear": "linear"}
+
+
+def build_plan(config: ModelConfig) -> list:
+    """The network as steps in execution order, starting from the ``input``
+    site. It is the only description of the architecture: the float and int8
+    forward passes, calibration, costing and the container all follow it."""
+    steps = []
+
+    def step(stage, op, inputs, output, spec=None, flatten=False):
+        steps.append(PlanStep(stage, op, inputs, output, spec, flatten))
+        return output
+
+    def layer(stage, src, spec, output=None, flatten=False):
+        return step(stage, _LAYER_OPS[spec.kind], (src,), output or f"{spec.name}.out",
+                    spec, flatten)
+
+    def layer_relu(stage, src, spec):
+        return step(stage, "relu", (layer(stage, src, spec),), f"{spec.name}.relu")
+
+    size, cin, prev = config.input_size, INPUT_CHANNELS, "input"
+    for i, ec in enumerate(config.eosa, 1):
+        stage = f"eosa{i}"
+        out = -(-size // 2)
+        hw = (out, out)
+        if ec.extra_conv == "conventional":
+            extra = layer_relu(stage, prev, LayerSpec(
+                f"{stage}.extra", "conv", (3, 3), cin, ec.f_conv, 2, "same", hw))
+        else:
+            dw = layer_relu(stage, prev, LayerSpec(
+                f"{stage}.extra.dw", "depthwise-conv", (3, 3), cin, cin, 2, "same", hw))
+            extra = layer_relu(stage, dw, LayerSpec(
+                f"{stage}.extra.pw", "conv", (1, 1), cin, ec.f_conv, 1, "same", hw))
+        branches = [extra]
+        chain, chain_in = prev, cin
+        for j in range(ec.n_osa):
+            chain = layer_relu(stage, chain, LayerSpec(
+                f"{stage}.osa.l{j}", "conv", (3, 3), chain_in, ec.f_osa, 2 if j == 0 else 1,
+                "same", hw))
+            chain_in = ec.f_osa
+            branches.append(chain)
+        prev = step(stage, "concat", tuple(branches), f"{stage}.concat")
+        cin, size = ec.out_channels, out
+    dim = config.decoder_dim
+    feat = layer_relu("decoder", prev, LayerSpec(
+        "decoder.pw", "conv", (1, 1), cin, dim, 1, "same", (size, size)))
+    feat = layer("decoder", feat, LayerSpec(
+        "decoder.dw", "depthwise-conv", (size, size), dim, dim, 1, "valid", (1, 1)),
+        output="decoder.out", flatten=True)
+    for hc in config.heads:
+        stage = f"head.{hc.format}"
+        feed, width = feat, dim
+        if config.head_kind == "efld":
+            for j in range(hc.blocks):
+                z = layer_relu(stage, feed, LayerSpec(
+                    f"{stage}.block{j}", "linear", (), width, hc.width))
+                feed = step(stage, "concat", (feed, z), f"{stage}.block{j}.concat")
+                width += hc.width
+        layer(stage, feed, LayerSpec(f"{stage}.out", "linear", (), width, 2 * hc.points),
+              output=f"{stage}.out")
+    return steps
 
 
 def iter_layers(config: ModelConfig) -> Iterator[LayerSpec]:
-    """Every parameterized layer in construction order, with spatial sizes."""
-    size = config.input_size
-    cin = INPUT_CHANNELS
-    for i, ec in enumerate(config.eosa, 1):
-        out = -(-size // 2)
-        base = f"eosa{i}"
-        if ec.extra_conv == "conventional":
-            yield LayerSpec(f"{base}.extra", "conv", (3, 3), cin, ec.f_conv, 2, "same", (out, out))
-        else:
-            yield LayerSpec(f"{base}.extra.dw", "depthwise-conv", (3, 3), cin, cin, 2, "same", (out, out))
-            yield LayerSpec(f"{base}.extra.pw", "conv", (1, 1), cin, ec.f_conv, 1, "same", (out, out))
-        chain_in = cin
-        for j in range(ec.n_osa):
-            stride = 2 if j == 0 else 1
-            yield LayerSpec(
-                f"{base}.osa.l{j}", "conv", (3, 3), chain_in, ec.f_osa, stride, "same", (out, out)
-            )
-            chain_in = ec.f_osa
-        cin = ec.out_channels
-        size = out
-    yield LayerSpec("decoder.pw", "conv", (1, 1), cin, config.decoder_dim, 1, "same", (size, size))
-    yield LayerSpec(
-        "decoder.dw", "depthwise-conv", (size, size), config.decoder_dim, config.decoder_dim,
-        1, "valid", (1, 1),
-    )
-    for hc in config.heads:
-        out_dim = 2 * hc.points
-        if config.head_kind == "pfld-plain":
-            yield LayerSpec(f"head.{hc.format}.out", "linear", (), config.decoder_dim, out_dim)
-            continue
-        widths = head_widths(config, hc)
-        for j in range(hc.blocks):
-            yield LayerSpec(f"head.{hc.format}.block{j}", "linear", (), widths[j], hc.width)
-        yield LayerSpec(f"head.{hc.format}.out", "linear", (), widths[-1], out_dim)
+    """Every parameterized layer in plan order, with spatial sizes."""
+    return (step.spec for step in build_plan(config) if step.spec is not None)
 
 
 class Model:
@@ -234,7 +280,11 @@ class Model:
         self.config = config
         self.params = params
         self.dtype = dtype
-        self._kinds = {spec.name: spec.kind for spec in iter_layers(config)}
+        plan = build_plan(config)
+        self._kinds = {step.layer: step.spec.kind for step in plan if step.spec is not None}
+        self._stages = {}
+        for step in plan:
+            self._stages.setdefault(step.stage, []).append(step)
 
     def layer(self, name: str) -> LayerParams:
         return LayerParams(self._kinds[name], self.params[name + ".w"], self.params[name + ".b"])
@@ -265,74 +315,72 @@ def build_model(config: ModelConfig, seed: int = 0, dtype: str = "float32") -> M
     return Model(config, params, dtype)
 
 
-def _observe(observer, site: str, value: Tensor) -> Tensor:
-    if observer is not None:
-        observer(site, value.data)
-    return value
+def _apply(model: Model, step: PlanStep, src: Tensor, tape: Tape | None) -> Tensor:
+    """One conv, depthwise, linear or relu step of the plan."""
+    spec = step.spec
+    if step.op == "relu":
+        return relu(src, tape=tape)
+    if step.op == "linear":
+        return linear(src, model.layer(spec.name), tape=tape)
+    if step.flatten and src.shape[1:3] != spec.kernel:
+        raise ShapeError(
+            spec.name,
+            f"spatial size {src.shape[1]}x{src.shape[2]} does not match the "
+            f"full-extent kernel {spec.kernel[0]}x{spec.kernel[1]}",
+        )
+    conv = conv2d if step.op == "conv" else depthwise_conv2d
+    y = conv(src, model.layer(spec.name), stride=spec.stride, padding=spec.padding, tape=tape)
+    return flatten_rows(y, tape=tape) if step.flatten else y
+
+
+def _run_stage(model: Model, stage: str, x: Tensor, tape: Tape | None,
+               observer) -> Tensor:
+    """Interpret one stage of the plan on ``x``, reporting every output site
+    to ``observer`` and dropping each value after its last reader. A concat
+    joins each operand pairwise as soon as that operand is computed, so each
+    chain layer's join follows its ReLU."""
+    steps = model._stages[stage]
+    values = {steps[0].inputs[0]: x}
+    readers = Counter(site for step in steps for site in step.inputs)
+    joins = {site: step for step in steps if step.op == "concat" for site in step.inputs[1:]}
+
+    def take(site):
+        readers[site] -= 1
+        return values[site] if readers[site] else values.pop(site)
+
+    for step in steps:
+        if step.op != "concat":  # a concat's value was joined as its operands appeared
+            values[step.output] = _apply(model, step, take(step.inputs[0]), tape)
+        if observer is not None:
+            observer(step.output, values[step.output].data)
+        concat = joins.get(step.output)
+        if concat is not None:
+            values[concat.output] = concat_channels(
+                values.pop(concat.output) if concat.output in values
+                else take(concat.inputs[0]),
+                take(step.output), tape=tape)
+    return values[steps[-1].output]
 
 
 def eosa_forward(model: Model, index: int, x: Tensor, tape: Tape | None = None,
                  observer=None) -> Tensor:
     """Run backbone module ``index`` (1-based): both branches see the same
     input; the output concatenates the extra branch with every chain layer."""
-    ec = model.config.eosa[index - 1]
-    base = f"eosa{index}"
-    if ec.extra_conv == "conventional":
-        e = conv2d(x, model.layer(f"{base}.extra"), stride=2, padding="same", tape=tape)
-        _observe(observer, f"{base}.extra.out", e)
-        e = _observe(observer, f"{base}.extra.relu", relu(e, tape=tape))
-    else:
-        e = depthwise_conv2d(x, model.layer(f"{base}.extra.dw"), stride=2, padding="same", tape=tape)
-        _observe(observer, f"{base}.extra.dw.out", e)
-        e = _observe(observer, f"{base}.extra.dw.relu", relu(e, tape=tape))
-        e = conv2d(e, model.layer(f"{base}.extra.pw"), stride=1, padding="same", tape=tape)
-        _observe(observer, f"{base}.extra.pw.out", e)
-        e = _observe(observer, f"{base}.extra.pw.relu", relu(e, tape=tape))
-    out = e
-    y = x
-    for j in range(ec.n_osa):
-        stride = 2 if j == 0 else 1
-        y = conv2d(y, model.layer(f"{base}.osa.l{j}"), stride=stride, padding="same", tape=tape)
-        _observe(observer, f"{base}.osa.l{j}.out", y)
-        y = _observe(observer, f"{base}.osa.l{j}.relu", relu(y, tape=tape))
-        out = concat_channels(out, y, tape=tape)
-    return _observe(observer, f"{base}.concat", out)
+    return _run_stage(model, f"eosa{index}", x, tape, observer)
 
 
 def decoder_forward(model: Model, x: Tensor, tape: Tape | None = None, observer=None) -> Tensor:
     """1x1 convolution (ReLU) then full-extent depthwise convolution with no
     activation, flattened to the feature vector."""
-    y = conv2d(x, model.layer("decoder.pw"), stride=1, padding="same", tape=tape)
-    _observe(observer, "decoder.pw.out", y)
-    y = _observe(observer, "decoder.pw.relu", relu(y, tape=tape))
-    dw = model.layer("decoder.dw")
-    kh, kw, _ = dw.weights.shape
-    if y.shape[1] != kh or y.shape[2] != kw:
-        raise ShapeError(
-            "decoder_forward",
-            f"spatial size {y.shape[1]}x{y.shape[2]} does not match decoder kernel {kh}x{kw}",
-        )
-    y = depthwise_conv2d(y, dw, stride=1, padding="valid", tape=tape)
-    return _observe(observer, "decoder.out", flatten_rows(y, tape=tape))
+    return _run_stage(model, "decoder", x, tape, observer)
 
 
 def head_forward(model: Model, fmt: str, v: Tensor, tape: Tape | None = None,
                  observer=None) -> Tensor:
     """One detection head on the shared feature vector; no final activation.
     Point k of the output lives at indices (2k, 2k+1)."""
-    hc = model.config.head(fmt)
-    base = f"head.{fmt}"
-    if model.config.head_kind == "pfld-plain":
-        out = linear(v, model.layer(f"{base}.out"), tape=tape)
-        return _observe(observer, f"{base}.out", out)
-    y = v
-    for j in range(hc.blocks):
-        z = linear(y, model.layer(f"{base}.block{j}"), tape=tape)
-        _observe(observer, f"{base}.block{j}.out", z)
-        z = _observe(observer, f"{base}.block{j}.relu", relu(z, tape=tape))
-        y = _observe(observer, f"{base}.block{j}.concat", concat_channels(y, z, tape=tape))
-    out = linear(y, model.layer(f"{base}.out"), tape=tape)
-    return _observe(observer, f"{base}.out", out)
+    model.config.head(fmt)  # UsageError for an unknown format
+    return _run_stage(model, f"head.{fmt}", v, tape, observer)
 
 
 def backbone_forward(model: Model, images: Tensor, tape: Tape | None = None,
@@ -344,7 +392,8 @@ def backbone_forward(model: Model, images: Tensor, tape: Tape | None = None,
             "model_forward",
             f"expected images of shape (B, {s}, {s}, {INPUT_CHANNELS}), got {tuple(images.shape)}",
         )
-    _observe(observer, "input", images)
+    if observer is not None:
+        observer("input", images.data)
     x = images
     for i in range(1, len(model.config.eosa) + 1):
         x = eosa_forward(model, i, x, tape=tape, observer=observer)

@@ -157,29 +157,6 @@ def depthwise_conv2d(
     return result
 
 
-def separable_conv2d(
-    x: Tensor,
-    depthwise_params: LayerParams,
-    pointwise_params: LayerParams,
-    stride: int = 1,
-    tape: Tape | None = None,
-) -> Tensor:
-    """Depthwise 3x3 (stride s) followed by pointwise 1x1 (stride 1)."""
-    if pointwise_params.weights.shape[:2] != (1, 1):
-        raise ShapeError(
-            "separable_conv2d",
-            f"pointwise kernel must be 1x1, got {tuple(pointwise_params.weights.shape)}",
-        )
-    if depthwise_params.weights.shape[2] != pointwise_params.weights.shape[2]:
-        raise ShapeError(
-            "separable_conv2d",
-            f"depthwise channels {depthwise_params.weights.shape[2]} do not match "
-            f"pointwise input channels {pointwise_params.weights.shape[2]}",
-        )
-    mid = depthwise_conv2d(x, depthwise_params, stride=stride, padding="same", tape=tape)
-    return conv2d(mid, pointwise_params, stride=1, padding="same", tape=tape)
-
-
 def linear(x: Tensor, params: LayerParams, tape: Tape | None = None) -> Tensor:
     """Affine map over flat vectors: out = x @ W + bias."""
     _check_params("linear", x, params, "linear")

@@ -7,9 +7,10 @@ int32 at input_scale * weight_scale. Requantization multiplies the integer
 accumulator by a double-precision constant, rounds half away from zero, and
 clamps, which pins a bit-exact, platform-independent contract.
 
-Integer accumulations run in float64: every intermediate value is an exact
-integer far below 2**53, so the arithmetic is exact and bit-deterministic
-while still using fast vectorized kernels.
+The integer path interprets the model's execution plan (``build_plan``).
+Its convolutions and linears accumulate through the float kernels of ``ops``
+in float64: every accumulator value is an exact integer far below 2**53, so
+the arithmetic is exact and bit-deterministic whatever the summation order.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationError, ShapeError, UsageError
-from .model import Model, ModelConfig, iter_layers, model_forward
-from .ops import _out_and_pad, _strided_window
-from .tensor import Tensor
+from .model import Model, ModelConfig, build_plan, iter_layers, model_forward
+from .ops import conv2d, depthwise_conv2d, linear
+from .tensor import LayerParams, Tensor
 
 log = logging.getLogger(__name__)
 
@@ -74,72 +75,9 @@ def params_from_range(lo: float, hi: float, site: str = "") -> QuantParams:
     return QuantParams(scale=scale, zero_point=zp)
 
 
-@dataclass(frozen=True)
-class PlanStep:
-    """One op of the integer execution plan, keyed by activation sites."""
-
-    op: str  # conv | depthwise | linear | relu | concat | head_out
-    layer: str | None
-    inputs: tuple
-    output: str | None
-    stride: int = 1
-    padding: str = "same"
-    flatten: bool = False
-    fmt: str | None = None
-
-
-def build_plan(config: ModelConfig) -> list:
-    """The integer execution plan; mirrors the float forward pass exactly."""
-    steps = []
-    prev = "input"
-    for i, ec in enumerate(config.eosa, 1):
-        base = f"eosa{i}"
-        branch_sites = []
-        if ec.extra_conv == "conventional":
-            steps.append(PlanStep("conv", f"{base}.extra", (prev,), f"{base}.extra.out", 2))
-            steps.append(PlanStep("relu", None, (f"{base}.extra.out",), f"{base}.extra.relu"))
-            branch_sites.append(f"{base}.extra.relu")
-        else:
-            steps.append(PlanStep("depthwise", f"{base}.extra.dw", (prev,), f"{base}.extra.dw.out", 2))
-            steps.append(PlanStep("relu", None, (f"{base}.extra.dw.out",), f"{base}.extra.dw.relu"))
-            steps.append(PlanStep("conv", f"{base}.extra.pw", (f"{base}.extra.dw.relu",),
-                                  f"{base}.extra.pw.out", 1))
-            steps.append(PlanStep("relu", None, (f"{base}.extra.pw.out",), f"{base}.extra.pw.relu"))
-            branch_sites.append(f"{base}.extra.pw.relu")
-        chain = prev
-        for j in range(ec.n_osa):
-            stride = 2 if j == 0 else 1
-            steps.append(PlanStep("conv", f"{base}.osa.l{j}", (chain,), f"{base}.osa.l{j}.out", stride))
-            steps.append(PlanStep("relu", None, (f"{base}.osa.l{j}.out",), f"{base}.osa.l{j}.relu"))
-            chain = f"{base}.osa.l{j}.relu"
-            branch_sites.append(chain)
-        steps.append(PlanStep("concat", None, tuple(branch_sites), f"{base}.concat"))
-        prev = f"{base}.concat"
-    steps.append(PlanStep("conv", "decoder.pw", (prev,), "decoder.pw.out", 1))
-    steps.append(PlanStep("relu", None, ("decoder.pw.out",), "decoder.pw.relu"))
-    steps.append(PlanStep("depthwise", "decoder.dw", ("decoder.pw.relu",), "decoder.out",
-                          1, "valid", flatten=True))
-    for hc in config.heads:
-        base = f"head.{hc.format}"
-        feed = "decoder.out"
-        if config.head_kind == "efld":
-            for j in range(hc.blocks):
-                steps.append(PlanStep("linear", f"{base}.block{j}", (feed,), f"{base}.block{j}.out"))
-                steps.append(PlanStep("relu", None, (f"{base}.block{j}.out",), f"{base}.block{j}.relu"))
-                steps.append(PlanStep("concat", None, (feed, f"{base}.block{j}.relu"),
-                                      f"{base}.block{j}.concat"))
-                feed = f"{base}.block{j}.concat"
-        steps.append(PlanStep("head_out", f"{base}.out", (feed,), f"{base}.out", fmt=hc.format))
-    return steps
-
-
 def plan_sites(config: ModelConfig) -> list:
     """Every activation site, in execution order, starting at the input."""
-    sites = ["input"]
-    for step in build_plan(config):
-        if step.output not in sites:
-            sites.append(step.output)
-    return sites
+    return ["input"] + [step.output for step in build_plan(config)]
 
 
 def layer_input_sites(config: ModelConfig) -> dict:
@@ -168,9 +106,10 @@ def calibrate(model: Model, dataset, batch_size: int = 32) -> dict:
         images = np.stack([s.image for s in chunk]).astype(model.dtype)
         model_forward(model, Tensor(images), tape=None, observer=observer)
 
+    relu_sites = {step.output for step in build_plan(model.config) if step.op == "relu"}
     params = {}
     for site, (lo, hi) in ranges.items():
-        if site.endswith(".relu"):
+        if site in relu_sites:
             lo = 0.0
         params[site] = params_from_range(lo, hi, site)
     return params
@@ -188,6 +127,7 @@ class QuantizedModel:
         self.biases = biases
         self.bias_scales = bias_scales
         self.activations = activations
+        self.plan = build_plan(config)
 
     @property
     def dtype(self) -> str:
@@ -240,27 +180,6 @@ def _requant_acc(acc, multiplier: float, zp_out: int) -> np.ndarray:
     return np.clip(q, QMIN, QMAX).astype(np.int8)
 
 
-def _accumulate_conv(x, w, bias, stride, padding, depthwise: bool):
-    """Integer accumulation in exact float64; x is already zero-point shifted."""
-    op = "quantized_forward"
-    batch, h, wdt, _ = x.shape
-    kh, kw = w.shape[0], w.shape[1]
-    out_h, pt, pb = _out_and_pad(op, h, kh, stride, padding)
-    out_w, pl, pr = _out_and_pad(op, wdt, kw, stride, padding)
-    padded = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0))) if (pt or pb or pl or pr) else x
-    cout = w.shape[-1]
-    acc = np.zeros((batch, out_h, out_w, cout), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            window = _strided_window(padded, i, j, stride, out_h, out_w)
-            if depthwise:
-                acc += window * w[i, j]
-            else:
-                acc.reshape(-1, cout)[...] += window.reshape(-1, w.shape[2]) @ w[i, j]
-    acc += bias
-    return acc
-
-
 def quantized_forward(qmodel: QuantizedModel, images) -> dict:
     """Integer-only inference. Convolutions and linears accumulate int values
     and requantize to each output site; ReLU runs in the quantized domain;
@@ -276,24 +195,26 @@ def quantized_forward(qmodel: QuantizedModel, images) -> dict:
         raise ShapeError(
             "quantized_forward", f"expected images (B, {s}, {s}, 3), got {tuple(arr.shape)}"
         )
+    heads = {f"head.{fmt}.out": fmt for fmt in qmodel.head_formats()}
     values = {"input": quantize_value(arr, act["input"])}
     results = {}
-    for step in build_plan(config):
-        if step.op in ("conv", "depthwise", "linear", "head_out"):
+    for step in qmodel.plan:
+        spec = step.spec
+        if spec is not None:
             in_qp = act[step.inputs[0]]
-            q_x = values[step.inputs[0]].astype(np.float64) - in_qp.zero_point
-            w = qmodel.weights[step.layer].astype(np.float64)
-            bias = qmodel.biases[step.layer].astype(np.float64)
-            if step.op in ("conv", "depthwise"):
-                acc = _accumulate_conv(q_x, w, bias, step.stride, step.padding,
-                                       depthwise=(step.op == "depthwise"))
-                if step.flatten:
-                    acc = acc.reshape(acc.shape[0], -1)
+            q_x = Tensor(values[step.inputs[0]].astype(np.float64) - in_qp.zero_point)
+            params = LayerParams(spec.kind, Tensor(qmodel.weights[spec.name].astype(np.float64)),
+                                 Tensor(qmodel.biases[spec.name].astype(np.float64)))
+            if step.op == "linear":
+                acc = linear(q_x, params).data
             else:
-                acc = q_x @ w + bias
-            multiplier = in_qp.scale * qmodel.weight_scales[step.layer]
-            if step.op == "head_out":
-                results[step.fmt] = acc * multiplier
+                conv = conv2d if step.op == "conv" else depthwise_conv2d
+                acc = conv(q_x, params, stride=spec.stride, padding=spec.padding).data
+            if step.flatten:
+                acc = acc.reshape(acc.shape[0], -1)
+            multiplier = in_qp.scale * qmodel.weight_scales[spec.name]
+            if step.output in heads:
+                results[heads[step.output]] = acc * multiplier
             else:
                 out_qp = act[step.output]
                 values[step.output] = _requant_acc(acc, multiplier / out_qp.scale,
@@ -302,10 +223,8 @@ def quantized_forward(qmodel: QuantizedModel, images) -> dict:
             in_qp = act[step.inputs[0]]
             clamped = np.maximum(values[step.inputs[0]], in_qp.zero_point)
             values[step.output] = _requant(clamped, in_qp, act[step.output])
-        elif step.op == "concat":
+        else:
             out_qp = act[step.output]
             parts = [_requant(values[site], act[site], out_qp) for site in step.inputs]
             values[step.output] = np.concatenate(parts, axis=-1)
-        else:
-            raise UsageError(f"unknown plan op {step.op!r}")
     return results

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from efld.errors import UsageError
-from efld.ops import concat_channels, conv2d, depthwise_conv2d, linear, relu, separable_conv2d
+from efld.ops import concat_channels, conv2d, depthwise_conv2d, linear, relu
 from efld.tensor import LayerParams, Tape, Tensor, backward, backward_multi
 
 from conftest import central_difference, max_rel_error
@@ -95,14 +95,6 @@ class TestFiniteDifferences:
         p = params(rng.standard_normal((5, 5, 4)), rng.standard_normal(4), kind="depthwise-conv")
         self.check(
             lambda tape=None: depthwise_conv2d(x, p, padding="valid", tape=tape), x, [p]
-        )
-
-    def test_separable(self, rng):
-        x = Tensor(rng.standard_normal((1, 5, 5, 3)))
-        dw = params(rng.standard_normal((3, 3, 3)), rng.standard_normal(3), kind="depthwise-conv")
-        pw = params(rng.standard_normal((1, 1, 3, 4)), rng.standard_normal(4))
-        self.check(
-            lambda tape=None: separable_conv2d(x, dw, pw, stride=2, tape=tape), x, [dw, pw]
         )
 
     def test_linear(self, rng):

@@ -20,7 +20,13 @@ from efld.model import (
 )
 from efld.tensor import Tape, Tensor, backward
 
-from conftest import central_difference, max_rel_error, reduced_config
+from conftest import (
+    central_difference,
+    max_rel_error,
+    reduced_config,
+    ref_conv2d,
+    ref_depthwise_conv2d,
+)
 
 
 def count_parameters_by_hand(config):
@@ -167,6 +173,37 @@ class TestForwardShapes:
         config = default_config()
         widths = [spec.cin for spec in iter_layers(config) if spec.name.startswith("head.")]
         assert widths == [256, 288, 320, 352]
+
+
+@pytest.mark.parametrize("extra_conv", ["conventional", "depthwise-separable"])
+def test_eosa_forward_matches_loop_oracles(extra_conv):
+    """One backbone module in float64 against the conftest loop convolutions,
+    ReLU and channel concat composed by hand."""
+    ec = EosaConfig(2, 2, 3, extra_conv)
+    config = ModelConfig(input_size=8, eosa=(ec,), decoder_dim=4,
+                         heads=(HeadConfig("p3", 3, 1, 4),))
+    model = build_model(config, seed=5, dtype="float64")
+    rng = np.random.default_rng(6)
+    for name, tensor in model.params.items():
+        if name.endswith(".b"):
+            tensor.data[:] = rng.uniform(-0.5, 0.5, size=tensor.shape)
+    p = {name: tensor.data for name, tensor in model.params.items()}
+    x = rng.standard_normal((2, 8, 8, 3))
+
+    def conv_relu(oracle, layer, inp, stride):
+        return np.maximum(oracle(inp, p[layer + ".w"], p[layer + ".b"], stride, "same"), 0.0)
+
+    if extra_conv == "conventional":
+        parts = [conv_relu(ref_conv2d, "eosa1.extra", x, 2)]
+    else:
+        mid = conv_relu(ref_depthwise_conv2d, "eosa1.extra.dw", x, 2)
+        parts = [conv_relu(ref_conv2d, "eosa1.extra.pw", mid, 1)]
+    y = x
+    for j in range(ec.n_osa):
+        y = conv_relu(ref_conv2d, f"eosa1.osa.l{j}", y, 2 if j == 0 else 1)
+        parts.append(y)
+    got = eosa_forward(model, 1, Tensor(x)).data
+    np.testing.assert_allclose(got, np.concatenate(parts, axis=-1), atol=1e-12, rtol=0)
 
 
 class TestModelForward:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from efld.errors import CalibrationError, UsageError
-from efld.model import build_model, model_forward
+from efld.model import VARIANTS, apply_variant, build_model, iter_layers, model_forward
 from efld.quantize import (
     QuantParams,
     build_plan,
@@ -80,6 +80,9 @@ class TestParamsFromRange:
             qp = params_from_range(0.5, 0.5, site="x")
         assert qp.scale == 1e-8
         assert "constant" in caplog.text
+
+
+HEAD_SETS = [("p51",), ("p51", "p68", "p98")]
 
 
 @pytest.fixture(scope="module")
@@ -199,10 +202,13 @@ class TestQuantizedForward:
         mean_err = np.abs(q_out - float_out.astype(np.float64)).mean()
         assert mean_err < 3 * out_scale
 
-    def test_plan_matches_observer_sites(self, small_setup):
-        config, model, dataset, _, _ = small_setup
+    @pytest.mark.parametrize("formats", HEAD_SETS, ids=["1head", "3heads"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_plan_matches_observer_sites(self, variant, formats):
+        config = apply_variant(reduced_config(formats), variant)
+        model = build_model(config, seed=2)
         seen = []
-        images = Tensor(np.stack([s.image for s in dataset.samples[:1]]).astype("float32"))
+        images = Tensor(np.random.default_rng(0).uniform(size=(1, 32, 32, 3)).astype("float32"))
         model_forward(model, images, observer=lambda s, v: seen.append(s))
         assert seen == plan_sites(config)
 
@@ -211,9 +217,9 @@ class TestQuantizedForward:
         out = quantized_forward(qmodel, dataset.samples[0].image)["p51"]
         assert out.shape == (1, 102)
 
-    def test_plan_covers_every_layer(self, small_setup):
-        config = small_setup[0]
-        from efld.model import iter_layers
-
+    @pytest.mark.parametrize("formats", HEAD_SETS, ids=["1head", "3heads"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_plan_covers_every_layer(self, variant, formats):
+        config = apply_variant(reduced_config(formats), variant)
         plan_layers = {s.layer for s in build_plan(config) if s.layer}
         assert plan_layers == {spec.name for spec in iter_layers(config)}

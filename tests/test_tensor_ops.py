@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from efld.errors import ShapeError, UsageError
-from efld.ops import concat_channels, conv2d, depthwise_conv2d, linear, relu, separable_conv2d
+from efld.ops import concat_channels, conv2d, depthwise_conv2d, linear, relu
 from efld.tensor import LayerParams, Tensor
 
 from conftest import ref_conv2d, ref_depthwise_conv2d
@@ -107,41 +107,6 @@ class TestDepthwiseConv2d:
         p = conv_params(np.zeros((8, 8, 2)), kind="depthwise-conv")
         with pytest.raises(ShapeError):
             depthwise_conv2d(x, p, padding="valid")
-
-
-class TestSeparableConv2d:
-    def test_double_identity(self, rng):
-        x = rng.standard_normal((1, 6, 6, 4))
-        dw = np.zeros((3, 3, 4))
-        dw[1, 1, :] = 1.0
-        pw = np.eye(4).reshape(1, 1, 4, 4)
-        out = separable_conv2d(
-            Tensor(x),
-            conv_params(dw, kind="depthwise-conv"),
-            conv_params(pw),
-        ).data
-        np.testing.assert_array_equal(out, x)
-
-    def test_shape_16_to_8(self, rng):
-        x = Tensor(rng.standard_normal((1, 32, 32, 16)))
-        dw = conv_params(rng.standard_normal((3, 3, 16)), kind="depthwise-conv")
-        pw = conv_params(rng.standard_normal((1, 1, 16, 8)))
-        assert separable_conv2d(x, dw, pw, stride=1).shape == (1, 32, 32, 8)
-
-    def test_equals_composition(self, rng):
-        x = rng.standard_normal((1, 9, 9, 3))
-        dw = conv_params(rng.standard_normal((3, 3, 3)), kind="depthwise-conv")
-        pw = conv_params(rng.standard_normal((1, 1, 3, 5)), rng.standard_normal(5))
-        got = separable_conv2d(Tensor(x), dw, pw, stride=2).data
-        mid = ref_depthwise_conv2d(x, dw.weights.data, dw.bias.data, 2, "same")
-        expected = ref_conv2d(mid, pw.weights.data, pw.bias.data, 1, "same")
-        np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
-
-    def test_channel_mismatch_between_stages(self):
-        dw = conv_params(np.zeros((3, 3, 4)), kind="depthwise-conv")
-        pw = conv_params(np.zeros((1, 1, 5, 2)))
-        with pytest.raises(ShapeError, match="separable"):
-            separable_conv2d(Tensor(np.zeros((1, 4, 4, 4))), dw, pw)
 
 
 class TestLinear:
