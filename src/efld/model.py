@@ -18,7 +18,13 @@ no normalization layers anywhere.
 linear, relu and concat steps over named activation sites. ``iter_layers``
 (parameters, costing, the container) is a view of it, each stage forward
 interprets its steps, and the int8 path in ``quantize`` interprets the same
-steps, accumulating integers through these float kernels in exact float64.
+steps, accumulating integers through these float kernels. Those sums are
+exact: a layer with fan-in K (kh*kw*cin, kh*kw for depthwise, the input
+width for linear) sums K products of |q - zero_point| <= 255 and |w| <= 128,
+so every partial sum is an integer of magnitude at most K * 255 * 128. The
+int8 path runs it in float32 when that is below 2**24 (K <= 514), where
+float32 holds every such integer exactly in any summation order, and in
+float64 otherwise.
 """
 
 from __future__ import annotations

@@ -5,23 +5,39 @@ Weights are per-tensor symmetric (zero point 0); activations are per-site
 asymmetric, mapping the calibrated [min, max] onto [-128, 127]; biases are
 int32 at input_scale * weight_scale. Requantization multiplies the integer
 accumulator by a double-precision constant, rounds half away from zero, and
-clamps, which pins a bit-exact, platform-independent contract.
+clamps, which pins a bit-exact, platform-independent contract. The constant
+is (input_scale * weight_scale) / output_scale after a layer and
+input_scale / output_scale for a ReLU (which first clamps at the input zero
+point) or a concat operand; a head's final accumulator is multiplied by
+input_scale * weight_scale and returned as reals.
 
 The integer path interprets the model's execution plan (``build_plan``).
-Its convolutions and linears accumulate through the float kernels of ``ops``
-in float64: every accumulator value is an exact integer far below 2**53, so
-the arithmetic is exact and bit-deterministic whatever the summation order.
+Its convolutions and linears accumulate (q - zero_point) * w through the
+float kernels of ``ops``, and the int32 bias is added afterwards in float64.
+A layer with fan-in K (kh*kw*cin for a convolution, kh*kw for a depthwise
+convolution, the input width for a linear) accumulates in float32 when
+K <= 514 and in float64 otherwise. The bound: |q - zero_point| <= 255 and
+|w| <= 128, so every product, and every partial sum of any subset of the K
+products, is an integer of magnitude at most K * 255 * 128 < 2**24, which
+float32 holds exactly. Each addition is therefore exact in any summation
+order, with or without fused multiply-add, and the float32 accumulator
+equals the integer one. Above that bound float64 holds every partial sum
+exactly (K * 255 * 128 stays far below 2**53). ReLU and concat
+requantizations map int8 to int8, so they run as 256-entry tables built
+with the same arithmetic.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CalibrationError, ShapeError, UsageError
-from .model import Model, ModelConfig, build_plan, iter_layers, model_forward
+from .model import LayerSpec, Model, ModelConfig, PlanStep, build_plan, iter_layers, model_forward
 from .ops import conv2d, depthwise_conv2d, linear
 from .tensor import LayerParams, Tensor
 
@@ -30,11 +46,29 @@ log = logging.getLogger(__name__)
 SCALE_FLOOR = 1e-8
 QMIN, QMAX = -128, 127
 INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
+# Every int8 value, at the index of its uint8 view: the domain of a requantization table.
+_CODES = np.arange(256, dtype=np.uint8).view(np.int8)
 
 
 def _round_half_away(x):
+    """trunc(x + copysign(0.5, x)) in float64, in one scratch buffer."""
     x = np.asarray(x, dtype=np.float64)
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
+    r = np.copysign(0.5, x, out=np.empty_like(x))
+    np.add(x, r, out=r)
+    return np.trunc(r, out=r)
+
+
+def _to_int8(x, zero_point: int) -> np.ndarray:
+    """clamp(round_half_away(x) + zero_point, -128, 127) as int8."""
+    q = _round_half_away(x)
+    q += zero_point
+    return np.clip(q, QMIN, QMAX, out=q).astype(np.int8)
+
+
+def accumulator_dtype(spec: LayerSpec):
+    """float32 when every partial sum of the layer's integer accumulator is
+    exact in float32 (fan-in * 255 * 128 < 2**24), else float64."""
+    return np.float32 if spec.fan_in * (QMAX - QMIN) * -QMIN < 2**24 else np.float64
 
 
 @dataclass(frozen=True)
@@ -54,8 +88,7 @@ class QuantParams:
 def quantize_value(x, qp: QuantParams):
     """q = clamp(round(x / scale) + zero_point, -128, 127), saturating,
     round half away from zero. Nondecreasing in x."""
-    q = _round_half_away(np.asarray(x, dtype=np.float64) / qp.scale) + qp.zero_point
-    q = np.clip(q, QMIN, QMAX).astype(np.int8)
+    q = _to_int8(np.asarray(x, dtype=np.float64) / qp.scale, qp.zero_point)
     return q if q.ndim else q[()]
 
 
@@ -115,6 +148,17 @@ def calibrate(model: Model, dataset, batch_size: int = 32) -> dict:
     return params
 
 
+class _LayerState(NamedTuple):
+    """What ``quantized_forward`` needs for one layer step besides its input."""
+
+    params: LayerParams  # int8 weights cast to the accumulator dtype, zero bias
+    in_zero_point: int
+    bias: np.ndarray  # the int32 bias in float64
+    multiplier: float  # see the module docstring
+    zero_point: int  # of the output site; unused for a head output
+    head: str | None  # the format a head's final layer predicts, returned as reals
+
+
 class QuantizedModel:
     """Int8 weights/activations with per-tensor scale and zero point, plus
     the float reference config. Immutable; concurrent forwards are safe."""
@@ -142,6 +186,37 @@ class QuantizedModel:
     def parameter_count(self) -> int:
         return self.weight_byte_count() + sum(b.size for b in self.biases.values())
 
+    @cached_property
+    def _states(self) -> list:
+        """Per plan step: a ``_LayerState`` for a layer, and one int8-to-int8
+        table per operand for a ReLU or a concat. Built on the first forward,
+        so that loading a container or quantizing a model does not pay for it."""
+        heads = {f"head.{fmt}.out": fmt for fmt in self.head_formats()}
+        act = self.activations
+        states = []
+        for step in self.plan:
+            out_qp = act[step.output]
+            if step.op == "relu":
+                in_qp = act[step.inputs[0]]
+                states.append([_requant(np.maximum(_CODES, in_qp.zero_point), in_qp, out_qp)])
+            elif step.op == "concat":
+                states.append([_requant(_CODES, act[site], out_qp) for site in step.inputs])
+            else:
+                name = step.spec.name
+                dtype = accumulator_dtype(step.spec)
+                w = self.weights[name]
+                params = LayerParams(step.spec.kind, Tensor(w.astype(dtype)),
+                                     Tensor(np.zeros(w.shape[-1], dtype)))
+                in_qp = act[step.inputs[0]]
+                multiplier = in_qp.scale * self.weight_scales[name]
+                head = heads.get(step.output)
+                if head is None:
+                    multiplier /= out_qp.scale
+                states.append(_LayerState(params, in_qp.zero_point,
+                                          self.biases[name].astype(np.float64), multiplier,
+                                          out_qp.zero_point, head))
+        return states
+
 
 def quantize_model(model: Model, activations: dict) -> QuantizedModel:
     """Per-tensor symmetric weights (scale = max|w| / 127), int32 biases at
@@ -158,10 +233,15 @@ def quantize_model(model: Model, activations: dict) -> QuantizedModel:
         w_scale = float(np.abs(w).max()) / QMAX
         if w_scale < SCALE_FLOOR:
             w_scale = SCALE_FLOOR
-        q_w = np.clip(_round_half_away(w / w_scale), QMIN, QMAX).astype(np.int8)
+        q_w = _to_int8(w / w_scale, 0)
         in_scale = activations[in_sites[spec.name]].scale
         b_scale = in_scale * w_scale
-        q_b = np.clip(_round_half_away(b / b_scale), INT32_MIN, INT32_MAX).astype(np.int32)
+        q_b = _round_half_away(b / b_scale)
+        clipped = int(np.count_nonzero((q_b < INT32_MIN) | (q_b > INT32_MAX)))
+        if clipped:
+            log.warning("layer %s: %d of %d int32 bias entries saturate and are clipped",
+                        spec.name, clipped, q_b.size)
+        q_b = np.clip(q_b, INT32_MIN, INT32_MAX).astype(np.int32)
         weights[spec.name] = q_w
         weight_scales[spec.name] = w_scale
         biases[spec.name] = q_b
@@ -171,13 +251,22 @@ def quantize_model(model: Model, activations: dict) -> QuantizedModel:
 
 def _requant(values, in_qp: QuantParams, out_qp: QuantParams) -> np.ndarray:
     shifted = values.astype(np.float64) - in_qp.zero_point
-    scaled = _round_half_away(shifted * (in_qp.scale / out_qp.scale)) + out_qp.zero_point
-    return np.clip(scaled, QMIN, QMAX).astype(np.int8)
+    return _to_int8(shifted * (in_qp.scale / out_qp.scale), out_qp.zero_point)
 
 
-def _requant_acc(acc, multiplier: float, zp_out: int) -> np.ndarray:
-    q = _round_half_away(acc * multiplier) + zp_out
-    return np.clip(q, QMIN, QMAX).astype(np.int8)
+def _accumulate(step: PlanStep, state: _LayerState, q: np.ndarray) -> np.ndarray:
+    """The layer's integer accumulator, bias included, for its int8 input
+    ``q``, as exact integers in float64."""
+    spec = step.spec
+    x = Tensor(np.subtract(q, state.in_zero_point, dtype=state.params.weights.data.dtype))
+    if step.op == "linear":
+        acc = linear(x, state.params).data
+    else:
+        conv = conv2d if step.op == "conv" else depthwise_conv2d
+        acc = conv(x, state.params, stride=spec.stride, padding=spec.padding).data
+    if step.flatten:
+        acc = acc.reshape(acc.shape[0], -1)
+    return np.add(acc, state.bias, dtype=np.float64)
 
 
 def quantized_forward(qmodel: QuantizedModel, images) -> dict:
@@ -186,7 +275,6 @@ def quantized_forward(qmodel: QuantizedModel, images) -> dict:
     concat operands are requantized to the shared output site. The final head
     accumulator is dequantized directly to reals."""
     config = qmodel.config
-    act = qmodel.activations
     arr = np.asarray(images, dtype=np.float64)
     if arr.ndim == 3:
         arr = arr[None]
@@ -195,36 +283,18 @@ def quantized_forward(qmodel: QuantizedModel, images) -> dict:
         raise ShapeError(
             "quantized_forward", f"expected images (B, {s}, {s}, 3), got {tuple(arr.shape)}"
         )
-    heads = {f"head.{fmt}.out": fmt for fmt in qmodel.head_formats()}
-    values = {"input": quantize_value(arr, act["input"])}
+    values = {"input": quantize_value(arr, qmodel.activations["input"])}
     results = {}
-    for step in qmodel.plan:
-        spec = step.spec
-        if spec is not None:
-            in_qp = act[step.inputs[0]]
-            q_x = Tensor(values[step.inputs[0]].astype(np.float64) - in_qp.zero_point)
-            params = LayerParams(spec.kind, Tensor(qmodel.weights[spec.name].astype(np.float64)),
-                                 Tensor(qmodel.biases[spec.name].astype(np.float64)))
-            if step.op == "linear":
-                acc = linear(q_x, params).data
-            else:
-                conv = conv2d if step.op == "conv" else depthwise_conv2d
-                acc = conv(q_x, params, stride=spec.stride, padding=spec.padding).data
-            if step.flatten:
-                acc = acc.reshape(acc.shape[0], -1)
-            multiplier = in_qp.scale * qmodel.weight_scales[spec.name]
-            if step.output in heads:
-                results[heads[step.output]] = acc * multiplier
-            else:
-                out_qp = act[step.output]
-                values[step.output] = _requant_acc(acc, multiplier / out_qp.scale,
-                                                   out_qp.zero_point)
-        elif step.op == "relu":
-            in_qp = act[step.inputs[0]]
-            clamped = np.maximum(values[step.inputs[0]], in_qp.zero_point)
-            values[step.output] = _requant(clamped, in_qp, act[step.output])
+    for step, state in zip(qmodel.plan, qmodel._states):
+        if step.spec is None:  # ReLU or concat: each operand through its table
+            parts = [np.take(table, values[site].view(np.uint8))
+                     for site, table in zip(step.inputs, state)]
+            values[step.output] = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+            continue
+        acc = _accumulate(step, state, values[step.inputs[0]])
+        acc *= state.multiplier
+        if state.head is not None:
+            results[state.head] = acc
         else:
-            out_qp = act[step.output]
-            parts = [_requant(values[site], act[site], out_qp) for site in step.inputs]
-            values[step.output] = np.concatenate(parts, axis=-1)
+            values[step.output] = _to_int8(acc, state.zero_point)
     return results

@@ -1,12 +1,27 @@
 """Quantization arithmetic, calibration, and the integer inference path."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from efld.errors import CalibrationError, UsageError
-from efld.model import VARIANTS, apply_variant, build_model, iter_layers, model_forward
+from efld.model import (
+    VARIANTS,
+    EosaConfig,
+    LayerSpec,
+    apply_variant,
+    build_model,
+    default_config,
+    iter_layers,
+    model_forward,
+)
 from efld.quantize import (
+    QuantizedModel,
     QuantParams,
+    _accumulate,
+    _round_half_away,
+    accumulator_dtype,
     build_plan,
     calibrate,
     dequantize_value,
@@ -19,7 +34,7 @@ from efld.quantize import (
 from efld.synthetic import generate_synthetic
 from efld.tensor import Tensor
 
-from conftest import reduced_config
+from conftest import reduced_config, ref_conv2d, ref_depthwise_conv2d
 
 
 class TestQuantizeValue:
@@ -63,6 +78,27 @@ class TestQuantizeValue:
             QuantParams(scale=0.0, zero_point=0)
         with pytest.raises(UsageError):
             QuantParams(scale=0.1, zero_point=200)
+
+
+class TestRoundHalfAway:
+    @staticmethod
+    def floor_formula(x):
+        """The earlier implementation: copysign(floor(|x| + 0.5), x)."""
+        return np.copysign(np.floor(np.abs(x) + 0.5), x)
+
+    def test_bit_equal_to_floor_formula(self, rng):
+        big = 2.0**52
+        special = np.array([
+            0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.0, -0.0, 0.49999999999999994,
+            -0.49999999999999994, 1e-300, -1e-300, np.inf, -np.inf,
+            big - 1.5, big - 0.5, big, big + 1.0, big + 3.0, 2.0 * big + 2.0,
+            -(big - 1.5), -(big - 0.5), -big, -(big + 1.0), -(2.0 * big + 2.0),
+        ])
+        x = np.concatenate([special, rng.normal(scale=300.0, size=10**5),
+                            rng.uniform(-1.0, 1.0, size=10**5) * 2.0**60])
+        got = _round_half_away(x)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.int64), self.floor_formula(x).view(np.int64))
 
 
 class TestParamsFromRange:
@@ -134,8 +170,6 @@ class TestQuantizeModel:
         assert int(np.abs(qmodel.weights[name]).max()) == 127
 
     def test_max_weight_127_hand_case(self):
-        from efld.quantize import _round_half_away
-
         scale = 1.27 / 127
         assert scale == pytest.approx(0.01)
         assert int(np.clip(_round_half_away(1.27 / scale), -128, 127)) == 127
@@ -174,6 +208,22 @@ class TestQuantizeModel:
         del partial["decoder.out"]
         with pytest.raises(CalibrationError, match="decoder.out"):
             quantize_model(model, partial)
+
+    def test_bias_saturation_is_logged(self, small_setup, caplog):
+        config, model, _, activations, _ = small_setup
+        with caplog.at_level("WARNING", logger="efld.quantize"):
+            quantize_model(model, activations)
+        assert not caplog.records
+        big = build_model(config, seed=2)
+        for name, t in model.params.items():
+            big.params[name].data[:] = t.data
+        big.params["eosa2.osa.l1.b"].data[:3] = [1e9, -1e9, 1e-3]
+        with caplog.at_level("WARNING", logger="efld.quantize"):
+            qm = quantize_model(big, activations)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1
+        assert "eosa2.osa.l1" in messages[0] and "2 of 4 int32 bias entries" in messages[0]
+        assert qm.biases["eosa2.osa.l1"][:2].tolist() == [2**31 - 1, -(2**31)]
 
 
 class TestQuantizedForward:
@@ -221,5 +271,149 @@ class TestQuantizedForward:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_plan_covers_every_layer(self, variant, formats):
         config = apply_variant(reduced_config(formats), variant)
-        plan_layers = {s.layer for s in build_plan(config) if s.layer}
-        assert plan_layers == {spec.name for spec in iter_layers(config)}
+        plan_layers = [(s.layer, s.op) for s in build_plan(config) if s.layer]
+        assert plan_layers == layers_by_hand(config)
+
+    def test_kernel_state_built_on_first_forward(self, small_setup, tmp_path):
+        from efld.container import load, save
+
+        _, model, dataset, activations, _ = small_setup
+        qmodel = quantize_model(model, activations)
+        save(qmodel, tmp_path / "q.efld")
+        loaded = load(tmp_path / "q.efld")
+        assert "_states" not in vars(qmodel) and "_states" not in vars(loaded)
+        quantized_forward(loaded, dataset.samples[0].image)
+        assert "_states" in vars(loaded)
+
+
+def layers_by_hand(config):
+    """Independent (layer, op) list in execution order, from the config alone."""
+    layers = []
+    for i, ec in enumerate(config.eosa, 1):
+        if ec.extra_conv == "conventional":
+            layers.append((f"eosa{i}.extra", "conv"))
+        else:
+            layers += [(f"eosa{i}.extra.dw", "depthwise"), (f"eosa{i}.extra.pw", "conv")]
+        layers += [(f"eosa{i}.osa.l{j}", "conv") for j in range(ec.n_osa)]
+    layers += [("decoder.pw", "conv"), ("decoder.dw", "depthwise")]
+    for hc in config.heads:
+        if config.head_kind == "efld":
+            layers += [(f"head.{hc.format}.block{j}", "linear") for j in range(hc.blocks)]
+        layers.append((f"head.{hc.format}.out", "linear"))
+    return layers
+
+
+def wide_config(formats=("p51", "p68")):
+    """``reduced_config`` with a 64-wide eosa4 chain, so eosa4.osa.l1 and l2
+    have fan-in 3*3*64 = 576 and accumulate in float64 while every other
+    layer accumulates in float32."""
+    config = reduced_config(formats)
+    return replace(config, eosa=config.eosa[:3] + (EosaConfig(64, 3, 16, "depthwise-separable"),))
+
+
+def oracle_requant(x, zero_point):
+    """clamp(round half away from zero(x) + zero_point, -128, 127) in int64."""
+    rounded = np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
+    return np.clip(rounded.astype(np.int64) + zero_point, -128, 127)
+
+
+def integer_oracle(qmodel, images):
+    """The plan interpreted in int64 with the loop oracles, following the
+    requantization formula of the ``efld.quantize`` docstring."""
+    act = qmodel.activations
+    real = np.asarray(images, dtype=np.float64)
+    values = {"input": oracle_requant(real / act["input"].scale, act["input"].zero_point)}
+    heads = {f"head.{fmt}.out": fmt for fmt in qmodel.head_formats()}
+    results = {}
+    for step in build_plan(qmodel.config):
+        out_qp = act[step.output]
+        if step.op == "concat":
+            values[step.output] = np.concatenate([
+                oracle_requant((values[site] - act[site].zero_point)
+                               * (act[site].scale / out_qp.scale), out_qp.zero_point)
+                for site in step.inputs], axis=-1)
+            continue
+        in_qp = act[step.inputs[0]]
+        x = values[step.inputs[0]]
+        if step.op == "relu":
+            shifted = np.maximum(x, in_qp.zero_point) - in_qp.zero_point
+            values[step.output] = oracle_requant(shifted * (in_qp.scale / out_qp.scale),
+                                                 out_qp.zero_point)
+            continue
+        spec = step.spec
+        w = qmodel.weights[spec.name].astype(np.int64)
+        b = qmodel.biases[spec.name].astype(np.int64)
+        x = x - in_qp.zero_point
+        if step.op == "conv":
+            acc = ref_conv2d(x, w, b, spec.stride, spec.padding)
+        elif step.op == "depthwise":
+            acc = ref_depthwise_conv2d(x, w, b, spec.stride, spec.padding)
+        else:
+            acc = x @ w + b
+        acc = acc.reshape(acc.shape[0], -1) if step.flatten else acc
+        multiplier = in_qp.scale * qmodel.weight_scales[spec.name]
+        if step.output in heads:
+            results[heads[step.output]] = acc * multiplier
+        else:
+            values[step.output] = oracle_requant(acc * (multiplier / out_qp.scale),
+                                                 out_qp.zero_point)
+    return results
+
+
+class TestIntegerOracle:
+    def test_accumulator_dtype_follows_fan_in(self):
+        linear = LayerSpec("x", "linear", (), 514, 4)
+        assert accumulator_dtype(linear) is np.float32
+        assert accumulator_dtype(replace(linear, cin=515)) is np.float64
+        wide = [spec.name for spec in iter_layers(default_config())
+                if accumulator_dtype(spec) is np.float64]
+        assert wide == ["eosa4.osa.l0"]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_quantized_forward_matches_integer_oracle(self, variant):
+        config = apply_variant(wide_config(), variant)
+        dtypes = {accumulator_dtype(spec) for spec in iter_layers(config)}
+        assert dtypes == {np.float32, np.float64}
+        model = build_model(config, seed=4)
+        dataset = generate_synthetic(6, 32, seed=8, formats=[])
+        qmodel = quantize_model(model, calibrate(model, dataset))
+        images = np.stack([s.image for s in dataset.samples[:2]])
+        got = quantized_forward(qmodel, images)
+        want = integer_oracle(qmodel, images)
+        assert list(got) == list(want) == ["p51", "p68"]
+        for fmt in want:
+            np.testing.assert_array_equal(got[fmt], want[fmt])
+
+    @pytest.mark.parametrize("zero_point,q", [(-128, 127), (127, -128)], ids=["+255", "-255"])
+    @pytest.mark.parametrize("layer", ["eosa4.osa.l0", "eosa4.osa.l1"])
+    def test_accumulator_is_exact_at_the_extremes(self, layer, zero_point, q):
+        config = wide_config(("p51",))
+        model = build_model(config, seed=4)
+        dataset = generate_synthetic(2, 32, seed=8, formats=[])
+        base = quantize_model(model, calibrate(model, dataset))
+        index, step = next((i, s) for i, s in enumerate(base.plan) if s.layer == layer)
+        kh, kw, cin, cout = step.spec.weight_shape
+        # All +127 but for an odd number of -128 taps per output channel, so every
+        # full-window sum is odd; with fan-in 576 it is also above 2**24, which
+        # makes it a value float32 cannot hold. The biases sit at the int32 ends.
+        rng = np.random.default_rng(3)
+        w = np.full((kh, kw, cin, cout), 127, dtype=np.int8)
+        for co in range(cout):
+            taps = rng.choice(kh * kw * cin, size=2 * (co % 4) + 1, replace=False)
+            w.reshape(-1, cout)[taps, co] = -128
+        b = np.resize(np.array([2**31 - 1, -(2**31), 12345, -1], dtype=np.int32), cout)
+        in_site = step.inputs[0]
+        activations = dict(base.activations)
+        activations[in_site] = QuantParams(activations[in_site].scale, zero_point)
+        qmodel = QuantizedModel(config, {**base.weights, layer: w}, base.weight_scales,
+                                {**base.biases, layer: b}, base.bias_scales, activations)
+        x = np.full((2, 5, 5, cin), q, dtype=np.int8)
+        sums = ref_conv2d(x.astype(np.int64) - zero_point, w.astype(np.int64),
+                          np.zeros(cout, np.int64), step.spec.stride, step.spec.padding)
+        mid = sums.shape[1] // 2  # the output whose window lies inside the input
+        centre = np.abs(sums[:, mid, mid, :])
+        assert np.all(centre % 2 == 1)
+        assert (centre.min() > 2**24) == (accumulator_dtype(step.spec) is np.float64)
+        got = _accumulate(step, qmodel._states[index], x)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, sums + b)
