@@ -4,11 +4,27 @@ All ops are pure functions of their inputs: they never mutate arguments and
 are safe to call concurrently. Feature maps are batch/height/width/channel.
 Same-padding pads with zeros, output size ceil(size/stride), with the extra
 pixel on the bottom/right.
+
+The convolutions read the padded input through one read-only strided view
+of every receptive field, shaped (B, out_h, out_w, kh, kw, C), which copies
+nothing. A conventional convolution reshapes one sample of that view into
+its column matrix, (out_h*out_w, kh*kw*cin), and multiplies it by the
+weights, (kh*kw*cin, cout), in one BLAS GEMM; the weight gradient sums
+columns^T @ grad over the samples the same way, and a depthwise convolution
+takes its weight gradient from the view one sample at a time too. The GEMM
+runs per sample, not on the whole batch: one sample's columns stay in cache,
+and the whole-batch column matrix (kh*kw times the input) was slower and
+raised peak memory. The input gradient multiplies the whole batch's output
+gradient by each tap's weights in one 2-D GEMM and adds it into the padded
+input's gradient at that tap's offset. The GEMMs sum float32 inputs in
+float32 and float64 inputs in float64, never in a narrower type; the int8
+path relies on it for exact integer sums (see ``quantize``).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeError, UsageError
 from .tensor import LayerParams, Tape, Tensor
@@ -17,7 +33,7 @@ from .tensor import LayerParams, Tape, Tensor
 def _check_params(op: str, x: Tensor, params: LayerParams, kind: str) -> None:
     if params.kind != kind:
         raise ShapeError(op, f"expected {kind} params, got {params.kind}")
-    if params.weights.dtype != x.dtype:
+    if params.weights.data.dtype != x.data.dtype:
         raise ShapeError(
             op, f"dtype mismatch: input {x.dtype}, weights {params.weights.dtype}"
         )
@@ -39,6 +55,17 @@ def _out_and_pad(op: str, size: int, k: int, stride: int, padding: str):
 def _check_stride(op: str, stride: int) -> None:
     if stride not in (1, 2):
         raise UsageError(f"{op}: stride must be 1 or 2, got {stride}")
+
+
+def _receptive_fields(padded, kh, kw, stride, out_h, out_w):
+    """Read-only (B, out_h, out_w, kh, kw, C) view of every receptive field."""
+    sb, sh, sw, sc = padded.strides
+    return as_strided(
+        padded,
+        (padded.shape[0], out_h, out_w, kh, kw, padded.shape[3]),
+        (sb, sh * stride, sw * stride, sh, sw, sc),
+        writeable=False,
+    )
 
 
 def _strided_window(padded, i, j, stride, out_h, out_w):
@@ -77,28 +104,29 @@ def conv2d(
     out_h, pt, pb = _out_and_pad("conv2d", h, kh, stride, padding)
     out_w, pl, pr = _out_and_pad("conv2d", wdt, kw, stride, padding)
     padded = np.pad(xd, ((0, 0), (pt, pb), (pl, pr), (0, 0))) if (pt or pb or pl or pr) else xd
-    out = np.zeros((batch, out_h, out_w, cout), dtype=xd.dtype)
-    flat = out.reshape(-1, cout)
-    for i in range(kh):
-        for j in range(kw):
-            window = _strided_window(padded, i, j, stride, out_h, out_w)
-            flat += window.reshape(-1, cin) @ w[i, j]
+    fan_in = kh * kw * cin
+    cols = _receptive_fields(padded, kh, kw, stride, out_h, out_w)
+    w2 = w.reshape(fan_in, cout)
+    out = np.empty((batch, out_h, out_w, cout), dtype=xd.dtype)
+    for n in range(batch):
+        np.matmul(cols[n].reshape(-1, fan_in), w2, out=out[n].reshape(-1, cout))
     out += b
     result = Tensor(out)
 
     if tape is not None:
         def backward_fn(grad, grads):
+            dw = np.zeros_like(w2)
+            for n in range(batch):
+                dw += cols[n].reshape(-1, fan_in).T @ grad[n].reshape(-1, cout)
             g2 = grad.reshape(-1, cout)
-            dw = np.empty_like(w)
             dpadded = np.zeros_like(padded)
             for i in range(kh):
                 for j in range(kw):
-                    window = _strided_window(padded, i, j, stride, out_h, out_w)
-                    dw[i, j] = window.reshape(-1, cin).T @ g2
-                    _strided_window(dpadded, i, j, stride, out_h, out_w)[...] += grad @ w[i, j].T
+                    _strided_window(dpadded, i, j, stride, out_h, out_w)[...] += (
+                        (g2 @ w[i, j].T).reshape(batch, out_h, out_w, cin))
             dx = dpadded[:, pt : pt + h, pl : pl + wdt, :]
             grads.accumulate(x, dx)
-            grads.accumulate(params.weights, dw)
+            grads.accumulate(params.weights, dw.reshape(w.shape))
             grads.accumulate(params.bias, grad.sum(axis=(0, 1, 2)))
 
         tape.record("conv2d", result, backward_fn)
@@ -141,12 +169,13 @@ def depthwise_conv2d(
 
     if tape is not None:
         def backward_fn(grad, grads):
-            dw = np.empty_like(w)
+            cols = _receptive_fields(padded, kh, kw, stride, out_h, out_w)
+            dw = np.zeros_like(w)
+            for n in range(batch):
+                dw += np.einsum("hwijc,hwc->ijc", cols[n], grad[n])
             dpadded = np.zeros_like(padded)
             for i in range(kh):
                 for j in range(kw):
-                    window = _strided_window(padded, i, j, stride, out_h, out_w)
-                    dw[i, j] = (window * grad).sum(axis=(0, 1, 2))
                     _strided_window(dpadded, i, j, stride, out_h, out_w)[...] += grad * w[i, j]
             dx = dpadded[:, pt : pt + h, pl : pl + wdt, :]
             grads.accumulate(x, dx)

@@ -30,6 +30,7 @@ with the same arithmetic.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -269,11 +270,23 @@ def _accumulate(step: PlanStep, state: _LayerState, q: np.ndarray) -> np.ndarray
     return np.add(acc, state.bias, dtype=np.float64)
 
 
+def _run_step(step: PlanStep, state, operands: list) -> np.ndarray:
+    """One plan step on its int8 operands: the output site's int8 value, or a
+    head's reals. Its temporaries die on return, before the next step runs."""
+    if step.spec is None:  # ReLU or concat: each operand through its table
+        parts = [np.take(table, q.view(np.uint8)) for q, table in zip(operands, state)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    acc = _accumulate(step, state, operands[0])
+    acc *= state.multiplier
+    return acc if state.head is not None else _to_int8(acc, state.zero_point)
+
+
 def quantized_forward(qmodel: QuantizedModel, images) -> dict:
     """Integer-only inference. Convolutions and linears accumulate int values
     and requantize to each output site; ReLU runs in the quantized domain;
     concat operands are requantized to the shared output site. The final head
-    accumulator is dequantized directly to reals."""
+    accumulator is dequantized directly to reals. Each int8 value is dropped
+    after its last reader."""
     config = qmodel.config
     arr = np.asarray(images, dtype=np.float64)
     if arr.ndim == 3:
@@ -284,17 +297,17 @@ def quantized_forward(qmodel: QuantizedModel, images) -> dict:
             "quantized_forward", f"expected images (B, {s}, {s}, 3), got {tuple(arr.shape)}"
         )
     values = {"input": quantize_value(arr, qmodel.activations["input"])}
+    readers = Counter(site for step in qmodel.plan for site in step.inputs)
+
+    def take(site):
+        readers[site] -= 1
+        return values[site] if readers[site] else values.pop(site)
+
     results = {}
     for step, state in zip(qmodel.plan, qmodel._states):
-        if step.spec is None:  # ReLU or concat: each operand through its table
-            parts = [np.take(table, values[site].view(np.uint8))
-                     for site, table in zip(step.inputs, state)]
-            values[step.output] = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-            continue
-        acc = _accumulate(step, state, values[step.inputs[0]])
-        acc *= state.multiplier
-        if state.head is not None:
-            results[state.head] = acc
+        value = _run_step(step, state, [take(site) for site in step.inputs])
+        if step.spec is not None and state.head is not None:
+            results[state.head] = value
         else:
-            values[step.output] = _to_int8(acc, state.zero_point)
+            values[step.output] = value
     return results

@@ -84,6 +84,21 @@ class TestFiniteDifferences:
         p = params(rng.standard_normal((3, 3, 3, 4)), rng.standard_normal(4))
         self.check(lambda tape=None: conv2d(x, p, stride=stride, padding=padding, tape=tape), x, [p])
 
+    @pytest.mark.parametrize("shape,kernel,stride", [
+        ((2, 6, 6, 3), 3, 2),  # even input: no padding before, one pixel after
+        ((2, 5, 5, 3), 1, 1),
+        ((2, 6, 6, 3), 1, 2),
+    ])
+    def test_conv2d_window_shapes(self, rng, shape, kernel, stride):
+        x = Tensor(rng.standard_normal(shape))
+        p = params(rng.standard_normal((kernel, kernel, shape[3], 4)), rng.standard_normal(4))
+        self.check(lambda tape=None: conv2d(x, p, stride=stride, tape=tape), x, [p])
+
+    def test_depthwise_stride2_even_input(self, rng):
+        x = Tensor(rng.standard_normal((2, 6, 6, 3)))
+        p = params(rng.standard_normal((3, 3, 3)), rng.standard_normal(3), kind="depthwise-conv")
+        self.check(lambda tape=None: depthwise_conv2d(x, p, stride=2, tape=tape), x, [p])
+
     @pytest.mark.parametrize("stride", [1, 2])
     def test_depthwise(self, rng, stride):
         x = Tensor(rng.standard_normal((2, 5, 5, 3)))

@@ -1,5 +1,6 @@
 """Quantization arithmetic, calibration, and the integer inference path."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -273,6 +274,26 @@ class TestQuantizedForward:
         config = apply_variant(reduced_config(formats), variant)
         plan_layers = [(s.layer, s.op) for s in build_plan(config) if s.layer]
         assert plan_layers == layers_by_hand(config)
+
+    def test_int8_values_dropped_after_last_reader(self, small_setup, monkeypatch):
+        from efld import quantize
+
+        _, _, dataset, _, qmodel = small_setup
+        plan = qmodel.plan
+        last_read = {site: k for k, step in enumerate(plan) for site in step.inputs}
+        read = {}
+        accumulate = quantize._accumulate
+
+        def spy(step, state, q):
+            k = next(i for i, s in enumerate(plan) if s is step)
+            stale = [site for site, ref in read.items() if last_read[site] < k and ref() is not None]
+            assert not stale, f"{stale} still held at step {k} ({step.output})"
+            read[step.inputs[0]] = weakref.ref(q)
+            return accumulate(step, state, q)
+
+        monkeypatch.setattr(quantize, "_accumulate", spy)
+        out = quantized_forward(qmodel, np.stack([s.image for s in dataset.samples[:4]]))
+        assert len(read) > 10 and out["p51"].shape == (4, 102)
 
     def test_kernel_state_built_on_first_forward(self, small_setup, tmp_path):
         from efld.container import load, save

@@ -5,7 +5,7 @@ import pytest
 
 from efld.errors import ShapeError, UsageError
 from efld.ops import concat_channels, conv2d, depthwise_conv2d, linear, relu
-from efld.tensor import LayerParams, Tensor
+from efld.tensor import LayerParams, Tape, Tensor, backward
 
 from conftest import ref_conv2d, ref_depthwise_conv2d
 
@@ -53,6 +53,32 @@ class TestConv2d:
         out = conv2d(Tensor(x), conv_params(w, b), stride=1, padding="same").data
         expected = x.reshape(-1, 5) @ w[0, 0] + b
         np.testing.assert_array_equal(out.reshape(-1, 3), expected)
+
+    @pytest.mark.parametrize("layout", ["channel-slice", "fortran"])
+    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"), (2, "valid")])
+    def test_oracle_non_contiguous_input(self, rng, layout, stride, padding):
+        if layout == "channel-slice":
+            x = rng.standard_normal((2, 7, 6, 6))[..., ::2]
+        else:
+            x = np.asfortranarray(rng.standard_normal((2, 7, 6, 3)))
+        assert not x.flags.c_contiguous
+        w = rng.standard_normal((3, 3, 3, 4))
+        b = rng.standard_normal(4)
+        out = conv2d(Tensor(x), conv_params(w, b), stride=stride, padding=padding).data
+        np.testing.assert_allclose(out, ref_conv2d(x, w, b, stride, padding), atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("shape,kernel,stride,padding", [
+        ((2, 8, 8, 3), (3, 3), 2, "same"),  # even input: no padding before, one pixel after
+        ((2, 7, 8, 5), (1, 1), 2, "same"),
+        ((2, 5, 5, 3), (5, 5), 1, "valid"),  # the kernel spans the whole input
+        ((2, 5, 4, 3), (5, 4), 2, "valid"),
+    ])
+    def test_oracle_window_shapes(self, rng, shape, kernel, stride, padding):
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal(kernel + (shape[3], 4))
+        b = rng.standard_normal(4)
+        out = conv2d(Tensor(x), conv_params(w, b), stride=stride, padding=padding).data
+        np.testing.assert_allclose(out, ref_conv2d(x, w, b, stride, padding), atol=1e-12, rtol=0)
 
     def test_channel_mismatch_names_op_and_dims(self):
         x = Tensor(np.zeros((1, 4, 4, 3)))
@@ -193,6 +219,23 @@ class TestInvariants:
         b = rng.standard_normal(c)
         got = depthwise_conv2d(Tensor(x), conv_params(wt, b, kind="depthwise-conv"), stride=stride).data
         np.testing.assert_allclose(got, ref_depthwise_conv2d(x, wt, b, stride, "same"), atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid")])
+    @pytest.mark.parametrize("op,kind,w_shape", [
+        (conv2d, "conv", (3, 3, 3, 4)),
+        (depthwise_conv2d, "depthwise-conv", (3, 3, 3)),
+    ], ids=["conv2d", "depthwise"])
+    def test_arguments_unchanged_by_forward_and_backward(self, rng, op, kind, w_shape,
+                                                         stride, padding):
+        x = rng.standard_normal((2, 6, 6, 3))
+        p = conv_params(rng.standard_normal(w_shape), rng.standard_normal(w_shape[-1]), kind=kind)
+        arrays = (x, p.weights.data, p.bias.data)
+        copies = [a.copy() for a in arrays]
+        tape = Tape()
+        out = op(Tensor(x), p, stride=stride, padding=padding, tape=tape)
+        backward(tape, rng.standard_normal(out.shape))
+        for arr, before in zip(arrays, copies):
+            np.testing.assert_array_equal(arr, before)
 
     def test_outputs_stay_finite(self, rng):
         x = Tensor(rng.standard_normal((1, 8, 8, 8)) * 1e3)
