@@ -29,6 +29,7 @@ def _resolved(name: str, **kwargs) -> None:
 
 def build_parser() -> _Parser:
     from .container import CONTAINER_VERSION
+    from .model import VARIANTS
 
     parser = _Parser(prog="efld", description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -73,8 +74,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="static cost analysis")
     p.add_argument("--config", required=True, help="config file or the literal 'default'")
-    p.add_argument("--variant", choices=("default", "conv-backbone", "pfld-head"),
-                   default="default")
+    p.add_argument("--variant", choices=VARIANTS, default="default")
     p.add_argument("--json", dest="json_out", default=None, help="write the report as JSON")
 
     p = sub.add_parser("export", help="export with head pruning")
@@ -304,9 +304,22 @@ def _set_thread_env(threads: int) -> None:
         os.environ[var] = str(threads)
 
 
+def _global_threads(argv):
+    """The N of ``--threads N`` or ``--threads=N`` before the subcommand, or None."""
+    value = ""
+    for arg, following in zip(argv, [*argv[1:], ""]):
+        if arg in _COMMANDS:
+            break
+        name, eq, given = arg.partition("=")
+        if len(name) > 2 and "--threads".startswith(name):  # argparse takes abbreviations
+            value = given if eq else following
+    return int(value) if value.isdigit() else None
+
+
 def run(argv) -> int:
-    if argv and argv[0] == "--threads" and len(argv) > 1 and argv[1].isdigit():
-        _set_thread_env(int(argv[1]))  # before the first numpy import
+    threads = _global_threads(argv)
+    if threads is not None:
+        _set_thread_env(threads)  # before the parser imports numpy
     try:
         parser = build_parser()
         try:
@@ -321,7 +334,6 @@ def run(argv) -> int:
         if args.command is None:
             raise UsageError(f"missing subcommand\n{parser.format_usage().rstrip()}")
         if args.threads is not None:
-            _set_thread_env(args.threads)
             print(f"efld: threads={args.threads}", file=sys.stderr)
         return _COMMANDS[args.command](args)
     except UsageError as exc:

@@ -16,15 +16,16 @@ no normalization layers anywhere.
 
 ``build_plan`` is the one description of this network: conv, depthwise,
 linear, relu and concat steps over named activation sites. ``iter_layers``
-(parameters, costing, the container) is a view of it, each stage forward
-interprets its steps, and the int8 path in ``quantize`` interprets the same
-steps, accumulating integers through these float kernels. Those sums are
-exact: a layer with fan-in K (kh*kw*cin, kh*kw for depthwise, the input
-width for linear) sums K products of |q - zero_point| <= 255 and |w| <= 128,
-so every partial sum is an integer of magnitude at most K * 255 * 128. The
-int8 path runs it in float32 when that is below 2**24 (K <= 514), where
-float32 holds every such integer exactly in any summation order, and in
-float64 otherwise.
+(parameters, costing, the container) is a view of it, and ``run_plan`` is
+its one interpreter. The float forward runs each stage through it, one
+``_apply`` op per step. The int8 path in ``quantize`` runs the whole plan
+through it, and its layer steps call ``_apply`` to accumulate integers
+through these float kernels. Those sums are exact: a layer with fan-in K
+(kh*kw*cin, kh*kw for depthwise, the input width for linear) sums K products
+of |q - zero_point| <= 255 and |w| <= 128, so every partial sum is an integer
+of magnitude at most K * 255 * 128. The int8 path runs it in float32 when
+that is below 2**24 (K <= 514), where float32 holds every such integer
+exactly in any summation order, and in float64 otherwise.
 """
 
 from __future__ import annotations
@@ -321,13 +322,16 @@ def build_model(config: ModelConfig, seed: int = 0, dtype: str = "float32") -> M
     return Model(config, params, dtype)
 
 
-def _apply(model: Model, step: PlanStep, src: Tensor, tape: Tape | None) -> Tensor:
-    """One conv, depthwise, linear or relu step of the plan."""
-    spec = step.spec
+def _apply(step: PlanStep, params: LayerParams | None, operands, tape=None) -> Tensor:
+    """One step of the plan on its operands, with its layer's ``params``."""
+    if step.op == "concat":
+        return concat_channels(*operands, tape=tape)
+    (src,) = operands
     if step.op == "relu":
         return relu(src, tape=tape)
     if step.op == "linear":
-        return linear(src, model.layer(spec.name), tape=tape)
+        return linear(src, params, tape=tape)
+    spec = step.spec
     if step.flatten and src.shape[1:3] != spec.kernel:
         raise ShapeError(
             spec.name,
@@ -335,37 +339,36 @@ def _apply(model: Model, step: PlanStep, src: Tensor, tape: Tape | None) -> Tens
             f"full-extent kernel {spec.kernel[0]}x{spec.kernel[1]}",
         )
     conv = conv2d if step.op == "conv" else depthwise_conv2d
-    y = conv(src, model.layer(spec.name), stride=spec.stride, padding=spec.padding, tape=tape)
+    y = conv(src, params, stride=spec.stride, padding=spec.padding, tape=tape)
     return flatten_rows(y, tape=tape) if step.flatten else y
+
+
+def run_plan(steps, values: dict, apply) -> dict:
+    """Set ``values[step.output] = apply(step, operands)`` for each step in
+    order, the operands being the values of ``step.inputs``, and drop each
+    value after its last reader. ``values`` starts with the sites the steps
+    read before writing; the values that no step reads are returned."""
+    readers = Counter(site for step in steps for site in step.inputs)
+    for step in steps:
+        readers.subtract(step.inputs)
+        operands = [values[site] if readers[site] else values.pop(site) for site in step.inputs]
+        values[step.output] = apply(step, operands)
+    return values
 
 
 def _run_stage(model: Model, stage: str, x: Tensor, tape: Tape | None,
                observer) -> Tensor:
-    """Interpret one stage of the plan on ``x``, reporting every output site
-    to ``observer`` and dropping each value after its last reader. A concat
-    joins each operand pairwise as soon as that operand is computed, so each
-    chain layer's join follows its ReLU."""
+    """Run one stage of the plan on ``x``, reporting each output site to ``observer``."""
     steps = model._stages[stage]
-    values = {steps[0].inputs[0]: x}
-    readers = Counter(site for step in steps for site in step.inputs)
-    joins = {site: step for step in steps if step.op == "concat" for site in step.inputs[1:]}
 
-    def take(site):
-        readers[site] -= 1
-        return values[site] if readers[site] else values.pop(site)
-
-    for step in steps:
-        if step.op != "concat":  # a concat's value was joined as its operands appeared
-            values[step.output] = _apply(model, step, take(step.inputs[0]), tape)
+    def apply(step, operands):
+        y = _apply(step, model.layer(step.layer) if step.layer else None, operands, tape)
         if observer is not None:
-            observer(step.output, values[step.output].data)
-        concat = joins.get(step.output)
-        if concat is not None:
-            values[concat.output] = concat_channels(
-                values.pop(concat.output) if concat.output in values
-                else take(concat.inputs[0]),
-                take(step.output), tape=tape)
-    return values[steps[-1].output]
+            observer(step.output, y.data)
+        return y
+
+    (y,) = run_plan(steps, {steps[0].inputs[0]: x}, apply).values()
+    return y
 
 
 def eosa_forward(model: Model, index: int, x: Tensor, tape: Tape | None = None,

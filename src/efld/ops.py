@@ -225,23 +225,25 @@ def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
     return result
 
 
-def concat_channels(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Concatenate along the channel (or vector) axis, ``a`` first."""
-    ad, bd = a.data, b.data
-    if ad.ndim != bd.ndim or ad.shape[:-1] != bd.shape[:-1]:
-        raise ShapeError(
-            "concat_channels",
-            f"non-channel dims differ: {tuple(ad.shape)} vs {tuple(bd.shape)}",
-        )
-    if ad.dtype != bd.dtype:
-        raise ShapeError("concat_channels", f"dtype mismatch: {ad.dtype} vs {bd.dtype}")
-    split = ad.shape[-1]
-    result = Tensor(np.concatenate([ad, bd], axis=-1))
+def concat_channels(*parts: Tensor, tape: Tape | None = None) -> Tensor:
+    """Concatenate along the channel (or vector) axis, in argument order."""
+    first = parts[0]
+    for part in parts[1:]:
+        if part.shape[:-1] != first.shape[:-1]:
+            raise ShapeError(
+                "concat_channels",
+                f"non-channel dims differ: {tuple(first.shape)} vs {tuple(part.shape)}",
+            )
+        if part.dtype != first.dtype:
+            raise ShapeError("concat_channels", f"dtype mismatch: {first.dtype} vs {part.dtype}")
+    result = Tensor(np.concatenate([part.data for part in parts], axis=-1))
 
     if tape is not None:
+        splits = np.cumsum([part.shape[-1] for part in parts[:-1]])
+
         def backward_fn(grad, grads):
-            grads.accumulate(a, grad[..., :split])
-            grads.accumulate(b, grad[..., split:])
+            for part, g in zip(parts, np.split(grad, splits, axis=-1)):
+                grads.accumulate(part, g)
 
         tape.record("concat_channels", result, backward_fn)
     return result

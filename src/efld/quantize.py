@@ -11,9 +11,10 @@ input_scale / output_scale for a ReLU (which first clamps at the input zero
 point) or a concat operand; a head's final accumulator is multiplied by
 input_scale * weight_scale and returned as reals.
 
-The integer path interprets the model's execution plan (``build_plan``).
-Its convolutions and linears accumulate (q - zero_point) * w through the
-float kernels of ``ops``, and the int32 bias is added afterwards in float64.
+The integer path runs the model's execution plan (``build_plan``) through
+the float path's interpreter, ``model.run_plan``. Its convolutions and
+linears accumulate (q - zero_point) * w through the float path's step,
+``model._apply``, and the int32 bias is added afterwards in float64.
 A layer with fan-in K (kh*kw*cin for a convolution, kh*kw for a depthwise
 convolution, the input width for a linear) accumulates in float32 when
 K <= 514 and in float64 otherwise. The bound: |q - zero_point| <= 255 and
@@ -30,7 +31,6 @@ with the same arithmetic.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -38,8 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CalibrationError, ShapeError, UsageError
-from .model import LayerSpec, Model, ModelConfig, PlanStep, build_plan, iter_layers, model_forward
-from .ops import conv2d, depthwise_conv2d, linear
+from .model import (LayerSpec, Model, ModelConfig, PlanStep, _apply, build_plan, iter_layers,
+                    model_forward, run_plan)
 from .tensor import LayerParams, Tensor
 
 log = logging.getLogger(__name__)
@@ -157,7 +157,7 @@ class _LayerState(NamedTuple):
     bias: np.ndarray  # the int32 bias in float64
     multiplier: float  # see the module docstring
     zero_point: int  # of the output site; unused for a head output
-    head: str | None  # the format a head's final layer predicts, returned as reals
+    head: bool  # a head's final layer, whose accumulator is returned as reals
 
 
 class QuantizedModel:
@@ -188,20 +188,21 @@ class QuantizedModel:
         return self.weight_byte_count() + sum(b.size for b in self.biases.values())
 
     @cached_property
-    def _states(self) -> list:
-        """Per plan step: a ``_LayerState`` for a layer, and one int8-to-int8
-        table per operand for a ReLU or a concat. Built on the first forward,
-        so that loading a container or quantizing a model does not pay for it."""
-        heads = {f"head.{fmt}.out": fmt for fmt in self.head_formats()}
+    def _states(self) -> dict:
+        """Per plan step, keyed by its output site: a ``_LayerState`` for a
+        layer, and one int8-to-int8 table per operand for a ReLU or a concat.
+        Built on the first forward, so that loading a container or quantizing
+        a model does not pay for it."""
+        heads = {f"head.{fmt}.out" for fmt in self.head_formats()}
         act = self.activations
-        states = []
+        states = {}
         for step in self.plan:
             out_qp = act[step.output]
             if step.op == "relu":
                 in_qp = act[step.inputs[0]]
-                states.append([_requant(np.maximum(_CODES, in_qp.zero_point), in_qp, out_qp)])
+                state = [_requant(np.maximum(_CODES, in_qp.zero_point), in_qp, out_qp)]
             elif step.op == "concat":
-                states.append([_requant(_CODES, act[site], out_qp) for site in step.inputs])
+                state = [_requant(_CODES, act[site], out_qp) for site in step.inputs]
             else:
                 name = step.spec.name
                 dtype = accumulator_dtype(step.spec)
@@ -210,12 +211,13 @@ class QuantizedModel:
                                      Tensor(np.zeros(w.shape[-1], dtype)))
                 in_qp = act[step.inputs[0]]
                 multiplier = in_qp.scale * self.weight_scales[name]
-                head = heads.get(step.output)
-                if head is None:
+                head = step.output in heads
+                if not head:
                     multiplier /= out_qp.scale
-                states.append(_LayerState(params, in_qp.zero_point,
-                                          self.biases[name].astype(np.float64), multiplier,
-                                          out_qp.zero_point, head))
+                state = _LayerState(params, in_qp.zero_point,
+                                    self.biases[name].astype(np.float64), multiplier,
+                                    out_qp.zero_point, head)
+            states[step.output] = state
         return states
 
 
@@ -258,16 +260,8 @@ def _requant(values, in_qp: QuantParams, out_qp: QuantParams) -> np.ndarray:
 def _accumulate(step: PlanStep, state: _LayerState, q: np.ndarray) -> np.ndarray:
     """The layer's integer accumulator, bias included, for its int8 input
     ``q``, as exact integers in float64."""
-    spec = step.spec
     x = Tensor(np.subtract(q, state.in_zero_point, dtype=state.params.weights.data.dtype))
-    if step.op == "linear":
-        acc = linear(x, state.params).data
-    else:
-        conv = conv2d if step.op == "conv" else depthwise_conv2d
-        acc = conv(x, state.params, stride=spec.stride, padding=spec.padding).data
-    if step.flatten:
-        acc = acc.reshape(acc.shape[0], -1)
-    return np.add(acc, state.bias, dtype=np.float64)
+    return np.add(_apply(step, state.params, [x]).data, state.bias, dtype=np.float64)
 
 
 def _run_step(step: PlanStep, state, operands: list) -> np.ndarray:
@@ -278,7 +272,7 @@ def _run_step(step: PlanStep, state, operands: list) -> np.ndarray:
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
     acc = _accumulate(step, state, operands[0])
     acc *= state.multiplier
-    return acc if state.head is not None else _to_int8(acc, state.zero_point)
+    return acc if state.head else _to_int8(acc, state.zero_point)
 
 
 def quantized_forward(qmodel: QuantizedModel, images) -> dict:
@@ -296,18 +290,6 @@ def quantized_forward(qmodel: QuantizedModel, images) -> dict:
         raise ShapeError(
             "quantized_forward", f"expected images (B, {s}, {s}, 3), got {tuple(arr.shape)}"
         )
-    values = {"input": quantize_value(arr, qmodel.activations["input"])}
-    readers = Counter(site for step in qmodel.plan for site in step.inputs)
-
-    def take(site):
-        readers[site] -= 1
-        return values[site] if readers[site] else values.pop(site)
-
-    results = {}
-    for step, state in zip(qmodel.plan, qmodel._states):
-        value = _run_step(step, state, [take(site) for site in step.inputs])
-        if step.spec is not None and state.head is not None:
-            results[state.head] = value
-        else:
-            values[step.output] = value
-    return results
+    values = run_plan(qmodel.plan, {"input": quantize_value(arr, qmodel.activations["input"])},
+                      lambda step, operands: _run_step(step, qmodel._states[step.output], operands))
+    return {fmt: values[f"head.{fmt}.out"] for fmt in qmodel.head_formats()}

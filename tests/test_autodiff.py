@@ -122,9 +122,9 @@ class TestFiniteDifferences:
         self.check(lambda tape=None: relu(x, tape=tape), x, [])
 
     def test_concat(self, rng):
-        x = Tensor(rng.standard_normal((1, 5, 5, 2)))
-        other = Tensor(rng.standard_normal((1, 5, 5, 3)))
-        self.check(lambda tape=None: concat_channels(x, other, tape=tape), x, [])
+        parts = [Tensor(rng.standard_normal((1, 5, 5, c))) for c in (2, 3, 1)]
+        for x in parts:
+            self.check(lambda tape=None: concat_channels(*parts, tape=tape), x, [])
 
     def test_chained_ops(self, rng):
         x = Tensor(rng.standard_normal((1, 5, 5, 2)))

@@ -298,6 +298,38 @@ def test_console_script_version(tmp_path):
     assert "efld 0.1.0" in proc.stdout
 
 
+@pytest.mark.parametrize("flag", [["--threads", "1"], ["--threads=1"], ["--thread", "1"]],
+                         ids=["space", "equals", "abbreviated"])
+def test_threads_set_before_numpy_import(flag):
+    """``--threads`` after another global option still reaches BLAS: the
+    environment is set before anything imports numpy."""
+    import subprocess
+
+    import efld
+
+    script = (
+        "import os, sys\n"
+        "from efld import cli\n"
+        "set_env = cli._set_thread_env\n"
+        "def spy(n):\n"
+        "    print('numpy' in sys.modules, n)\n"
+        "    set_env(n)\n"
+        "cli._set_thread_env = spy\n"
+        f"code = cli.run(['--seed', '1', *{flag!r}, 'analyze', '--config', 'default'])\n"
+        "print(code, os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(efld.__file__).resolve().parent.parent), env.get("PYTHONPATH")) if p)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False 1"
+    assert lines[-1] == "0 1"
+
+
 class TestDeterminism:
     def test_synth_twice_identical_bytes(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -5,18 +5,21 @@ import pytest
 
 from efld.errors import ConfigError, ShapeError, UsageError
 from efld.model import (
+    VARIANTS,
     EosaConfig,
     HeadConfig,
     ModelConfig,
     apply_variant,
     backbone_forward,
     build_model,
+    build_plan,
     decoder_forward,
     default_config,
     eosa_forward,
     head_forward,
     iter_layers,
     model_forward,
+    run_plan,
 )
 from efld.tensor import Tape, Tensor, backward
 
@@ -218,6 +221,14 @@ class TestModelForward:
         assert tape_one.op_counts()["linear"] == 4
         assert tape_all.op_counts()["linear"] == 12
 
+    def test_one_concat_node_per_plan_concat(self):
+        config = default_config(("p51", "p68", "p98"))
+        model = build_model(config)
+        tape = Tape()
+        model_forward(model, Tensor(np.zeros((1, 128, 128, 3), dtype="float32")), tape=tape)
+        concats = sum(step.op == "concat" for step in build_plan(config))
+        assert tape.op_counts()["concat_channels"] == concats == 13
+
     def test_all_heads_lengths(self):
         model = build_model(reduced_config(("p51", "p68", "p98")), dtype="float64")
         x = Tensor(np.random.default_rng(3).uniform(size=(1, 32, 32, 3)))
@@ -265,6 +276,24 @@ class TestModelForward:
         model = build_model(reduced_config(("p51",)))
         with pytest.raises(ShapeError, match="expected images"):
             model_forward(model, Tensor(np.zeros((1, 64, 64, 3), dtype="float32")))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_plan_returns_the_head_outputs(variant):
+    """With each site's name as its value, every step sees its inputs in
+    order, steps run in plan order, and only the head outputs are left."""
+    formats = ("p51", "p68", "p98")
+    plan = build_plan(apply_variant(default_config(formats), variant))
+    ran = []
+
+    def apply(step, operands):
+        assert operands == list(step.inputs)
+        ran.append(step.output)
+        return step.output
+
+    out = run_plan(plan, {"input": "input"}, apply)
+    assert ran == [step.output for step in plan]
+    assert out == {f"head.{f}.out": f"head.{f}.out" for f in formats}
 
 
 class TestPfldPlainVariant:

@@ -412,7 +412,7 @@ class TestIntegerOracle:
         model = build_model(config, seed=4)
         dataset = generate_synthetic(2, 32, seed=8, formats=[])
         base = quantize_model(model, calibrate(model, dataset))
-        index, step = next((i, s) for i, s in enumerate(base.plan) if s.layer == layer)
+        step = next(s for s in base.plan if s.layer == layer)
         kh, kw, cin, cout = step.spec.weight_shape
         # All +127 but for an odd number of -128 taps per output channel, so every
         # full-window sum is odd; with fan-in 576 it is also above 2**24, which
@@ -435,6 +435,6 @@ class TestIntegerOracle:
         centre = np.abs(sums[:, mid, mid, :])
         assert np.all(centre % 2 == 1)
         assert (centre.min() > 2**24) == (accumulator_dtype(step.spec) is np.float64)
-        got = _accumulate(step, qmodel._states[index], x)
+        got = _accumulate(step, qmodel._states[step.output], x)
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, sums + b)

@@ -189,8 +189,11 @@ class TestReluConcat:
         np.testing.assert_array_equal(out[:, :10], a)
 
     def test_concat_shape_error(self):
+        ok = Tensor(np.zeros((1, 4, 4, 2)))
         with pytest.raises(ShapeError, match="concat"):
-            concat_channels(Tensor(np.zeros((1, 4, 4, 2))), Tensor(np.zeros((1, 5, 4, 2))))
+            concat_channels(ok, Tensor(np.zeros((1, 5, 4, 2))))
+        with pytest.raises(ShapeError, match="concat"):
+            concat_channels(ok, ok, Tensor(np.zeros((1, 4, 5, 2))))
 
 
 class TestInvariants:
