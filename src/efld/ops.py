@@ -14,11 +14,15 @@ columns^T @ grad over the samples the same way, and a depthwise convolution
 takes its weight gradient from the view one sample at a time too. The GEMM
 runs per sample, not on the whole batch: one sample's columns stay in cache,
 and the whole-batch column matrix (kh*kw times the input) was slower and
-raised peak memory. The input gradient multiplies the whole batch's output
-gradient by each tap's weights in one 2-D GEMM and adds it into the padded
-input's gradient at that tap's offset. The GEMMs sum float32 inputs in
-float32 and float64 inputs in float64, never in a narrower type; the int8
-path relies on it for exact integer sums (see ``quantize``).
+raised peak memory. The input gradient of a conventional convolution is a
+transposed convolution, run through the same view: the input rows and
+columns split into stride phases (one phase at stride 1), and each phase is
+a stride-1 correlation of the output gradient, zero-extended where the
+phase needs it, with the flipped, transposed sub-kernel of its taps, in one
+GEMM per sample. Every op forms an input gradient only when the backward's
+``Gradients`` wants it (see ``tensor.Tape``). The GEMMs sum float32 inputs
+in float32 and float64 inputs in float64, never in a narrower type; the
+int8 path relies on it for exact integer sums (see ``quantize``).
 """
 
 from __future__ import annotations
@@ -77,6 +81,63 @@ def _strided_window(padded, i, j, stride, out_h, out_w):
     ]
 
 
+def _zero_extended(grad, top, left, rows, cols):
+    """grad[:, top:top+rows, left:left+cols], zero outside grad; a view when
+    the window lies inside grad."""
+    _, gh, gw, _ = grad.shape
+    if top >= 0 and left >= 0 and top + rows <= gh and left + cols <= gw:
+        return grad[:, top : top + rows, left : left + cols]
+    out = np.zeros((grad.shape[0], rows, cols, grad.shape[3]), dtype=grad.dtype)
+    r0, r1 = max(top, 0), min(top + rows, gh)
+    c0, c1 = max(left, 0), min(left + cols, gw)
+    if r0 < r1 and c0 < c1:
+        out[:, r0 - top : r1 - top, c0 - left : c1 - left] = grad[:, r0:r1, c0:c1]
+    return out
+
+
+def _phase(start, size, pad, k, stride):
+    """One axis of one phase, the input rows start, start+stride, ...: their
+    count, the first tap a that reaches them, their number of taps, and the
+    output-gradient row read by the first window of the stride-1 correlation
+    that gives their gradient."""
+    a = (start + pad) % stride
+    taps = len(range(a, k, stride))
+    return len(range(start, size, stride)), a, taps, (start + pad - a) // stride - taps + 1
+
+
+def _conv_input_grad(grad, w, stride, pt, pl, shape):
+    """Gradient of conv2d with respect to its input of the given shape.
+
+    Input pixel (r, c) meets only taps i = (r + pt) mod stride and
+    j = (c + pl) mod stride, plus multiples of stride. So the input splits
+    into stride x stride phases, and each phase's gradient is a stride-1
+    correlation of the output gradient with the flipped kernel
+    w[a::stride, b::stride][::-1, ::-1], transposed to map cout to cin.
+    Pixels that no tap reaches (a 1x1 kernel at stride 2) stay zero.
+    """
+    batch, h, wdt, cin = shape
+    cout = w.shape[3]
+    dx = np.zeros(shape, dtype=grad.dtype)
+    for r0 in range(stride):
+        rows, a, ku, top = _phase(r0, h, pt, w.shape[0], stride)
+        for c0 in range(stride):
+            cols, b, kv, left = _phase(c0, wdt, pl, w.shape[1], stride)
+            if not (rows and cols and ku and kv):
+                continue
+            g = _zero_extended(grad, top, left, rows + ku - 1, cols + kv - 1)
+            wt = w[a::stride, b::stride][::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, cin)
+            if ku * kv == 1:  # the phase's field is g itself: one GEMM for the batch
+                dx[:, r0::stride, c0::stride] = (
+                    g.reshape(-1, cout) @ wt).reshape(batch, rows, cols, cin)
+                continue
+            fields = _receptive_fields(g, ku, kv, 1, rows, cols)
+            fan = ku * kv * cout
+            for n in range(batch):
+                dx[n, r0::stride, c0::stride] = (
+                    fields[n].reshape(-1, fan) @ wt).reshape(rows, cols, cin)
+    return dx
+
+
 def conv2d(
     x: Tensor,
     params: LayerParams,
@@ -118,14 +179,8 @@ def conv2d(
             dw = np.zeros_like(w2)
             for n in range(batch):
                 dw += cols[n].reshape(-1, fan_in).T @ grad[n].reshape(-1, cout)
-            g2 = grad.reshape(-1, cout)
-            dpadded = np.zeros_like(padded)
-            for i in range(kh):
-                for j in range(kw):
-                    _strided_window(dpadded, i, j, stride, out_h, out_w)[...] += (
-                        (g2 @ w[i, j].T).reshape(batch, out_h, out_w, cin))
-            dx = dpadded[:, pt : pt + h, pl : pl + wdt, :]
-            grads.accumulate(x, dx)
+            if grads.wants(x):
+                grads.accumulate(x, _conv_input_grad(grad, w, stride, pt, pl, xd.shape))
             grads.accumulate(params.weights, dw.reshape(w.shape))
             grads.accumulate(params.bias, grad.sum(axis=(0, 1, 2)))
 
@@ -173,12 +228,13 @@ def depthwise_conv2d(
             dw = np.zeros_like(w)
             for n in range(batch):
                 dw += np.einsum("hwijc,hwc->ijc", cols[n], grad[n])
-            dpadded = np.zeros_like(padded)
-            for i in range(kh):
-                for j in range(kw):
-                    _strided_window(dpadded, i, j, stride, out_h, out_w)[...] += grad * w[i, j]
-            dx = dpadded[:, pt : pt + h, pl : pl + wdt, :]
-            grads.accumulate(x, dx)
+            if grads.wants(x):
+                dpadded = np.zeros_like(padded)
+                for i in range(kh):
+                    for j in range(kw):
+                        window = _strided_window(dpadded, i, j, stride, out_h, out_w)
+                        window += grad * w[i, j]
+                grads.accumulate(x, dpadded[:, pt : pt + h, pl : pl + wdt, :])
             grads.accumulate(params.weights, dw)
             grads.accumulate(params.bias, grad.sum(axis=(0, 1, 2)))
 
@@ -204,7 +260,8 @@ def linear(x: Tensor, params: LayerParams, tape: Tape | None = None) -> Tensor:
 
     if tape is not None:
         def backward_fn(grad, grads):
-            grads.accumulate(x, grad @ w.T)
+            if grads.wants(x):
+                grads.accumulate(x, grad @ w.T)
             grads.accumulate(params.weights, xd.T @ grad)
             grads.accumulate(params.bias, grad.sum(axis=0))
 
@@ -219,7 +276,8 @@ def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
 
     if tape is not None:
         def backward_fn(grad, grads):
-            grads.accumulate(x, grad * (xd > 0))
+            if grads.wants(x):
+                grads.accumulate(x, grad * (xd > 0))
 
         tape.record("relu", result, backward_fn)
     return result
@@ -243,7 +301,8 @@ def concat_channels(*parts: Tensor, tape: Tape | None = None) -> Tensor:
 
         def backward_fn(grad, grads):
             for part, g in zip(parts, np.split(grad, splits, axis=-1)):
-                grads.accumulate(part, g)
+                if grads.wants(part):
+                    grads.accumulate(part, g)
 
         tape.record("concat_channels", result, backward_fn)
     return result
@@ -256,7 +315,8 @@ def flatten_rows(x: Tensor, tape: Tape | None = None) -> Tensor:
 
     if tape is not None:
         def backward_fn(grad, grads):
-            grads.accumulate(x, grad.reshape(xd.shape))
+            if grads.wants(x):
+                grads.accumulate(x, grad.reshape(xd.shape))
 
         tape.record("reshape", result, backward_fn)
     return result

@@ -85,10 +85,18 @@ class Tape:
 
     Single-owner while recording. Each node holds the op name, the produced
     tensor, and a closure that pushes gradients to the op's inputs.
+
+    ``wrt`` names the leaf tensors (those no recorded op produced, such as
+    parameters and input images) whose gradients the caller will read.
+    ``None``, the default, wants every leaf. With a list, the backward
+    computes no gradient for any other leaf: training passes the
+    parameters, so the costliest gradient of a step, the one with respect
+    to the images, is never formed.
     """
 
-    def __init__(self):
+    def __init__(self, wrt=None):
         self._nodes = []
+        self._wrt = None if wrt is None else list(wrt)
 
     def record(self, op: str, output: Tensor, backward_fn) -> None:
         self._nodes.append((op, output, backward_fn))
@@ -110,11 +118,21 @@ class Tape:
 
 
 class Gradients:
-    """Gradients accumulated per tensor, keyed by tensor identity."""
+    """Gradients accumulated per tensor, keyed by tensor identity.
 
-    def __init__(self):
+    ``wanted`` is the set of ids of the tensors whose gradients may be
+    formed, or ``None`` for every tensor; ops ask ``wants`` before
+    computing an input gradient.
+    """
+
+    def __init__(self, wanted=None):
         self._grads = {}
         self._tensors = {}
+        self._wanted = wanted
+
+    def wants(self, tensor: Tensor) -> bool:
+        """True unless the tape's ``wrt`` excluded this tensor."""
+        return self._wanted is None or id(tensor) in self._wanted
 
     def accumulate(self, tensor: Tensor, grad: np.ndarray) -> None:
         key = id(tensor)
@@ -129,11 +147,20 @@ class Gradients:
         return self._grads.get(id(tensor))
 
     def wrt(self, tensor: Tensor) -> np.ndarray:
-        """Accumulated gradient, zero-filled for untouched tensors."""
+        """Accumulated gradient, zero-filled for a wanted tensor never reached.
+
+        Raises ``UsageError`` for a tensor the tape's ``wrt`` excluded: its
+        gradient was never computed, and zero would be a wrong answer.
+        """
         g = self._grads.get(id(tensor))
-        if g is None:
-            return np.zeros_like(tensor.data)
-        return g
+        if g is not None:
+            return g
+        if not self.wants(tensor):
+            raise UsageError(
+                f"no gradient for tensor of shape {tuple(tensor.shape)}: "
+                "the tape's wrt excluded it"
+            )
+        return np.zeros_like(tensor.data)
 
 
 def backward_multi(tape: Tape, seeds) -> Gradients:
@@ -142,10 +169,20 @@ def backward_multi(tape: Tape, seeds) -> Gradients:
     ``seeds`` is an iterable of (tensor, gradient) pairs, one per output the
     scalar loss depends on. Gradients add when a value feeds multiple ops;
     traversal is in exact reverse execution order.
+
+    Pruning: when the tape was made with ``wrt``, each closure gets a
+    ``Gradients`` that wants every tape output and the ``wrt`` leaves and
+    nothing else, and it forms only the input gradients wanted. Pruning
+    never changes a wanted gradient: a leaf's gradient flows into no other
+    gradient, so skipping it leaves every other sum, and its order, as is.
     """
     if len(tape) == 0:
         raise UsageError("backward before forward: tape is empty")
-    grads = Gradients()
+    wanted = None
+    if tape._wrt is not None:
+        wanted = {id(output) for _, output, _ in tape._nodes}
+        wanted.update(id(t) for t in tape._wrt)
+    grads = Gradients(wanted)
     seeded = False
     for tensor, grad in seeds:
         g = np.asarray(grad, dtype=tensor.data.dtype)

@@ -247,7 +247,7 @@ def train(model: Model, datasets, config: TrainConfig,
                 step += 1
                 continue
             images = np.stack([s.image for s in batch]).astype(model.dtype)
-            tape = Tape()
+            tape = Tape(model.params.values())
             predictions = model_forward(model, Tensor(images), formats, tape=tape)
             total, detail, seeds = masked_multihead_loss(predictions, batch, registry)
             if not math.isfinite(total):

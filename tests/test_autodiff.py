@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from efld.errors import UsageError
+from efld.model import VARIANTS, apply_variant, build_model, model_forward
 from efld.ops import concat_channels, conv2d, depthwise_conv2d, linear, relu
 from efld.tensor import LayerParams, Tape, Tensor, backward, backward_multi
 
-from conftest import central_difference, max_rel_error
+from conftest import central_difference, max_rel_error, reduced_config
 
 
 def params(w, b=None, kind="conv"):
@@ -51,6 +52,49 @@ def test_untouched_tensor_gets_zeros(rng):
     out = linear(x, p, tape=tape)
     grads = backward(tape, np.ones_like(out.data))
     np.testing.assert_array_equal(grads.wrt(unused), np.zeros((2, 2)))
+
+
+def test_excluded_leaf_gradient_is_never_read_as_zero(rng):
+    x = Tensor(rng.standard_normal((2, 4)))
+    p = params(rng.standard_normal((4, 3)), kind="linear")
+    unreached = params(rng.standard_normal((5, 2)), kind="linear")
+    tape = Tape([p.weights, p.bias, unreached.weights])
+    out = linear(x, p, tape=tape)
+    grads = backward(tape, np.ones_like(out.data))
+    assert grads.get(x) is None
+    with pytest.raises(UsageError, match=r"\(2, 4\)"):
+        grads.wrt(x)
+    # A wanted leaf that no op reached keeps the zero fill.
+    np.testing.assert_array_equal(grads.wrt(unreached.weights), np.zeros((5, 2)))
+    with pytest.raises(UsageError, match=r"\(2,\)"):
+        grads.wrt(unreached.bias)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("formats", [("p51",), ("p51", "p68", "p98")], ids=["1head", "3heads"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_pruning_changes_no_parameter_gradient_bit(variant, formats, dtype):
+    model = build_model(apply_variant(reduced_config(formats), variant), seed=4, dtype=dtype)
+    rng = np.random.default_rng(5)
+    images = Tensor(rng.uniform(size=(2, 32, 32, 3)).astype(dtype))
+    seed_grads = {f: rng.standard_normal((2, out)).astype(dtype)
+                  for f, out in zip(formats, (102, 136, 196))}
+
+    def run(tape):
+        preds = model_forward(model, images, tape=tape)
+        return backward_multi(tape, [(preds[f], seed_grads[f]) for f in formats])
+
+    params = list(model.params.values())
+    full = run(Tape())
+    pruned = run(Tape(params))
+    with_images = run(Tape(params + [images]))
+    for tensor in params:
+        np.testing.assert_array_equal(pruned.wrt(tensor), full.wrt(tensor))
+        np.testing.assert_array_equal(with_images.wrt(tensor), full.wrt(tensor))
+    assert pruned.get(images) is None
+    with pytest.raises(UsageError, match=r"\(2, 32, 32, 3\)"):
+        pruned.wrt(images)
+    np.testing.assert_array_equal(with_images.wrt(images), full.wrt(images))
 
 
 class TestFiniteDifferences:

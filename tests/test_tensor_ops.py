@@ -7,7 +7,7 @@ from efld.errors import ShapeError, UsageError
 from efld.ops import concat_channels, conv2d, depthwise_conv2d, linear, relu
 from efld.tensor import LayerParams, Tape, Tensor, backward
 
-from conftest import ref_conv2d, ref_depthwise_conv2d
+from conftest import _pad_split, ref_conv2d, ref_depthwise_conv2d
 
 
 def conv_params(w, b=None, kind="conv"):
@@ -99,6 +99,69 @@ class TestConv2d:
         a = conv2d(Tensor(x), p).data
         b = conv2d(Tensor(x), p).data
         np.testing.assert_array_equal(a, b)
+
+
+def ref_conv2d_input_grad(grad, w, x_shape, stride, padding):
+    """d(sum of grad * conv2d(x)) / dx by a plain scatter loop: each output
+    pixel adds w[i, j] @ grad back into every input pixel its window reads."""
+    batch, h, wdt, _ = x_shape
+    kh, kw, _, _ = w.shape
+    out_h, pt = _pad_split(h, kh, stride, padding)
+    out_w, pl = _pad_split(wdt, kw, stride, padding)
+    dx = np.zeros(x_shape)
+    for bi in range(batch):
+        for oy in range(out_h):
+            for ox in range(out_w):
+                for i in range(kh):
+                    for j in range(kw):
+                        iy = oy * stride + i - pt
+                        ix = ox * stride + j - pl
+                        if 0 <= iy < h and 0 <= ix < wdt:
+                            dx[bi, iy, ix] += w[i, j] @ grad[bi, oy, ox]
+    return dx
+
+
+class TestConv2dInputGradient:
+    """The phase-GEMM input gradient against the scatter-loop oracle."""
+
+    @staticmethod
+    def input_grad(rng, shape, kernel, stride, padding):
+        x = Tensor(rng.standard_normal(shape))
+        w = rng.standard_normal(kernel + (shape[3], 4))
+        tape = Tape()
+        out = conv2d(x, conv_params(w), stride=stride, padding=padding, tape=tape)
+        grad = rng.standard_normal(out.shape)
+        got = backward(tape, grad).wrt(x)
+        return got, ref_conv2d_input_grad(grad, w, shape, stride, padding)
+
+    @pytest.mark.parametrize("shape", [(2, 7, 7, 3), (2, 8, 8, 3), (2, 7, 6, 3), (1, 6, 9, 2)],
+                             ids=["odd", "even", "non-square", "wide"])
+    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"), (2, "valid")])
+    def test_matches_scatter_oracle(self, rng, shape, stride, padding):
+        got, expected = self.input_grad(rng, shape, (3, 3), stride, padding)
+        np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("shape", [(2, 7, 8, 5), (2, 6, 6, 3)])
+    def test_one_by_one_stride2_leaves_untapped_pixels_exactly_zero(self, rng, shape):
+        got, expected = self.input_grad(rng, shape, (1, 1), 2, "same")
+        np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
+        assert not got[:, 1::2].any() and not got[:, :, 1::2].any()
+        assert got[:, ::2, ::2].all()
+
+    def test_valid_stride2_trailing_rows_never_read_are_zero(self, rng):
+        got, expected = self.input_grad(rng, (2, 6, 7, 3), (3, 3), 2, "valid")
+        np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
+        assert not got[:, 5].any()
+        assert got[:, :5, :7].any()
+
+    @pytest.mark.parametrize("shape,kernel,stride", [
+        ((2, 5, 5, 3), (5, 5), 1),
+        ((2, 5, 4, 3), (5, 4), 2),
+        ((1, 3, 6, 2), (3, 6), 1),
+    ])
+    def test_full_extent_valid_kernel(self, rng, shape, kernel, stride):
+        got, expected = self.input_grad(rng, shape, kernel, stride, "valid")
+        np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
 
 
 class TestDepthwiseConv2d:
