@@ -18,7 +18,9 @@ no normalization layers anywhere.
 linear, relu and concat steps over named activation sites. ``iter_layers``
 (parameters, costing, the container) is a view of it, and ``run_plan`` is
 its one interpreter. The float forward runs each stage through it, one
-``_apply`` op per step. The int8 path in ``quantize`` runs the whole plan
+``_apply`` op per step, and writes each site that a convolution pads inside
+the zero border those convolutions read (``site_pads``), so they take their
+padded input as a view. The int8 path in ``quantize`` runs the whole plan
 through it, and its layer steps call ``_apply`` to accumulate integers
 through these float kernels. Those sums are exact: a layer with fan-in K
 (kh*kw*cin, kh*kw for depthwise, the input width for linear) sums K products
@@ -37,7 +39,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ShapeError, UsageError
-from .ops import concat_channels, conv2d, depthwise_conv2d, flatten_rows, linear, relu
+from .ops import (_out_and_pad, concat_channels, conv2d, depthwise_conv2d, flatten_rows, linear,
+                  relu, with_border)
 from .tensor import LayerParams, Tape, Tensor
 
 EXTRA_CONV_KINDS = ("conventional", "depthwise-separable")
@@ -270,6 +273,28 @@ def build_plan(config: ModelConfig) -> list:
     return steps
 
 
+def site_pads(plan, input_size: int) -> dict:
+    """The zero border of every activation site that a convolution pads:
+    (top, bottom, left, right), the elementwise max of the padding of the
+    convolutions that read the site. The forward copies the input, and runs
+    each ReLU and concat, into the interior of a zero buffer with its site's
+    border, and every reader takes its padded input as a view of that
+    buffer (see ``ops``). Depends only on the plan and the input size."""
+    hw = {"input": (input_size, input_size)}
+    pads = {}
+    for step in plan:
+        spec, src = step.spec, step.inputs[0]
+        hw[step.output] = hw[src] if spec is None else spec.out_hw
+        if step.op not in ("conv", "depthwise"):
+            continue
+        (h, w), (kh, kw) = hw[src], spec.kernel
+        _, top, bottom = _out_and_pad(spec.name, h, kh, spec.stride, spec.padding)
+        _, left, right = _out_and_pad(spec.name, w, kw, spec.stride, spec.padding)
+        pad = (top, bottom, left, right)
+        pads[src] = tuple(map(max, pads.get(src, pad), pad))
+    return {site: pad for site, pad in pads.items() if any(pad)}
+
+
 def iter_layers(config: ModelConfig) -> Iterator[LayerSpec]:
     """Every parameterized layer in plan order, with spatial sizes."""
     return (step.spec for step in build_plan(config) if step.spec is not None)
@@ -281,6 +306,9 @@ class Model:
     Parameter tensors are named ``<layer>.w`` and ``<layer>.b``. A built model
     is immutable during inference and safe for concurrent forward passes;
     training mutates parameters in place and requires exclusive access.
+    Each forward allocates its own activation buffers, with the zero border
+    of ``site_pads`` where a convolution reads them; none is shared between
+    calls.
     """
 
     def __init__(self, config: ModelConfig, params: dict, dtype: str):
@@ -292,9 +320,17 @@ class Model:
         self._stages = {}
         for step in plan:
             self._stages.setdefault(step.stage, []).append(step)
+        self._pads = site_pads(plan, config.input_size)
+        self._layers = {}
 
     def layer(self, name: str) -> LayerParams:
-        return LayerParams(self._kinds[name], self.params[name + ".w"], self.params[name + ".b"])
+        """The layer's parameters, built once and again only after one of
+        its parameter tensors in ``params`` was replaced."""
+        w, b = self.params[name + ".w"], self.params[name + ".b"]
+        lp = self._layers.get(name)
+        if lp is None or lp.weights is not w or lp.bias is not b:
+            lp = self._layers[name] = LayerParams(self._kinds[name], w, b)
+        return lp
 
     def layer_names(self) -> list:
         return list(self._kinds)
@@ -322,13 +358,15 @@ def build_model(config: ModelConfig, seed: int = 0, dtype: str = "float32") -> M
     return Model(config, params, dtype)
 
 
-def _apply(step: PlanStep, params: LayerParams | None, operands, tape=None) -> Tensor:
-    """One step of the plan on its operands, with its layer's ``params``."""
+def _apply(step: PlanStep, params: LayerParams | None, operands, tape=None,
+           pad=None) -> Tensor:
+    """One step of the plan on its operands, with its layer's ``params``; a
+    ReLU or concat writes its output inside a zero border of ``pad``."""
     if step.op == "concat":
-        return concat_channels(*operands, tape=tape)
+        return concat_channels(*operands, tape=tape, pad=pad)
     (src,) = operands
     if step.op == "relu":
-        return relu(src, tape=tape)
+        return relu(src, tape=tape, pad=pad)
     if step.op == "linear":
         return linear(src, params, tape=tape)
     spec = step.spec
@@ -362,7 +400,8 @@ def _run_stage(model: Model, stage: str, x: Tensor, tape: Tape | None,
     steps = model._stages[stage]
 
     def apply(step, operands):
-        y = _apply(step, model.layer(step.layer) if step.layer else None, operands, tape)
+        y = _apply(step, model.layer(step.layer) if step.layer else None, operands, tape,
+                   model._pads.get(step.output))
         if observer is not None:
             observer(step.output, y.data)
         return y
@@ -403,7 +442,8 @@ def backbone_forward(model: Model, images: Tensor, tape: Tape | None = None,
         )
     if observer is not None:
         observer("input", images.data)
-    x = images
+    pad = model._pads.get("input")
+    x = images if pad is None else with_border(images, pad, tape=tape)
     for i in range(1, len(model.config.eosa) + 1):
         x = eosa_forward(model, i, x, tape=tape, observer=observer)
     return decoder_forward(model, x, tape=tape, observer=observer)

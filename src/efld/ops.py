@@ -5,6 +5,15 @@ are safe to call concurrently. Feature maps are batch/height/width/channel.
 Same-padding pads with zeros, output size ceil(size/stride), with the extra
 pixel on the bottom/right.
 
+A convolution reads its input inside a zero border, its padding. When the
+input ``Tensor`` carries a ``border`` at least that wide on every side, the
+padded input is a view of the border's buffer and nothing is copied;
+otherwise it is copied once into a fresh zero buffer of the needed size.
+``relu``, ``concat_channels`` and ``with_border`` take a ``pad`` =
+(top, bottom, left, right) and write their result into the interior of a
+fresh zero buffer with that border; the model passes each site the border
+its convolutions read (see ``model.site_pads``).
+
 The convolutions read the padded input through one read-only strided view
 of every receptive field, shaped (B, out_h, out_w, kh, kw, C), which copies
 nothing. A conventional convolution reshapes one sample of that view into
@@ -59,6 +68,32 @@ def _out_and_pad(op: str, size: int, k: int, stride: int, padding: str):
 def _check_stride(op: str, stride: int) -> None:
     if stride not in (1, 2):
         raise UsageError(f"{op}: stride must be 1 or 2, got {stride}")
+
+
+def _zeros_bordered(shape, dtype, pad) -> Tensor:
+    """A zero (B, H, W, C) ``Tensor`` of ``shape`` inside a zero border of
+    ``pad`` = (top, bottom, left, right), in one fresh buffer."""
+    top, bottom, left, right = pad
+    batch, h, w, c = shape
+    buf = np.zeros((batch, h + top + bottom, w + left + right, c), dtype=dtype)
+    return Tensor(buf[:, top : top + h, left : left + w], border=(buf, top, left))
+
+
+def _padded(x: Tensor, pt, pb, pl, pr):
+    """``x.data`` inside a zero border of (pt, pb, pl, pr): a view of
+    ``x.border`` when it is at least that wide on every side, else a copy."""
+    xd = x.data
+    if not (pt or pb or pl or pr):
+        return xd
+    _, h, w, _ = xd.shape
+    if x.border is not None:
+        buf, top, left = x.border
+        if (top >= pt and left >= pl and buf.shape[1] - top - h >= pb
+                and buf.shape[2] - left - w >= pr):
+            return buf[:, top - pt : top + h + pb, left - pl : left + w + pr]
+    padded = _zeros_bordered(xd.shape, xd.dtype, (pt, pb, pl, pr))
+    padded.data[...] = xd
+    return padded.border[0]
 
 
 def _receptive_fields(padded, kh, kw, stride, out_h, out_w):
@@ -164,7 +199,7 @@ def conv2d(
     batch, h, wdt, _ = xd.shape
     out_h, pt, pb = _out_and_pad("conv2d", h, kh, stride, padding)
     out_w, pl, pr = _out_and_pad("conv2d", wdt, kw, stride, padding)
-    padded = np.pad(xd, ((0, 0), (pt, pb), (pl, pr), (0, 0))) if (pt or pb or pl or pr) else xd
+    padded = _padded(x, pt, pb, pl, pr)
     fan_in = kh * kw * cin
     cols = _receptive_fields(padded, kh, kw, stride, out_h, out_w)
     w2 = w.reshape(fan_in, cout)
@@ -214,7 +249,7 @@ def depthwise_conv2d(
     batch, h, wdt, _ = xd.shape
     out_h, pt, pb = _out_and_pad("depthwise_conv2d", h, kh, stride, padding)
     out_w, pl, pr = _out_and_pad("depthwise_conv2d", wdt, kw, stride, padding)
-    padded = np.pad(xd, ((0, 0), (pt, pb), (pl, pr), (0, 0))) if (pt or pb or pl or pr) else xd
+    padded = _padded(x, pt, pb, pl, pr)
     out = np.zeros((batch, out_h, out_w, c), dtype=xd.dtype)
     for i in range(kh):
         for j in range(kw):
@@ -269,10 +304,15 @@ def linear(x: Tensor, params: LayerParams, tape: Tape | None = None) -> Tensor:
     return result
 
 
-def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
-    """Elementwise max(0, x); the subgradient at 0 is 0."""
+def relu(x: Tensor, tape: Tape | None = None, pad=None) -> Tensor:
+    """Elementwise max(0, x); the subgradient at 0 is 0. With ``pad``, the
+    result lies inside a zero border of that width (see the module doc)."""
     xd = x.data
-    result = Tensor(np.maximum(xd, 0))
+    if pad is None:
+        result = Tensor(np.maximum(xd, 0))
+    else:
+        result = _zeros_bordered(xd.shape, xd.dtype, pad)
+        np.maximum(xd, 0, out=result.data)
 
     if tape is not None:
         def backward_fn(grad, grads):
@@ -283,8 +323,10 @@ def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
     return result
 
 
-def concat_channels(*parts: Tensor, tape: Tape | None = None) -> Tensor:
-    """Concatenate along the channel (or vector) axis, in argument order."""
+def concat_channels(*parts: Tensor, tape: Tape | None = None, pad=None) -> Tensor:
+    """Concatenate along the channel (or vector) axis, in argument order.
+    With ``pad``, the result lies inside a zero border of that width (see
+    the module doc)."""
     first = parts[0]
     for part in parts[1:]:
         if part.shape[:-1] != first.shape[:-1]:
@@ -292,9 +334,15 @@ def concat_channels(*parts: Tensor, tape: Tape | None = None) -> Tensor:
                 "concat_channels",
                 f"non-channel dims differ: {tuple(first.shape)} vs {tuple(part.shape)}",
             )
-        if part.dtype != first.dtype:
+        if part.data.dtype != first.data.dtype:
             raise ShapeError("concat_channels", f"dtype mismatch: {first.dtype} vs {part.dtype}")
-    result = Tensor(np.concatenate([part.data for part in parts], axis=-1))
+    arrays = [part.data for part in parts]
+    if pad is None:
+        result = Tensor(np.concatenate(arrays, axis=-1))
+    else:
+        shape = first.shape[:-1] + (sum(a.shape[-1] for a in arrays),)
+        result = _zeros_bordered(shape, first.data.dtype, pad)
+        np.concatenate(arrays, axis=-1, out=result.data)
 
     if tape is not None:
         splits = np.cumsum([part.shape[-1] for part in parts[:-1]])
@@ -305,6 +353,21 @@ def concat_channels(*parts: Tensor, tape: Tape | None = None) -> Tensor:
                     grads.accumulate(part, g)
 
         tape.record("concat_channels", result, backward_fn)
+    return result
+
+
+def with_border(x: Tensor, pad, tape: Tape | None = None) -> Tensor:
+    """A copy of the feature map ``x`` inside a zero border of ``pad`` =
+    (top, bottom, left, right). Its gradient is the gradient of ``x``; the
+    copy records itself only when the tape wants that gradient."""
+    result = _zeros_bordered(x.shape, x.data.dtype, pad)
+    result.data[...] = x.data
+
+    if tape is not None and tape.wants(x):
+        def backward_fn(grad, grads):
+            grads.accumulate(x, grad)
+
+        tape.record("border", result, backward_fn)
     return result
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -121,10 +122,8 @@ def layer_input_sites(config: ModelConfig) -> dict:
 def calibrate(model: Model, dataset, batch_size: int = 32) -> dict:
     """Float forward passes over every calibration sample, recording global
     per-site min/max and deriving asymmetric int8 params. Sites after ReLU
-    get their min clamped to 0 so exact zero stays representable."""
-    samples = list(dataset)
-    if not samples:
-        raise UsageError("calibrate requires a nonempty dataset")
+    get their min clamped to 0 so exact zero stays representable. The
+    dataset is read once, one batch at a time."""
     ranges = {}
 
     def observer(site, value):
@@ -135,10 +134,12 @@ def calibrate(model: Model, dataset, batch_size: int = 32) -> dict:
         else:
             ranges[site] = (lo, hi)
 
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start : start + batch_size]
+    samples = iter(dataset)
+    while chunk := list(islice(samples, batch_size)):
         images = np.stack([s.image for s in chunk]).astype(model.dtype)
         model_forward(model, Tensor(images), tape=None, observer=observer)
+    if not ranges:
+        raise UsageError("calibrate requires a nonempty dataset")
 
     relu_sites = {step.output for step in build_plan(model.config) if step.op == "relu"}
     params = {}

@@ -16,15 +16,23 @@ class Tensor:
 
     Feature maps use batch/height/width/channel layout; vectors are flat.
     The dtype is float64 in verification mode and float32 in training mode.
+
+    ``border``, when set, is ``(buffer, top, left)``: a feature map's zero
+    border. ``buffer`` is a (B, H', W', C) array whose rows top..top+H-1 and
+    columns left..left+W-1 are ``data``, a view of it, and which is zero
+    outside them. Nothing writes to the zeros, so a convolution reads its
+    padded input as a view of ``buffer`` instead of copying ``data`` (see
+    ``ops``).
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "border")
 
-    def __init__(self, data, dtype=None):
+    def __init__(self, data, dtype=None, border=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
+        self.border = border
 
     @property
     def shape(self) -> tuple:
@@ -100,6 +108,13 @@ class Tape:
 
     def record(self, op: str, output: Tensor, backward_fn) -> None:
         self._nodes.append((op, output, backward_fn))
+
+    def wants(self, tensor: Tensor) -> bool:
+        """True unless ``wrt`` excludes ``tensor``: a leaf not named in it.
+        An op on an excluded leaf need not record itself, since a backward
+        would form no gradient for it."""
+        return (self._wrt is None or any(t is tensor for t in self._wrt)
+                or any(out is tensor for _, out, _ in self._nodes))
 
     def __len__(self) -> int:
         return len(self._nodes)

@@ -92,6 +92,8 @@ def test_pruning_changes_no_parameter_gradient_bit(variant, formats, dtype):
         np.testing.assert_array_equal(pruned.wrt(tensor), full.wrt(tensor))
         np.testing.assert_array_equal(with_images.wrt(tensor), full.wrt(tensor))
     assert pruned.get(images) is None
+    assert full.get(images) is not None
+    assert with_images.get(images) is not None
     with pytest.raises(UsageError, match=r"\(2, 32, 32, 3\)"):
         pruned.wrt(images)
     np.testing.assert_array_equal(with_images.wrt(images), full.wrt(images))

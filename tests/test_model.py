@@ -8,7 +8,9 @@ from efld.model import (
     VARIANTS,
     EosaConfig,
     HeadConfig,
+    LayerSpec,
     ModelConfig,
+    PlanStep,
     apply_variant,
     backbone_forward,
     build_model,
@@ -20,8 +22,9 @@ from efld.model import (
     iter_layers,
     model_forward,
     run_plan,
+    site_pads,
 )
-from efld.tensor import Tape, Tensor, backward
+from efld.tensor import LayerParams, Tape, Tensor, backward
 
 from conftest import (
     central_difference,
@@ -209,6 +212,78 @@ def test_eosa_forward_matches_loop_oracles(extra_conv):
     np.testing.assert_allclose(got, np.concatenate(parts, axis=-1), atol=1e-12, rtol=0)
 
 
+def test_site_pads_are_the_widest_padding_of_the_readers():
+    config = default_config()
+    pads = site_pads(build_plan(config), config.input_size)
+    assert pads["input"] == (0, 1, 0, 1)  # two 3x3 stride-2 convs on an even input
+    assert pads["eosa1.osa.l0.relu"] == (1, 1, 1, 1)
+    assert pads["eosa1.concat"] == (0, 1, 0, 1)
+    assert "eosa2.extra.dw.relu" not in pads  # read only by a 1x1 conv
+    assert "eosa4.osa.l2.relu" not in pads  # read only by the concat
+    assert "decoder.pw.relu" not in pads  # a valid kernel pads nothing
+
+    def reader(name, kernel, stride):
+        return PlanStep("s", "conv", ("input",), name + ".out",
+                        LayerSpec(name, "conv", kernel, 1, 1, stride, "same", (8, 8)))
+
+    plan = [reader("a", (3, 3), 2), reader("b", (1, 5), 1), reader("c", (3, 1), 1)]
+    assert site_pads(plan, 8) == {"input": (1, 1, 2, 2)}
+
+
+def test_forward_calls_each_patched_op_once_per_plan_step(monkeypatch):
+    """The benchmark's tracer wraps these ``efld.model`` attributes and names
+    a layer by ``params.weights is model.params[layer + ".w"]``; the forward
+    must call them that way, with ``x`` and ``params`` positional."""
+    import efld.model as model_module
+
+    config = reduced_config(("p51", "p68"))
+    model = build_model(config, seed=1)
+    plan = build_plan(config)
+    pads = site_pads(plan, config.input_size)
+    calls, layers, bordered = {}, [], []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            if name in ("conv2d", "depthwise_conv2d", "linear"):
+                x, params = args[:2]
+                assert isinstance(x, Tensor) and isinstance(params, LayerParams)
+                (layer,) = [n for n in model.layer_names()
+                            if params.weights is model.params[n + ".w"]]
+                layers.append(layer)
+                bordered.append(x.border is not None)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = ("conv2d", "depthwise_conv2d", "linear", "relu", "concat_channels", "eosa_forward")
+    for name in names:
+        monkeypatch.setattr(model_module, name, counting(name, getattr(model_module, name)))
+    model_forward(model, Tensor(np.zeros((2, 32, 32, 3), dtype="float32")))
+
+    ops = {"conv": "conv2d", "depthwise": "depthwise_conv2d", "linear": "linear",
+           "relu": "relu", "concat": "concat_channels"}
+    expected = {name: 0 for name in names}
+    for step in plan:
+        expected[ops[step.op]] += 1
+    expected["eosa_forward"] = len(config.eosa)
+    assert calls == expected
+    layer_steps = [step for step in plan if step.spec is not None]
+    assert layers == [step.layer for step in layer_steps]
+    # every padded convolution reads its input as a view of the site's border
+    assert bordered == [step.inputs[0] in pads for step in layer_steps]
+
+
+def test_layer_params_are_rebuilt_only_when_a_tensor_is_replaced():
+    model = build_model(reduced_config(), seed=1)
+    first = model.layer("eosa1.extra")
+    assert model.layer("eosa1.extra") is first
+    model.params["eosa1.extra.b"] = Tensor(np.ones(first.out_channels, dtype="float32"))
+    second = model.layer("eosa1.extra")
+    assert second is not first
+    assert second.bias is model.params["eosa1.extra.b"]
+    assert second.weights is first.weights
+
+
 class TestModelForward:
     def test_single_requested_head_runs_one_head(self):
         model = build_model(reduced_config(("p51", "p68", "p98")), dtype="float64")
@@ -343,8 +418,9 @@ def test_biases_start_at_zero():
 
 
 def test_full_model_gradient_check():
-    """Analytic vs central-difference gradients through the whole network
-    (float64, 16x16 input, halved channels, small head).
+    """Analytic vs central-difference gradients with respect to the input
+    pixels and every parameter through the whole network (float64, 16x16
+    input, halved channels, small head).
 
     Biases get small random values: with the zero-bias init, borderline
     windows of ReLU zeros put activations exactly on the kink, where the
@@ -366,10 +442,10 @@ def test_full_model_gradient_check():
     def scalar():
         return float((model_forward(model, x)["p3"].data * loss_weights).sum())
 
-    arrays = [model.params[name].data for name in model.params]
-    numeric = central_difference(scalar, arrays, eps=1e-5)
+    tensors = [x] + list(model.params.values())
+    numeric = central_difference(scalar, [t.data for t in tensors], eps=1e-5)
     worst = 0.0
-    for name, num in zip(model.params, numeric):
-        err = max_rel_error(grads.wrt(model.params[name]), num)
+    for tensor, num in zip(tensors, numeric):
+        err = max_rel_error(grads.wrt(tensor), num)
         worst = max(worst, err)
     assert worst < 1e-4

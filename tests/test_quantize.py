@@ -159,6 +159,21 @@ class TestCalibrate:
 
         with pytest.raises(UsageError, match="nonempty"):
             calibrate(model, Dataset([], ()))
+        with pytest.raises(UsageError, match="nonempty"):
+            calibrate(model, iter([]))
+
+    def test_reads_a_one_pass_iterable_once(self, small_setup):
+        _, model, dataset, _, _ = small_setup
+        read = []
+
+        def once():
+            for sample in dataset:
+                read.append(sample)
+                yield sample
+
+        # 12 samples in batches of 5, 5 and 2
+        assert calibrate(model, once(), batch_size=5) == calibrate(model, dataset, batch_size=5)
+        assert read == dataset.samples
 
 
 class TestQuantizeModel:

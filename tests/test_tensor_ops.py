@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import efld.ops
 from efld.errors import ShapeError, UsageError
-from efld.ops import concat_channels, conv2d, depthwise_conv2d, linear, relu
+from efld.ops import concat_channels, conv2d, depthwise_conv2d, linear, relu, with_border
 from efld.tensor import LayerParams, Tape, Tensor, backward
 
 from conftest import _pad_split, ref_conv2d, ref_depthwise_conv2d
@@ -162,6 +163,110 @@ class TestConv2dInputGradient:
     def test_full_extent_valid_kernel(self, rng, shape, kernel, stride):
         got, expected = self.input_grad(rng, shape, kernel, stride, "valid")
         np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
+
+
+def bordered(x, pad, channel_step=1):
+    """``x`` inside a zero border of ``pad`` = (top, bottom, left, right), as
+    a bordered Tensor. With ``channel_step`` > 1 the buffer interleaves zero
+    channels, and ``x`` and its border are channel slices of it."""
+    top, bottom, left, right = pad
+    b, h, w, c = x.shape
+    buf = np.zeros((b, h + top + bottom, w + left + right, c * channel_step))
+    border = buf[..., ::channel_step]
+    border[:, top : top + h, left : left + w] = x
+    return Tensor(border[:, top : top + h, left : left + w], border=(border, top, left)), buf
+
+
+class TestBorderedInput:
+    """A convolution reads a bordered input as a view of its border, or
+    through the fallback copy when the border is too narrow on some side;
+    either way it is bit-equal to the same op on a plain copy, and the
+    border stays zero."""
+
+    CASES = [  # shape, kernel, stride, padding, border, whether the border covers the padding
+        ((2, 7, 7, 3), (3, 3), 1, "same", (1, 1, 1, 1), True),
+        ((2, 7, 7, 3), (3, 3), 2, "same", (1, 1, 1, 1), True),
+        ((2, 8, 8, 3), (3, 3), 2, "same", (0, 1, 0, 1), True),
+        ((2, 6, 7, 3), (3, 3), 1, "valid", (1, 1, 1, 1), True),
+        ((2, 7, 8, 3), (3, 3), 2, "valid", (1, 1, 1, 1), True),
+        ((2, 6, 6, 3), (1, 1), 1, "same", (1, 1, 1, 1), True),
+        ((2, 7, 8, 3), (1, 1), 2, "same", (1, 1, 1, 1), True),
+        ((2, 5, 5, 3), (5, 5), 1, "valid", (1, 1, 1, 1), True),  # full-extent kernel
+        ((2, 7, 7, 3), (3, 3), 1, "same", (2, 3, 3, 2), True),  # wider than needed
+        ((2, 7, 7, 3), (3, 3), 1, "same", (1, 1, 1, 0), False),  # too narrow on the right
+        ((2, 7, 7, 3), (3, 3), 2, "same", (0, 1, 1, 1), False),  # too narrow on the top
+    ]
+
+    @pytest.mark.parametrize("channel_step", [1, 2], ids=["contiguous", "channel-slice"])
+    @pytest.mark.parametrize("shape,kernel,stride,padding,pad,covers", CASES)
+    @pytest.mark.parametrize("op,kind", [(conv2d, "conv"), (depthwise_conv2d, "depthwise-conv")],
+                             ids=["conv2d", "depthwise"])
+    def test_bit_equal_to_plain_copy(self, rng, monkeypatch, op, kind, shape, kernel, stride,
+                                     padding, pad, covers, channel_step):
+        x = rng.standard_normal(shape)
+        c = shape[3]
+        w_shape = kernel + ((c, 4) if kind == "conv" else (c,))
+        p = conv_params(rng.standard_normal(w_shape), rng.standard_normal(w_shape[-1]), kind=kind)
+        grad = None
+
+        def run(t):
+            nonlocal grad
+            tape = Tape()
+            out = op(t, p, stride=stride, padding=padding, tape=tape)
+            if grad is None:
+                grad = rng.standard_normal(out.shape)
+            g = backward(tape, grad)
+            return [out.data, g.wrt(t), g.wrt(p.weights), g.wrt(p.bias)]
+
+        copies = []
+
+        def counted(*args):
+            copies.append(args)
+            return zeros_bordered(*args)
+
+        zeros_bordered = efld.ops._zeros_bordered
+        plain = run(Tensor(x.copy()))
+        t, buf = bordered(x, pad, channel_step)
+        monkeypatch.setattr(efld.ops, "_zeros_bordered", counted)
+        got = run(t)
+        for a, b in zip(got, plain):
+            np.testing.assert_array_equal(a, b)
+        assert len(copies) == (0 if covers else 1)
+        interior = np.zeros(buf.shape, dtype=bool)
+        interior[:, pad[0] : pad[0] + shape[1], pad[2] : pad[2] + shape[2], ::channel_step] = True
+        assert not buf[~interior].any()
+        np.testing.assert_array_equal(buf[interior].reshape(x.shape), x)
+
+    @pytest.mark.parametrize("pad", [(0, 1, 0, 1), (1, 2, 3, 0)])
+    def test_bordered_outputs(self, rng, pad):
+        a = Tensor(rng.standard_normal((2, 5, 4, 3)))
+        b = Tensor(rng.standard_normal((2, 5, 4, 2)))
+        results = [
+            (relu(a, pad=pad), relu(a).data),
+            (concat_channels(a, b, pad=pad), concat_channels(a, b).data),
+            (with_border(a, pad), a.data),
+        ]
+        for result, expected in results:
+            np.testing.assert_array_equal(result.data, expected)
+            buf, top, left = result.border
+            assert buf.shape == (2, 5 + pad[0] + pad[1], 4 + pad[2] + pad[3], expected.shape[3])
+            assert (top, left) == (pad[0], pad[2])
+            assert np.shares_memory(result.data, buf)
+            assert np.count_nonzero(buf) == np.count_nonzero(expected)
+
+    def test_with_border_passes_the_gradient_only_when_wanted(self, rng):
+        x = Tensor(rng.standard_normal((1, 4, 4, 2)))
+        p = conv_params(rng.standard_normal((3, 3, 2, 2)))
+        for wrt, wanted in ((None, True), ([x, p.weights], True), ([p.weights], False)):
+            tape = Tape(wrt)
+            out = conv2d(with_border(x, (1, 1, 1, 1), tape=tape), p, tape=tape)
+            assert len(tape) == (2 if wanted else 1)
+            g = backward(tape, np.ones(out.shape))
+            assert (g.get(x) is not None) == wanted
+            if wanted:
+                plain = Tape()
+                ref = backward(plain, np.ones(out.shape), output=conv2d(x, p, tape=plain))
+                np.testing.assert_array_equal(g.get(x), ref.wrt(x))
 
 
 class TestDepthwiseConv2d:
