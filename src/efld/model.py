@@ -17,22 +17,26 @@ no normalization layers anywhere.
 ``build_plan`` is the one description of this network: conv, depthwise,
 linear, relu and concat steps over named activation sites. ``iter_layers``
 (parameters, costing, the container) is a view of it, and ``run_plan`` is
-its one interpreter. The float forward runs each stage through it, one
-``_apply`` op per step, and writes each site that a convolution pads inside
-the zero border those convolutions read (``site_pads``), so they take their
-padded input as a view. The int8 path in ``quantize`` runs the whole plan
-through it, and its layer steps call ``_apply`` to accumulate integers
-through these float kernels. Those sums are exact: a layer with fan-in K
-(kh*kw*cin, kh*kw for depthwise, the input width for linear) sums K products
-of |q - zero_point| <= 255 and |w| <= 128, so every partial sum is an integer
-of magnitude at most K * 255 * 128. The int8 path runs it in float32 when
-that is below 2**24 (K <= 514), where float32 holds every such integer
-exactly in any summation order, and in float64 otherwise.
+its one interpreter, which drops each value after its last reader
+(``last_reads``, computed once per plan). The float forward runs each stage
+through it, one ``_apply`` op per step, and writes each site that a
+convolution pads inside the zero border those convolutions read
+(``site_pads``), so they take their padded input as a view. The int8 path in
+``quantize`` compiles the plan once per model into fused steps, each layer
+with its ReLU and its writes into concat buffers, and runs them through
+``run_plan`` too. Its spatial layers call the kernel bodies of the float
+convolutions one block of samples at a time, and its linears and
+``decoder.dw`` call ``_apply``, so it accumulates integers through these
+float kernels. Those sums are exact: a layer with fan-in K (kh*kw*cin,
+kh*kw for depthwise, the input width for linear) sums K products of
+|q - zero_point| <= 255 and |w| <= 128, so every partial sum is an integer of
+magnitude at most K * 255 * 128. The int8 path runs it in float32 when that
+is below 2**24 (K <= 514), where float32 holds every such integer exactly in
+any summation order, and in float64 otherwise.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
@@ -320,6 +324,7 @@ class Model:
         self._stages = {}
         for step in plan:
             self._stages.setdefault(step.stage, []).append(step)
+        self._drops = {stage: last_reads(steps) for stage, steps in self._stages.items()}
         self._pads = site_pads(plan, config.input_size)
         self._layers = {}
 
@@ -381,15 +386,26 @@ def _apply(step: PlanStep, params: LayerParams | None, operands, tape=None,
     return flatten_rows(y, tape=tape) if step.flatten else y
 
 
-def run_plan(steps, values: dict, apply) -> dict:
+def last_reads(steps) -> list:
+    """Per step, the input sites that no later step reads. It depends only on
+    the steps, so a plan computes it once and hands it to every ``run_plan``."""
+    later, drops = set(), []
+    for step in reversed(steps):
+        drops.append(frozenset(step.inputs) - later)
+        later.update(step.inputs)
+    return drops[::-1]
+
+
+def run_plan(steps, values: dict, apply, drops=None) -> dict:
     """Set ``values[step.output] = apply(step, operands)`` for each step in
     order, the operands being the values of ``step.inputs``, and drop each
     value after its last reader. ``values`` starts with the sites the steps
-    read before writing; the values that no step reads are returned."""
-    readers = Counter(site for step in steps for site in step.inputs)
-    for step in steps:
-        readers.subtract(step.inputs)
-        operands = [values[site] if readers[site] else values.pop(site) for site in step.inputs]
+    read before writing; the values that no step reads are returned.
+    ``drops`` is ``last_reads(steps)``, computed here when not given."""
+    if drops is None:
+        drops = last_reads(steps)
+    for step, drop in zip(steps, drops):
+        operands = [values.pop(site) if site in drop else values[site] for site in step.inputs]
         values[step.output] = apply(step, operands)
     return values
 
@@ -406,7 +422,7 @@ def _run_stage(model: Model, stage: str, x: Tensor, tape: Tape | None,
             observer(step.output, y.data)
         return y
 
-    (y,) = run_plan(steps, {steps[0].inputs[0]: x}, apply).values()
+    (y,) = run_plan(steps, {steps[0].inputs[0]: x}, apply, model._drops[stage]).values()
     return y
 
 

@@ -31,7 +31,10 @@ phase needs it, with the flipped, transposed sub-kernel of its taps, in one
 GEMM per sample. Every op forms an input gradient only when the backward's
 ``Gradients`` wants it (see ``tensor.Tape``). The GEMMs sum float32 inputs
 in float32 and float64 inputs in float64, never in a narrower type; the
-int8 path relies on it for exact integer sums (see ``quantize``).
+int8 path relies on it for exact integer sums (see ``quantize``). The
+forward kernel bodies, the per-sample GEMM loop ``_conv_gemm`` and the
+depthwise tap loop ``_depthwise_taps``, are also the int8 path's kernels,
+which it runs on its own zero-bordered blocks of samples.
 """
 
 from __future__ import annotations
@@ -114,6 +117,24 @@ def _strided_window(padded, i, j, stride, out_h, out_w):
         j : j + (out_w - 1) * stride + 1 : stride,
         :,
     ]
+
+
+def _conv_gemm(fields, w2, out):
+    """out[n] = the receptive fields ``fields[n]`` (out_h, out_w, kh, kw, cin)
+    of sample n times the weights ``w2`` (kh*kw*cin, cout), one GEMM per
+    sample, into ``out`` (B, out_h, out_w, cout)."""
+    fan_in, cout = w2.shape
+    for n in range(len(fields)):
+        np.matmul(fields[n].reshape(-1, fan_in), w2, out=out[n].reshape(-1, cout))
+
+
+def _depthwise_taps(padded, w, stride, out):
+    """out += each tap's strided window of ``padded`` (B, H, W, C) times its
+    filter ``w[i, j]``, tap by tap in row-major order."""
+    _, out_h, out_w, _ = out.shape
+    for i in range(w.shape[0]):
+        for j in range(w.shape[1]):
+            out += _strided_window(padded, i, j, stride, out_h, out_w) * w[i, j]
 
 
 def _zero_extended(grad, top, left, rows, cols):
@@ -204,8 +225,7 @@ def conv2d(
     cols = _receptive_fields(padded, kh, kw, stride, out_h, out_w)
     w2 = w.reshape(fan_in, cout)
     out = np.empty((batch, out_h, out_w, cout), dtype=xd.dtype)
-    for n in range(batch):
-        np.matmul(cols[n].reshape(-1, fan_in), w2, out=out[n].reshape(-1, cout))
+    _conv_gemm(cols, w2, out)
     out += b
     result = Tensor(out)
 
@@ -251,9 +271,7 @@ def depthwise_conv2d(
     out_w, pl, pr = _out_and_pad("depthwise_conv2d", wdt, kw, stride, padding)
     padded = _padded(x, pt, pb, pl, pr)
     out = np.zeros((batch, out_h, out_w, c), dtype=xd.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            out += _strided_window(padded, i, j, stride, out_h, out_w) * w[i, j]
+    _depthwise_taps(padded, w, stride, out)
     out += b
     result = Tensor(out)
 

@@ -11,10 +11,24 @@ input_scale / output_scale for a ReLU (which first clamps at the input zero
 point) or a concat operand; a head's final accumulator is multiplied by
 input_scale * weight_scale and returned as reals.
 
-The integer path runs the model's execution plan (``build_plan``) through
-the float path's interpreter, ``model.run_plan``. Its convolutions and
-linears accumulate (q - zero_point) * w through the float path's step,
-``model._apply``, and the int32 bias is added afterwards in float64.
+The integer path compiles the model's execution plan (``build_plan``) once
+per model, on its first forward, and runs it through the float path's
+interpreter, ``model.run_plan``. Each layer step takes in the ReLU step that
+alone reads its output. A spatial convolution (every conv and depthwise layer
+but the flattened ``decoder.dw``) runs one block of samples at a time, one
+sample for the large layers, so that its scratch stays in cache: it writes
+q - zero_point into the interior of a zero-bordered float scratch, which the
+kernel body of the float op (``ops._conv_gemm`` or ``ops._depthwise_taps``)
+reads as its padded input; it then adds the int32 bias in float64,
+requantizes to int8, maps the result through the ReLU's table, and writes
+each concat operand through that operand's table straight into its channel
+slice of the concat buffer, so that the concat step only hands the buffer on.
+The input is quantized one sample at a time too, and an image with a NaN or
+infinite pixel is rejected. The heads' linears and ``decoder.dw`` accumulate
+the whole batch through the float path's step, ``model._apply``, and share
+the requantization. Every buffer belongs to one call, so concurrent forwards
+are safe.
+
 A layer with fan-in K (kh*kw*cin for a convolution, kh*kw for a depthwise
 convolution, the input width for a linear) accumulates in float32 when
 K <= 514 and in float64 otherwise. The bound: |q - zero_point| <= 255 and
@@ -25,7 +39,8 @@ order, with or without fused multiply-add, and the float32 accumulator
 equals the integer one. Above that bound float64 holds every partial sum
 exactly (K * 255 * 128 stays far below 2**53). ReLU and concat
 requantizations map int8 to int8, so they run as 256-entry tables built
-with the same arithmetic.
+with the same arithmetic; a layer maps its codes into a concat slice
+through one table, its ReLU's table followed by the operand's.
 """
 
 from __future__ import annotations
@@ -38,9 +53,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CalibrationError, ShapeError, UsageError
+from .errors import CalibrationError, ShapeError, UsageError, ValidationError
 from .model import (LayerSpec, Model, ModelConfig, PlanStep, _apply, build_plan, iter_layers,
-                    model_forward, run_plan)
+                    last_reads, model_forward, run_plan)
+from .ops import _conv_gemm, _depthwise_taps, _out_and_pad, _receptive_fields
 from .tensor import LayerParams, Tensor
 
 log = logging.getLogger(__name__)
@@ -52,19 +68,25 @@ INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
 _CODES = np.arange(256, dtype=np.uint8).view(np.int8)
 
 
-def _round_half_away(x):
-    """trunc(x + copysign(0.5, x)) in float64, in one scratch buffer."""
+def _round_half_away(x, out=None):
+    """trunc(x + copysign(0.5, x)) in float64, in one scratch buffer: ``out``
+    when given, else a fresh one."""
     x = np.asarray(x, dtype=np.float64)
-    r = np.copysign(0.5, x, out=np.empty_like(x))
+    r = np.copysign(0.5, x, out=np.empty_like(x) if out is None else out)
     np.add(x, r, out=r)
     return np.trunc(r, out=r)
 
 
-def _to_int8(x, zero_point: int) -> np.ndarray:
-    """clamp(round_half_away(x) + zero_point, -128, 127) as int8."""
-    q = _round_half_away(x)
+def _to_int8(x, zero_point: int, out=None, scratch=None) -> np.ndarray:
+    """clamp(round_half_away(x) + zero_point, -128, 127) as int8, written to
+    ``out`` when given; ``scratch`` is the float64 buffer of the rounding."""
+    q = _round_half_away(x, scratch)
     q += zero_point
-    return np.clip(q, QMIN, QMAX, out=q).astype(np.int8)
+    np.clip(q, QMIN, QMAX, out=q)
+    if out is None:
+        return q.astype(np.int8)
+    out[...] = q
+    return out
 
 
 def accumulator_dtype(spec: LayerSpec):
@@ -150,17 +172,6 @@ def calibrate(model: Model, dataset, batch_size: int = 32) -> dict:
     return params
 
 
-class _LayerState(NamedTuple):
-    """What ``quantized_forward`` needs for one layer step besides its input."""
-
-    params: LayerParams  # int8 weights cast to the accumulator dtype, zero bias
-    in_zero_point: int
-    bias: np.ndarray  # the int32 bias in float64
-    multiplier: float  # see the module docstring
-    zero_point: int  # of the output site; unused for a head output
-    head: bool  # a head's final layer, whose accumulator is returned as reals
-
-
 class QuantizedModel:
     """Int8 weights/activations with per-tensor scale and zero point, plus
     the float reference config. Immutable; concurrent forwards are safe."""
@@ -189,37 +200,11 @@ class QuantizedModel:
         return self.weight_byte_count() + sum(b.size for b in self.biases.values())
 
     @cached_property
-    def _states(self) -> dict:
-        """Per plan step, keyed by its output site: a ``_LayerState`` for a
-        layer, and one int8-to-int8 table per operand for a ReLU or a concat.
-        Built on the first forward, so that loading a container or quantizing
-        a model does not pay for it."""
-        heads = {f"head.{fmt}.out" for fmt in self.head_formats()}
-        act = self.activations
-        states = {}
-        for step in self.plan:
-            out_qp = act[step.output]
-            if step.op == "relu":
-                in_qp = act[step.inputs[0]]
-                state = [_requant(np.maximum(_CODES, in_qp.zero_point), in_qp, out_qp)]
-            elif step.op == "concat":
-                state = [_requant(_CODES, act[site], out_qp) for site in step.inputs]
-            else:
-                name = step.spec.name
-                dtype = accumulator_dtype(step.spec)
-                w = self.weights[name]
-                params = LayerParams(step.spec.kind, Tensor(w.astype(dtype)),
-                                     Tensor(np.zeros(w.shape[-1], dtype)))
-                in_qp = act[step.inputs[0]]
-                multiplier = in_qp.scale * self.weight_scales[name]
-                head = step.output in heads
-                if not head:
-                    multiplier /= out_qp.scale
-                state = _LayerState(params, in_qp.zero_point,
-                                    self.biases[name].astype(np.float64), multiplier,
-                                    out_qp.zero_point, head)
-            states[step.output] = state
-        return states
+    def _states(self) -> "_Int8Plan":
+        """The compiled int8 plan (see ``_compile``). Built on the first
+        forward, so that loading a container or quantizing a model does not
+        pay for it."""
+        return _compile(self)
 
 
 def quantize_model(model: Model, activations: dict) -> QuantizedModel:
@@ -258,22 +243,227 @@ def _requant(values, in_qp: QuantParams, out_qp: QuantParams) -> np.ndarray:
     return _to_int8(shifted * (in_qp.scale / out_qp.scale), out_qp.zero_point)
 
 
-def _accumulate(step: PlanStep, state: _LayerState, q: np.ndarray) -> np.ndarray:
-    """The layer's integer accumulator, bias included, for its int8 input
-    ``q``, as exact integers in float64."""
-    x = Tensor(np.subtract(q, state.in_zero_point, dtype=state.params.weights.data.dtype))
-    return np.add(_apply(step, state.params, [x]).data, state.bias, dtype=np.float64)
+def _relu_table(in_qp: QuantParams, out_qp: QuantParams) -> np.ndarray:
+    return _requant(np.maximum(_CODES, in_qp.zero_point), in_qp, out_qp)
 
 
-def _run_step(step: PlanStep, state, operands: list) -> np.ndarray:
-    """One plan step on its int8 operands: the output site's int8 value, or a
-    head's reals. Its temporaries die on return, before the next step runs."""
-    if step.spec is None:  # ReLU or concat: each operand through its table
-        parts = [np.take(table, q.view(np.uint8)) for q, table in zip(operands, state)]
+# A blocked layer takes as many samples at a time as keep its block's input
+# and output at most this many elements each (one sample when a sample alone
+# holds more), so that the block's float scratch stays in cache.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+class _Layer(NamedTuple):
+    """A conv, depthwise or linear step of the compiled int8 plan, with the
+    ReLU step that alone reads its output fused in."""
+
+    step: PlanStep  # the layer's own plan step
+    output: str  # the fused ReLU's site, else the layer's
+    params: LayerParams  # int8 weights cast to the accumulator dtype, zero bias
+    in_zero_point: int
+    bias: np.ndarray  # the int32 bias in float64
+    multiplier: float  # see the module docstring
+    zero_point: int  # of the layer's output site; unused for a head output
+    head: bool  # a head's final layer, whose accumulator is returned as reals
+    blocked: bool  # a spatial convolution, run a block of samples at a time
+    table: np.ndarray  # the fused ReLU's table; the identity without one
+    keep: bool  # a later step reads the output's int8 value
+    writes: tuple  # per concat: (site, its channels, first channel, ReLU-then-operand table)
+
+    @property
+    def inputs(self) -> tuple:
+        return self.step.inputs
+
+    def run(self, operands, buffers: dict):
+        """The output's int8 value (None when only concats written in place
+        read it), or a head's reals. Each block of rows is requantized, then
+        mapped through the ReLU table and through each concat's table into
+        its channel slice, while it is in cache. ``buffers`` holds this
+        call's concat buffers by site."""
+        (q,) = operands
+        out = None
+        for rows, acc in _accumulate(self, q):
+            acc *= self.multiplier
+            if self.head:
+                return acc
+            if rows.start == 0:  # the first block sizes this call's buffers
+                shape = (len(q),) + acc.shape[1:]
+                scratch = (np.empty_like(acc), np.empty(acc.shape, np.int8),
+                           np.empty(acc.shape, np.int8))
+                if self.keep:
+                    out = np.empty(shape, np.int8)
+                dests = [_concat_buffer(buffers, site, shape[:-1] + (channels,))
+                         [..., lo : lo + shape[-1]] for site, channels, lo, _ in self.writes]
+            spare, code, mapped = (a[: len(acc)] for a in scratch)
+            codes = _to_int8(acc, self.zero_point, out=code, scratch=spare).view(np.uint8)
+            if out is not None:  # mode "wrap" (codes are 0..255) does not buffer ``out``
+                np.take(self.table, codes, out=out[rows], mode="wrap")
+            for dest, (*_, table) in zip(dests, self.writes):
+                # A contiguous take and a strided copy beat a strided take (38 vs 54 µs / 32K).
+                np.take(table, codes, out=mapped, mode="wrap")
+                dest[rows] = mapped
+        return out
+
+
+class _Tables(NamedTuple):
+    """A ReLU or concat step of the compiled int8 plan that maps each operand
+    through its int8-to-int8 table and joins the results on the last axis."""
+
+    inputs: tuple
+    output: str
+    tables: tuple
+
+    def run(self, operands, buffers: dict):
+        parts = [np.take(table, q.view(np.uint8)) for q, table in zip(operands, self.tables)]
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-    acc = _accumulate(step, state, operands[0])
-    acc *= state.multiplier
-    return acc if state.head else _to_int8(acc, state.zero_point)
+
+
+class _Concat(NamedTuple):
+    """A concat step whose operands' layer steps wrote its buffer: it hands
+    the buffer on."""
+
+    inputs: tuple
+    output: str
+
+    def run(self, operands, buffers: dict):
+        return buffers.pop(self.output)
+
+
+class _Int8Plan(NamedTuple):
+    steps: tuple
+    drops: list  # ``model.last_reads(steps)``
+
+
+def _concat_buffer(buffers: dict, site: str, shape) -> np.ndarray:
+    """This call's int8 buffer of the concat ``site``, made by its first writer."""
+    buf = buffers.get(site)
+    if buf is None:
+        buf = buffers[site] = np.empty(shape, np.int8)
+    return buf
+
+
+def _blocked(step: PlanStep) -> bool:
+    return step.op in ("conv", "depthwise") and not step.flatten
+
+
+def _compile(qmodel: QuantizedModel) -> _Int8Plan:
+    """The int8 plan of ``qmodel.plan``. Each layer step takes in the ReLU
+    step that alone reads its output. A concat whose operands all come from
+    blocked layer steps is written in place by those steps, each through its
+    operand's table into its channel slice. Any other ReLU or concat maps its
+    operands through tables."""
+    plan, act = qmodel.plan, qmodel.activations
+    readers = {}
+    for step in plan:
+        for site in step.inputs:
+            readers.setdefault(site, []).append(step)
+    fused, layer_of = {}, {}  # the ReLU taken in, by layer; the layer, by its output site
+    for step in plan:
+        if step.spec is not None:
+            after = readers.get(step.output, [])
+            fused[step] = after[0] if [r.op for r in after] == ["relu"] else None
+            layer_of[(fused[step] or step).output] = step
+    slices = {}  # operand site -> [(concat site, its channels, first channel)]
+    for step in plan:
+        if step.op == "concat" and all(site in layer_of and _blocked(layer_of[site])
+                                       for site in step.inputs):
+            widths = [layer_of[site].spec.cout for site in step.inputs]
+            for k, site in enumerate(step.inputs):
+                slices.setdefault(site, []).append((step.output, sum(widths), sum(widths[:k])))
+    in_place = {site for entries in slices.values() for site, _, _ in entries}
+    taken = set(fused.values())
+
+    steps = []
+    for step in plan:
+        if step in taken:
+            continue
+        if step.output in in_place:
+            steps.append(_Concat(step.inputs, step.output))
+        elif step.spec is None:
+            steps.append(_Tables(step.inputs, step.output, tuple(
+                _relu_table(act[site], act[step.output]) if step.op == "relu"
+                else _requant(_CODES, act[site], act[step.output]) for site in step.inputs)))
+        else:
+            output = (fused[step] or step).output
+            keep = any(r.output not in in_place for r in readers.get(output, ()))
+            steps.append(_compile_layer(qmodel, step, fused[step], keep, slices.get(output, ())))
+    steps = tuple(steps)
+    return _Int8Plan(steps, last_reads(steps))
+
+
+def _compile_layer(qmodel: QuantizedModel, step: PlanStep, relu: PlanStep | None, keep: bool,
+                   slices) -> _Layer:
+    act, name = qmodel.activations, step.spec.name
+    dtype = accumulator_dtype(step.spec)
+    w = qmodel.weights[name]
+    params = LayerParams(step.spec.kind, Tensor(w.astype(dtype)),
+                         Tensor(np.zeros(w.shape[-1], dtype)))
+    in_qp, out_qp = act[step.inputs[0]], act[step.output]
+    multiplier = in_qp.scale * qmodel.weight_scales[name]
+    head = step.output in {f"head.{fmt}.out" for fmt in qmodel.head_formats()}
+    if not head:
+        multiplier /= out_qp.scale
+    output = (relu or step).output
+    table = _relu_table(out_qp, act[output]) if relu else _CODES
+    writes = tuple((site, channels, lo, _requant(table, act[output], act[site]))
+                   for site, channels, lo in slices)
+    return _Layer(step, output, params, in_qp.zero_point,
+                  qmodel.biases[name].astype(np.float64), multiplier, out_qp.zero_point, head,
+                  _blocked(step), table, keep, writes)
+
+
+def _accumulate(layer: _Layer, q: np.ndarray):
+    """Yield (rows, acc): the layer's integer accumulator for its int8 input
+    ``q[rows]``, bias included, as exact integers in float64 that the caller
+    may overwrite. A blocked layer yields one block of samples at a time: it
+    writes q - zero_point into the interior of a zero-bordered scratch, which
+    the ``ops`` kernel reads as its padded input, and reuses every buffer. A
+    whole-batch layer runs its ``ops`` op once and yields all rows."""
+    dtype = layer.params.weights.data.dtype
+    if not layer.blocked:
+        x = Tensor(np.subtract(q, layer.in_zero_point, dtype=dtype))
+        yield slice(0, len(q)), np.add(_apply(layer.step, layer.params, [x]).data, layer.bias,
+                                       dtype=np.float64)
+        return
+    spec, weights = layer.step.spec, layer.params.weights.data
+    batch, h, w, cin = q.shape
+    (kh, kw), stride, cout = spec.kernel, spec.stride, spec.cout
+    out_h, pt, pb = _out_and_pad(spec.name, h, kh, stride, spec.padding)
+    out_w, pl, pr = _out_and_pad(spec.name, w, kw, stride, spec.padding)
+    block = min(batch, max(1, _BLOCK_ELEMENTS // max(h * w * cin, out_h * out_w * cout)))
+    padded = np.zeros((block, h + pt + pb, w + pl + pr, cin), dtype)
+    acc = np.empty((block, out_h, out_w, cout), dtype)
+    real = np.empty(acc.shape)
+    bias_row = np.tile(layer.bias, out_w)  # one output row: the add runs along whole rows
+    for start in range(0, batch, block):
+        rows = slice(start, min(start + block, batch))
+        n = rows.stop - start
+        x, y, r = padded[:n], acc[:n], real[:n]
+        np.subtract(q[rows], layer.in_zero_point, out=x[:, pt : pt + h, pl : pl + w], dtype=dtype)
+        if layer.step.op == "conv":
+            _conv_gemm(_receptive_fields(x, kh, kw, stride, out_h, out_w),
+                       weights.reshape(-1, cout), y)
+        else:
+            y.fill(0)
+            _depthwise_taps(x, weights, stride, y)
+        np.copyto(r, y)
+        r_rows = r.reshape(-1, bias_row.size)
+        r_rows += bias_row
+        yield rows, r
+
+
+def _quantize_images(images: np.ndarray, qp: QuantParams) -> np.ndarray:
+    """The int8 input site of float64 ``images``, one sample at a time.
+    Raises ``ValidationError`` naming the first image with a NaN or an
+    infinite pixel."""
+    q = np.empty(images.shape, np.int8)
+    real, spare = np.empty(images.shape[1:]), np.empty(images.shape[1:])
+    for n, image in enumerate(images):
+        if not np.isfinite(image).all():
+            raise ValidationError(f"quantized_forward: image {n} has a non-finite pixel")
+        np.divide(image, qp.scale, out=real)
+        _to_int8(real, qp.zero_point, out=q[n], scratch=spare)
+    return q
 
 
 def quantized_forward(qmodel: QuantizedModel, images) -> dict:
@@ -281,7 +471,8 @@ def quantized_forward(qmodel: QuantizedModel, images) -> dict:
     and requantize to each output site; ReLU runs in the quantized domain;
     concat operands are requantized to the shared output site. The final head
     accumulator is dequantized directly to reals. Each int8 value is dropped
-    after its last reader."""
+    after its last reader, and every buffer belongs to this call. Raises
+    ``ValidationError`` naming the first image with a NaN or infinite pixel."""
     config = qmodel.config
     arr = np.asarray(images, dtype=np.float64)
     if arr.ndim == 3:
@@ -291,6 +482,7 @@ def quantized_forward(qmodel: QuantizedModel, images) -> dict:
         raise ShapeError(
             "quantized_forward", f"expected images (B, {s}, {s}, 3), got {tuple(arr.shape)}"
         )
-    values = run_plan(qmodel.plan, {"input": quantize_value(arr, qmodel.activations["input"])},
-                      lambda step, operands: _run_step(step, qmodel._states[step.output], operands))
+    plan, buffers = qmodel._states, {}
+    values = run_plan(plan.steps, {"input": _quantize_images(arr, qmodel.activations["input"])},
+                      lambda step, operands: step.run(operands, buffers), plan.drops)
     return {fmt: values[f"head.{fmt}.out"] for fmt in qmodel.head_formats()}

@@ -202,6 +202,18 @@ class TestExportInfer:
             assert pts.shape == (51, 2)
             assert pts.min() >= 0.0 and pts.max() <= 32.0  # within image bounds
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_infer_quantized_non_finite_pixel_exits_2(self, pipeline, monkeypatch, capsys, bad):
+        import efld.image
+
+        image = np.full((32, 32, 3), 0.5)
+        image[5, 6, 2] = bad
+        monkeypatch.setattr(efld.image, "read_ppm", lambda path: image)
+        assert run(["infer", "--model", str(pipeline["qmodel"]), "--image", "face.ppm",
+                    "--format", "p51"]) == 2
+        err = capsys.readouterr().err
+        assert "image 0 has a non-finite pixel" in err and "Traceback" not in err
+
     def test_infer_single_image_and_nonsquare_resize(self, pipeline, tmp_path, capsys):
         from efld.image import write_ppm
 

@@ -20,6 +20,7 @@ from efld.model import (
     eosa_forward,
     head_forward,
     iter_layers,
+    last_reads,
     model_forward,
     run_plan,
     site_pads,
@@ -369,6 +370,13 @@ def test_run_plan_returns_the_head_outputs(variant):
     out = run_plan(plan, {"input": "input"}, apply)
     assert ran == [step.output for step in plan]
     assert out == {f"head.{f}.out": f"head.{f}.out" for f in formats}
+
+
+def test_last_reads_drops_each_site_at_its_last_reader():
+    plan = build_plan(default_config(("p51", "p68")))
+    last = {site: k for k, step in enumerate(plan) for site in step.inputs}
+    assert last_reads(plan) == [{site for site, k in last.items() if k == i}
+                                for i in range(len(plan))]
 
 
 class TestPfldPlainVariant:

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from efld.errors import CalibrationError, UsageError
+from efld import quantize as quantize_module
+from efld.errors import CalibrationError, UsageError, ValidationError
 from efld.model import (
     VARIANTS,
     EosaConfig,
@@ -16,10 +17,12 @@ from efld.model import (
     default_config,
     iter_layers,
     model_forward,
+    run_plan,
 )
 from efld.quantize import (
     QuantizedModel,
     QuantParams,
+    _Layer,
     _accumulate,
     _round_half_away,
     accumulator_dtype,
@@ -291,24 +294,83 @@ class TestQuantizedForward:
         assert plan_layers == layers_by_hand(config)
 
     def test_int8_values_dropped_after_last_reader(self, small_setup, monkeypatch):
-        from efld import quantize
-
         _, _, dataset, _, qmodel = small_setup
-        plan = qmodel.plan
-        last_read = {site: k for k, step in enumerate(plan) for site in step.inputs}
         read = {}
-        accumulate = quantize._accumulate
 
-        def spy(step, state, q):
-            k = next(i for i, s in enumerate(plan) if s is step)
-            stale = [site for site, ref in read.items() if last_read[site] < k and ref() is not None]
-            assert not stale, f"{stale} still held at step {k} ({step.output})"
-            read[step.inputs[0]] = weakref.ref(q)
-            return accumulate(step, state, q)
+        def spy_run_plan(steps, values, apply, drops):
+            last_read = {site: k for k, step in enumerate(steps) for site in step.inputs}
 
-        monkeypatch.setattr(quantize, "_accumulate", spy)
+            def spy(step, operands):
+                k = next(i for i, s in enumerate(steps) if s is step)
+                stale = [site for site, ref in read.items()
+                         if last_read[site] < k and ref() is not None]
+                assert not stale, f"{stale} still held at step {k} ({step.output})"
+                for site, q in zip(step.inputs, operands):
+                    if q is not None:
+                        read[site] = weakref.ref(q)
+                return apply(step, operands)
+
+            return run_plan(steps, values, spy, drops)
+
+        monkeypatch.setattr(quantize_module, "run_plan", spy_run_plan)
         out = quantized_forward(qmodel, np.stack([s.image for s in dataset.samples[:4]]))
         assert len(read) > 10 and out["p51"].shape == (4, 102)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_pixel_is_rejected(self, small_setup, bad):
+        _, _, dataset, _, qmodel = small_setup
+        images = np.stack([s.image for s in dataset.samples[:5]])
+        images[3, 7, 9, 1] = bad
+        images[4, 0, 0, 0] = bad
+        with pytest.raises(ValidationError, match="image 3 has a non-finite pixel"):
+            quantized_forward(qmodel, images)
+
+    @pytest.mark.parametrize("block", [quantize_module._BLOCK_ELEMENTS, 2048],
+                             ids=["stock-blocks", "small-blocks"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_rows_do_not_depend_on_the_batch(self, variant, block, monkeypatch):
+        """Row k of a batch-B forward equals the batch-1 forward of image k,
+        bit for bit, also when blocks of samples split the batch unevenly."""
+        config = apply_variant(reduced_config(("p51", "p68")), variant)
+        model = build_model(config, seed=5)
+        dataset = generate_synthetic(8, 32, seed=9, formats=[])
+        qmodel = quantize_model(model, calibrate(model, dataset))
+        monkeypatch.setattr(quantize_module, "_BLOCK_ELEMENTS", block)
+        images = np.stack([s.image for s in dataset.samples])
+        singles = [quantized_forward(qmodel, images[k : k + 1]) for k in range(len(images))]
+        for batch in (1, 3, 8):
+            out = quantized_forward(qmodel, images[:batch])
+            for fmt in ("p51", "p68"):
+                for k in range(batch):
+                    np.testing.assert_array_equal(out[fmt][k], singles[k][fmt][0])
+
+    def test_peak_memory_is_a_fraction_of_the_activations(self):
+        """At batch 16 the stock int8 forward holds at most 3/4 of the bytes of
+        all its int8 activation sites at once: values are dropped after their
+        last reader, and every layer works on one block of samples in float.
+        (A forward that quantizes the whole batch in float64 peaks above
+        1.5 times those bytes.)"""
+        import tracemalloc
+
+        config = default_config()
+        model = build_model(config, seed=3)
+        qmodel = quantize_model(model, calibrate(model, generate_synthetic(2, 128, seed=1,
+                                                                           formats=[])))
+        sizes = []
+        one = np.random.default_rng(0).uniform(size=(1, 128, 128, 3))
+        model_forward(model, Tensor(one.astype("float32")),
+                      observer=lambda site, value: sizes.append(value.size))
+        batch = 16
+        activation_bytes = batch * sum(sizes)  # one byte per int8 value
+        images = np.random.default_rng(1).uniform(size=(batch, 128, 128, 3))
+        quantized_forward(qmodel, images[:1])  # compile the int8 plan outside the trace
+        tracemalloc.start()
+        try:
+            quantized_forward(qmodel, images)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * activation_bytes, (peak, activation_bytes)
 
     def test_kernel_state_built_on_first_forward(self, small_setup, tmp_path):
         from efld.container import load, save
@@ -450,6 +512,8 @@ class TestIntegerOracle:
         centre = np.abs(sums[:, mid, mid, :])
         assert np.all(centre % 2 == 1)
         assert (centre.min() > 2**24) == (accumulator_dtype(step.spec) is np.float64)
-        got = _accumulate(step, qmodel._states[step.output], x)
+        layer_step = next(s for s in qmodel._states.steps
+                          if isinstance(s, _Layer) and s.step.layer == layer)
+        got = np.concatenate([acc.copy() for _, acc in _accumulate(layer_step, x)])
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, sums + b)
