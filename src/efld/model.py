@@ -21,11 +21,25 @@ its one interpreter, which drops each value after its last reader
 (``last_reads``, computed once per plan). The float forward runs each stage
 through it, one ``_apply`` op per step, and writes each site that a
 convolution pads inside the zero border those convolutions read
-(``site_pads``), so they take their padded input as a view. The int8 path in
-``quantize`` compiles the plan once per model into fused steps, each layer
-with its ReLU and its writes into concat buffers, and runs them through
-``run_plan`` too. Its spatial layers call the kernel bodies of the float
-convolutions one block of samples at a time, and its linears and
+(``site_pads``), so they take their padded input as a view.
+
+Without a tape, the float forward runs the backbone and decoder depth-first:
+eosa1 to the decoder on one block of samples, then on the next
+(``block_samples``: as many samples as keep the largest bordered site of a
+block within ``_BLOCK_ELEMENTS``, 4 for the stock model at 128 px), so a
+block's activations stay in cache from layer to layer and the forward's
+memory does not grow with the batch. Only the (B, decoder_dim) feature rows
+of the blocks are joined, and the heads run once on the whole batch. The
+backbone's kernels treat every sample on its own, so the outputs are
+bit-identical to a whole-batch forward. A taped forward (training) runs each
+stage on the whole batch: blocks made it no faster, and the tape keeps every
+value until the backward anyway.
+
+The int8 path in ``quantize`` compiles the plan once per model into fused
+steps, each layer with its ReLU and its writes into concat buffers, and runs
+them through ``run_plan`` too. Its spatial layers call the kernel bodies of
+the float convolutions one block of samples at a time, layer by layer (run
+depth-first, the int8 forward was slower), and its linears and
 ``decoder.dw`` call ``_apply``, so it accumulates integers through these
 float kernels. Those sums are exact: a layer with fan-in K (kh*kw*cin,
 kh*kw for depthwise, the input width for linear) sums K products of
@@ -277,6 +291,21 @@ def build_plan(config: ModelConfig) -> list:
     return steps
 
 
+def site_shapes(plan, input_size: int) -> dict:
+    """The shape of one sample of every activation site: (h, w, channels)
+    for a feature map, (width,) for a vector."""
+    shapes = {"input": (input_size, input_size, INPUT_CHANNELS)}
+    for step in plan:
+        spec = step.spec
+        if spec is not None:
+            shape = (spec.cout,) if step.flatten else (*spec.out_hw, spec.cout)
+        else:
+            first = shapes[step.inputs[0]]
+            shape = first[:-1] + (sum(shapes[site][-1] for site in step.inputs),)
+        shapes[step.output] = shape
+    return shapes
+
+
 def site_pads(plan, input_size: int) -> dict:
     """The zero border of every activation site that a convolution pads:
     (top, bottom, left, right), the elementwise max of the padding of the
@@ -284,19 +313,36 @@ def site_pads(plan, input_size: int) -> dict:
     each ReLU and concat, into the interior of a zero buffer with its site's
     border, and every reader takes its padded input as a view of that
     buffer (see ``ops``). Depends only on the plan and the input size."""
-    hw = {"input": (input_size, input_size)}
+    shapes = site_shapes(plan, input_size)
     pads = {}
     for step in plan:
         spec, src = step.spec, step.inputs[0]
-        hw[step.output] = hw[src] if spec is None else spec.out_hw
         if step.op not in ("conv", "depthwise"):
             continue
-        (h, w), (kh, kw) = hw[src], spec.kernel
+        (h, w, _), (kh, kw) = shapes[src], spec.kernel
         _, top, bottom = _out_and_pad(spec.name, h, kh, spec.stride, spec.padding)
         _, left, right = _out_and_pad(spec.name, w, kw, spec.stride, spec.padding)
         pad = (top, bottom, left, right)
         pads[src] = tuple(map(max, pads.get(src, pad), pad))
     return {site: pad for site, pad in pads.items() if any(pad)}
+
+
+# The untaped backbone runs as many samples at a time as keep the largest
+# bordered activation site of a block within this many elements (at least
+# one sample), so that a block's activations stay in cache between layers.
+_BLOCK_ELEMENTS = 5 << 16
+
+
+def block_samples(plan, input_size: int) -> int:
+    """Samples per block of the untaped backbone: ``_BLOCK_ELEMENTS`` over
+    the largest site of one sample with its ``site_pads`` border."""
+    pads = site_pads(plan, input_size)
+    largest = 1
+    for site, shape in site_shapes(plan, input_size).items():
+        if len(shape) == 3:
+            top, bottom, left, right = pads.get(site, (0, 0, 0, 0))
+            largest = max(largest, (shape[0] + top + bottom) * (shape[1] + left + right) * shape[2])
+    return max(1, _BLOCK_ELEMENTS // largest)
 
 
 def iter_layers(config: ModelConfig) -> Iterator[LayerSpec]:
@@ -312,7 +358,8 @@ class Model:
     training mutates parameters in place and requires exclusive access.
     Each forward allocates its own activation buffers, with the zero border
     of ``site_pads`` where a convolution reads them; none is shared between
-    calls.
+    calls. An untaped forward runs the backbone on ``block_samples`` samples
+    at a time, a number fixed per model from the plan.
     """
 
     def __init__(self, config: ModelConfig, params: dict, dtype: str):
@@ -326,6 +373,7 @@ class Model:
             self._stages.setdefault(step.stage, []).append(step)
         self._drops = {stage: last_reads(steps) for stage, steps in self._stages.items()}
         self._pads = site_pads(plan, config.input_size)
+        self._block = block_samples(plan, config.input_size)
         self._layers = {}
 
     def layer(self, name: str) -> LayerParams:
@@ -449,6 +497,10 @@ def head_forward(model: Model, fmt: str, v: Tensor, tape: Tape | None = None,
 
 def backbone_forward(model: Model, images: Tensor, tape: Tape | None = None,
                      observer=None) -> Tensor:
+    """The (B, decoder_dim) feature vectors of ``images``. Without a tape the
+    backbone and decoder run on one block of samples after another, and
+    ``observer`` sees each of their sites once per block; with a tape they
+    run on the whole batch at once. The outputs are the same bits."""
     s = model.config.input_size
     if images.data.ndim != 4 or images.shape[1] != s or images.shape[2] != s \
             or images.shape[3] != INPUT_CHANNELS:
@@ -456,6 +508,17 @@ def backbone_forward(model: Model, images: Tensor, tape: Tape | None = None,
             "model_forward",
             f"expected images of shape (B, {s}, {s}, {INPUT_CHANNELS}), got {tuple(images.shape)}",
         )
+    block = model._block
+    if tape is not None or len(images.data) <= block:
+        return _backbone_block(model, images, tape, observer)
+    rows = [_backbone_block(model, Tensor(images.data[start : start + block]), None,
+                            observer).data
+            for start in range(0, len(images.data), block)]
+    return Tensor(np.concatenate(rows))
+
+
+def _backbone_block(model: Model, images: Tensor, tape: Tape | None, observer) -> Tensor:
+    """The backbone and decoder on ``images`` in one piece, stage by stage."""
     if observer is not None:
         observer("input", images.data)
     pad = model._pads.get("input")
@@ -467,8 +530,12 @@ def backbone_forward(model: Model, images: Tensor, tape: Tape | None = None,
 
 def model_forward(model: Model, images: Tensor, formats=None, tape: Tape | None = None,
                   observer=None) -> dict:
-    """Backbone and decoder run once per batch; each requested head is applied
-    to the shared feature vector. Returns {format: predictions (B, 2K)}."""
+    """Backbone and decoder give each sample its feature vector (block by
+    block without a tape, see ``backbone_forward``); each requested head runs
+    once on the whole batch of them. ``observer(site, value)``, when given,
+    sees the value of every site the forward computes: a backbone site once
+    per block of samples, a head site once per batch. Returns {format:
+    predictions (B, 2K)}."""
     available = model.head_formats()
     if formats is None:
         requested = available

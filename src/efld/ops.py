@@ -130,11 +130,32 @@ def _conv_gemm(fields, w2, out):
 
 def _depthwise_taps(padded, w, stride, out):
     """out += each tap's strided window of ``padded`` (B, H, W, C) times its
-    filter ``w[i, j]``, tap by tap in row-major order."""
-    _, out_h, out_w, _ = out.shape
-    for i in range(w.shape[0]):
-        for j in range(w.shape[1]):
-            out += _strided_window(padded, i, j, stride, out_h, out_w) * w[i, j]
+    filter ``w[i, j]``, tap by tap in row-major order, into the C-contiguous
+    ``out``.
+
+    Each multiply-add runs along whole output rows, out_w*C values, with the
+    tap's filter tiled along the row; at stride 2 the windows are read from
+    contiguous copies of the four stride phases of ``padded``. A 1x1 output
+    (a full-extent kernel) of more than one channel is one reduction over
+    the taps: the tap axis is then not the innermost one, so numpy adds
+    along it in tap order, from +0.0 as the loop does (along the innermost
+    axis it would add pairwise)."""
+    batch, out_h, out_w, c = out.shape
+    kh, kw = w.shape[:2]
+    if out_h == out_w == 1 and c > 1:
+        taps = padded[:, :kh, :kw].reshape(batch, kh * kw, c) * w.reshape(kh * kw, c)
+        out += np.add.reduce(taps, axis=1, initial=0.0).reshape(out.shape)
+        return
+    rows = out.reshape(batch, out_h, out_w * c)
+    w_rows = np.tile(w, (1, 1, out_w))
+    phases = {(a, b): padded if stride == 1
+              else np.ascontiguousarray(padded[:, a::stride, b::stride])
+              for a in range(min(stride, kh)) for b in range(min(stride, kw))}
+    for i in range(kh):
+        for j in range(kw):
+            r, s = i // stride, j // stride
+            window = phases[i % stride, j % stride][:, r : r + out_h, s : s + out_w]
+            rows += window.reshape(batch, out_h, out_w * c) * w_rows[i, j]
 
 
 def _zero_extended(grad, top, left, rows, cols):

@@ -145,7 +145,9 @@ def calibrate(model: Model, dataset, batch_size: int = 32) -> dict:
     """Float forward passes over every calibration sample, recording global
     per-site min/max and deriving asymmetric int8 params. Sites after ReLU
     get their min clamped to 0 so exact zero stays representable. The
-    dataset is read once, one batch at a time."""
+    dataset is read once, one batch at a time; the forward reports each
+    backbone site once per block of samples, and min and max merge over the
+    blocks into the range of the whole batch."""
     ranges = {}
 
     def observer(site, value):
@@ -261,7 +263,7 @@ class _Layer(NamedTuple):
     output: str  # the fused ReLU's site, else the layer's
     params: LayerParams  # int8 weights cast to the accumulator dtype, zero bias
     in_zero_point: int
-    bias: np.ndarray  # the int32 bias in float64
+    bias: np.ndarray  # the int32 bias in float64; a blocked layer's tiled along an output row
     multiplier: float  # see the module docstring
     zero_point: int  # of the layer's output site; unused for a head output
     head: bool  # a head's final layer, whose accumulator is returned as reals
@@ -401,15 +403,17 @@ def _compile_layer(qmodel: QuantizedModel, step: PlanStep, relu: PlanStep | None
     in_qp, out_qp = act[step.inputs[0]], act[step.output]
     multiplier = in_qp.scale * qmodel.weight_scales[name]
     head = step.output in {f"head.{fmt}.out" for fmt in qmodel.head_formats()}
+    bias = qmodel.biases[name].astype(np.float64)
+    if _blocked(step):  # one output row: the add runs along whole rows
+        bias = np.tile(bias, step.spec.out_hw[1])
     if not head:
         multiplier /= out_qp.scale
     output = (relu or step).output
     table = _relu_table(out_qp, act[output]) if relu else _CODES
     writes = tuple((site, channels, lo, _requant(table, act[output], act[site]))
                    for site, channels, lo in slices)
-    return _Layer(step, output, params, in_qp.zero_point,
-                  qmodel.biases[name].astype(np.float64), multiplier, out_qp.zero_point, head,
-                  _blocked(step), table, keep, writes)
+    return _Layer(step, output, params, in_qp.zero_point, bias, multiplier, out_qp.zero_point,
+                  head, _blocked(step), table, keep, writes)
 
 
 def _accumulate(layer: _Layer, q: np.ndarray):
@@ -434,7 +438,9 @@ def _accumulate(layer: _Layer, q: np.ndarray):
     padded = np.zeros((block, h + pt + pb, w + pl + pr, cin), dtype)
     acc = np.empty((block, out_h, out_w, cout), dtype)
     real = np.empty(acc.shape)
-    bias_row = np.tile(layer.bias, out_w)  # one output row: the add runs along whole rows
+    bias_row = layer.bias  # tiled for the plan's output width; a direct call may pass another
+    if bias_row.size != out_w * cout:
+        bias_row = np.tile(bias_row[:cout], out_w)
     for start in range(0, batch, block):
         rows = slice(start, min(start + block, batch))
         n = rows.stop - start

@@ -274,6 +274,61 @@ def test_forward_calls_each_patched_op_once_per_plan_step(monkeypatch):
     assert bordered == [step.inputs[0] in pads for step in layer_steps]
 
 
+@pytest.mark.parametrize("formats", [("p51",), ("p51", "p68", "p98")], ids=["1head", "3heads"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_untaped_backbone_runs_in_blocks_bit_equal_to_the_taped_forward(monkeypatch, variant,
+                                                                        formats):
+    """Without a tape the backbone runs two full blocks of samples and a
+    ragged remainder one after the other; a taped forward runs the whole
+    batch at once. Every output bit is the same."""
+    import efld.model as model_module
+
+    model = build_model(apply_variant(default_config(formats), variant), seed=4)
+    block = model._block
+    assert block > 1
+    batch = 2 * block + 1
+    x = Tensor(np.random.default_rng(5).uniform(size=(batch, 128, 128, 3)).astype("float32"))
+    stage1 = []
+    eosa = model_module.eosa_forward
+
+    def recording(model, index, x, *args, **kwargs):
+        if index == 1:
+            stage1.append(len(x.data))
+        return eosa(model, index, x, *args, **kwargs)
+
+    monkeypatch.setattr(model_module, "eosa_forward", recording)
+    blocked = model_forward(model, x)
+    assert stage1 == [block, block, 1]
+    whole = model_forward(model, x, tape=Tape())
+    assert stage1 == [block, block, 1, batch]
+    assert list(blocked) == list(whole) == list(formats)
+    for fmt in formats:
+        assert blocked[fmt].data.tobytes() == whole[fmt].data.tobytes()
+
+
+def test_untaped_forward_peak_memory_does_not_grow_with_the_batch():
+    """At batch 16 the untaped stock forward holds at most a fifth of the
+    float32 bytes of all its activation sites at once: the backbone keeps
+    only one block of samples alive. (A whole-batch forward peaks above a
+    third of them.)"""
+    import tracemalloc
+
+    model = build_model(default_config(), seed=3)
+    sizes = []
+    one = np.random.default_rng(0).uniform(size=(1, 128, 128, 3)).astype("float32")
+    model_forward(model, Tensor(one), observer=lambda site, value: sizes.append(value.size))
+    batch = 16
+    activation_bytes = 4 * batch * sum(sizes)
+    images = Tensor(np.random.default_rng(1).uniform(size=(batch, 128, 128, 3)).astype("float32"))
+    tracemalloc.start()
+    try:
+        model_forward(model, images)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.2 * activation_bytes, (peak, activation_bytes)
+
+
 def test_layer_params_are_rebuilt_only_when_a_tensor_is_replaced():
     model = build_model(reduced_config(), seed=1)
     first = model.layer("eosa1.extra")

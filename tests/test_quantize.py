@@ -36,7 +36,7 @@ from efld.quantize import (
     quantized_forward,
 )
 from efld.synthetic import generate_synthetic
-from efld.tensor import Tensor
+from efld.tensor import Tape, Tensor
 
 from conftest import reduced_config, ref_conv2d, ref_depthwise_conv2d
 
@@ -155,6 +155,31 @@ class TestCalibrate:
         assert set(again) == set(activations)
         for site, qp in activations.items():
             assert again[site] == qp
+
+    def test_blocked_ranges_equal_whole_batch_ranges(self):
+        """Calibration's untaped forward reports each backbone site once per
+        block of samples; merged, the ranges are those of one whole-batch
+        (taped) forward of the same samples."""
+        config = default_config(("p51", "p68"))
+        model = build_model(config, seed=6)
+        dataset = generate_synthetic(2 * model._block + 1, 128, seed=3, formats=[])
+        seen = {}
+
+        def observer(site, value):
+            seen[site] = seen.get(site, 0) + 1
+            ranges[site] = (float(value.min()), float(value.max()))
+
+        ranges = {}
+        images = np.stack([s.image for s in dataset]).astype("float32")
+        model_forward(model, Tensor(images), tape=Tape(), observer=observer)
+        assert set(seen.values()) == {1}
+        relu_sites = {step.output for step in build_plan(config) if step.op == "relu"}
+        want = {site: params_from_range(0.0 if site in relu_sites else lo, hi, site)
+                for site, (lo, hi) in ranges.items()}
+        seen.clear()
+        model_forward(model, Tensor(images), observer=observer)
+        assert seen["input"] == seen["decoder.out"] == 3 and seen["head.p51.out"] == 1
+        assert calibrate(model, dataset, batch_size=len(images)) == want
 
     def test_empty_dataset_rejected(self, small_setup):
         _, model, _, _, _ = small_setup

@@ -290,6 +290,35 @@ class TestDepthwiseConv2d:
         out = depthwise_conv2d(Tensor(x), conv_params(w, b, kind="depthwise-conv"), stride=2).data
         np.testing.assert_allclose(out, ref_depthwise_conv2d(x, w, b, 2, "same"), atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("batch,size,channels,kernel,stride", [
+        (1, 8, 256, 8, 1),  # decoder.dw: a full-extent kernel, one reduction
+        (3, 8, 256, 8, 1),
+        (2, 5, 1, 5, 1),  # one channel: the tap loop
+        (2, 9, 16, 3, 2),  # whole rows from four stride phases
+        (2, 8, 5, 3, 1),
+    ])
+    def test_taps_bit_equal_to_the_tap_loop(self, rng, dtype, batch, size, channels, kernel,
+                                            stride):
+        """``_depthwise_taps`` adds the taps in the loop's order, so every
+        bit matches, the sign of each zero included."""
+        padded = rng.standard_normal((batch, size, size, channels)).astype(dtype)
+        padded[rng.uniform(size=padded.shape) < 0.3] = -0.0
+        w = rng.standard_normal((kernel, kernel, channels)).astype(dtype)
+        w[rng.uniform(size=w.shape) < 0.3] = -0.0
+        if channels > 1:  # every product of channel 0 is -0.0, and the loop's sum is +0.0
+            padded[..., 0] = np.abs(padded[..., 0])
+            w[:, :, 0] = -0.0
+        out_size = (size - kernel) // stride + 1
+        want = np.zeros((batch, out_size, out_size, channels), dtype)
+        for i in range(kernel):
+            for j in range(kernel):
+                want += padded[:, i : i + (out_size - 1) * stride + 1 : stride,
+                               j : j + (out_size - 1) * stride + 1 : stride] * w[i, j]
+        got = np.zeros_like(want)
+        efld.ops._depthwise_taps(padded, w, stride, got)
+        assert got.tobytes() == want.tobytes()
+
     def test_channel_mismatch(self):
         x = Tensor(np.zeros((1, 4, 4, 3)))
         p = conv_params(np.zeros((3, 3, 5)), kind="depthwise-conv")
