@@ -35,9 +35,23 @@ bit-identical to a whole-batch forward. A taped forward (training) runs each
 stage on the whole batch: blocks made it no faster, and the tape keeps every
 value until the backward anyway.
 
+Without a tape, each group of ``sibling_convs``, conv layers that read one
+site with one kernel size, stride and padding, runs as one
+``ops.sibling_conv2d`` at the step of its first layer: per sample, one copy
+of the receptive fields feeds the GEMM of every layer of the group. In the
+stock model that is ``eosa1.extra`` with ``eosa1.osa.l0``; in
+``conv-backbone`` the same pair in every module; a depthwise extra conv
+joins none. Each GEMM keeps its layer's own shape and weights (read through
+``Model.layer`` on every call), so the outputs are the bits of the layers
+run one by one: one GEMM over the weights joined along cout gave other
+float64 bits on OpenBLAS, which picks its kernel by the GEMM's shape. The
+taped forward stays unfused: the weight gradient of a joined GEMM sums in
+another order than each layer's own, which would move the training log.
+
 The int8 path in ``quantize`` compiles the plan once per model into fused
 steps, each layer with its ReLU and its writes into concat buffers, and runs
-them through ``run_plan`` too. Its spatial layers call the kernel bodies of
+them through ``run_plan`` too, each group of ``sibling_convs`` as one step
+on one receptive-field copy. Its spatial layers call the kernel bodies of
 the float convolutions one block of samples at a time, layer by layer (run
 depth-first, the int8 forward was slower), and its linears and
 ``decoder.dw`` call ``_apply``, so it accumulates integers through these
@@ -56,9 +70,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, UsageError
+from .errors import ConfigError, ShapeError, UsageError, ValidationError
 from .ops import (_out_and_pad, concat_channels, conv2d, depthwise_conv2d, flatten_rows, linear,
-                  relu, with_border)
+                  relu, sibling_conv2d, with_border)
 from .tensor import LayerParams, Tape, Tensor
 
 EXTRA_CONV_KINDS = ("conventional", "depthwise-separable")
@@ -345,6 +359,20 @@ def block_samples(plan, input_size: int) -> int:
     return max(1, _BLOCK_ELEMENTS // largest)
 
 
+def sibling_convs(plan) -> list:
+    """The conv steps of ``plan`` that read one site in one stage with one
+    kernel size, stride and padding, as tuples of two or more in plan order.
+    A depthwise layer never joins one: each of its channels reads its own
+    input channel."""
+    groups = {}
+    for step in plan:
+        spec = step.spec
+        if step.op == "conv" and not step.flatten:
+            key = (step.stage, step.inputs[0], spec.kernel, spec.stride, spec.padding)
+            groups.setdefault(key, []).append(step)
+    return [tuple(group) for group in groups.values() if len(group) > 1]
+
+
 def iter_layers(config: ModelConfig) -> Iterator[LayerSpec]:
     """Every parameterized layer in plan order, with spatial sizes."""
     return (step.spec for step in build_plan(config) if step.spec is not None)
@@ -374,6 +402,7 @@ class Model:
         self._drops = {stage: last_reads(steps) for stage, steps in self._stages.items()}
         self._pads = site_pads(plan, config.input_size)
         self._block = block_samples(plan, config.input_size)
+        self._siblings = {group[0].output: group for group in sibling_convs(plan)}
         self._layers = {}
 
     def layer(self, name: str) -> LayerParams:
@@ -460,12 +489,25 @@ def run_plan(steps, values: dict, apply, drops=None) -> dict:
 
 def _run_stage(model: Model, stage: str, x: Tensor, tape: Tape | None,
                observer) -> Tensor:
-    """Run one stage of the plan on ``x``, reporting each output site to ``observer``."""
+    """Run one stage of the plan on ``x``, reporting each output site to
+    ``observer``. Without a tape, the first step of each group of
+    ``sibling_convs`` runs the whole group as one ``sibling_conv2d``, and
+    each later member's step hands on its output."""
     steps = model._stages[stage]
+    siblings = model._siblings if tape is None else {}
+    held = {}  # output site -> the output of a group member whose step is still to come
 
     def apply(step, operands):
-        y = _apply(step, model.layer(step.layer) if step.layer else None, operands, tape,
-                   model._pads.get(step.output))
+        if step.output in held:
+            y = held.pop(step.output)
+        elif step.output in siblings:
+            group = siblings[step.output]
+            y, *rest = sibling_conv2d(operands[0], [model.layer(s.layer) for s in group],
+                                      stride=step.spec.stride, padding=step.spec.padding)
+            held.update((s.output, out) for s, out in zip(group[1:], rest))
+        else:
+            y = _apply(step, model.layer(step.layer) if step.layer else None, operands, tape,
+                       model._pads.get(step.output))
         if observer is not None:
             observer(step.output, y.data)
         return y
@@ -511,18 +553,25 @@ def backbone_forward(model: Model, images: Tensor, tape: Tape | None = None,
     block = model._block
     if tape is not None or len(images.data) <= block:
         return _backbone_block(model, images, tape, observer)
-    rows = [_backbone_block(model, Tensor(images.data[start : start + block]), None,
-                            observer).data
+    rows = [_backbone_block(model, Tensor(images.data[start : start + block]), None, observer,
+                            start).data
             for start in range(0, len(images.data), block)]
     return Tensor(np.concatenate(rows))
 
 
-def _backbone_block(model: Model, images: Tensor, tape: Tape | None, observer) -> Tensor:
-    """The backbone and decoder on ``images`` in one piece, stage by stage."""
-    if observer is not None:
-        observer("input", images.data)
+def _backbone_block(model: Model, images: Tensor, tape: Tape | None, observer,
+                    first: int = 0) -> Tensor:
+    """The backbone and decoder on ``images``, samples ``first`` onward of
+    the batch, in one piece, stage by stage. Raises ``ValidationError``
+    naming the first image with a NaN or infinite pixel."""
     pad = model._pads.get("input")
     x = images if pad is None else with_border(images, pad, tape=tape)
+    finite = np.isfinite(x.data)  # on the bordered copy, while it is in cache
+    if not finite.all():
+        bad = first + int(np.argmin(finite.reshape(len(finite), -1).all(axis=1)))
+        raise ValidationError(f"model_forward: image {bad} has a non-finite pixel")
+    if observer is not None:
+        observer("input", images.data)
     for i in range(1, len(model.config.eosa) + 1):
         x = eosa_forward(model, i, x, tape=tape, observer=observer)
     return decoder_forward(model, x, tape=tape, observer=observer)
@@ -535,7 +584,8 @@ def model_forward(model: Model, images: Tensor, formats=None, tape: Tape | None 
     once on the whole batch of them. ``observer(site, value)``, when given,
     sees the value of every site the forward computes: a backbone site once
     per block of samples, a head site once per batch. Returns {format:
-    predictions (B, 2K)}."""
+    predictions (B, 2K)}. Raises ``ValidationError`` naming the first image
+    with a NaN or infinite pixel."""
     available = model.head_formats()
     if formats is None:
         requested = available

@@ -35,6 +35,15 @@ int8 path relies on it for exact integer sums (see ``quantize``). The
 forward kernel bodies, the per-sample GEMM loop ``_conv_gemm`` and the
 depthwise tap loop ``_depthwise_taps``, are also the int8 path's kernels,
 which it runs on its own zero-bordered blocks of samples.
+
+``sibling_conv2d`` runs conventional convolutions that share an input and a
+kernel size (the model's ``sibling_convs``), untaped: per sample, the
+receptive fields are copied into one column matrix, and each layer's GEMM
+reads it. Each GEMM keeps the shape it has in ``conv2d``, so each output
+has the bits of its layer's own ``conv2d``; one GEMM over the weights
+joined along cout gave other float64 bits on OpenBLAS, which picks its
+kernel by shape. Training does not use it: the weight gradient of a joined
+GEMM would sum in another order and move the training log.
 """
 
 from __future__ import annotations
@@ -119,13 +128,18 @@ def _strided_window(padded, i, j, stride, out_h, out_w):
     ]
 
 
-def _conv_gemm(fields, w2, out):
-    """out[n] = the receptive fields ``fields[n]`` (out_h, out_w, kh, kw, cin)
-    of sample n times the weights ``w2`` (kh*kw*cin, cout), one GEMM per
-    sample, into ``out`` (B, out_h, out_w, cout)."""
-    fan_in, cout = w2.shape
+def _conv_gemm(fields, weights, outs):
+    """outs[k][n] = the receptive fields ``fields[n]`` (out_h, out_w, kh, kw,
+    cin) of sample n times the weights ``weights[k]`` (kh*kw*cin, cout_k),
+    into ``outs[k]`` (B, out_h, out_w, cout_k): per sample, one column copy
+    of the fields and one GEMM per weight matrix on it."""
+    fan_in = weights[0].shape[0]
+    gemms = [(w2, out.reshape(len(out), -1, w2.shape[1])) for w2, out in zip(weights, outs)]
     for n in range(len(fields)):
-        np.matmul(fields[n].reshape(-1, fan_in), w2, out=out[n].reshape(-1, cout))
+        cols = fields[n].reshape(-1, fan_in)
+        for w2, out in gemms:
+            np.matmul(cols, w2, out=out[n])
+        del cols  # before the next sample's copy, which can then reuse its memory
 
 
 def _depthwise_taps(padded, w, stride, out):
@@ -156,6 +170,16 @@ def _depthwise_taps(padded, w, stride, out):
             r, s = i // stride, j // stride
             window = phases[i % stride, j % stride][:, r : r + out_h, s : s + out_w]
             rows += window.reshape(batch, out_h, out_w * c) * w_rows[i, j]
+
+
+def _add_bias(out, b):
+    """out += b for a C-contiguous (B, H, W, C) ``out``, with ``b`` repeated
+    along a whole output row: the add then runs along rows of W*C values
+    instead of C, which for a narrow layer is several times faster. Each
+    element gets the same sum."""
+    batch, h, w, c = out.shape
+    rows = out.reshape(batch * h, w * c)
+    rows += b[None].repeat(w, 0).reshape(-1)
 
 
 def _zero_extended(grad, top, left, rows, cols):
@@ -215,6 +239,40 @@ def _conv_input_grad(grad, w, stride, pt, pl, shape):
     return dx
 
 
+def _conv_forward(op: str, x: Tensor, layers, stride: int, padding: str):
+    """The outputs of the conventional convolutions ``layers`` (one kernel
+    size, one input width) of ``x``, each with its bias, plus the
+    receptive-field view of the padded input and its (top, left) padding."""
+    for params in layers:
+        _check_params(op, x, params, "conv")
+    _check_stride(op, stride)
+    xd = x.data
+    if xd.ndim != 4:
+        raise ShapeError(op, f"input must be rank 4, got shape {tuple(xd.shape)}")
+    kh, kw, cin, _ = layers[0].weights.shape
+    for params in layers:
+        w = params.weights.data
+        if w.shape[:2] != (kh, kw):
+            raise ShapeError(op, f"kernel {w.shape[0]}x{w.shape[1]} differs from its sibling's "
+                                 f"{kh}x{kw}")
+        if xd.shape[3] != w.shape[2]:
+            raise ShapeError(
+                op,
+                f"input channels {xd.shape[3]} do not match kernel input channels {w.shape[2]} "
+                f"(input {tuple(xd.shape)}, weights {tuple(w.shape)})",
+            )
+    batch, h, wdt, _ = xd.shape
+    out_h, pt, pb = _out_and_pad(op, h, kh, stride, padding)
+    out_w, pl, pr = _out_and_pad(op, wdt, kw, stride, padding)
+    cols = _receptive_fields(_padded(x, pt, pb, pl, pr), kh, kw, stride, out_h, out_w)
+    weights = [params.weights.data.reshape(kh * kw * cin, -1) for params in layers]
+    outs = [np.empty((batch, out_h, out_w, w2.shape[1]), dtype=xd.dtype) for w2 in weights]
+    _conv_gemm(cols, weights, outs)
+    for out, params in zip(outs, layers):
+        _add_bias(out, params.bias.data)
+    return outs, cols, pt, pl
+
+
 def conv2d(
     x: Tensor,
     params: LayerParams,
@@ -224,33 +282,15 @@ def conv2d(
 ) -> Tensor:
     """Conventional 2-D convolution: out[b,y,x,co] = bias[co] + sum over the
     receptive field of input * weight."""
-    _check_params("conv2d", x, params, "conv")
-    _check_stride("conv2d", stride)
-    xd = x.data
-    if xd.ndim != 4:
-        raise ShapeError("conv2d", f"input must be rank 4, got shape {tuple(xd.shape)}")
-    w = params.weights.data
-    b = params.bias.data
-    kh, kw, cin, cout = w.shape
-    if xd.shape[3] != cin:
-        raise ShapeError(
-            "conv2d",
-            f"input channels {xd.shape[3]} do not match kernel input channels {cin} "
-            f"(input {tuple(xd.shape)}, weights {tuple(w.shape)})",
-        )
-    batch, h, wdt, _ = xd.shape
-    out_h, pt, pb = _out_and_pad("conv2d", h, kh, stride, padding)
-    out_w, pl, pr = _out_and_pad("conv2d", wdt, kw, stride, padding)
-    padded = _padded(x, pt, pb, pl, pr)
-    fan_in = kh * kw * cin
-    cols = _receptive_fields(padded, kh, kw, stride, out_h, out_w)
-    w2 = w.reshape(fan_in, cout)
-    out = np.empty((batch, out_h, out_w, cout), dtype=xd.dtype)
-    _conv_gemm(cols, w2, out)
-    out += b
+    (out,), cols, pt, pl = _conv_forward("conv2d", x, (params,), stride, padding)
     result = Tensor(out)
 
     if tape is not None:
+        xd, w = x.data, params.weights.data
+        batch, cout = len(out), w.shape[3]
+        fan_in = w.size // cout
+        w2 = w.reshape(fan_in, cout)
+
         def backward_fn(grad, grads):
             dw = np.zeros_like(w2)
             for n in range(batch):
@@ -262,6 +302,14 @@ def conv2d(
 
         tape.record("conv2d", result, backward_fn)
     return result
+
+
+def sibling_conv2d(x: Tensor, layers, stride: int = 1, padding: str = "same") -> list:
+    """``conv2d`` of ``x`` with each of ``layers``, conventional convolutions
+    of one kernel size, untaped. Per sample, one copy of the receptive
+    fields feeds the GEMM of every layer, and each GEMM has the shape of the
+    layer's own ``conv2d``, so each output has its bits."""
+    return [Tensor(out) for out in _conv_forward("sibling_conv2d", x, layers, stride, padding)[0]]
 
 
 def depthwise_conv2d(
@@ -293,7 +341,7 @@ def depthwise_conv2d(
     padded = _padded(x, pt, pb, pl, pr)
     out = np.zeros((batch, out_h, out_w, c), dtype=xd.dtype)
     _depthwise_taps(padded, w, stride, out)
-    out += b
+    _add_bias(out, b)
     result = Tensor(out)
 
     if tape is not None:

@@ -23,6 +23,14 @@ reads as its padded input; it then adds the int32 bias in float64,
 requantizes to int8, maps the result through the ReLU's table, and writes
 each concat operand through that operand's table straight into its channel
 slice of the concat buffer, so that the concat step only hands the buffer on.
+A group of ``sibling_convs`` (``eosa1.extra`` with ``eosa1.osa.l0`` in the
+stock model) is one such step: one scratch, one receptive-field copy per
+sample and one ``_conv_gemm`` call, in which each layer has its own GEMM, so
+that each requantizes its own contiguous accumulator with scalar constants
+(one GEMM over the weights joined along cout, requantized with per-channel
+rows and read back through strided channel slices, made batch 1 slower).
+The step of a later layer of the group hands on the int8 value that the
+group's step left in the call's buffers.
 The input is quantized one sample at a time too, and an image with a NaN or
 infinite pixel is rejected. The heads' linears and ``decoder.dw`` accumulate
 the whole batch through the float path's step, ``model._apply``, and share
@@ -55,7 +63,7 @@ import numpy as np
 
 from .errors import CalibrationError, ShapeError, UsageError, ValidationError
 from .model import (LayerSpec, Model, ModelConfig, PlanStep, _apply, build_plan, iter_layers,
-                    last_reads, model_forward, run_plan)
+                    last_reads, model_forward, run_plan, sibling_convs)
 from .ops import _conv_gemm, _depthwise_taps, _out_and_pad, _receptive_fields
 from .tensor import LayerParams, Tensor
 
@@ -255,56 +263,79 @@ def _relu_table(in_qp: QuantParams, out_qp: QuantParams) -> np.ndarray:
 _BLOCK_ELEMENTS = 1 << 15
 
 
-class _Layer(NamedTuple):
-    """A conv, depthwise or linear step of the compiled int8 plan, with the
-    ReLU step that alone reads its output fused in."""
+class _Output(NamedTuple):
+    """One layer of a compiled layer step: its weights, its requantization,
+    and where its int8 codes go."""
 
-    step: PlanStep  # the layer's own plan step
-    output: str  # the fused ReLU's site, else the layer's
     params: LayerParams  # int8 weights cast to the accumulator dtype, zero bias
-    in_zero_point: int
     bias: np.ndarray  # the int32 bias in float64; a blocked layer's tiled along an output row
     multiplier: float  # see the module docstring
     zero_point: int  # of the layer's output site; unused for a head output
+    site: str  # the fused ReLU's site, else the layer's
+    table: np.ndarray  # the fused ReLU's table; the identity without one
+    keep: bool  # a later step reads the site's int8 value
+    writes: tuple  # per concat: (site, its channels, first channel, ReLU-then-operand table)
+
+    def allocate(self, batch: int, acc, buffers: dict) -> tuple:
+        """This call's int8 value (None unless ``keep``), its concat slices,
+        and the scratch of a block shaped like ``acc``."""
+        shape = (batch,) + acc.shape[1:]
+        out = np.empty(shape, np.int8) if self.keep else None
+        dests = [_concat_buffer(buffers, site, shape[:-1] + (channels,))[..., lo : lo + shape[-1]]
+                 for site, channels, lo, _ in self.writes]
+        return out, dests, (np.empty_like(acc), np.empty(acc.shape, np.int8),
+                            np.empty(acc.shape, np.int8))
+
+
+class _Layer(NamedTuple):
+    """A conv, depthwise or linear step of the compiled int8 plan, with the
+    ReLU step that alone reads its output fused in. A group of
+    ``sibling_convs`` is one step: its layers share one scratch and one
+    receptive-field copy per sample, and each has its own GEMM and
+    requantization."""
+
+    step: PlanStep  # the plan step of the (first) layer
+    in_zero_point: int
     head: bool  # a head's final layer, whose accumulator is returned as reals
     blocked: bool  # a spatial convolution, run a block of samples at a time
-    table: np.ndarray  # the fused ReLU's table; the identity without one
-    keep: bool  # a later step reads the output's int8 value
-    writes: tuple  # per concat: (site, its channels, first channel, ReLU-then-operand table)
+    outputs: tuple  # an ``_Output`` per layer, in plan order
 
     @property
     def inputs(self) -> tuple:
         return self.step.inputs
 
+    @property
+    def output(self) -> str:
+        return self.outputs[0].site
+
     def run(self, operands, buffers: dict):
-        """The output's int8 value (None when only concats written in place
-        read it), or a head's reals. Each block of rows is requantized, then
-        mapped through the ReLU table and through each concat's table into
-        its channel slice, while it is in cache. ``buffers`` holds this
-        call's concat buffers by site."""
+        """The first layer's int8 value (None when only concats written in
+        place read it), or a head's reals; a later layer's value goes to
+        ``buffers`` under its site, for its own step to hand on. ``buffers``
+        holds this call's concat buffers and group values by site."""
         (q,) = operands
-        out = None
-        for rows, acc in _accumulate(self, q):
-            acc *= self.multiplier
+        for rows, accs in _accumulate(self, q):
             if self.head:
+                (acc,) = accs
+                acc *= self.outputs[0].multiplier
                 return acc
             if rows.start == 0:  # the first block sizes this call's buffers
-                shape = (len(q),) + acc.shape[1:]
-                scratch = (np.empty_like(acc), np.empty(acc.shape, np.int8),
-                           np.empty(acc.shape, np.int8))
-                if self.keep:
-                    out = np.empty(shape, np.int8)
-                dests = [_concat_buffer(buffers, site, shape[:-1] + (channels,))
-                         [..., lo : lo + shape[-1]] for site, channels, lo, _ in self.writes]
-            spare, code, mapped = (a[: len(acc)] for a in scratch)
-            codes = _to_int8(acc, self.zero_point, out=code, scratch=spare).view(np.uint8)
-            if out is not None:  # mode "wrap" (codes are 0..255) does not buffer ``out``
-                np.take(self.table, codes, out=out[rows], mode="wrap")
-            for dest, (*_, table) in zip(dests, self.writes):
-                # A contiguous take and a strided copy beat a strided take (38 vs 54 µs / 32K).
-                np.take(table, codes, out=mapped, mode="wrap")
-                dest[rows] = mapped
-        return out
+                targets = [o.allocate(len(q), acc, buffers) for o, acc in zip(self.outputs, accs)]
+            n = len(accs[0])
+            for o, acc, (out, dests, (spare, code, mapped)) in zip(self.outputs, accs, targets):
+                # Requantize the block, then map it through the ReLU table and
+                # through each concat's table into its slice, while it is in cache.
+                acc *= o.multiplier
+                codes = _to_int8(acc, o.zero_point, out=code[:n], scratch=spare[:n]).view(np.uint8)
+                if out is not None:  # mode "wrap" (codes are 0..255) does not buffer ``out``
+                    np.take(o.table, codes, out=out[rows], mode="wrap")
+                for dest, (*_, table) in zip(dests, o.writes):
+                    # A contiguous take and a strided copy beat a strided take (38 vs 54 µs / 32K).
+                    np.take(table, codes, out=mapped[:n], mode="wrap")
+                    dest[rows] = mapped[:n]
+        for o, (out, _, _) in zip(self.outputs[1:], targets[1:]):
+            buffers[o.site] = out
+        return targets[0][0]
 
 
 class _Tables(NamedTuple):
@@ -320,9 +351,11 @@ class _Tables(NamedTuple):
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
-class _Concat(NamedTuple):
-    """A concat step whose operands' layer steps wrote its buffer: it hands
-    the buffer on."""
+class _Buffered(NamedTuple):
+    """A step whose value an earlier step of the call put in its buffers: a
+    concat whose operands' layer steps wrote it in place, or a layer that
+    ran in the step of the first layer of its sibling group. It hands the
+    value on."""
 
     inputs: tuple
     output: str
@@ -374,88 +407,108 @@ def _compile(qmodel: QuantizedModel) -> _Int8Plan:
                 slices.setdefault(site, []).append((step.output, sum(widths), sum(widths[:k])))
     in_place = {site for entries in slices.values() for site, _, _ in entries}
     taken = set(fused.values())
+    groups = {group[0]: group for group in sibling_convs(plan)}
+    later = {step for group in groups.values() for step in group[1:]}
+
+    def layer_output(layer):
+        site = (fused[layer] or layer).output
+        keep = any(r.output not in in_place for r in readers.get(site, ()))
+        return fused[layer], keep, slices.get(site, ())
 
     steps = []
     for step in plan:
         if step in taken:
             continue
         if step.output in in_place:
-            steps.append(_Concat(step.inputs, step.output))
+            steps.append(_Buffered(step.inputs, step.output))
         elif step.spec is None:
             steps.append(_Tables(step.inputs, step.output, tuple(
                 _relu_table(act[site], act[step.output]) if step.op == "relu"
                 else _requant(_CODES, act[site], act[step.output]) for site in step.inputs)))
+        elif step in later:  # it ran in the step of its group's first layer
+            steps.append(_Buffered((), (fused[step] or step).output))
         else:
-            output = (fused[step] or step).output
-            keep = any(r.output not in in_place for r in readers.get(output, ()))
-            steps.append(_compile_layer(qmodel, step, fused[step], keep, slices.get(output, ())))
+            group = groups.get(step, (step,))
+            steps.append(_compile_layer(qmodel, group, [layer_output(layer) for layer in group]))
     steps = tuple(steps)
     return _Int8Plan(steps, last_reads(steps))
 
 
-def _compile_layer(qmodel: QuantizedModel, step: PlanStep, relu: PlanStep | None, keep: bool,
-                   slices) -> _Layer:
-    act, name = qmodel.activations, step.spec.name
+def _compile_layer(qmodel: QuantizedModel, group, outputs) -> _Layer:
+    """The step of one layer, or of a group of sibling convolutions, from
+    each layer's (ReLU taken in, keep, concat slices)."""
+    act, step = qmodel.activations, group[0]
     dtype = accumulator_dtype(step.spec)
-    w = qmodel.weights[name]
-    params = LayerParams(step.spec.kind, Tensor(w.astype(dtype)),
-                         Tensor(np.zeros(w.shape[-1], dtype)))
-    in_qp, out_qp = act[step.inputs[0]], act[step.output]
-    multiplier = in_qp.scale * qmodel.weight_scales[name]
+    in_qp = act[step.inputs[0]]
     head = step.output in {f"head.{fmt}.out" for fmt in qmodel.head_formats()}
-    bias = qmodel.biases[name].astype(np.float64)
-    if _blocked(step):  # one output row: the add runs along whole rows
-        bias = np.tile(bias, step.spec.out_hw[1])
-    if not head:
-        multiplier /= out_qp.scale
-    output = (relu or step).output
-    table = _relu_table(out_qp, act[output]) if relu else _CODES
-    writes = tuple((site, channels, lo, _requant(table, act[output], act[site]))
-                   for site, channels, lo in slices)
-    return _Layer(step, output, params, in_qp.zero_point, bias, multiplier, out_qp.zero_point,
-                  head, _blocked(step), table, keep, writes)
+    compiled = []
+    for layer, (relu, keep, slices) in zip(group, outputs):
+        name, out_qp = layer.spec.name, act[layer.output]
+        w = qmodel.weights[name]
+        params = LayerParams(layer.spec.kind, Tensor(w.astype(dtype)),
+                             Tensor(np.zeros(w.shape[-1], dtype)))
+        bias = qmodel.biases[name].astype(np.float64)
+        if _blocked(layer):  # one output row: the add runs along whole rows
+            bias = np.tile(bias, layer.spec.out_hw[1])
+        multiplier = in_qp.scale * qmodel.weight_scales[name]
+        if not head:
+            multiplier /= out_qp.scale
+        site = (relu or layer).output
+        table = _relu_table(out_qp, act[site]) if relu else _CODES
+        writes = tuple((concat, channels, first, _requant(table, act[site], act[concat]))
+                       for concat, channels, first in slices)
+        compiled.append(_Output(params, bias, multiplier, out_qp.zero_point, site, table, keep,
+                                writes))
+    return _Layer(step, in_qp.zero_point, head, _blocked(step), tuple(compiled))
 
 
 def _accumulate(layer: _Layer, q: np.ndarray):
-    """Yield (rows, acc): the layer's integer accumulator for its int8 input
-    ``q[rows]``, bias included, as exact integers in float64 that the caller
-    may overwrite. A blocked layer yields one block of samples at a time: it
-    writes q - zero_point into the interior of a zero-bordered scratch, which
-    the ``ops`` kernel reads as its padded input, and reuses every buffer. A
-    whole-batch layer runs its ``ops`` op once and yields all rows."""
-    dtype = layer.params.weights.data.dtype
+    """Yield (rows, accs): per layer of the step, its integer accumulator for
+    the int8 input ``q[rows]``, bias included, as exact integers in float64
+    that the caller may overwrite. A blocked step yields one block of
+    samples at a time: it writes q - zero_point into the interior of a
+    zero-bordered scratch, which the ``ops`` kernel reads as its padded
+    input, and reuses every buffer; the layers of a group read one
+    receptive-field copy per sample. A whole-batch layer runs its ``ops`` op
+    once and yields all rows."""
+    first = layer.outputs[0]
+    dtype = first.params.weights.data.dtype
     if not layer.blocked:
         x = Tensor(np.subtract(q, layer.in_zero_point, dtype=dtype))
-        yield slice(0, len(q)), np.add(_apply(layer.step, layer.params, [x]).data, layer.bias,
-                                       dtype=np.float64)
+        yield slice(0, len(q)), [np.add(_apply(layer.step, first.params, [x]).data, first.bias,
+                                        dtype=np.float64)]
         return
-    spec, weights = layer.step.spec, layer.params.weights.data
+    spec, outputs = layer.step.spec, layer.outputs
     batch, h, w, cin = q.shape
-    (kh, kw), stride, cout = spec.kernel, spec.stride, spec.cout
+    (kh, kw), stride = spec.kernel, spec.stride
     out_h, pt, pb = _out_and_pad(spec.name, h, kh, stride, spec.padding)
     out_w, pl, pr = _out_and_pad(spec.name, w, kw, stride, spec.padding)
-    block = min(batch, max(1, _BLOCK_ELEMENTS // max(h * w * cin, out_h * out_w * cout)))
+    weights = [o.params.weights.data for o in outputs]
+    widths = [wt.shape[-1] for wt in weights]
+    block = min(batch, max(1, _BLOCK_ELEMENTS // max(h * w * cin, out_h * out_w * sum(widths))))
     padded = np.zeros((block, h + pt + pb, w + pl + pr, cin), dtype)
-    acc = np.empty((block, out_h, out_w, cout), dtype)
-    real = np.empty(acc.shape)
-    bias_row = layer.bias  # tiled for the plan's output width; a direct call may pass another
-    if bias_row.size != out_w * cout:
-        bias_row = np.tile(bias_row[:cout], out_w)
+    accs = [np.empty((block, out_h, out_w, c), dtype) for c in widths]
+    reals = [np.empty(acc.shape) for acc in accs]
+    gemm = [wt.reshape(-1, c) for wt, c in zip(weights, widths)]
+    # tiled for the plan's output width; a direct call may pass another
+    bias_rows = [o.bias if out_w == spec.out_hw[1] else np.tile(o.bias[:c], out_w)
+                 for o, c in zip(outputs, widths)]
     for start in range(0, batch, block):
         rows = slice(start, min(start + block, batch))
         n = rows.stop - start
-        x, y, r = padded[:n], acc[:n], real[:n]
+        x = padded[:n]
+        ys, rs = [acc[:n] for acc in accs], [real[:n] for real in reals]
         np.subtract(q[rows], layer.in_zero_point, out=x[:, pt : pt + h, pl : pl + w], dtype=dtype)
         if layer.step.op == "conv":
-            _conv_gemm(_receptive_fields(x, kh, kw, stride, out_h, out_w),
-                       weights.reshape(-1, cout), y)
+            _conv_gemm(_receptive_fields(x, kh, kw, stride, out_h, out_w), gemm, ys)
         else:
-            y.fill(0)
-            _depthwise_taps(x, weights, stride, y)
-        np.copyto(r, y)
-        r_rows = r.reshape(-1, bias_row.size)
-        r_rows += bias_row
-        yield rows, r
+            ys[0].fill(0)
+            _depthwise_taps(x, weights[0], stride, ys[0])
+        for y, r, bias_row in zip(ys, rs, bias_rows):
+            np.copyto(r, y)
+            r_rows = r.reshape(-1, bias_row.size)
+            r_rows += bias_row
+        yield rows, rs
 
 
 def _quantize_images(images: np.ndarray, qp: QuantParams) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Shared test oracles: naive loop-reference layers and finite differences.
+"""Shared test oracles: naive loop-reference layers, an int64 interpreter of
+the int8 plan built on them, and finite differences.
 
 These stay deliberately independent of the library's vectorized kernels so
 they can serve as ground truth for them.
@@ -7,7 +8,7 @@ they can serve as ground truth for them.
 import numpy as np
 import pytest
 
-from efld.model import EosaConfig, HeadConfig, ModelConfig
+from efld.model import EosaConfig, HeadConfig, ModelConfig, build_plan
 
 
 def _pad_split(size, k, stride, padding):
@@ -61,6 +62,55 @@ def ref_depthwise_conv2d(x, w, b, stride=1, padding="same"):
                                 acc += x[bi, iy, ix, ci] * w[i, j, ci]
                     out[bi, oy, ox, ci] = acc
     return out
+
+
+def oracle_requant(x, zero_point):
+    """clamp(round half away from zero(x) + zero_point, -128, 127) in int64."""
+    rounded = np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
+    return np.clip(rounded.astype(np.int64) + zero_point, -128, 127)
+
+
+def integer_oracle(qmodel, images):
+    """The plan interpreted in int64 with the loop oracles, following the
+    requantization formula of the ``efld.quantize`` docstring."""
+    act = qmodel.activations
+    real = np.asarray(images, dtype=np.float64)
+    values = {"input": oracle_requant(real / act["input"].scale, act["input"].zero_point)}
+    heads = {f"head.{fmt}.out": fmt for fmt in qmodel.head_formats()}
+    results = {}
+    for step in build_plan(qmodel.config):
+        out_qp = act[step.output]
+        if step.op == "concat":
+            values[step.output] = np.concatenate([
+                oracle_requant((values[site] - act[site].zero_point)
+                               * (act[site].scale / out_qp.scale), out_qp.zero_point)
+                for site in step.inputs], axis=-1)
+            continue
+        in_qp = act[step.inputs[0]]
+        x = values[step.inputs[0]]
+        if step.op == "relu":
+            shifted = np.maximum(x, in_qp.zero_point) - in_qp.zero_point
+            values[step.output] = oracle_requant(shifted * (in_qp.scale / out_qp.scale),
+                                                 out_qp.zero_point)
+            continue
+        spec = step.spec
+        w = qmodel.weights[spec.name].astype(np.int64)
+        b = qmodel.biases[spec.name].astype(np.int64)
+        x = x - in_qp.zero_point
+        if step.op == "conv":
+            acc = ref_conv2d(x, w, b, spec.stride, spec.padding)
+        elif step.op == "depthwise":
+            acc = ref_depthwise_conv2d(x, w, b, spec.stride, spec.padding)
+        else:
+            acc = x @ w + b
+        acc = acc.reshape(acc.shape[0], -1) if step.flatten else acc
+        multiplier = in_qp.scale * qmodel.weight_scales[spec.name]
+        if step.output in heads:
+            results[heads[step.output]] = acc * multiplier
+        else:
+            values[step.output] = oracle_requant(acc * (multiplier / out_qp.scale),
+                                                 out_qp.zero_point)
+    return results
 
 
 def central_difference(f, arrays, eps=1e-5):

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from efld.errors import ConfigError, ShapeError, UsageError
+from efld.errors import ConfigError, ShapeError, UsageError, ValidationError
 from efld.model import (
     VARIANTS,
     EosaConfig,
     HeadConfig,
     LayerSpec,
+    Model,
     ModelConfig,
     PlanStep,
     apply_variant,
@@ -23,6 +24,7 @@ from efld.model import (
     last_reads,
     model_forward,
     run_plan,
+    sibling_convs,
     site_pads,
 )
 from efld.tensor import LayerParams, Tape, Tensor, backward
@@ -231,32 +233,109 @@ def test_site_pads_are_the_widest_padding_of_the_readers():
     assert site_pads(plan, 8) == {"input": (1, 1, 2, 2)}
 
 
+@pytest.mark.parametrize("formats", [("p51",), ("p51", "p68", "p98")], ids=["1head", "3heads"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sibling_convs_are_the_extra_conv_and_the_first_chain_conv(variant, formats):
+    """A conventional extra conv and the first chain conv both read the
+    module's input with a 3x3 stride-2 kernel; a depthwise extra conv joins
+    no group."""
+    config = apply_variant(default_config(formats), variant)
+    plan = build_plan(config)
+    groups = [tuple(step.layer for step in group) for group in sibling_convs(plan)]
+    stages = range(1, len(config.eosa) + 1) if variant == "conv-backbone" else [1]
+    assert groups == [(f"eosa{i}.extra", f"eosa{i}.osa.l0") for i in stages]
+    for group in sibling_convs(plan):
+        assert len({(step.inputs, step.spec.kernel, step.spec.stride, step.spec.padding)
+                    for step in group}) == 1
+
+
+def test_sibling_convs_need_one_site_kernel_stride_padding_and_kind():
+    def conv(name, src="input", kernel=(3, 3), stride=2, padding="same", kind="conv"):
+        op = "conv" if kind == "conv" else "depthwise"
+        return PlanStep("s", op, (src,), name + ".out",
+                        LayerSpec(name, kind, kernel, 4, 4, stride, padding, (4, 4)))
+
+    first = conv("a")
+    assert sibling_convs([first, conv("b"), conv("c")]) == [(first, conv("b"), conv("c"))]
+    for other in (conv("b", src="other"), conv("b", kernel=(1, 1)), conv("b", kernel=(3, 1)),
+                  conv("b", stride=1), conv("b", padding="valid"),
+                  conv("b", kind="depthwise-conv")):
+        assert sibling_convs([first, other]) == []
+
+
+@pytest.mark.parametrize("change", ["replace", "in place"])
+@pytest.mark.parametrize("tensor", ["eosa1.osa.l0.w", "eosa1.osa.l0.b", "eosa1.extra.w"])
+def test_untaped_forward_reads_the_current_parameters(tensor, change):
+    """After a forward, a sibling convolution's parameter tensor is replaced
+    in ``params``, or overwritten in place as training does: the next
+    forward equals that of a fresh ``Model`` on the new parameters."""
+    config = reduced_config()
+    model = build_model(config, seed=1)
+    x = Tensor(np.random.default_rng(2).uniform(size=(3, 32, 32, 3)).astype("float32"))
+    before = model_forward(model, x)["p51"].data
+    old = model.params[tensor]
+    new = np.random.default_rng(3).uniform(-1.0, 1.0, size=old.shape).astype("float32")
+    if change == "replace":
+        model.params[tensor] = Tensor(new)
+    else:
+        old.data[...] = new
+    after = model_forward(model, x)["p51"].data
+    fresh = model_forward(Model(config, dict(model.params), model.dtype), x)["p51"].data
+    assert after.tobytes() == fresh.tobytes()
+    assert after.tobytes() != before.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_non_finite_pixel_is_rejected(bad, taped):
+    """Also -inf, which the first ReLU would turn into a finite 0. The
+    untaped forward checks one block of samples at a time and names the
+    image by its index in the batch."""
+    model = build_model(reduced_config(), seed=1)
+    model._block = 2
+    images = np.random.default_rng(4).uniform(size=(5, 32, 32, 3)).astype("float32")
+    images[3, 7, 9, 1] = bad
+    images[4, 0, 0, 0] = bad
+    with pytest.raises(ValidationError, match="image 3 has a non-finite pixel"):
+        model_forward(model, Tensor(images), tape=Tape() if taped else None)
+
+
 def test_forward_calls_each_patched_op_once_per_plan_step(monkeypatch):
     """The benchmark's tracer wraps these ``efld.model`` attributes and names
     a layer by ``params.weights is model.params[layer + ".w"]``; the forward
-    must call them that way, with ``x`` and ``params`` positional."""
+    must call them that way, with ``x`` and ``params`` positional. Without a
+    tape, each group of ``sibling_convs`` is one ``sibling_conv2d`` call,
+    made at the step of its first layer, with its layers' params in order."""
     import efld.model as model_module
 
     config = reduced_config(("p51", "p68"))
     model = build_model(config, seed=1)
     plan = build_plan(config)
     pads = site_pads(plan, config.input_size)
+    groups = sibling_convs(plan)
+    assert [[step.layer for step in group] for group in groups] == [["eosa1.extra",
+                                                                     "eosa1.osa.l0"]]
     calls, layers, bordered = {}, [], []
+
+    def name_of(params):
+        assert isinstance(params, LayerParams)
+        (layer,) = [n for n in model.layer_names() if params.weights is model.params[n + ".w"]]
+        return layer
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            if name in ("conv2d", "depthwise_conv2d", "linear"):
+            if name in ("conv2d", "depthwise_conv2d", "linear", "sibling_conv2d"):
                 x, params = args[:2]
-                assert isinstance(x, Tensor) and isinstance(params, LayerParams)
-                (layer,) = [n for n in model.layer_names()
-                            if params.weights is model.params[n + ".w"]]
-                layers.append(layer)
-                bordered.append(x.border is not None)
+                assert isinstance(x, Tensor)
+                group = params if name == "sibling_conv2d" else [params]
+                layers.extend(name_of(p) for p in group)
+                bordered.extend(x.border is not None for _ in group)
             return fn(*args, **kwargs)
         return wrapper
 
-    names = ("conv2d", "depthwise_conv2d", "linear", "relu", "concat_channels", "eosa_forward")
+    names = ("conv2d", "depthwise_conv2d", "linear", "relu", "concat_channels", "eosa_forward",
+             "sibling_conv2d")
     for name in names:
         monkeypatch.setattr(model_module, name, counting(name, getattr(model_module, name)))
     model_forward(model, Tensor(np.zeros((2, 32, 32, 3), dtype="float32")))
@@ -266,6 +345,8 @@ def test_forward_calls_each_patched_op_once_per_plan_step(monkeypatch):
     expected = {name: 0 for name in names}
     for step in plan:
         expected[ops[step.op]] += 1
+    expected["conv2d"] -= sum(len(group) for group in groups)
+    expected["sibling_conv2d"] = len(groups)
     expected["eosa_forward"] = len(config.eosa)
     assert calls == expected
     layer_steps = [step for step in plan if step.spec is not None]
@@ -279,11 +360,15 @@ def test_forward_calls_each_patched_op_once_per_plan_step(monkeypatch):
 def test_untaped_backbone_runs_in_blocks_bit_equal_to_the_taped_forward(monkeypatch, variant,
                                                                         formats):
     """Without a tape the backbone runs two full blocks of samples and a
-    ragged remainder one after the other; a taped forward runs the whole
-    batch at once. Every output bit is the same."""
+    ragged remainder one after the other, each group of ``sibling_convs`` as
+    one ``sibling_conv2d``; a taped forward runs the whole batch at once, one
+    ``conv2d`` per layer. Every output bit is the same, and so is every bit
+    that the observer sees of every plan site, which is all calibration
+    reads."""
     import efld.model as model_module
 
-    model = build_model(apply_variant(default_config(formats), variant), seed=4)
+    config = apply_variant(default_config(formats), variant)
+    model = build_model(config, seed=4)
     block = model._block
     assert block > 1
     batch = 2 * block + 1
@@ -296,14 +381,25 @@ def test_untaped_backbone_runs_in_blocks_bit_equal_to_the_taped_forward(monkeypa
             stage1.append(len(x.data))
         return eosa(model, index, x, *args, **kwargs)
 
+    seen = {}
+
+    def observer(site, value):
+        seen.setdefault(site, []).append(value.copy())
+
     monkeypatch.setattr(model_module, "eosa_forward", recording)
-    blocked = model_forward(model, x)
+    blocked = model_forward(model, x, observer=observer)
     assert stage1 == [block, block, 1]
-    whole = model_forward(model, x, tape=Tape())
+    blocked_seen, seen = seen, {}
+    whole = model_forward(model, x, tape=Tape(), observer=observer)
     assert stage1 == [block, block, 1, batch]
     assert list(blocked) == list(whole) == list(formats)
     for fmt in formats:
         assert blocked[fmt].data.tobytes() == whole[fmt].data.tobytes()
+    sites = ["input"] + [step.output for step in build_plan(config)]
+    assert list(blocked_seen) == list(seen) == sites
+    for site in sites:
+        (value,) = seen[site]
+        assert np.concatenate(blocked_seen[site]).tobytes() == value.tobytes(), site
 
 
 def test_untaped_forward_peak_memory_does_not_grow_with_the_batch():

@@ -38,7 +38,7 @@ from efld.quantize import (
 from efld.synthetic import generate_synthetic
 from efld.tensor import Tape, Tensor
 
-from conftest import reduced_config, ref_conv2d, ref_depthwise_conv2d
+from conftest import integer_oracle, reduced_config, ref_conv2d
 
 
 class TestQuantizeValue:
@@ -434,55 +434,6 @@ def wide_config(formats=("p51", "p68")):
     return replace(config, eosa=config.eosa[:3] + (EosaConfig(64, 3, 16, "depthwise-separable"),))
 
 
-def oracle_requant(x, zero_point):
-    """clamp(round half away from zero(x) + zero_point, -128, 127) in int64."""
-    rounded = np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
-    return np.clip(rounded.astype(np.int64) + zero_point, -128, 127)
-
-
-def integer_oracle(qmodel, images):
-    """The plan interpreted in int64 with the loop oracles, following the
-    requantization formula of the ``efld.quantize`` docstring."""
-    act = qmodel.activations
-    real = np.asarray(images, dtype=np.float64)
-    values = {"input": oracle_requant(real / act["input"].scale, act["input"].zero_point)}
-    heads = {f"head.{fmt}.out": fmt for fmt in qmodel.head_formats()}
-    results = {}
-    for step in build_plan(qmodel.config):
-        out_qp = act[step.output]
-        if step.op == "concat":
-            values[step.output] = np.concatenate([
-                oracle_requant((values[site] - act[site].zero_point)
-                               * (act[site].scale / out_qp.scale), out_qp.zero_point)
-                for site in step.inputs], axis=-1)
-            continue
-        in_qp = act[step.inputs[0]]
-        x = values[step.inputs[0]]
-        if step.op == "relu":
-            shifted = np.maximum(x, in_qp.zero_point) - in_qp.zero_point
-            values[step.output] = oracle_requant(shifted * (in_qp.scale / out_qp.scale),
-                                                 out_qp.zero_point)
-            continue
-        spec = step.spec
-        w = qmodel.weights[spec.name].astype(np.int64)
-        b = qmodel.biases[spec.name].astype(np.int64)
-        x = x - in_qp.zero_point
-        if step.op == "conv":
-            acc = ref_conv2d(x, w, b, spec.stride, spec.padding)
-        elif step.op == "depthwise":
-            acc = ref_depthwise_conv2d(x, w, b, spec.stride, spec.padding)
-        else:
-            acc = x @ w + b
-        acc = acc.reshape(acc.shape[0], -1) if step.flatten else acc
-        multiplier = in_qp.scale * qmodel.weight_scales[spec.name]
-        if step.output in heads:
-            results[heads[step.output]] = acc * multiplier
-        else:
-            values[step.output] = oracle_requant(acc * (multiplier / out_qp.scale),
-                                                 out_qp.zero_point)
-    return results
-
-
 class TestIntegerOracle:
     def test_accumulator_dtype_follows_fan_in(self):
         linear = LayerSpec("x", "linear", (), 514, 4)
@@ -539,6 +490,6 @@ class TestIntegerOracle:
         assert (centre.min() > 2**24) == (accumulator_dtype(step.spec) is np.float64)
         layer_step = next(s for s in qmodel._states.steps
                           if isinstance(s, _Layer) and s.step.layer == layer)
-        got = np.concatenate([acc.copy() for _, acc in _accumulate(layer_step, x)])
+        got = np.concatenate([acc.copy() for _, (acc,) in _accumulate(layer_step, x)])
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, sums + b)
