@@ -5,11 +5,13 @@ The byte layout is normative and documented in docs/container.md: magic
 tensor table, and the payload section. Quantized activation sites are stored
 as zero-length int8 entries named ``site:<name>`` carrying their scale and
 zero point. Saving is deterministic, writes atomically (temp file + rename),
-and save -> load -> save reproduces files byte-identically.
+and save -> load -> save reproduces files byte-identically. Loading checks
+every entry against the architecture's plan before it builds a model.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -19,7 +21,7 @@ import numpy as np
 from .config import parse_model_config, render_model_config
 from .errors import ContainerError, CorruptionError, UsageError
 from .model import Model, iter_layers
-from .quantize import QuantParams, QuantizedModel, plan_sites
+from .quantize import QMAX, QMIN, QuantParams, QuantizedModel, plan_sites
 from .tensor import Tensor
 
 MAGIC = b"EFLD"
@@ -206,28 +208,47 @@ def load(path):
     return _assemble_float(path, config, arrays)
 
 
-def _assemble_float(path, config, arrays) -> Model:
-    expected = []
-    for spec in iter_layers(config):
-        expected += [spec.name + ".w", spec.name + ".b"]
-    if set(arrays) != set(expected):
+def _check_plan(path, config, arrays, quant=None) -> tuple:
+    """The architecture's layers, and its activation sites when ``quant`` is
+    given, once every tensor of the container matches the plan: its name
+    and shape and, with ``quant``, its scale (finite and > 0) and zero point
+    (0 for a weight or bias, within [-128, 127] for a site)."""
+    layers = list(iter_layers(config))
+    sites = [] if quant is None else plan_sites(config)
+    shapes = {}
+    for spec in layers:
+        shapes.update({spec.name + ".w": spec.weight_shape, spec.name + ".b": (spec.cout,)})
+    shapes.update((f"site:{site}", ()) for site in sites)
+    if set(arrays) != set(shapes):
         raise ContainerError(f"{path}: tensor names do not match the architecture")
-    dtypes = {arrays[name].dtype.name for name in expected}
+    for name, shape in shapes.items():
+        got = () if arrays[name] is None else arrays[name].shape
+        if got != shape:
+            raise ContainerError(f"{path}: tensor {name!r} has shape {got}, expected {shape}")
+        if quant is None:
+            continue
+        scale, zero_point = quant[name]
+        lo, hi = (0, 0) if shape else (QMIN, QMAX)  # a site has no dims
+        if scale is None or not (math.isfinite(scale) and scale > 0) or not lo <= zero_point <= hi:
+            raise ContainerError(f"{path}: tensor {name!r} has scale {scale} and zero point "
+                                 f"{zero_point}; it needs a finite scale > 0 and a zero point "
+                                 f"within [{lo}, {hi}]")
+    return layers, sites
+
+
+def _assemble_float(path, config, arrays) -> Model:
+    layers, _ = _check_plan(path, config, arrays)
+    dtypes = {array.dtype.name for array in arrays.values()}
     if len(dtypes) != 1 or not dtypes <= {"float32", "float64"}:
         raise ContainerError(f"{path}: float container holds dtypes {sorted(dtypes)}")
-    params = {name: Tensor(arrays[name]) for name in expected}
+    params = {name: Tensor(arrays[name]) for spec in layers
+              for name in (spec.name + ".w", spec.name + ".b")}
     return Model(config, params, dtypes.pop())
 
 
 def _assemble_quantized(path, config, arrays, quant) -> QuantizedModel:
-    weights, weight_scales, biases, bias_scales, activations = {}, {}, {}, {}, {}
-    layers, sites = list(iter_layers(config)), plan_sites(config)
-    expected = set()
-    for spec in layers:
-        expected.update((spec.name + ".w", spec.name + ".b"))
-    expected.update(f"site:{site}" for site in sites)
-    if set(arrays) != expected:
-        raise ContainerError(f"{path}: tensor names do not match the architecture")
+    layers, sites = _check_plan(path, config, arrays, quant)
+    weights, weight_scales, biases, bias_scales = {}, {}, {}, {}
     for spec in layers:
         w_name, b_name = spec.name + ".w", spec.name + ".b"
         if arrays[w_name].dtype != np.int8 or arrays[b_name].dtype != np.int32:
@@ -236,7 +257,5 @@ def _assemble_quantized(path, config, arrays, quant) -> QuantizedModel:
         weight_scales[spec.name] = quant[w_name][0]
         biases[spec.name] = arrays[b_name]
         bias_scales[spec.name] = quant[b_name][0]
-    for site in sites:
-        scale, zero_point = quant[f"site:{site}"]
-        activations[site] = QuantParams(scale=scale, zero_point=zero_point)
+    activations = {site: QuantParams(*quant[f"site:{site}"]) for site in sites}
     return QuantizedModel(config, weights, weight_scales, biases, bias_scales, activations)

@@ -35,18 +35,18 @@ bit-identical to a whole-batch forward. A taped forward (training) runs each
 stage on the whole batch: blocks made it no faster, and the tape keeps every
 value until the backward anyway.
 
-Without a tape, each group of ``sibling_convs``, conv layers that read one
-site with one kernel size, stride and padding, runs as one
-``ops.sibling_conv2d`` at the step of its first layer: per sample, one copy
-of the receptive fields feeds the GEMM of every layer of the group. In the
+Each group of ``sibling_convs``, conv layers that read one site with one
+kernel size, stride and padding, runs as one ``ops.sibling_conv2d`` at the
+step of its first layer, with or without a tape: per sample, one copy of
+the receptive fields feeds the GEMM of every layer of the group. In the
 stock model that is ``eosa1.extra`` with ``eosa1.osa.l0``; in
 ``conv-backbone`` the same pair in every module; a depthwise extra conv
 joins none. Each GEMM keeps its layer's own shape and weights (read through
-``Model.layer`` on every call), so the outputs are the bits of the layers
-run one by one: one GEMM over the weights joined along cout gave other
-float64 bits on OpenBLAS, which picks its kernel by the GEMM's shape. The
-taped forward stays unfused: the weight gradient of a joined GEMM sums in
-another order than each layer's own, which would move the training log.
+``Model.layer`` on every call), and each layer records its own backward
+node, so the outputs and the gradients are the bits of the layers run one
+by one: one GEMM over the weights joined along cout gave other float64 bits
+on OpenBLAS, which picks its kernel by the GEMM's shape, and its weight
+gradient would sum in another order.
 
 The int8 path in ``quantize`` compiles the plan once per model into fused
 steps, each layer with its ReLU and its writes into concat buffers, and runs
@@ -490,20 +490,20 @@ def run_plan(steps, values: dict, apply, drops=None) -> dict:
 def _run_stage(model: Model, stage: str, x: Tensor, tape: Tape | None,
                observer) -> Tensor:
     """Run one stage of the plan on ``x``, reporting each output site to
-    ``observer``. Without a tape, the first step of each group of
-    ``sibling_convs`` runs the whole group as one ``sibling_conv2d``, and
-    each later member's step hands on its output."""
+    ``observer``. The first step of each group of ``sibling_convs`` runs
+    the whole group as one ``sibling_conv2d``, on the tape when there is
+    one, and each later member's step hands on its output."""
     steps = model._stages[stage]
-    siblings = model._siblings if tape is None else {}
     held = {}  # output site -> the output of a group member whose step is still to come
 
     def apply(step, operands):
         if step.output in held:
             y = held.pop(step.output)
-        elif step.output in siblings:
-            group = siblings[step.output]
+        elif step.output in model._siblings:
+            group = model._siblings[step.output]
             y, *rest = sibling_conv2d(operands[0], [model.layer(s.layer) for s in group],
-                                      stride=step.spec.stride, padding=step.spec.padding)
+                                      stride=step.spec.stride, padding=step.spec.padding,
+                                      tape=tape)
             held.update((s.output, out) for s, out in zip(group[1:], rest))
         else:
             y = _apply(step, model.layer(step.layer) if step.layer else None, operands, tape,
@@ -544,12 +544,10 @@ def backbone_forward(model: Model, images: Tensor, tape: Tape | None = None,
     ``observer`` sees each of their sites once per block; with a tape they
     run on the whole batch at once. The outputs are the same bits."""
     s = model.config.input_size
-    if images.data.ndim != 4 or images.shape[1] != s or images.shape[2] != s \
-            or images.shape[3] != INPUT_CHANNELS:
-        raise ShapeError(
-            "model_forward",
-            f"expected images of shape (B, {s}, {s}, {INPUT_CHANNELS}), got {tuple(images.shape)}",
-        )
+    if images.data.ndim != 4 or images.shape[1:] != (s, s, INPUT_CHANNELS) \
+            or not images.shape[0]:
+        raise ShapeError("model_forward", f"expected images of shape (B, {s}, {s}, "
+                         f"{INPUT_CHANNELS}) with B >= 1, got {tuple(images.shape)}")
     block = model._block
     if tape is not None or len(images.data) <= block:
         return _backbone_block(model, images, tape, observer)

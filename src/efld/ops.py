@@ -32,18 +32,21 @@ GEMM per sample. Every op forms an input gradient only when the backward's
 ``Gradients`` wants it (see ``tensor.Tape``). The GEMMs sum float32 inputs
 in float32 and float64 inputs in float64, never in a narrower type; the
 int8 path relies on it for exact integer sums (see ``quantize``). The
-forward kernel bodies, the per-sample GEMM loop ``_conv_gemm`` and the
-depthwise tap loop ``_depthwise_taps``, are also the int8 path's kernels,
-which it runs on its own zero-bordered blocks of samples.
+forward kernel bodies, the per-sample GEMM loop ``_conv_gemm``, the
+depthwise tap loop ``_depthwise_taps`` and the row-wise bias add
+``_add_bias``, are also the int8 path's kernels, which it runs on its own
+zero-bordered blocks of samples.
 
-``sibling_conv2d`` runs conventional convolutions that share an input and a
-kernel size (the model's ``sibling_convs``), untaped: per sample, the
-receptive fields are copied into one column matrix, and each layer's GEMM
-reads it. Each GEMM keeps the shape it has in ``conv2d``, so each output
-has the bits of its layer's own ``conv2d``; one GEMM over the weights
-joined along cout gave other float64 bits on OpenBLAS, which picks its
-kernel by shape. Training does not use it: the weight gradient of a joined
-GEMM would sum in another order and move the training log.
+Every conventional convolution runs through one body: ``sibling_conv2d``
+runs convolutions that share an input and a kernel size (the model's
+``sibling_convs``), and ``conv2d`` is that body with one layer. Per sample,
+the receptive fields are copied into one column matrix, and each layer's
+GEMM reads it. Each GEMM keeps the shape it has for its layer alone, so
+each output has the bits of its layer's own ``conv2d``; one GEMM over the
+weights joined along cout gave other float64 bits on OpenBLAS, which picks
+its kernel by shape. With a tape, each layer records its own backward
+node, so its weight gradient sums in the same order as alone, and the
+input gradient is the sum of the layers' input gradients.
 """
 
 from __future__ import annotations
@@ -239,77 +242,77 @@ def _conv_input_grad(grad, w, stride, pt, pl, shape):
     return dx
 
 
-def _conv_forward(op: str, x: Tensor, layers, stride: int, padding: str):
-    """The outputs of the conventional convolutions ``layers`` (one kernel
-    size, one input width) of ``x``, each with its bias, plus the
-    receptive-field view of the padded input and its (top, left) padding."""
-    for params in layers:
-        _check_params(op, x, params, "conv")
+def _conv_layers(op: str, x: Tensor, layers, stride: int, padding: str, tape: Tape | None):
+    """The outputs of the conventional convolutions ``layers``, one kernel
+    size and one input width, of ``x``, each with its bias: per sample, one
+    copy of the receptive fields feeds every layer's GEMM. With a tape, each
+    layer records its own backward under ``op``."""
     _check_stride(op, stride)
     xd = x.data
     if xd.ndim != 4:
         raise ShapeError(op, f"input must be rank 4, got shape {tuple(xd.shape)}")
-    kh, kw, cin, _ = layers[0].weights.shape
+    kh, kw = layers[0].weights.shape[:2]
     for params in layers:
+        _check_params(op, x, params, "conv")
         w = params.weights.data
         if w.shape[:2] != (kh, kw):
             raise ShapeError(op, f"kernel {w.shape[0]}x{w.shape[1]} differs from its sibling's "
                                  f"{kh}x{kw}")
         if xd.shape[3] != w.shape[2]:
-            raise ShapeError(
-                op,
-                f"input channels {xd.shape[3]} do not match kernel input channels {w.shape[2]} "
-                f"(input {tuple(xd.shape)}, weights {tuple(w.shape)})",
-            )
-    batch, h, wdt, _ = xd.shape
+            raise ShapeError(op, f"input channels {xd.shape[3]} do not match kernel input "
+                                 f"channels {w.shape[2]} (input {tuple(xd.shape)}, weights "
+                                 f"{tuple(w.shape)})")
+    batch, h, wdt, cin = xd.shape
     out_h, pt, pb = _out_and_pad(op, h, kh, stride, padding)
     out_w, pl, pr = _out_and_pad(op, wdt, kw, stride, padding)
     cols = _receptive_fields(_padded(x, pt, pb, pl, pr), kh, kw, stride, out_h, out_w)
     weights = [params.weights.data.reshape(kh * kw * cin, -1) for params in layers]
     outs = [np.empty((batch, out_h, out_w, w2.shape[1]), dtype=xd.dtype) for w2 in weights]
     _conv_gemm(cols, weights, outs)
-    for out, params in zip(outs, layers):
+    results = []
+    for out, w2, params in zip(outs, weights, layers):
         _add_bias(out, params.bias.data)
-    return outs, cols, pt, pl
+        results.append(Tensor(out))
+        if tape is not None:
+            tape.record(op, results[-1], _conv_backward(x, params, w2, cols, stride, pt, pl))
+    return results
 
 
-def conv2d(
-    x: Tensor,
-    params: LayerParams,
-    stride: int = 1,
-    padding: str = "same",
-    tape: Tape | None = None,
-) -> Tensor:
+def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: int, pl: int):
+    """The backward of one conventional convolution of ``x``, whose forward
+    read the receptive-field view ``cols`` with the (top, left) padding
+    (pt, pl), and the weights as the (fan_in, cout) matrix ``w2``."""
+    w = params.weights.data
+    fan_in, cout = w2.shape
+
+    def backward_fn(grad, grads):
+        dw = np.zeros_like(w2)
+        for n in range(len(grad)):
+            dw += cols[n].reshape(-1, fan_in).T @ grad[n].reshape(-1, cout)
+        if grads.wants(x):
+            grads.accumulate(x, _conv_input_grad(grad, w, stride, pt, pl, x.data.shape))
+        grads.accumulate(params.weights, dw.reshape(w.shape))
+        grads.accumulate(params.bias, grad.sum(axis=(0, 1, 2)))
+
+    return backward_fn
+
+
+def conv2d(x: Tensor, params: LayerParams, stride: int = 1, padding: str = "same",
+           tape: Tape | None = None) -> Tensor:
     """Conventional 2-D convolution: out[b,y,x,co] = bias[co] + sum over the
     receptive field of input * weight."""
-    (out,), cols, pt, pl = _conv_forward("conv2d", x, (params,), stride, padding)
-    result = Tensor(out)
-
-    if tape is not None:
-        xd, w = x.data, params.weights.data
-        batch, cout = len(out), w.shape[3]
-        fan_in = w.size // cout
-        w2 = w.reshape(fan_in, cout)
-
-        def backward_fn(grad, grads):
-            dw = np.zeros_like(w2)
-            for n in range(batch):
-                dw += cols[n].reshape(-1, fan_in).T @ grad[n].reshape(-1, cout)
-            if grads.wants(x):
-                grads.accumulate(x, _conv_input_grad(grad, w, stride, pt, pl, xd.shape))
-            grads.accumulate(params.weights, dw.reshape(w.shape))
-            grads.accumulate(params.bias, grad.sum(axis=(0, 1, 2)))
-
-        tape.record("conv2d", result, backward_fn)
-    return result
+    return _conv_layers("conv2d", x, (params,), stride, padding, tape)[0]
 
 
-def sibling_conv2d(x: Tensor, layers, stride: int = 1, padding: str = "same") -> list:
+def sibling_conv2d(x: Tensor, layers, stride: int = 1, padding: str = "same",
+                   tape: Tape | None = None) -> list:
     """``conv2d`` of ``x`` with each of ``layers``, conventional convolutions
-    of one kernel size, untaped. Per sample, one copy of the receptive
-    fields feeds the GEMM of every layer, and each GEMM has the shape of the
-    layer's own ``conv2d``, so each output has its bits."""
-    return [Tensor(out) for out in _conv_forward("sibling_conv2d", x, layers, stride, padding)[0]]
+    of one kernel size. Per sample, one copy of the receptive fields feeds
+    the GEMM of every layer, and each GEMM has the shape of the layer's own
+    ``conv2d``, so each output has its bits. With a tape, each layer records
+    the backward of its own ``conv2d``, under the op name
+    ``sibling_conv2d``, so its gradients have their bits too."""
+    return _conv_layers("sibling_conv2d", x, layers, stride, padding, tape)
 
 
 def depthwise_conv2d(

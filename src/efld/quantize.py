@@ -19,10 +19,11 @@ but the flattened ``decoder.dw``) runs one block of samples at a time, one
 sample for the large layers, so that its scratch stays in cache: it writes
 q - zero_point into the interior of a zero-bordered float scratch, which the
 kernel body of the float op (``ops._conv_gemm`` or ``ops._depthwise_taps``)
-reads as its padded input; it then adds the int32 bias in float64,
-requantizes to int8, maps the result through the ReLU's table, and writes
-each concat operand through that operand's table straight into its channel
-slice of the concat buffer, so that the concat step only hands the buffer on.
+reads as its padded input; it then adds the int32 bias in float64 along
+whole output rows, through the float ops' ``ops._add_bias``, requantizes to
+int8, maps the result through the ReLU's table, and writes each concat
+operand through that operand's table straight into its channel slice of the
+concat buffer, so that the concat step only hands the buffer on.
 A group of ``sibling_convs`` (``eosa1.extra`` with ``eosa1.osa.l0`` in the
 stock model) is one such step: one scratch, one receptive-field copy per
 sample and one ``_conv_gemm`` call, in which each layer has its own GEMM, so
@@ -64,7 +65,7 @@ import numpy as np
 from .errors import CalibrationError, ShapeError, UsageError, ValidationError
 from .model import (LayerSpec, Model, ModelConfig, PlanStep, _apply, build_plan, iter_layers,
                     last_reads, model_forward, run_plan, sibling_convs)
-from .ops import _conv_gemm, _depthwise_taps, _out_and_pad, _receptive_fields
+from .ops import _add_bias, _conv_gemm, _depthwise_taps, _out_and_pad, _receptive_fields
 from .tensor import LayerParams, Tensor
 
 log = logging.getLogger(__name__)
@@ -268,7 +269,7 @@ class _Output(NamedTuple):
     and where its int8 codes go."""
 
     params: LayerParams  # int8 weights cast to the accumulator dtype, zero bias
-    bias: np.ndarray  # the int32 bias in float64; a blocked layer's tiled along an output row
+    bias: np.ndarray  # the int32 bias in float64
     multiplier: float  # see the module docstring
     zero_point: int  # of the layer's output site; unused for a head output
     site: str  # the fused ReLU's site, else the layer's
@@ -448,8 +449,6 @@ def _compile_layer(qmodel: QuantizedModel, group, outputs) -> _Layer:
         params = LayerParams(layer.spec.kind, Tensor(w.astype(dtype)),
                              Tensor(np.zeros(w.shape[-1], dtype)))
         bias = qmodel.biases[name].astype(np.float64)
-        if _blocked(layer):  # one output row: the add runs along whole rows
-            bias = np.tile(bias, layer.spec.out_hw[1])
         multiplier = in_qp.scale * qmodel.weight_scales[name]
         if not head:
             multiplier /= out_qp.scale
@@ -490,9 +489,6 @@ def _accumulate(layer: _Layer, q: np.ndarray):
     accs = [np.empty((block, out_h, out_w, c), dtype) for c in widths]
     reals = [np.empty(acc.shape) for acc in accs]
     gemm = [wt.reshape(-1, c) for wt, c in zip(weights, widths)]
-    # tiled for the plan's output width; a direct call may pass another
-    bias_rows = [o.bias if out_w == spec.out_hw[1] else np.tile(o.bias[:c], out_w)
-                 for o, c in zip(outputs, widths)]
     for start in range(0, batch, block):
         rows = slice(start, min(start + block, batch))
         n = rows.stop - start
@@ -504,10 +500,9 @@ def _accumulate(layer: _Layer, q: np.ndarray):
         else:
             ys[0].fill(0)
             _depthwise_taps(x, weights[0], stride, ys[0])
-        for y, r, bias_row in zip(ys, rs, bias_rows):
+        for y, r, o in zip(ys, rs, outputs):
             np.copyto(r, y)
-            r_rows = r.reshape(-1, bias_row.size)
-            r_rows += bias_row
+            _add_bias(r, o.bias)
         yield rows, rs
 
 
@@ -537,10 +532,9 @@ def quantized_forward(qmodel: QuantizedModel, images) -> dict:
     if arr.ndim == 3:
         arr = arr[None]
     s = config.input_size
-    if arr.shape[1:] != (s, s, 3):
-        raise ShapeError(
-            "quantized_forward", f"expected images (B, {s}, {s}, 3), got {tuple(arr.shape)}"
-        )
+    if arr.shape[1:] != (s, s, 3) or not arr.shape[0]:
+        raise ShapeError("quantized_forward",
+                         f"expected images (B, {s}, {s}, 3) with B >= 1, got {tuple(arr.shape)}")
     plan, buffers = qmodel._states, {}
     values = run_plan(plan.steps, {"input": _quantize_images(arr, qmodel.activations["input"])},
                       lambda step, operands: step.run(operands, buffers), plan.drops)

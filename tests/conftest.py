@@ -1,9 +1,12 @@
 """Shared test oracles: naive loop-reference layers, an int64 interpreter of
-the int8 plan built on them, and finite differences.
+the int8 plan built on them, and finite differences; plus a container
+byte-patcher.
 
 These stay deliberately independent of the library's vectorized kernels so
 they can serve as ground truth for them.
 """
+
+import struct
 
 import numpy as np
 import pytest
@@ -138,6 +141,25 @@ def max_rel_error(analytic, numeric, floor=1e-4):
     n = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
     return float((np.abs(a - n) / denom).max())
+
+
+def patch_entry(path, name, dims=None, scale=None, zero_point=None):
+    """Overwrite fields of tensor ``name``'s table entry in the container
+    file ``path`` in place: its dims (same rank), scale or zero point."""
+    raw = bytearray(path.read_bytes())
+    key = struct.pack("<H", len(name)) + name.encode("utf-8")
+    at = raw.index(key) + len(key)
+    rank = raw[at + 1]
+    at += 2
+    if dims is not None:
+        assert len(dims) == rank
+        raw[at : at + 4 * rank] = struct.pack(f"<{rank}I", *dims)
+    at += 4 * rank
+    if scale is not None:
+        raw[at : at + 8] = struct.pack("<d", scale)
+    if zero_point is not None:
+        raw[at + 8 : at + 12] = struct.pack("<i", zero_point)
+    path.write_bytes(bytes(raw))
 
 
 def reduced_config(formats=("p51",), input_size=32, decoder_dim=128, width=16):

@@ -13,7 +13,7 @@ from efld.cli import run
 from efld.config import render_model_config, render_train_config
 from efld.training import TrainConfig
 
-from conftest import reduced_config
+from conftest import patch_entry, reduced_config
 
 
 def write_config(path, formats=("p51",), epochs=80, batch_size=8, lr=0.003, seed=3):
@@ -84,6 +84,25 @@ class TestExitCodes:
 
     def test_infer_needs_exactly_one_input(self, pipeline):
         assert run(["infer", "--model", str(pipeline["model"]), "--format", "p51"]) == 1
+
+    @pytest.mark.parametrize("model,name,fields", [
+        ("model", "eosa1.extra.w", {"dims": (3, 3, 4, 3)}),
+        ("qmodel", "eosa1.extra.w", {"dims": (3, 3, 4, 3)}),
+        ("qmodel", "eosa1.extra.w", {"scale": float("nan")}),
+        ("qmodel", "site:eosa1.concat", {"scale": float("nan")}),
+    ], ids=["float-permuted-dims", "int8-permuted-dims", "int8-nan-weight-scale",
+            "int8-nan-site-scale"])
+    def test_infer_container_that_contradicts_the_plan_exits_2(self, pipeline, tmp_path, capsys,
+                                                               model, name, fields):
+        bad = tmp_path / "bad.efld"
+        shutil.copy(pipeline[model], bad)
+        patch_entry(bad, name, **fields)
+        capsys.readouterr()
+        assert run(["infer", "--model", str(bad), "--data", str(pipeline["data"]),
+                    "--format", "p51"]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert f"{bad}: tensor '{name}'" in err and "internal error" not in err
 
 
 class TestHelp:

@@ -1,5 +1,6 @@
 """Container serialization: roundtrips, pruning, corruption handling."""
 
+import re
 import struct
 
 import numpy as np
@@ -12,7 +13,7 @@ from efld.quantize import QuantizedModel, calibrate, quantize_model, quantized_f
 from efld.synthetic import generate_synthetic
 from efld.tensor import Tensor
 
-from conftest import reduced_config
+from conftest import patch_entry, reduced_config
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +162,56 @@ class TestCorruption:
         path = tmp_path / "ok.efld"
         save(three_head_model, path)
         assert path.read_bytes()[:4] == MAGIC
+
+
+class TestPlanChecks:
+    """``load`` checks every tensor against the plan: its shape, and each
+    quantized scale and zero point. A byte-patched entry that would load
+    and then fail or mislead at inference is a ``ContainerError`` naming
+    the file and the tensor."""
+
+    @pytest.mark.parametrize("name,dims", [
+        ("eosa1.extra.w", (3, 3, 4, 3)),  # (3, 3, 3, 4): the same bytes in another shape
+        ("head.p51.block0.w", (16, 128)),  # (128, 16), transposed
+        ("decoder.dw.b", (128,)),  # unchanged: a control
+    ])
+    @pytest.mark.parametrize("kind", ["float32", "int8"])
+    def test_shape_must_match_the_plan(self, three_head_model, quantized, tmp_path, kind, name,
+                                       dims):
+        path = tmp_path / "m.efld"
+        save(three_head_model if kind == "float32" else quantized[0], path)
+        patch_entry(path, name, dims=dims)
+        if name == "decoder.dw.b":
+            load(path)
+            return
+        with pytest.raises(ContainerError,
+                           match=re.escape(f"m.efld: tensor '{name}' has shape {dims}")):
+            load(path)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -0.5])
+    @pytest.mark.parametrize("name", ["eosa1.extra.w", "head.p51.out.b", "site:eosa1.concat"])
+    def test_scale_must_be_finite_and_positive(self, quantized, tmp_path, name, scale):
+        path = tmp_path / "q.efld"
+        save(quantized[0], path)
+        patch_entry(path, name, scale=scale)
+        with pytest.raises(ContainerError, match=rf"q\.efld: tensor '{name}' has scale"):
+            load(path)
+
+    @pytest.mark.parametrize("name,zero_point,ok", [
+        ("eosa1.extra.w", 1, False),
+        ("head.p51.out.b", -1, False),
+        ("site:eosa1.concat", 128, False),
+        ("site:input", -129, False),
+        ("site:eosa1.concat", -128, True),
+        ("site:input", 127, True),
+    ])
+    def test_zero_point_range(self, quantized, tmp_path, name, zero_point, ok):
+        path = tmp_path / "q.efld"
+        save(quantized[0], path)
+        patch_entry(path, name, zero_point=zero_point)
+        if ok:
+            assert load(path).activations[name[5:]].zero_point == zero_point
+            return
+        message = rf"q\.efld: tensor '{name}' has scale \S+ and zero point {zero_point};"
+        with pytest.raises(ContainerError, match=message):
+            load(path)

@@ -1,19 +1,23 @@
 """Differential tests over generated architectures: the float and int8
 forward passes of small random configs against loop-oracle interpreters of
-the plan, which share no kernel code with them."""
+the plan, which share no kernel code with them; the taped forward's
+gradients against central differences; and the container's
+``save(load(f))`` for every generated shape."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from efld.container import load, save
 from efld.metrics import count_cost
 from efld.model import (EXTRA_CONV_KINDS, HEAD_KINDS, EosaConfig, HeadConfig, ModelConfig,
                         build_model, build_plan, model_forward, sibling_convs)
 from efld.quantize import calibrate, quantize_model, quantized_forward
-from efld.tensor import Tensor
+from efld.tensor import Tape, Tensor, backward_multi
 
-from conftest import integer_oracle, ref_conv2d, ref_depthwise_conv2d
+from conftest import (central_difference, integer_oracle, max_rel_error, ref_conv2d,
+                      ref_depthwise_conv2d)
 
 SEEDS = tuple(range(16))
 # The loop oracles run about a million multiply-adds a second: the input
@@ -78,6 +82,11 @@ def random_biases(model, rng):
             tensor.data[:] = rng.uniform(-0.5, 0.5, size=tensor.shape)
 
 
+def calibration_samples(config, rng, count=4):
+    size = config.input_size
+    return [SimpleNamespace(image=image) for image in rng.uniform(size=(count, size, size, 3))]
+
+
 def test_generated_configs_cover_the_grid():
     configs = [generated_config(seed) for seed in SEEDS]
     assert {len(c.eosa) for c in configs} == {1, 2, 3, 4}
@@ -115,12 +124,63 @@ def test_quantized_forward_matches_the_integer_oracle(seed):
     model = build_model(config, seed=seed)
     rng = np.random.default_rng(seed)
     random_biases(model, rng)
-    size = config.input_size
-    samples = [SimpleNamespace(image=image) for image in rng.uniform(size=(4, size, size, 3))]
-    qmodel = quantize_model(model, calibrate(model, samples))
-    images = rng.uniform(size=(2, size, size, 3))
+    qmodel = quantize_model(model, calibrate(model, calibration_samples(config, rng)))
+    images = rng.uniform(size=(2, config.input_size, config.input_size, 3))
     got = quantized_forward(qmodel, images)
     want = integer_oracle(qmodel, images)
     assert list(got) == list(want)
     for fmt in want:
         np.testing.assert_array_equal(got[fmt], want[fmt])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_taped_gradients_match_central_differences(seed):
+    """Float64, on a few sampled elements of the layers of each sibling
+    group and of two other layers drawn from the plan."""
+    config = generated_config(seed)
+    model = build_model(config, seed=seed, dtype="float64")
+    rng = np.random.default_rng(seed)
+    random_biases(model, rng)
+    images = Tensor(rng.uniform(size=(2, config.input_size, config.input_size, 3)))
+    outputs = model_forward(model, images)
+    seeds = {fmt: rng.standard_normal(out.shape) for fmt, out in outputs.items()}
+    tape = Tape(list(model.params.values()))
+    outputs = model_forward(model, images, tape=tape)
+    grads = backward_multi(tape, [(outputs[fmt], g) for fmt, g in seeds.items()])
+
+    plan = build_plan(config)
+    names = [step.layer for group in sibling_convs(plan) for step in group]
+    others = [n for n in model.layer_names() if n not in names]
+    names += [str(n) for n in rng.choice(others, size=min(2, len(others)), replace=False)]
+    picks = []  # (tensor, flat index)
+    for name in names:
+        for suffix in (".w", ".b"):
+            tensor = model.params[name + suffix]
+            picks += [(tensor, int(i)) for i in rng.choice(tensor.size, min(2, tensor.size),
+                                                           replace=False)]
+    probe = np.zeros(len(picks))
+
+    def loss():
+        for (tensor, i), value in zip(picks, probe):
+            tensor.data.flat[i] = value
+        outs = model_forward(model, images)
+        return sum(float((outs[fmt].data * g).sum()) for fmt, g in seeds.items())
+
+    probe[:] = [tensor.data.flat[i] for tensor, i in picks]
+    (numeric,) = central_difference(loss, [probe])
+    analytic = [grads.wrt(tensor).flat[i] for tensor, i in picks]
+    assert max_rel_error(analytic, numeric) < 1e-6
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_containers_save_load_save_byte_identical(seed, tmp_path):
+    config = generated_config(seed)
+    model = build_model(config, seed=seed)
+    rng = np.random.default_rng(seed)
+    random_biases(model, rng)
+    qmodel = quantize_model(model, calibrate(model, calibration_samples(config, rng)))
+    for kind, m in (("float", model), ("int8", qmodel)):
+        first, second = tmp_path / f"{kind}.efld", tmp_path / f"{kind}-again.efld"
+        save(m, first)
+        save(load(first), second)
+        assert first.read_bytes() == second.read_bytes(), kind

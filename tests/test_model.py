@@ -303,9 +303,10 @@ def test_non_finite_pixel_is_rejected(bad, taped):
 def test_forward_calls_each_patched_op_once_per_plan_step(monkeypatch):
     """The benchmark's tracer wraps these ``efld.model`` attributes and names
     a layer by ``params.weights is model.params[layer + ".w"]``; the forward
-    must call them that way, with ``x`` and ``params`` positional. Without a
-    tape, each group of ``sibling_convs`` is one ``sibling_conv2d`` call,
-    made at the step of its first layer, with its layers' params in order."""
+    must call them that way, with ``x`` and ``params`` positional. With or
+    without a tape, each group of ``sibling_convs`` is one ``sibling_conv2d``
+    call, made at the step of its first layer, with its layers' params in
+    order; on the tape each of its layers is one ``sibling_conv2d`` node."""
     import efld.model as model_module
 
     config = reduced_config(("p51", "p68"))
@@ -338,7 +339,6 @@ def test_forward_calls_each_patched_op_once_per_plan_step(monkeypatch):
              "sibling_conv2d")
     for name in names:
         monkeypatch.setattr(model_module, name, counting(name, getattr(model_module, name)))
-    model_forward(model, Tensor(np.zeros((2, 32, 32, 3), dtype="float32")))
 
     ops = {"conv": "conv2d", "depthwise": "depthwise_conv2d", "linear": "linear",
            "relu": "relu", "concat": "concat_channels"}
@@ -348,11 +348,19 @@ def test_forward_calls_each_patched_op_once_per_plan_step(monkeypatch):
     expected["conv2d"] -= sum(len(group) for group in groups)
     expected["sibling_conv2d"] = len(groups)
     expected["eosa_forward"] = len(config.eosa)
-    assert calls == expected
     layer_steps = [step for step in plan if step.spec is not None]
-    assert layers == [step.layer for step in layer_steps]
-    # every padded convolution reads its input as a view of the site's border
-    assert bordered == [step.inputs[0] in pads for step in layer_steps]
+    for tape in (None, Tape()):
+        calls.clear()
+        layers.clear()
+        bordered.clear()
+        model_forward(model, Tensor(np.zeros((2, 32, 32, 3), dtype="float32")), tape=tape)
+        assert calls == expected
+        assert layers == [step.layer for step in layer_steps]
+        # every padded convolution reads its input as a view of the site's border
+        assert bordered == [step.inputs[0] in pads for step in layer_steps]
+    counts = tape.op_counts()
+    assert counts["sibling_conv2d"] == sum(len(group) for group in groups)
+    assert counts["conv2d"] == expected["conv2d"]
 
 
 @pytest.mark.parametrize("formats", [("p51",), ("p51", "p68", "p98")], ids=["1head", "3heads"])
@@ -361,10 +369,10 @@ def test_untaped_backbone_runs_in_blocks_bit_equal_to_the_taped_forward(monkeypa
                                                                         formats):
     """Without a tape the backbone runs two full blocks of samples and a
     ragged remainder one after the other, each group of ``sibling_convs`` as
-    one ``sibling_conv2d``; a taped forward runs the whole batch at once, one
-    ``conv2d`` per layer. Every output bit is the same, and so is every bit
-    that the observer sees of every plan site, which is all calibration
-    reads."""
+    one ``sibling_conv2d``; a taped forward runs the whole batch at once,
+    here with the groups taken away, so one ``conv2d`` per layer. Every
+    output bit is the same, and so is every bit that the observer sees of
+    every plan site, which is all calibration reads."""
     import efld.model as model_module
 
     config = apply_variant(default_config(formats), variant)
@@ -390,6 +398,7 @@ def test_untaped_backbone_runs_in_blocks_bit_equal_to_the_taped_forward(monkeypa
     blocked = model_forward(model, x, observer=observer)
     assert stage1 == [block, block, 1]
     blocked_seen, seen = seen, {}
+    monkeypatch.setattr(model, "_siblings", {})
     whole = model_forward(model, x, tape=Tape(), observer=observer)
     assert stage1 == [block, block, 1, batch]
     assert list(blocked) == list(whole) == list(formats)
@@ -503,6 +512,13 @@ class TestModelForward:
         model = build_model(reduced_config(("p51",)))
         with pytest.raises(ShapeError, match="expected images"):
             model_forward(model, Tensor(np.zeros((1, 64, 64, 3), dtype="float32")))
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    def test_empty_batch_raises(self, taped):
+        model = build_model(reduced_config(("p51",)))
+        with pytest.raises(ShapeError, match=r"B >= 1, got \(0, 32, 32, 3\)"):
+            model_forward(model, Tensor(np.zeros((0, 32, 32, 3), dtype="float32")),
+                          tape=Tape() if taped else None)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

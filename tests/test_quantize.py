@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from efld import quantize as quantize_module
-from efld.errors import CalibrationError, UsageError, ValidationError
+from efld.errors import CalibrationError, ShapeError, UsageError, ValidationError
 from efld.model import (
     VARIANTS,
     EosaConfig,
@@ -310,6 +310,11 @@ class TestQuantizedForward:
         _, _, dataset, _, qmodel = small_setup
         out = quantized_forward(qmodel, dataset.samples[0].image)["p51"]
         assert out.shape == (1, 102)
+
+    def test_empty_batch_raises(self, small_setup):
+        qmodel = small_setup[-1]
+        with pytest.raises(ShapeError, match=r"B >= 1, got \(0, 32, 32, 3\)"):
+            quantized_forward(qmodel, np.zeros((0, 32, 32, 3)))
 
     @pytest.mark.parametrize("formats", HEAD_SETS, ids=["1head", "3heads"])
     @pytest.mark.parametrize("variant", VARIANTS)

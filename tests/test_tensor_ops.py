@@ -5,10 +5,12 @@ import pytest
 
 import efld.ops
 from efld.errors import ShapeError, UsageError
-from efld.ops import concat_channels, conv2d, depthwise_conv2d, linear, relu, with_border
-from efld.tensor import LayerParams, Tape, Tensor, backward
+from efld.ops import (concat_channels, conv2d, depthwise_conv2d, linear, relu, sibling_conv2d,
+                      with_border)
+from efld.tensor import LayerParams, Tape, Tensor, backward, backward_multi
 
-from conftest import _pad_split, ref_conv2d, ref_depthwise_conv2d
+from conftest import (_pad_split, central_difference, max_rel_error, ref_conv2d,
+                      ref_depthwise_conv2d)
 
 
 def conv_params(w, b=None, kind="conv"):
@@ -163,6 +165,97 @@ class TestConv2dInputGradient:
     def test_full_extent_valid_kernel(self, rng, shape, kernel, stride):
         got, expected = self.input_grad(rng, shape, kernel, stride, "valid")
         np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
+
+
+class TestSiblingConv2d:
+    """``sibling_conv2d`` against each layer's own ``conv2d``, bit for bit,
+    and against the loop oracle."""
+
+    MODES = [(1, "same"), (2, "same"), (1, "valid"), (2, "valid")]
+    TOL = {"float32": 1e-4, "float64": 1e-12}
+
+    @staticmethod
+    def siblings(rng, widths, dtype, cin=3, kernel=(3, 3)):
+        return [LayerParams("conv", Tensor(rng.standard_normal(kernel + (cin, c)).astype(dtype)),
+                            Tensor(rng.standard_normal(c).astype(dtype))) for c in widths]
+
+    @pytest.mark.parametrize("widths", [(8, 4), (3, 5, 1)])
+    @pytest.mark.parametrize("stride,padding", MODES)
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_each_output_is_its_layers_conv2d(self, rng, dtype, stride, padding, widths):
+        x = Tensor(rng.standard_normal((2, 7, 6, 3)).astype(dtype))
+        layers = self.siblings(rng, widths, dtype)
+        outs = sibling_conv2d(x, layers, stride=stride, padding=padding)
+        assert len(outs) == len(layers)
+        for out, p in zip(outs, layers):
+            alone = conv2d(x, p, stride=stride, padding=padding).data
+            assert out.data.dtype == dtype and out.data.shape == alone.shape
+            assert out.data.tobytes() == alone.tobytes()
+            want = ref_conv2d(x.data.astype(np.float64), p.weights.data.astype(np.float64),
+                              p.bias.data.astype(np.float64), stride, padding)
+            np.testing.assert_allclose(out.data, want, atol=self.TOL[dtype], rtol=0)
+
+    @pytest.mark.parametrize("widths", [(8, 4), (3, 5, 1)])
+    @pytest.mark.parametrize("stride,padding", MODES)
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_gradients_are_each_layers_conv2d_gradients(self, rng, dtype, stride, padding,
+                                                        widths):
+        """Each layer records the backward of its own ``conv2d``: its weight
+        and bias gradients are those bits, and the input gradient is the sum
+        of the layers' input gradients, added in reverse tape order."""
+        x = Tensor(rng.standard_normal((2, 7, 6, 3)).astype(dtype))
+        layers = self.siblings(rng, widths, dtype)
+        seeds = [rng.standard_normal(out.shape).astype(dtype)
+                 for out in sibling_conv2d(x, layers, stride=stride, padding=padding)]
+        refs = []
+        for p, seed in zip(layers, seeds):
+            alone = Tape()
+            out = conv2d(x, p, stride=stride, padding=padding, tape=alone)
+            refs.append(backward(alone, seed, output=out))
+        params = [t for p in layers for t in (p.weights, p.bias)]
+        for wrt in (None, params):
+            tape = Tape(wrt)
+            outs = sibling_conv2d(x, layers, stride=stride, padding=padding, tape=tape)
+            assert tape.op_counts() == {"sibling_conv2d": len(layers)}
+            g = backward_multi(tape, list(zip(outs, seeds)))
+            for p, ref in zip(layers, refs):
+                assert g.wrt(p.weights).tobytes() == ref.wrt(p.weights).tobytes()
+                assert g.wrt(p.bias).tobytes() == ref.wrt(p.bias).tobytes()
+            if wrt is not None:  # without the input in ``wrt``, no input gradient is formed
+                assert g.get(x) is None
+                continue
+            want = refs[-1].wrt(x)
+            for ref in refs[-2::-1]:
+                want = want + ref.wrt(x)
+            assert g.wrt(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stride,padding", MODES)
+    def test_central_differences(self, rng, stride, padding):
+        x = Tensor(rng.standard_normal((2, 5, 6, 2)))
+        layers = self.siblings(rng, (3, 2), "float64", cin=2)
+        seeds = [rng.standard_normal(out.shape)
+                 for out in sibling_conv2d(x, layers, stride=stride, padding=padding)]
+
+        def loss():
+            outs = sibling_conv2d(x, layers, stride=stride, padding=padding)
+            return sum(float((out.data * seed).sum()) for out, seed in zip(outs, seeds))
+
+        tape = Tape()
+        outs = sibling_conv2d(x, layers, stride=stride, padding=padding, tape=tape)
+        g = backward_multi(tape, list(zip(outs, seeds)))
+        arrays = [x] + [t for p in layers for t in (p.weights, p.bias)]
+        numeric = central_difference(loss, [t.data for t in arrays])
+        for t, num in zip(arrays, numeric):
+            assert max_rel_error(g.wrt(t), num) < 1e-6
+
+    def test_mismatched_kernel_size_rejected(self, rng):
+        x = Tensor(rng.standard_normal((1, 6, 6, 3)))
+        layers = (self.siblings(rng, (4,), "float64")
+                  + self.siblings(rng, (2,), "float64", kernel=(1, 1)))
+        with pytest.raises(ShapeError, match=r"sibling_conv2d.*1x1.*3x3"):
+            sibling_conv2d(x, layers, stride=2)
+        with pytest.raises(ShapeError, match="sibling_conv2d"):
+            sibling_conv2d(x, layers, stride=2, tape=Tape())
 
 
 def bordered(x, pad, channel_step=1):
