@@ -99,17 +99,14 @@ def parse_model_config(text: str) -> ModelConfig:
     if not parser.has_section("model"):
         raise ConfigError("config file lacks a [model] section")
     _check_keys("model", parser.options("model"), _MODEL_KEYS)
-    eosa_sections = sorted(
-        (s for s in parser.sections() if s.startswith("eosa.")),
-        key=lambda s: int(s.split(".", 1)[1]),
-    )
+    eosa_sections = [s for s in parser.sections() if s.startswith("eosa.")]
     if not eosa_sections:
         raise ConfigError("config file lacks [eosa.N] sections")
     expected = [f"eosa.{i}" for i in range(1, len(eosa_sections) + 1)]
-    if eosa_sections != expected:
+    if set(eosa_sections) != set(expected):
         raise ConfigError(f"[eosa.N] sections must be numbered 1..{len(eosa_sections)}")
     eosa = []
-    for section in eosa_sections:
+    for section in expected:
         _check_keys(section, parser.options(section), _EOSA_KEYS)
         eosa.append(
             EosaConfig(

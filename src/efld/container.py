@@ -19,7 +19,7 @@ import tempfile
 import numpy as np
 
 from .config import parse_model_config, render_model_config
-from .errors import ContainerError, CorruptionError, UsageError
+from .errors import ConfigError, ContainerError, CorruptionError, UsageError
 from .model import Model, iter_layers
 from .quantize import QMAX, QMIN, QuantParams, QuantizedModel, plan_sites
 from .tensor import Tensor
@@ -147,6 +147,12 @@ class _Reader:
     def unpack(self, fmt: str, what: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ContainerError(f"{self.path}: {what} is not UTF-8 text") from None
+
 
 def load(path):
     """Reconstruct a float Model or a QuantizedModel from a container file.
@@ -163,14 +169,17 @@ def load(path):
     if version != CONTAINER_VERSION:
         raise ContainerError(f"{path}: unsupported container version {version}")
     (blob_len,) = reader.unpack("<I", "config length")
-    blob = reader.take(blob_len, "config blob").decode("utf-8")
-    config = parse_model_config(blob)
+    blob = reader.text(blob_len, "config blob")
+    try:
+        config = parse_model_config(blob)
+    except ConfigError as exc:
+        raise ContainerError(f"{path}: config blob: {exc}") from None
     (count,) = reader.unpack("<I", "tensor count")
 
     table = []
     for _ in range(count):
         (name_len,) = reader.unpack("<H", "tensor name length")
-        name = reader.take(name_len, "tensor name").decode("utf-8")
+        name = reader.text(name_len, "tensor name")
         tag, rank = reader.unpack("<BB", f"tensor {name} header")
         if tag not in _TAG_DTYPES:
             raise ContainerError(f"{path}: tensor {name!r} has unknown dtype tag {tag}")

@@ -92,16 +92,18 @@ def _parse_record(text: str, line: int, registry: FormatRegistry) -> tuple:
         if fmt_name not in registry:
             raise ParseError(f"unknown format {fmt_name!r}", line)
         fmt = registry.get(fmt_name)
-        if not isinstance(points, list) or not all(
-            isinstance(p, list) and len(p) == 2 for p in points
-        ):
+        try:
+            coords = np.asarray(points)
+        except ValueError:  # ragged nesting
+            coords = None
+        if coords is None or coords.dtype.kind not in "if" or coords.shape[1:] != (2,):
             raise ParseError(f'annotation for {fmt_name!r} lacks a list of [x, y] points', line)
-        if len(points) != fmt.points:
+        if len(coords) != fmt.points:
             raise ParseError(
-                f"annotation for {fmt_name!r} has {len(points)} points, expected {fmt.points}",
+                f"annotation for {fmt_name!r} has {len(coords)} points, expected {fmt.points}",
                 line,
             )
-        coords = np.asarray(points, dtype=np.float64).reshape(-1)
+        coords = coords.astype(np.float64).reshape(-1)
         if not np.all(np.isfinite(coords)):
             raise ValidationError(f"line {line}: non-finite coordinate for {fmt_name!r}")
         if coords.min() < 0.0 or coords.max() > 1.0:
@@ -121,19 +123,24 @@ def load_dataset(path, registry: FormatRegistry | None = None) -> Dataset:
         raise DataError(f"{path}: no {ANNOTATIONS_FILE} found")
     samples = []
     seen_formats = []
-    with open(index, "r", encoding="utf-8") as fh:
-        for line_no, text in enumerate(fh, 1):
-            if not text.strip():
-                continue
-            image_rel, annotations = _parse_record(text, line_no, registry)
-            image_path = os.path.join(path, image_rel)
-            if not os.path.isfile(image_path):
-                raise DataError(f"line {line_no}: image file {image_rel!r} not found")
-            image = read_ppm(image_path)
-            samples.append(Sample(image=image, annotations=annotations))
-            for fmt in annotations:
-                if fmt not in seen_formats:
-                    seen_formats.append(fmt)
+    with open(index, "rb") as fh:
+        lines = fh.read().splitlines()
+    for line_no, raw in enumerate(lines, 1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError("not UTF-8 text", line_no) from None
+        if not text.strip():
+            continue
+        image_rel, annotations = _parse_record(text, line_no, registry)
+        image_path = os.path.join(path, image_rel)
+        if not os.path.isfile(image_path):
+            raise DataError(f"line {line_no}: image file {image_rel!r} not found")
+        image = read_ppm(image_path)
+        samples.append(Sample(image=image, annotations=annotations))
+        for fmt in annotations:
+            if fmt not in seen_formats:
+                seen_formats.append(fmt)
     return Dataset(samples, seen_formats)
 
 

@@ -51,6 +51,8 @@ def read_ppm(path) -> np.ndarray:
         raise DataError(f"{path}: malformed PPM header") from None
     if maxval != 255:
         raise DataError(f"{path}: only 8-bit PPM supported, maxval {maxval}")
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: PPM size {w}x{h} is not positive")
     pos += 1  # single whitespace byte after the header
     expected = w * h * 3
     pixels = raw[pos : pos + expected]

@@ -31,9 +31,12 @@ block's activations stay in cache from layer to layer and the forward's
 memory does not grow with the batch. Only the (B, decoder_dim) feature rows
 of the blocks are joined, and the heads run once on the whole batch. The
 backbone's kernels treat every sample on its own, so the outputs are
-bit-identical to a whole-batch forward. A taped forward (training) runs each
-stage on the whole batch: blocks made it no faster, and the tape keeps every
-value until the backward anyway.
+bit-identical to a whole-batch forward. A taped forward runs each stage on
+the whole batch it is given: blocks made it no faster, and the tape keeps
+every value until the backward anyway. Training bounds that memory instead
+by handing it one micro-batch at a time (``micro_batch_samples``: as many
+samples as keep all the activation sites of a micro-batch within
+``_STEP_ELEMENTS``, 16 for the stock 3-head model at 128 px).
 
 Each group of ``sibling_convs``, conv layers that read one site with one
 kernel size, stride and padding, runs as one ``ops.sibling_conv2d`` at the
@@ -65,7 +68,9 @@ any summation order, and in float64 otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -245,10 +250,13 @@ class PlanStep(NamedTuple):
 _LAYER_OPS = {"conv": "conv", "depthwise-conv": "depthwise", "linear": "linear"}
 
 
-def build_plan(config: ModelConfig) -> list:
+@lru_cache(maxsize=64)
+def build_plan(config: ModelConfig) -> tuple:
     """The network as steps in execution order, starting from the ``input``
     site. It is the only description of the architecture: the float and int8
-    forward passes, calibration, costing and the container all follow it."""
+    forward passes, calibration, costing and the container all follow it.
+    Built once per config: the plan is a tuple of immutable steps, and a
+    config is frozen, so every caller shares it."""
     steps = []
 
     def step(stage, op, inputs, output, spec=None, flatten=False):
@@ -302,7 +310,7 @@ def build_plan(config: ModelConfig) -> list:
                 width += hc.width
         layer(stage, feed, LayerSpec(f"{stage}.out", "linear", (), width, 2 * hc.points),
               output=f"{stage}.out")
-    return steps
+    return tuple(steps)
 
 
 def site_shapes(plan, input_size: int) -> dict:
@@ -359,6 +367,20 @@ def block_samples(plan, input_size: int) -> int:
     return max(1, _BLOCK_ELEMENTS // largest)
 
 
+# A training step runs forward and backward on as many samples at a time as
+# keep the activations of every site of the plan within this many elements
+# (at least one sample): 16 samples of the stock 3-head model at 128 px.
+_STEP_ELEMENTS = 1 << 23
+
+
+def micro_batch_samples(plan, input_size: int) -> int:
+    """Samples per micro-batch of a training step: ``_STEP_ELEMENTS`` over
+    the elements of all the activation sites of one sample, the input
+    included (``site_shapes``)."""
+    per_sample = sum(math.prod(shape) for shape in site_shapes(plan, input_size).values())
+    return max(1, _STEP_ELEMENTS // per_sample)
+
+
 def sibling_convs(plan) -> list:
     """The conv steps of ``plan`` that read one site in one stage with one
     kernel size, stride and padding, as tuples of two or more in plan order.
@@ -387,7 +409,9 @@ class Model:
     Each forward allocates its own activation buffers, with the zero border
     of ``site_pads`` where a convolution reads them; none is shared between
     calls. An untaped forward runs the backbone on ``block_samples`` samples
-    at a time, a number fixed per model from the plan.
+    at a time, a number fixed per model from the plan; a training step
+    runs forward and backward on ``micro_batch`` samples at a time
+    (``micro_batch_samples``), fixed per model from the plan too.
     """
 
     def __init__(self, config: ModelConfig, params: dict, dtype: str):
@@ -402,6 +426,7 @@ class Model:
         self._drops = {stage: last_reads(steps) for stage, steps in self._stages.items()}
         self._pads = site_pads(plan, config.input_size)
         self._block = block_samples(plan, config.input_size)
+        self.micro_batch = micro_batch_samples(plan, config.input_size)
         self._siblings = {group[0].output: group for group in sibling_convs(plan)}
         self._layers = {}
 

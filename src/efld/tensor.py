@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ class Tensor:
     ``ops``).
     """
 
-    __slots__ = ("data", "border")
+    __slots__ = ("data", "border", "__weakref__")
 
     def __init__(self, data, dtype=None, border=None):
         arr = np.asarray(data, dtype=dtype)
@@ -92,7 +93,8 @@ class Tape:
     """Ordered record of executed ops, enough to run the chain rule in reverse.
 
     Single-owner while recording. Each node holds the op name, the produced
-    tensor, and a closure that pushes gradients to the op's inputs.
+    tensor, and a closure that pushes gradients to the op's inputs; the
+    closure holds the activations its backward reads.
 
     ``wrt`` names the leaf tensors (those no recorded op produced, such as
     parameters and input images) whose gradients the caller will read.
@@ -100,11 +102,16 @@ class Tape:
     computes no gradient for any other leaf: training passes the
     parameters, so the costliest gradient of a step, the one with respect
     to the images, is never formed.
+
+    A tape serves one backward. ``backward_multi`` drops each node as soon
+    as its closure has run, so the activations are freed while the backward
+    goes on; a second backward on the consumed tape raises ``UsageError``.
     """
 
     def __init__(self, wrt=None):
         self._nodes = []
         self._wrt = None if wrt is None else list(wrt)
+        self._consumed = False
 
     def record(self, op: str, output: Tensor, backward_fn) -> None:
         self._nodes.append((op, output, backward_fn))
@@ -119,10 +126,15 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    @property
-    def last_output(self) -> Tensor:
+    def _check_unused(self) -> None:
+        if self._consumed:
+            raise UsageError("backward: the tape was consumed by an earlier backward")
         if not self._nodes:
             raise UsageError("backward before forward: tape is empty")
+
+    @property
+    def last_output(self) -> Tensor:
+        self._check_unused()
         return self._nodes[-1][1]
 
     def op_counts(self) -> dict:
@@ -138,11 +150,17 @@ class Gradients:
     ``wanted`` is the set of ids of the tensors whose gradients may be
     formed, or ``None`` for every tensor; ops ask ``wants`` before
     computing an input gradient.
+
+    ``release`` hands over a tensor's gradient and forgets it; the backward
+    releases the gradient of each tape output once the output's node has
+    run. Reading a released gradient raises ``UsageError``: it is gone, and
+    zero would be a wrong answer.
     """
 
     def __init__(self, wanted=None):
         self._grads = {}
         self._tensors = {}
+        self._released = {}  # id -> weak reference to the tensor released
         self._wanted = wanted
 
     def wants(self, tensor: Tensor) -> bool:
@@ -157,16 +175,35 @@ class Gradients:
             self._grads[key] = grad
             self._tensors[key] = tensor
 
+    def release(self, tensor: Tensor):
+        """The tensor's accumulated gradient, or None if it was never
+        reached; either way this object no longer holds it or the tensor."""
+        key = id(tensor)
+        self._tensors.pop(key, None)
+        self._released[key] = weakref.ref(tensor)
+        return self._grads.pop(key, None)
+
+    def _check_kept(self, tensor: Tensor) -> None:
+        ref = self._released.get(id(tensor))
+        if ref is not None and ref() is tensor:
+            raise UsageError(
+                f"no gradient for tensor of shape {tuple(tensor.shape)}: it is a tape "
+                "output, whose gradient the backward released"
+            )
+
     def get(self, tensor: Tensor):
         """Accumulated gradient, or None if the tensor was never reached."""
+        self._check_kept(tensor)
         return self._grads.get(id(tensor))
 
     def wrt(self, tensor: Tensor) -> np.ndarray:
         """Accumulated gradient, zero-filled for a wanted tensor never reached.
 
-        Raises ``UsageError`` for a tensor the tape's ``wrt`` excluded: its
-        gradient was never computed, and zero would be a wrong answer.
+        Raises ``UsageError`` for a tensor the tape's ``wrt`` excluded, or
+        one whose gradient was released: it was never computed or is gone,
+        and zero would be a wrong answer.
         """
+        self._check_kept(tensor)
         g = self._grads.get(id(tensor))
         if g is not None:
             return g
@@ -190,9 +227,18 @@ def backward_multi(tape: Tape, seeds) -> Gradients:
     nothing else, and it forms only the input gradients wanted. Pruning
     never changes a wanted gradient: a leaf's gradient flows into no other
     gradient, so skipping it leaves every other sum, and its order, as is.
+
+    Memory: the backward consumes the tape. Once a node's closure has run,
+    the node (its closure and the activations the closure holds), its
+    output's gradient and the output itself are dropped. In reverse order a
+    producer runs after all of its consumers, so nothing later reads them,
+    and the memory of a backward falls as it goes. The ``Gradients``
+    returned keeps the gradients of the leaves (with ``wrt``, of the
+    ``wrt`` leaves); asking it for a tape output's raises ``UsageError``,
+    and so does a second backward on the consumed tape. Nothing of this
+    changes a bit of a gradient.
     """
-    if len(tape) == 0:
-        raise UsageError("backward before forward: tape is empty")
+    tape._check_unused()
     wanted = None
     if tape._wrt is not None:
         wanted = {id(output) for _, output, _ in tape._nodes}
@@ -210,11 +256,15 @@ def backward_multi(tape: Tape, seeds) -> Gradients:
         seeded = True
     if not seeded:
         raise UsageError("backward: no seed gradients given")
-    for _, output, backward_fn in reversed(tape._nodes):
-        g = grads.get(output)
-        if g is None:
-            continue
-        backward_fn(g, grads)
+    tape._consumed = True
+    nodes = tape._nodes
+    while nodes:
+        _, output, backward_fn = nodes.pop()
+        g = grads.release(output)
+        if g is not None:
+            backward_fn(g, grads)
+    if wanted is not None:  # the released outputs' ids may be reused
+        grads._wanted = {id(t) for t in tape._wrt}
     return grads
 
 

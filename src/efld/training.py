@@ -6,6 +6,17 @@ level: a sample lacking a format contributes an exactly-zero gradient to
 that head, and a head with no annotated sample in the batch is not run at
 all. Each head's loss is normalized by its annotated-sample count so head
 gradients stay scale-comparable when formats are unevenly represented.
+
+A step's memory is bounded by the plan, not by the batch. The step runs
+forward and backward on ``Model.micro_batch`` samples at a time (see
+``model.micro_batch_samples``), each head's loss and seed gradients scaled
+by its count over the whole batch, and adds each micro-batch's parameter
+gradients into the first one's; one AdamW update ends the step. The
+backward frees the tape as it goes (see ``tensor.backward_multi``), and
+everything a step allocated is freed before the next one starts, so memory
+stops growing with the batch past one micro-batch. A batch that fits in
+one micro-batch runs as one forward and one backward, with the same bits
+as a step that never splits.
 """
 
 from __future__ import annotations
@@ -87,6 +98,13 @@ def adamw_step(params: dict, grads: dict, state: OptimizerState, lr: float,
                               + config.weight_decay * tensor.data)).astype(tensor.data.dtype)
 
 
+def _interocular(gt: np.ndarray, fmt: LandmarkFormat) -> np.ndarray:
+    """Per sample, the inter-ocular distance of the (n, 2K) ground truth."""
+    g = gt.reshape(len(gt), fmt.points, 2)
+    left, right = fmt.interocular
+    return np.linalg.norm(g[:, left] - g[:, right], axis=1)
+
+
 def _nme_terms(pred: np.ndarray, gt: np.ndarray, fmt: LandmarkFormat):
     """Per-sample NME values, gradients w.r.t. pred, and a validity mask.
 
@@ -97,8 +115,7 @@ def _nme_terms(pred: np.ndarray, gt: np.ndarray, fmt: LandmarkFormat):
     k = fmt.points
     p = pred.reshape(n, k, 2)
     g = gt.reshape(n, k, 2)
-    left, right = fmt.interocular
-    dio = np.linalg.norm(g[:, left] - g[:, right], axis=1)
+    dio = _interocular(gt, fmt)
     valid = dio >= MIN_INTEROCULAR
     if not np.all(valid):
         log.warning(
@@ -115,6 +132,27 @@ def _nme_terms(pred: np.ndarray, gt: np.ndarray, fmt: LandmarkFormat):
     dnme = unit / (k * safe_dio[:, None, None])
     dnme[~valid] = 0.0
     return nme, dnme.reshape(n, 2 * k), valid
+
+
+def _ground_truth(batch, rows, fmt_name: str, dtype) -> np.ndarray:
+    """The (len(rows), 2K) annotations of ``fmt_name`` as the loss reads
+    them: rounded to the predictions' ``dtype``, then widened to float64."""
+    return np.stack([np.asarray(batch[i].annotations[fmt_name], dtype=dtype)
+                     for i in rows]).astype(np.float64)
+
+
+def head_counts(batch, formats, registry: FormatRegistry, dtype) -> dict:
+    """Per format, the samples of ``batch`` that its loss averages over:
+    annotated in it, with an inter-ocular distance of at least
+    ``MIN_INTEROCULAR`` in the ground truth as the loss reads it."""
+    counts = {}
+    for fmt_name in formats:
+        rows = [i for i, sample in enumerate(batch) if sample.has(fmt_name)]
+        counts[fmt_name] = 0
+        if rows:
+            dio = _interocular(_ground_truth(batch, rows, fmt_name, dtype), registry.get(fmt_name))
+            counts[fmt_name] = int(np.count_nonzero(dio >= MIN_INTEROCULAR))
+    return counts
 
 
 def nme_loss(pred, gt, fmt: LandmarkFormat) -> float:
@@ -136,13 +174,19 @@ def nme_loss(pred, gt, fmt: LandmarkFormat) -> float:
     return float(nme[valid].sum() / valid.sum())
 
 
-def masked_multihead_loss(predictions: dict, batch, registry: FormatRegistry):
+def masked_multihead_loss(predictions: dict, batch, registry: FormatRegistry, counts=None):
     """Total loss over the heads present in ``predictions``.
 
     Each head contributes the mean NME over the batch samples annotated in
     its format, or 0 when none are. Returns (total, per-head detail, seed
     gradients suitable for ``backward_multi``); gradient rows of unannotated
-    samples are exactly zero.
+    samples are exactly zero. The detail maps each head to its loss and the
+    number of samples of ``batch`` it averaged over.
+
+    ``counts``, when given, is ``head_counts`` of a whole batch of which
+    ``batch`` is a micro-batch: each head's NME sum and seed gradients are
+    divided by the head's count there, so that the losses and gradients of
+    the micro-batches add up to the whole batch's.
     """
     total = 0.0
     detail = {}
@@ -154,15 +198,16 @@ def masked_multihead_loss(predictions: dict, batch, registry: FormatRegistry):
         if not rows:
             detail[fmt_name] = (0.0, 0)
             continue
-        gt = np.stack([np.asarray(batch[i].annotations[fmt_name], dtype=pd.dtype) for i in rows])
-        nme, dnme, valid = _nme_terms(pd[rows].astype(np.float64), gt.astype(np.float64), fmt)
+        gt = _ground_truth(batch, rows, fmt_name, pd.dtype)
+        nme, dnme, valid = _nme_terms(pd[rows].astype(np.float64), gt, fmt)
         count = int(valid.sum())
         if count == 0:
             detail[fmt_name] = (0.0, 0)
             continue
-        head_loss = float(nme.sum() / count)
+        scale = count if counts is None else counts[fmt_name]
+        head_loss = float(nme.sum() / scale)
         grad = np.zeros_like(pd)
-        grad[rows] = (dnme / count).astype(pd.dtype)
+        grad[rows] = (dnme / scale).astype(pd.dtype)
         seeds.append((pred, grad))
         total += head_loss
         detail[fmt_name] = (head_loss, count)
@@ -205,13 +250,47 @@ class TrainLog:
             fh.write(self.to_csv())
 
 
+def _train_step(model: Model, batch, formats, registry: FormatRegistry,
+                state: OptimizerState, lr: float, config: TrainConfig, where: str) -> tuple:
+    """One step on ``batch`` for the heads ``formats``: forward, masked loss
+    and backward per micro-batch of ``model.micro_batch`` samples, then one
+    AdamW update. Returns (total loss, {format: (loss, count)}) for the
+    whole batch. Its tapes, predictions, seeds and gradients die with it."""
+    counts = head_counts(batch, formats, registry, model.dtype)
+    losses = dict.fromkeys(formats, 0.0)
+    grad_map = None
+    for start in range(0, len(batch), model.micro_batch):
+        micro = batch[start : start + model.micro_batch]
+        heads = [f for f in formats if any(s.has(f) for s in micro)]
+        if not heads:  # calibration-only samples
+            continue
+        images = np.stack([s.image for s in micro]).astype(model.dtype)
+        tape = Tape(model.params.values())
+        predictions = model_forward(model, Tensor(images), heads, tape=tape)
+        part, detail, seeds = masked_multihead_loss(predictions, micro, registry, counts)
+        if not math.isfinite(part):
+            raise NumericsError(f"loss became non-finite at {where}")
+        for fmt_name, (head_loss, _) in detail.items():
+            losses[fmt_name] += head_loss
+        grads = backward_multi(tape, seeds)
+        if grad_map is None:
+            grad_map = {name: grads.wrt(t) for name, t in model.params.items()}
+        else:
+            for name, t in model.params.items():
+                grad_map[name] += grads.wrt(t)
+    adamw_step(model.params, grad_map, state, lr, config)
+    return sum(losses.values()), {f: (losses[f], counts[f]) for f in formats}
+
+
 def train(model: Model, datasets, config: TrainConfig,
           registry: FormatRegistry | None = None) -> TrainLog:
     """Cross-format training loop; mutates the model in place.
 
     Per step: draw a merged-shuffle batch, forward every head with at least
     one annotated sample, compute the masked loss, backpropagate, and apply
-    one AdamW step at the per-step cosine learning rate. Fully deterministic
+    one AdamW step at the per-step cosine learning rate, micro-batch by
+    micro-batch as the module describes, so that memory stops growing with
+    ``batch_size`` past ``model.micro_batch`` samples. Fully deterministic
     given (seed, config, data).
     """
     config.validate()
@@ -243,25 +322,14 @@ def train(model: Model, datasets, config: TrainConfig,
             if epoch_lr is None:
                 epoch_lr = lr
             formats = [f for f in head_formats if any(s.has(f) for s in batch)]
-            if not formats:  # batch of calibration-only samples
-                step += 1
-                continue
-            images = np.stack([s.image for s in batch]).astype(model.dtype)
-            tape = Tape(model.params.values())
-            predictions = model_forward(model, Tensor(images), formats, tape=tape)
-            total, detail, seeds = masked_multihead_loss(predictions, batch, registry)
-            if not math.isfinite(total):
-                raise NumericsError(
-                    f"loss became non-finite at epoch {epoch}, step {step}"
-                )
-            grads = backward_multi(tape, seeds)
-            grad_map = {name: grads.wrt(t) for name, t in model.params.items()}
-            adamw_step(model.params, grad_map, state, lr, config)
+            if formats:  # else a batch of calibration-only samples
+                total, detail = _train_step(model, batch, formats, registry, state, lr, config,
+                                            f"epoch {epoch}, step {step}")
+                step_totals.append(total)
+                for fmt_name, (head_loss, count) in detail.items():
+                    loss_sums[fmt_name] += head_loss * count
+                    count_sums[fmt_name] += count
             step += 1
-            step_totals.append(total)
-            for fmt_name, (head_loss, count) in detail.items():
-                loss_sums[fmt_name] += head_loss * count
-                count_sums[fmt_name] += count
         train_log.append(
             EpochStats(
                 epoch=epoch,

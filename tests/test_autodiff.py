@@ -199,3 +199,35 @@ def test_backward_is_deterministic(rng):
     w2, x2 = run()
     np.testing.assert_array_equal(w1, w2)
     np.testing.assert_array_equal(x1, x2)
+
+
+def test_a_tape_output_gradient_is_released_never_read_as_zero(rng):
+    """The backward keeps the gradients of the leaves and releases those of
+    the tape outputs; asking for a released one raises."""
+    x = Tensor(rng.standard_normal((2, 4)))
+    p = params(rng.standard_normal((4, 3)), kind="linear")
+    tape = Tape()
+    hidden = linear(x, p, tape=tape)
+    out = relu(hidden, tape=tape)
+    grads = backward(tape, np.ones_like(out.data))
+    for tensor in (hidden, out):
+        with pytest.raises(UsageError, match=r"\(2, 3\).*released"):
+            grads.wrt(tensor)
+        with pytest.raises(UsageError, match="released"):
+            grads.get(tensor)
+    mask = (hidden.data > 0).astype(np.float64)
+    np.testing.assert_allclose(grads.wrt(x), mask @ p.weights.data.T, atol=1e-12)
+    np.testing.assert_allclose(grads.wrt(p.weights), x.data.T @ mask, atol=1e-12)
+    np.testing.assert_array_equal(grads.get(p.bias), mask.sum(axis=0))
+
+
+def test_a_second_backward_on_a_consumed_tape_raises(rng):
+    x = Tensor(rng.standard_normal((1, 3)))
+    p = params(rng.standard_normal((3, 2)), kind="linear")
+    tape = Tape([p.weights])
+    out = linear(x, p, tape=tape)
+    backward(tape, np.ones_like(out.data), output=out)
+    assert len(tape) == 0
+    for output in (out, None):
+        with pytest.raises(UsageError, match="consumed"):
+            backward(tape, np.ones_like(out.data), output=output)

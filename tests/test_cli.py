@@ -165,6 +165,12 @@ class TestAnalyze:
         cfg.write_text("[model]\ninput_size = banana\n")
         assert run(["analyze", "--config", str(cfg)]) == 2
 
+    def test_unnumbered_eosa_section_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[model]\n[eosa.one]\nf_osa = 4\nn_osa = 2\nf_conv = 8\n")
+        assert run(["analyze", "--config", str(cfg)]) == 2
+        assert "numbered 1..1" in capsys.readouterr().err
+
 
 class TestResolvedConfigBanner:
     def test_every_run_prints_resolved_config_first(self, tmp_path, capsys):

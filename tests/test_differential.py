@@ -1,18 +1,25 @@
 """Differential tests over generated architectures: the float and int8
 forward passes of small random configs against loop-oracle interpreters of
 the plan, which share no kernel code with them; the taped forward's
-gradients against central differences; and the container's
-``save(load(f))`` for every generated shape."""
+gradients against central differences; the container's ``save(load(f))``
+for every generated shape; the parameter and MAC counts against a layer
+list derived from the config alone; and a micro-batched training step
+against the whole batch on one tape."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import efld.model
+import efld.training as training
 from efld.container import load, save
+from efld.data import Sample
+from efld.formats import FormatRegistry, LandmarkFormat
 from efld.metrics import count_cost
 from efld.model import (EXTRA_CONV_KINDS, HEAD_KINDS, EosaConfig, HeadConfig, ModelConfig,
-                        build_model, build_plan, model_forward, sibling_convs)
+                        build_model, build_plan, model_forward, sibling_convs, site_shapes)
 from efld.quantize import calibrate, quantize_model, quantized_forward
 from efld.tensor import Tape, Tensor, backward_multi
 
@@ -184,3 +191,127 @@ def test_containers_save_load_save_byte_identical(seed, tmp_path):
         save(m, first)
         save(load(first), second)
         assert first.read_bytes() == second.read_bytes(), kind
+
+
+def config_layers(config):
+    """(kind, kernel area, cin, cout, output pixels) of every layer, worked
+    out from the config's fields as the module docstring of ``efld.model``
+    describes the network, without its plan."""
+    layers = []
+    size, cin = config.input_size, 3
+    for ec in config.eosa:
+        size = -(-size // 2)
+        if ec.extra_conv == "conventional":
+            layers.append(("conv", 9, cin, ec.f_conv, size * size))
+        else:
+            layers += [("depthwise", 9, cin, cin, size * size),
+                       ("conv", 1, cin, ec.f_conv, size * size)]
+        for j in range(ec.n_osa):
+            layers.append(("conv", 9, cin if j == 0 else ec.f_osa, ec.f_osa, size * size))
+        cin = ec.f_conv + ec.n_osa * ec.f_osa
+    dim = config.decoder_dim
+    layers += [("conv", 1, cin, dim, size * size), ("depthwise", size * size, dim, dim, 1)]
+    for hc in config.heads:
+        width = dim
+        for _ in range(hc.blocks if config.head_kind == "efld" else 0):
+            layers.append(("linear", 1, width, hc.width, 1))
+            width += hc.width
+        layers.append(("linear", 1, width, 2 * hc.points, 1))
+    return layers
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_parameter_and_mac_counts_match_the_config(seed):
+    config = generated_config(seed)
+    params = macs = 0
+    for kind, area, cin, cout, pixels in config_layers(config):
+        fan_in = area if kind == "depthwise" else area * cin
+        params += fan_in * cout + cout
+        macs += fan_in * cout * pixels
+    cost = count_cost(config)
+    assert (cost.parameters, cost.macs) == (params, macs)
+    assert build_model(config, seed=seed).parameter_count() == params
+
+
+def training_case(seed, dtype):
+    """A model of the seed's config with every head widened to at least 2
+    points (the inter-ocular pair), a registry of its formats, and a batch
+    of 5 samples: head k is annotated on every sample but one, except that
+    the second head is annotated on the first two only and the third on
+    the last two only, and the first sample's first head has coincident
+    eyes, so a micro-batch of 2 meets a skipped head and a degenerate one."""
+    config = generated_config(seed)
+    config = replace(config, heads=tuple(replace(hc, points=max(2, hc.points))
+                                         for hc in config.heads))
+    model = build_model(config, seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    random_biases(model, rng)
+    registry = FormatRegistry(LandmarkFormat(hc.format, hc.points, (0, 1))
+                              for hc in config.heads)
+    annotated = [{0, 1, 3, 4}, {0, 1}, {3, 4}]
+    batch = []
+    for i in range(5):
+        image = rng.uniform(size=(config.input_size, config.input_size, 3))
+        annotations = {hc.format: rng.uniform(size=2 * hc.points)
+                       for k, hc in enumerate(config.heads) if i in annotated[k]}
+        batch.append(Sample(image=image, annotations=annotations))
+    first = config.heads[0].format
+    batch[0].annotations[first][2:4] = batch[0].annotations[first][0:2]
+    return model, registry, batch
+
+
+def whole_batch_step(model, batch, registry):
+    """A step as one forward and one backward on the whole batch: the loss,
+    the per-head detail and the parameter gradients."""
+    formats = [f for f in model.head_formats() if any(s.has(f) for s in batch)]
+    tape = Tape(model.params.values())
+    images = np.stack([s.image for s in batch]).astype(model.dtype)
+    predictions = model_forward(model, Tensor(images), formats, tape=tape)
+    total, detail, seeds = training.masked_multihead_loss(predictions, batch, registry)
+    grads = backward_multi(tape, seeds)
+    return total, detail, {name: grads.wrt(t) for name, t in model.params.items()}
+
+
+def train_step(model, batch, registry, monkeypatch):
+    """``training._train_step`` with the AdamW update replaced by a copy of
+    the gradients it would apply."""
+    applied = {}
+    monkeypatch.setattr(training, "adamw_step",
+                        lambda params, grads, *args: applied.update(grads))
+    formats = [f for f in model.head_formats() if any(s.has(f) for s in batch)]
+    total, detail = training._train_step(model, batch, formats, registry, None, 0.0, None,
+                                         "test")
+    return total, detail, applied
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_micro_batched_step_matches_the_whole_batch(seed, monkeypatch):
+    """Float64, with the budget cut to 2 samples: the batch of 5 runs as
+    2 + 2 + 1, and its losses and gradients match one tape over all 5."""
+    model, registry, batch = training_case(seed, "float64")
+    sites = site_shapes(build_plan(model.config), model.config.input_size).values()
+    per_sample = sum(int(np.prod(shape)) for shape in sites)
+    monkeypatch.setattr(efld.model, "_STEP_ELEMENTS", 2 * per_sample + 1)
+    model = efld.model.Model(model.config, model.params, model.dtype)
+    assert model.micro_batch == 2
+    total, detail, grads = train_step(model, batch, registry, monkeypatch)
+    want_total, want_detail, want_grads = whole_batch_step(model, batch, registry)
+    assert total == pytest.approx(want_total, rel=1e-12, abs=0)
+    assert set(detail) == set(want_detail)
+    for fmt, (loss, count) in want_detail.items():
+        assert detail[fmt][1] == count
+        assert detail[fmt][0] == pytest.approx(loss, rel=1e-12, abs=0)
+    assert set(grads) == set(want_grads)
+    for name, want in want_grads.items():
+        assert np.abs(grads[name] - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_step_that_fits_is_bit_equal_to_the_whole_batch(seed, monkeypatch):
+    model, registry, batch = training_case(seed, "float32")
+    assert model.micro_batch >= len(batch)
+    total, detail, grads = train_step(model, batch, registry, monkeypatch)
+    want_total, want_detail, want_grads = whole_batch_step(model, batch, registry)
+    assert (total, detail) == (want_total, want_detail)
+    for name, want in want_grads.items():
+        assert grads[name].tobytes() == want.tobytes(), name

@@ -1,14 +1,17 @@
 """Losses, optimizer, schedule, and small end-to-end training runs."""
 
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from efld.data import Sample
+import efld.training as training
+from efld.data import Dataset, Sample
 from efld.errors import ConfigError, NumericsError, UsageError
 from efld.formats import LandmarkFormat, default_registry
-from efld.model import build_model, model_forward
+from efld.model import build_model, build_plan, default_config, model_forward, site_shapes
 from efld.synthetic import generate_synthetic
 from efld.tensor import Tape, Tensor, backward_multi
 from efld.training import (
@@ -255,6 +258,21 @@ class TestTrainLoop:
         for name in m1.params:
             np.testing.assert_array_equal(m1.params[name].data, m2.params[name].data)
 
+    def test_two_runs_in_micro_batches_bit_identical_logs(self):
+        ds = generate_synthetic(8, 32, seed=4, formats=["p51", "p68"], annotate="round-robin")
+
+        def run():
+            model = build_model(reduced_config(("p51", "p68")), seed=1)
+            model.micro_batch = 3  # steps of 4 samples run as 3 + 1
+            log = train(model, [ds], TrainConfig(epochs=3, batch_size=4, lr_max=0.002, seed=9))
+            return log.to_csv(), model
+
+        csv1, m1 = run()
+        csv2, m2 = run()
+        assert csv1 == csv2
+        for name in m1.params:
+            np.testing.assert_array_equal(m1.params[name].data, m2.params[name].data)
+
     def test_log_counts_and_columns(self):
         ds = generate_synthetic(6, 32, seed=5, formats=["p51", "p68"], annotate="round-robin")
         model = build_model(reduced_config(("p51", "p68")), seed=1)
@@ -271,3 +289,52 @@ class TestTrainLoop:
         model = build_model(reduced_config(("p51",)), seed=1)
         log = train(model, [ds], TrainConfig(epochs=2, batch_size=4, lr_max=0.003, seed=0))
         assert log.rows[0].lr == pytest.approx(0.003)
+
+
+def test_training_step_peak_memory_is_bounded_by_the_plan():
+    """One step of the stock 3-head model at batch 64 holds at most 0.4
+    times the float32 bytes of all the activation sites of the batch at
+    once: the step runs in micro-batches of 16 samples, and the backward
+    frees each activation after its last use. (The whole batch on one tape,
+    freed only after the backward, peaks at about twice those bytes.)"""
+    formats = ("p51", "p68", "p98")
+    config = default_config(formats)
+    model = build_model(config, seed=3)
+    assert model.micro_batch == 16
+    rng = np.random.default_rng(0)
+    batch = 64
+    samples = [Sample(rng.uniform(size=(128, 128, 3)),
+                      {f: rng.uniform(0.2, 0.8, size=2 * int(f[1:])) for f in formats})
+               for _ in range(batch)]
+    sites = site_shapes(build_plan(config), config.input_size).values()
+    activation_bytes = 4 * batch * sum(int(np.prod(shape)) for shape in sites)
+    tracemalloc.start()
+    try:
+        train(model, [Dataset(samples, formats)], TrainConfig(epochs=1, batch_size=batch))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.4 * activation_bytes, (peak, activation_bytes)
+
+
+def test_no_activation_of_a_step_survives_into_the_next(monkeypatch):
+    """Each tensor and array a step's forward put on its tape, and the
+    images, are gone when the next step's forward starts."""
+    model = build_model(reduced_config(("p51", "p68")), seed=1)
+    ds = generate_synthetic(8, 32, seed=4, formats=["p51", "p68"], annotate="round-robin")
+    forward = training.model_forward
+    alive = []  # weak references to what the last forward made
+    calls = []
+
+    def watched(model, images, formats, tape=None):
+        assert [ref for ref in alive if ref() is not None] == []
+        calls.append(len(images.data))
+        out = forward(model, images, formats, tape=tape)
+        values = [images] + [output for _, output, _ in tape._nodes]
+        alive[:] = [weakref.ref(obj) for value in values
+                    for obj in (value, value.data, value.data.base) if obj is not None]
+        return out
+
+    monkeypatch.setattr(training, "model_forward", watched)
+    train(model, [ds], TrainConfig(epochs=2, batch_size=2, seed=0))
+    assert calls == [2] * 8
