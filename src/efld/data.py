@@ -106,10 +106,14 @@ def _parse_record(text: str, line: int, registry: FormatRegistry) -> tuple:
         coords = coords.astype(np.float64).reshape(-1)
         if not np.all(np.isfinite(coords)):
             raise ValidationError(f"line {line}: non-finite coordinate for {fmt_name!r}")
-        if coords.min() < 0.0 or coords.max() > 1.0:
+        lo, hi = coords.min(), coords.max()
+        # np.asarray reads true and false as 1 and 0 among numbers, so only
+        # points with an exact 0 or 1 can hold one
+        if (lo == 0.0 or hi == 1.0) and any(isinstance(v, bool) for p in points for v in p):
+            raise ParseError(f"annotation for {fmt_name!r} has a true or false coordinate", line)
+        if lo < 0.0 or hi > 1.0:
             raise ValidationError(
-                f"line {line}: coordinate out of [0, 1] for {fmt_name!r} "
-                f"(min {coords.min()}, max {coords.max()})"
+                f"line {line}: coordinate out of [0, 1] for {fmt_name!r} (min {lo}, max {hi})"
             )
         parsed[fmt_name] = coords
     return image, parsed

@@ -28,7 +28,14 @@ transposed convolution, run through the same view: the input rows and
 columns split into stride phases (one phase at stride 1), and each phase is
 a stride-1 correlation of the output gradient, zero-extended where the
 phase needs it, with the flipped, transposed sub-kernel of its taps, in one
-GEMM per sample. Every op forms an input gradient only when the backward's
+GEMM per sample. A depthwise input gradient is the transpose of its tap
+loop: each stride phase of a chunk of samples gets its own buffer, each tap
+of the phase adds its product along whole output rows into it, and the
+phases are interleaved into the gradient once; a full-extent kernel's is one
+broadcast product. The depthwise forward and input gradient both run in
+cache-sized chunks of samples. A bias gradient sums the output gradient's
+rows of W*C values, then the W pixels of the result, not one C-wide pixel
+at a time. Every op forms an input gradient only when the backward's
 ``Gradients`` wants it (see ``tensor.Tape``). The GEMMs sum float32 inputs
 in float32 and float64 inputs in float64, never in a narrower type; the
 int8 path relies on it for exact integer sums (see ``quantize``). The
@@ -122,15 +129,6 @@ def _receptive_fields(padded, kh, kw, stride, out_h, out_w):
     )
 
 
-def _strided_window(padded, i, j, stride, out_h, out_w):
-    return padded[
-        :,
-        i : i + (out_h - 1) * stride + 1 : stride,
-        j : j + (out_w - 1) * stride + 1 : stride,
-        :,
-    ]
-
-
 def _conv_gemm(fields, weights, outs):
     """outs[k][n] = the receptive fields ``fields[n]`` (out_h, out_w, kh, kw,
     cin) of sample n times the weights ``weights[k]`` (kh*kw*cin, cout_k),
@@ -145,14 +143,26 @@ def _conv_gemm(fields, weights, outs):
         del cols  # before the next sample's copy, which can then reuse its memory
 
 
+# The depthwise kernels run on as many samples at a time as keep one
+# chunk's padded input within this many elements (at least one sample), so
+# that the chunk's stride phases and partial sums stay in cache.
+_CHUNK_ELEMENTS = 5 << 16
+
+
+def _chunks(batch, per_sample):
+    """(start, stop) of each chunk of samples for ``per_sample`` elements."""
+    step = max(1, _CHUNK_ELEMENTS // per_sample)
+    return [(n, min(n + step, batch)) for n in range(0, batch, step)]
+
+
 def _depthwise_taps(padded, w, stride, out):
     """out += each tap's strided window of ``padded`` (B, H, W, C) times its
     filter ``w[i, j]``, tap by tap in row-major order, into the C-contiguous
-    ``out``.
+    ``out``, a chunk of samples at a time.
 
     Each multiply-add runs along whole output rows, out_w*C values, with the
     tap's filter tiled along the row; at stride 2 the windows are read from
-    contiguous copies of the four stride phases of ``padded``. A 1x1 output
+    contiguous copies of the four stride phases of the chunk. A 1x1 output
     (a full-extent kernel) of more than one channel is one reduction over
     the taps: the tap axis is then not the innermost one, so numpy adds
     along it in tap order, from +0.0 as the loop does (along the innermost
@@ -163,16 +173,63 @@ def _depthwise_taps(padded, w, stride, out):
         taps = padded[:, :kh, :kw].reshape(batch, kh * kw, c) * w.reshape(kh * kw, c)
         out += np.add.reduce(taps, axis=1, initial=0.0).reshape(out.shape)
         return
-    rows = out.reshape(batch, out_h, out_w * c)
     w_rows = np.tile(w, (1, 1, out_w))
-    phases = {(a, b): padded if stride == 1
-              else np.ascontiguousarray(padded[:, a::stride, b::stride])
-              for a in range(min(stride, kh)) for b in range(min(stride, kw))}
-    for i in range(kh):
-        for j in range(kw):
-            r, s = i // stride, j // stride
-            window = phases[i % stride, j % stride][:, r : r + out_h, s : s + out_w]
-            rows += window.reshape(batch, out_h, out_w * c) * w_rows[i, j]
+    for n0, n1 in _chunks(batch, padded[0].size):
+        chunk = padded[n0:n1]
+        rows = out[n0:n1].reshape(n1 - n0, out_h, out_w * c)
+        phases = {(a, b): chunk if stride == 1
+                  else np.ascontiguousarray(chunk[:, a::stride, b::stride])
+                  for a in range(min(stride, kh)) for b in range(min(stride, kw))}
+        for i in range(kh):
+            for j in range(kw):
+                r, s = i // stride, j // stride
+                window = phases[i % stride, j % stride][:, r : r + out_h, s : s + out_w]
+                rows += window.reshape(rows.shape) * w_rows[i, j]
+
+
+def _depthwise_input_grad(grad, w, stride, pt, pl, padded_hw, shape):
+    """Gradient of depthwise_conv2d with respect to its input of the given
+    shape, whose forward read it inside the (top, left) padding (pt, pl) as
+    a padded extent ``padded_hw``: the transpose of ``_depthwise_taps``.
+
+    Tap (i, j) reaches only the padded pixels of stride phase
+    (i mod stride, j mod stride). So each phase of a chunk of samples gets
+    its own zero buffer, each of its taps adds grad * w[i, j] along whole
+    output rows into it, in row-major tap order, and the phase is written
+    into its rows and columns of ``dx`` once. Every pixel gets its taps'
+    products in the order the scatter over the padded input added them,
+    from +0.0, so the bits are the scatter's. A 1x1 output (a full-extent
+    kernel) meets each pixel with at most one tap: one broadcast product.
+    """
+    batch, h, wdt, c = shape
+    _, out_h, out_w, _ = grad.shape
+    kh, kw = w.shape[:2]
+    if out_h == out_w == 1:
+        dx = np.zeros(shape, dtype=grad.dtype)
+        rows, cols = min(h, kh - pt), min(wdt, kw - pl)
+        dx[:, :rows, :cols] += grad * w[pt : pt + rows, pl : pl + cols]
+        return dx
+    dx = np.empty(shape, dtype=grad.dtype)
+    hp, wp = padded_hw
+    w_rows = np.tile(w, (1, 1, out_w))
+    for n0, n1 in _chunks(batch, hp * wp * c):
+        g = grad[n0:n1].reshape(n1 - n0, out_h, out_w * c)
+        for a in range(stride):
+            r0 = (a - pt) % stride  # the first row of dx in phase a
+            for b in range(stride):
+                c0 = (b - pl) % stride
+                phase = np.zeros((n1 - n0, len(range(a, hp, stride)),
+                                  len(range(b, wp, stride)), c), dtype=grad.dtype)
+                for i in range(a, kh, stride):
+                    for j in range(b, kw, stride):
+                        r, s = i // stride, j // stride
+                        window = phase[:, r : r + out_h, s : s + out_w].reshape(g.shape)
+                        window += g * w_rows[i, j]
+                top, left = (r0 + pt) // stride, (c0 + pl) // stride
+                dx[n0:n1, r0::stride, c0::stride] = phase[
+                    :, top : top + len(range(r0, h, stride)),
+                    left : left + len(range(c0, wdt, stride))]
+    return dx
 
 
 def _add_bias(out, b):
@@ -183,6 +240,18 @@ def _add_bias(out, b):
     batch, h, w, c = out.shape
     rows = out.reshape(batch * h, w * c)
     rows += b[None].repeat(w, 0).reshape(-1)
+
+
+def _channel_sums(grad):
+    """The bias gradient: ``grad`` (B, H, W, C) summed over every axis but
+    the channel axis, as its B*H rows of W*C values added in turn, then the
+    W pixels of the row sum. numpy's sum over axes (0, 1, 2) runs its inner
+    loop over the C channels only, a handful for a narrow layer. A GEMV with
+    a ones vector is as fast at one BLAS thread, but OpenBLAS splits the
+    sums of a narrow, tall matrix between its threads, so their bits would
+    depend on the thread count; these sums are numpy's own, in one order."""
+    batch, h, w, c = grad.shape
+    return grad.reshape(batch * h, w * c).sum(axis=0).reshape(w, c).sum(axis=0)
 
 
 def _zero_extended(grad, top, left, rows, cols):
@@ -292,7 +361,7 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
         if grads.wants(x):
             grads.accumulate(x, _conv_input_grad(grad, w, stride, pt, pl, x.data.shape))
         grads.accumulate(params.weights, dw.reshape(w.shape))
-        grads.accumulate(params.bias, grad.sum(axis=(0, 1, 2)))
+        grads.accumulate(params.bias, _channel_sums(grad))
 
     return backward_fn
 
@@ -354,14 +423,10 @@ def depthwise_conv2d(
             for n in range(batch):
                 dw += np.einsum("hwijc,hwc->ijc", cols[n], grad[n])
             if grads.wants(x):
-                dpadded = np.zeros_like(padded)
-                for i in range(kh):
-                    for j in range(kw):
-                        window = _strided_window(dpadded, i, j, stride, out_h, out_w)
-                        window += grad * w[i, j]
-                grads.accumulate(x, dpadded[:, pt : pt + h, pl : pl + wdt, :])
+                grads.accumulate(x, _depthwise_input_grad(grad, w, stride, pt, pl,
+                                                          padded.shape[1:3], xd.shape))
             grads.accumulate(params.weights, dw)
-            grads.accumulate(params.bias, grad.sum(axis=(0, 1, 2)))
+            grads.accumulate(params.bias, _channel_sums(grad))
 
         tape.record("depthwise_conv2d", result, backward_fn)
     return result

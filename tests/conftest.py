@@ -67,6 +67,23 @@ def ref_depthwise_conv2d(x, w, b, stride=1, padding="same"):
     return out
 
 
+def ref_depthwise_input_grad(grad, w, x_shape, stride=1, padding="same"):
+    """d(sum of grad * depthwise_conv2d(x)) / dx by the tap-loop scatter:
+    tap by tap in row-major order, grad * w[i, j] is added into the tap's
+    strided window of a zero padded buffer, whose interior is the gradient.
+    Each pixel gets its taps' products in that order, from +0.0."""
+    batch, h, wdt, c = x_shape
+    kh, kw, _ = w.shape
+    out_h, pt = _pad_split(h, kh, stride, padding)
+    out_w, pl = _pad_split(wdt, kw, stride, padding)
+    dpadded = np.zeros((batch, pt + h + kh, pl + wdt + kw, c), dtype=grad.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dpadded[:, i : i + (out_h - 1) * stride + 1 : stride,
+                    j : j + (out_w - 1) * stride + 1 : stride] += grad * w[i, j]
+    return dpadded[:, pt : pt + h, pl : pl + wdt]
+
+
 def oracle_requant(x, zero_point):
     """clamp(round half away from zero(x) + zero_point, -128, 127) in int64."""
     rounded = np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))

@@ -123,6 +123,17 @@ class TestDatasetIO:
         with pytest.raises(ValidationError, match=r"out of \[0, 1\]"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("point,axis,value", [(0, 0, True), (50, 1, False)])
+    def test_boolean_coordinate_among_numbers_is_parse_error(self, tmp_path, point, axis, value):
+        ds = generate_synthetic(1, 32, seed=4, formats=["p51"])
+        save_dataset(ds, tmp_path)
+        index = tmp_path / "annotations.jsonl"
+        record = json.loads(index.read_text())
+        record["annotations"]["p51"][point][axis] = value
+        index.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ParseError, match="line 1: .*true or false coordinate"):
+            load_dataset(tmp_path)
+
     def test_wrong_point_count(self, tmp_path):
         ds = generate_synthetic(1, 32, seed=4, formats=["p51"])
         save_dataset(ds, tmp_path)

@@ -10,7 +10,7 @@ from efld.ops import (concat_channels, conv2d, depthwise_conv2d, linear, relu, s
 from efld.tensor import LayerParams, Tape, Tensor, backward, backward_multi
 
 from conftest import (_pad_split, central_difference, max_rel_error, ref_conv2d,
-                      ref_depthwise_conv2d)
+                      ref_depthwise_conv2d, ref_depthwise_input_grad)
 
 
 def conv_params(w, b=None, kind="conv"):
@@ -423,6 +423,116 @@ class TestDepthwiseConv2d:
         p = conv_params(np.zeros((8, 8, 2)), kind="depthwise-conv")
         with pytest.raises(ShapeError):
             depthwise_conv2d(x, p, padding="valid")
+
+
+def typed_params(rng, w_shape, dtype, kind):
+    """Random weights and bias of ``w_shape`` in ``dtype``, with about a
+    fifth of the weights -0.0."""
+    w = rng.standard_normal(w_shape).astype(dtype)
+    w[rng.uniform(size=w.shape) < 0.2] = -0.0
+    b = rng.standard_normal(w_shape[-1]).astype(dtype)
+    return LayerParams(kind, Tensor(w), Tensor(b))
+
+
+class TestDepthwiseInputGradient:
+    """The stride-phase input gradient against the tap-loop scatter."""
+
+    MODES = [(1, "same"), (2, "same"), (1, "valid"), (2, "valid")]
+
+    @staticmethod
+    def input_grad(rng, shape, kernel, stride, padding, dtype):
+        x = Tensor(rng.standard_normal(shape).astype(dtype))
+        p = typed_params(rng, kernel + (shape[3],), dtype, "depthwise-conv")
+        tape = Tape()
+        out = depthwise_conv2d(x, p, stride=stride, padding=padding, tape=tape)
+        grad = rng.standard_normal(out.shape).astype(dtype)
+        grad[rng.uniform(size=grad.shape) < 0.2] = -0.0
+        got = backward(tape, grad).wrt(x)
+        return got, ref_depthwise_input_grad(grad, p.weights.data, shape, stride, padding)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("size", [8, 7, 65])
+    @pytest.mark.parametrize("stride,padding", MODES)
+    def test_bit_equal_to_the_scatter(self, rng, dtype, batch, size, stride, padding):
+        """Every bit, the sign of each zero included."""
+        got, want = self.input_grad(rng, (batch, size, size, 4), (3, 3), stride, padding, dtype)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("shape,kernel,stride,padding", [
+        ((3, 8, 8, 16), (8, 8), 1, "valid"),  # decoder.dw
+        ((2, 9, 8, 4), (8, 8), 2, "valid"),  # row 8 meets no tap
+        ((2, 1, 2, 4), (3, 3), 2, "same"),  # padded above, a 1x1 output
+    ])
+    def test_one_by_one_output_bit_equal_to_the_scatter(self, rng, dtype, shape, kernel,
+                                                       stride, padding):
+        got, want = self.input_grad(rng, shape, kernel, stride, padding, dtype)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", [7, 65])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_chunks_of_one_sample_keep_every_bit(self, rng, monkeypatch, size, stride):
+        """With one sample per chunk, the forward has the bits of the whole
+        batch in one chunk and the input gradient those of the scatter."""
+        x = Tensor(rng.standard_normal((3, size, size, 4)).astype("float32"))
+        p = typed_params(rng, (3, 3, 4), "float32", "depthwise-conv")
+        whole = depthwise_conv2d(x, p, stride=stride).data
+        monkeypatch.setattr(efld.ops, "_CHUNK_ELEMENTS", 1)
+        tape = Tape()
+        out = depthwise_conv2d(x, p, stride=stride, tape=tape)
+        assert out.data.tobytes() == whole.tobytes()
+        grad = rng.standard_normal(out.shape).astype("float32")
+        want = ref_depthwise_input_grad(grad, p.weights.data, x.shape, stride)
+        assert backward(tape, grad).wrt(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 7, 7, 3), (1, 5, 7, 2)], ids=["odd", "odd-wide"])
+    @pytest.mark.parametrize("stride,padding", MODES)
+    def test_central_differences_at_odd_extents(self, rng, shape, stride, padding):
+        x = Tensor(rng.standard_normal(shape))
+        p = typed_params(rng, (3, 3, shape[3]), "float64", "depthwise-conv")
+        seed = rng.standard_normal(depthwise_conv2d(x, p, stride, padding).shape)
+
+        def loss():
+            return float((depthwise_conv2d(x, p, stride, padding).data * seed).sum())
+
+        tape = Tape()
+        g = backward(tape, seed, output=depthwise_conv2d(x, p, stride, padding, tape=tape))
+        arrays = [x, p.weights, p.bias]
+        numeric = central_difference(loss, [t.data for t in arrays])
+        for t, num in zip(arrays, numeric):
+            assert max_rel_error(g.wrt(t), num) < 1e-6
+
+
+class TestBiasGradients:
+    """Each bias gradient is its output gradient summed over the batch and
+    the pixels, within a summation's rounding of the float64 sum: at most
+    ``tol`` times the sum of the magnitudes summed, per channel."""
+
+    @pytest.mark.parametrize("dtype,tol", [("float32", 1e-6), ("float64", 1e-12)])
+    @pytest.mark.parametrize("op", ["conv2d", "sibling_conv2d", "depthwise_conv2d"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_within_tolerance_of_a_float64_sum(self, rng, op, dtype, tol, stride):
+        x = Tensor(rng.standard_normal((3, 65, 65, 4)).astype(dtype))
+        tape = Tape()
+        if op == "depthwise_conv2d":
+            layers = [typed_params(rng, (3, 3, 4), dtype, "depthwise-conv")]
+            outs = [depthwise_conv2d(x, layers[0], stride=stride, tape=tape)]
+        elif op == "conv2d":
+            layers = [typed_params(rng, (3, 3, 4, 5), dtype, "conv")]
+            outs = [conv2d(x, layers[0], stride=stride, tape=tape)]
+        else:
+            layers = [typed_params(rng, (3, 3, 4, cout), dtype, "conv") for cout in (4, 2)]
+            outs = sibling_conv2d(x, layers, stride=stride, tape=tape)
+        seeds = [rng.standard_normal(out.shape).astype(dtype) for out in outs]
+        g = backward_multi(tape, list(zip(outs, seeds)))
+        for p, seed in zip(layers, seeds):
+            got = g.wrt(p.bias)
+            assert got.dtype == dtype
+            exact = seed.astype(np.float64).sum(axis=(0, 1, 2))
+            magnitude = np.abs(seed.astype(np.float64)).sum(axis=(0, 1, 2))
+            assert np.all(np.abs(got - exact) <= tol * magnitude)
 
 
 class TestLinear:

@@ -1,8 +1,12 @@
 """Losses, optimizer, schedule, and small end-to-end training runs."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,3 +342,59 @@ def test_no_activation_of_a_step_survives_into_the_next(monkeypatch):
     monkeypatch.setattr(training, "model_forward", watched)
     train(model, [ds], TrainConfig(epochs=2, batch_size=2, seed=0))
     assert calls == [2] * 8
+
+
+# Every variable that sets a BLAS or OpenMP thread count (the benchmark's
+# list); each is set to the same value in one run.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+# One step of 512 samples at 32 px, the whole batch on one tape, printing
+# the SHA-256 of its gradients, the training log and the trained
+# parameters. At 512 samples eosa1's bias gradients sum 131,072 rows of 4
+# channels, where OpenBLAS's GEMV splits its sums between two threads.
+_THREADED_RUN = """
+import hashlib
+import efld.training as training
+from conftest import reduced_config
+from efld.data import Dataset
+from efld.model import build_model
+from efld.synthetic import generate_synthetic
+
+digest = hashlib.sha256()
+update = training.adamw_step
+
+def hashed(params, grads, *args):
+    for name in sorted(grads):
+        digest.update(grads[name].tobytes())
+    update(params, grads, *args)
+
+training.adamw_step = hashed
+ds = generate_synthetic(8, 32, seed=2, formats=["p51"])
+model = build_model(reduced_config(("p51",)), seed=1)
+model.micro_batch = 512
+log = training.train(model, [Dataset(ds.samples * 64, ds.formats)],
+                     training.TrainConfig(epochs=1, batch_size=512, lr_max=0.002, seed=3))
+digest.update(log.to_csv().encode())
+for name in sorted(model.params):
+    digest.update(model.params[name].data.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_training_bits_do_not_depend_on_the_blas_thread_count():
+    """Training is bit-deterministic whatever the BLAS thread count: a step
+    gives the same gradients, log and parameters with one thread and with
+    two, so no sum in the backward is split between threads."""
+    import efld
+
+    paths = [str(Path(efld.__file__).resolve().parent.parent), str(Path(__file__).parent)]
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, **dict.fromkeys(THREAD_VARS, threads))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in paths + [env.get("PYTHONPATH")] if p)
+        proc = subprocess.run([sys.executable, "-c", _THREADED_RUN], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
