@@ -136,16 +136,32 @@ def cmd_train(args) -> int:
 
 
 def _predict(model, images):
+    """Every head's (B, 2K) float64 predictions for a list of crops, each
+    held as ``Sample.pixels`` holds them (uint8 codes or floats in [0, 1])."""
     import numpy as np
 
+    from .data import stack_images
     from .model import Model, model_forward
     from .quantize import quantized_forward
     from .tensor import Tensor
 
     if isinstance(model, Model):
-        batch = Tensor(np.stack(images).astype(model.dtype))
+        batch = Tensor(stack_images(images, model.dtype))
         return {f: t.data.astype(np.float64) for f, t in model_forward(model, batch).items()}
-    return quantized_forward(model, np.stack(images))
+    return quantized_forward(model, stack_images(images, np.float64))
+
+
+# ``efld eval`` predicts about this many samples per forward, rounded up to
+# whole blocks of the float backbone (``model.block_samples``): each sample
+# then runs in the same block as in one forward over the whole dataset.
+EVAL_SAMPLES = 32
+
+
+def _eval_chunk(model) -> int:
+    from .model import block_samples, build_plan
+
+    block = block_samples(build_plan(model.config), model.config.input_size)
+    return block * -(-EVAL_SAMPLES // block)
 
 
 def cmd_eval(args) -> int:
@@ -173,7 +189,11 @@ def cmd_eval(args) -> int:
             f"dataset images are {dataset.image_size}px but the model expects "
             f"{model.config.input_size}px"
         )
-    predictions = _predict(model, [s.image for s in annotated])[args.format]
+    chunk = _eval_chunk(model)
+    predictions = np.concatenate([
+        _predict(model, [s.pixels for s in annotated[start : start + chunk]])[args.format]
+        for start in range(0, len(annotated), chunk)
+    ])
     gt = np.stack([s.annotations[args.format] for s in annotated])
     report = evaluate(predictions, gt, fmt, threshold=args.threshold,
                       image_size=dataset.image_size)
@@ -261,15 +281,14 @@ def cmd_infer(args) -> int:
         )
     size = model.config.input_size
 
-    jobs = []
     if args.image is not None:
-        jobs.append((args.image, read_ppm(args.image)))
+        jobs = [(args.image, read_ppm(args.image))]
     else:
         dataset = load_dataset(args.data)
         if not dataset.samples:
             raise DataError(f"{args.data}: empty dataset")
-        for i, sample in enumerate(dataset):
-            jobs.append((f"{IMAGES_DIR}/{i:06d}.ppm", sample.image))
+        # one crop converted to floats at a time
+        jobs = ((f"{IMAGES_DIR}/{i:06d}.ppm", sample.image) for i, sample in enumerate(dataset))
 
     lines = []
     for name, image in jobs:

@@ -14,27 +14,54 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, ParseError, UsageError, ValidationError
 from .formats import FormatRegistry, default_registry
-from .image import read_ppm, write_ppm
+from .image import from_codes, read_ppm_codes, write_ppm
 
 ANNOTATIONS_FILE = "annotations.jsonl"
 IMAGES_DIR = "images"
 
 
-@dataclass
 class Sample:
-    """One face crop plus per-format optional landmark annotations."""
+    """One face crop plus per-format optional landmark annotations.
 
-    image: np.ndarray  # (S, S, 3) floats in [0, 1]
-    annotations: dict  # format name -> flat (2K,) float64 coordinates
+    ``pixels`` holds the crop as the constructor's ``image`` gave it: the
+    (S, S, 3) uint8 codes k of its PPM (``load_dataset``,
+    ``generate_synthetic``), 49,152 bytes at 128 px, or the floats in
+    [0, 1] of a sample built by hand. ``image`` is the crop in floats:
+    float64 k / 255 for codes, computed on each access, else ``pixels``
+    itself.
+    """
+
+    __slots__ = ("pixels", "annotations")
+
+    def __init__(self, image: np.ndarray, annotations: dict):
+        self.pixels = image
+        self.annotations = annotations  # format name -> flat (2K,) float64 coordinates
+
+    @property
+    def image(self) -> np.ndarray:
+        return _as_float(self.pixels)
 
     def has(self, fmt: str) -> bool:
         return fmt in self.annotations
+
+
+def _as_float(pixels: np.ndarray) -> np.ndarray:
+    return from_codes(pixels) if pixels.dtype == np.uint8 else pixels
+
+
+def stack_images(images, dtype) -> np.ndarray:
+    """One (B, S, S, 3) batch in ``dtype`` of crops held as ``Sample.pixels``
+    holds them, with the bits of ``np.stack([s.image ...]).astype(dtype)``:
+    codes k become float64 k / 255 before the cast. A batch of codes alone
+    is stacked as codes and converted once."""
+    if all(p.dtype == np.uint8 for p in images):
+        return from_codes(np.stack(images)).astype(dtype, copy=False)
+    return np.stack([_as_float(p) for p in images]).astype(dtype, copy=False)
 
 
 class Dataset:
@@ -43,10 +70,10 @@ class Dataset:
     def __init__(self, samples, formats):
         self.samples = list(samples)
         self.formats = tuple(formats)
-        sizes = {s.image.shape for s in self.samples}
+        sizes = {s.pixels.shape for s in self.samples}
         if len(sizes) > 1:
             raise ValidationError(f"samples disagree on image shape: {sorted(sizes)}")
-        self.image_size = self.samples[0].image.shape[0] if self.samples else 0
+        self.image_size = self.samples[0].pixels.shape[0] if self.samples else 0
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -59,12 +86,13 @@ class Dataset:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write images as PPM plus the JSONL annotation index."""
+    """Write images as PPM plus the JSONL annotation index; crops held as
+    codes are written as they are."""
     os.makedirs(os.path.join(path, IMAGES_DIR), exist_ok=True)
     records = []
     for i, sample in enumerate(dataset.samples):
         rel = f"{IMAGES_DIR}/{i:06d}.ppm"
-        write_ppm(os.path.join(path, rel), sample.image)
+        write_ppm(os.path.join(path, rel), sample.pixels)
         annotations = {
             fmt: np.asarray(coords, dtype=np.float64).reshape(-1, 2).tolist()
             for fmt, coords in sample.annotations.items()
@@ -120,7 +148,8 @@ def _parse_record(text: str, line: int, registry: FormatRegistry) -> tuple:
 
 
 def load_dataset(path, registry: FormatRegistry | None = None) -> Dataset:
-    """Load a dataset directory; samples keep file order."""
+    """Load a dataset directory; samples keep file order and hold each crop
+    as the uint8 codes of its PPM."""
     registry = registry or default_registry()
     index = os.path.join(path, ANNOTATIONS_FILE)
     if not os.path.isfile(index):
@@ -140,8 +169,7 @@ def load_dataset(path, registry: FormatRegistry | None = None) -> Dataset:
         image_path = os.path.join(path, image_rel)
         if not os.path.isfile(image_path):
             raise DataError(f"line {line_no}: image file {image_rel!r} not found")
-        image = read_ppm(image_path)
-        samples.append(Sample(image=image, annotations=annotations))
+        samples.append(Sample(image=read_ppm_codes(image_path), annotations=annotations))
         for fmt in annotations:
             if fmt not in seen_formats:
                 seen_formats.append(fmt)
@@ -172,7 +200,7 @@ class BatchStream:
             merged.extend(ds.samples)
         if not merged:
             raise UsageError("batch stream over an empty merged dataset")
-        sizes = {s.image.shape for s in merged}
+        sizes = {s.pixels.shape for s in merged}
         if len(sizes) > 1:
             raise ValidationError(f"merged datasets disagree on image shape: {sorted(sizes)}")
         self.samples = merged

@@ -7,12 +7,21 @@ import numpy as np
 from .errors import DataError
 
 
+def from_codes(codes: np.ndarray) -> np.ndarray:
+    """8-bit codes k as the float64 image k / 255, in [0, 1]."""
+    return np.divide(codes, 255.0, dtype=np.float64)
+
+
 def write_ppm(path, image) -> None:
-    """Write an (H, W, 3) float image in [0, 1] as a binary P6 PPM."""
+    """Write an (H, W, 3) image as a binary P6 PPM: uint8 codes as they
+    are, floats in [0, 1] rounded to the nearest code."""
     arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise DataError(f"PPM image must be (H, W, 3), got {arr.shape}")
-    data = np.round(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
+    if arr.dtype == np.uint8:
+        data = arr
+    else:
+        data = np.round(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
     h, w, _ = data.shape
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
@@ -21,6 +30,11 @@ def write_ppm(path, image) -> None:
 
 def read_ppm(path) -> np.ndarray:
     """Read a binary P6 PPM into an (H, W, 3) float64 image in [0, 1]."""
+    return from_codes(read_ppm_codes(path))
+
+
+def read_ppm_codes(path) -> np.ndarray:
+    """Read a binary P6 PPM into its (H, W, 3) uint8 codes, read-only."""
     with open(path, "rb") as fh:
         raw = fh.read()
     fields = []
@@ -58,8 +72,7 @@ def read_ppm(path) -> np.ndarray:
     pixels = raw[pos : pos + expected]
     if len(pixels) != expected:
         raise DataError(f"{path}: truncated PPM payload ({len(pixels)} of {expected} bytes)")
-    arr = np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3)
-    return arr.astype(np.float64) / 255.0
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3)
 
 
 def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -62,6 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import Sample, stack_images
 from .errors import CalibrationError, ShapeError, UsageError, ValidationError
 from .model import (LayerSpec, Model, ModelConfig, PlanStep, _apply, build_plan, iter_layers,
                     last_reads, model_forward, run_plan, sibling_convs)
@@ -169,8 +170,10 @@ def calibrate(model: Model, dataset, batch_size: int = 32) -> dict:
 
     samples = iter(dataset)
     while chunk := list(islice(samples, batch_size)):
-        images = np.stack([s.image for s in chunk]).astype(model.dtype)
-        model_forward(model, Tensor(images), tape=None, observer=observer)
+        # a sample that is not a ``Sample`` calibrates on its ``image``
+        crops = [s.pixels if isinstance(s, Sample) else s.image for s in chunk]
+        model_forward(model, Tensor(stack_images(crops, model.dtype)), tape=None,
+                      observer=observer)
     if not ranges:
         raise UsageError("calibrate requires a nonempty dataset")
 

@@ -197,13 +197,13 @@ def _render(size: int, scale: float, rad: float, translate, noise: float,
 
     image = np.repeat(canvas.reshape(size, size, 1), 3, axis=2)
     image = image + rng.normal(0.0, noise, size=image.shape)
-    return np.round(np.clip(image, 0.0, 1.0) * 255.0) / 255.0
+    return np.round(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
 
 
 def generate_synthetic(count: int, image_size: int, seed: int, formats,
                        annotate: str = "all", noise: float = 0.02,
                        registry: FormatRegistry | None = None) -> Dataset:
-    """Deterministic synthetic dataset.
+    """Deterministic synthetic dataset; each crop is held as its 8-bit codes.
 
     ``annotate`` is "all" (every sample carries every requested format),
     "round-robin" (sample i carries formats[i mod n], exercising the
@@ -232,7 +232,7 @@ def generate_synthetic(count: int, image_size: int, seed: int, formats,
         scale = rng.uniform(*SCALE_RANGE)
         rad = math.radians(rng.uniform(-ROTATION_DEG, ROTATION_DEG))
         translate = rng.uniform(-TRANSLATION, TRANSLATION, size=2)
-        image = _render(image_size, scale, rad, translate, noise, rng)
+        codes = _render(image_size, scale, rad, translate, noise, rng)
         if annotate == "all":
             chosen = formats
         elif annotate == "round-robin":
@@ -243,5 +243,5 @@ def generate_synthetic(count: int, image_size: int, seed: int, formats,
             name: _transform_points(canonical[name], scale, rad, translate).reshape(-1)
             for name in chosen
         }
-        samples.append(Sample(image=image, annotations=annotations))
+        samples.append(Sample(image=codes, annotations=annotations))
     return Dataset(samples, formats)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BatchStream
+from .data import BatchStream, stack_images
 from .errors import ConfigError, NumericsError, UsageError
 from .formats import FormatRegistry, LandmarkFormat, MIN_INTEROCULAR, default_registry
 from .model import Model, model_forward
@@ -264,7 +264,7 @@ def _train_step(model: Model, batch, formats, registry: FormatRegistry,
         heads = [f for f in formats if any(s.has(f) for s in micro)]
         if not heads:  # calibration-only samples
             continue
-        images = np.stack([s.image for s in micro]).astype(model.dtype)
+        images = stack_images([s.pixels for s in micro], model.dtype)
         tape = Tape(model.params.values())
         predictions = model_forward(model, Tensor(images), heads, tape=tape)
         part, detail, seeds = masked_multihead_loss(predictions, micro, registry, counts)

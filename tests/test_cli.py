@@ -201,6 +201,43 @@ class TestEvalCommand:
                     str(pipeline["data"]), "--format", "p51"])
         assert code == 0
 
+    @pytest.mark.parametrize("kind", ["model", "qmodel"])
+    def test_chunks_score_like_one_forward(self, pipeline, tmp_path, monkeypatch, kind):
+        """Blocks of 1 sample and chunks of 3 over the 16 crops: the int8
+        report is the one-forward report exactly, the float one within
+        float32 rounding."""
+        import efld.cli
+        import efld.model
+        from efld.container import load
+        from efld.data import load_dataset
+        from efld.formats import default_registry
+        from efld.metrics import evaluate
+
+        samples = load_dataset(pipeline["data"]).samples
+        model = load(pipeline[kind])
+        whole = efld.cli._predict(model, [s.image for s in samples])["p51"]
+        gt = np.stack([s.annotations["p51"] for s in samples])
+        expected = evaluate(whole, gt, default_registry().get("p51"), image_size=32)
+        monkeypatch.setattr(efld.model, "_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(efld.cli, "EVAL_SAMPLES", 3)
+        assert efld.cli._eval_chunk(load(pipeline[kind])) == 3
+        report = tmp_path / "report.json"
+        assert run(["eval", "--model", str(pipeline[kind]), "--data", str(pipeline["data"]),
+                    "--format", "p51", "--report", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        if kind == "qmodel":
+            assert payload == json.loads(expected.to_json())
+        else:
+            assert payload["nme_mean"] == pytest.approx(expected.nme_mean, rel=1e-5)
+
+    def test_chunk_is_whole_blocks_of_the_stock_model(self):
+        from efld.cli import EVAL_SAMPLES, _eval_chunk
+        from efld.model import build_model, default_config
+
+        model = build_model(default_config(("p51", "p68", "p98")))
+        chunk = _eval_chunk(model)
+        assert chunk % model._block == 0 and chunk >= EVAL_SAMPLES
+
 
 class TestExportInfer:
     def test_export_then_infer(self, pipeline, tmp_path, capsys):

@@ -2,11 +2,12 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from efld.data import BatchStream, Dataset, Sample, load_dataset, save_dataset
+from efld.data import BatchStream, Dataset, Sample, load_dataset, save_dataset, stack_images
 from efld.errors import (
     ConfigError,
     DataError,
@@ -16,7 +17,7 @@ from efld.errors import (
     ValidationError,
 )
 from efld.formats import FormatRegistry, LandmarkFormat, default_registry, interocular_distance
-from efld.image import bilinear_resize, read_ppm, write_ppm
+from efld.image import bilinear_resize, read_ppm, read_ppm_codes, write_ppm
 from efld.synthetic import generate_synthetic
 
 
@@ -190,6 +191,88 @@ class TestPpm:
         image = np.full((5, 9, 3), 0.25)
         out = bilinear_resize(image, 32, 32)
         np.testing.assert_allclose(out, 0.25, atol=1e-12)
+
+
+def _crops(kind, tmp_path):
+    """Samples of one kind: crops loaded from PPMs, made by the synthetic
+    generator, built by hand from floats, or a merge of all three."""
+    if kind == "loaded":
+        save_dataset(generate_synthetic(5, 16, seed=4, formats=["p51"]), tmp_path)
+        return load_dataset(tmp_path).samples
+    if kind == "synthetic":
+        return generate_synthetic(5, 16, seed=4, formats=["p51"]).samples
+    rng = np.random.default_rng(6)
+    by_hand = [Sample(rng.uniform(size=(16, 16, 3)), {}),
+               Sample(rng.uniform(size=(16, 16, 3)).astype(np.float32), {})]
+    if kind == "by-hand":
+        return by_hand
+    return _crops("loaded", tmp_path)[:2] + by_hand + _crops("synthetic", tmp_path)[:2]
+
+
+class TestEightBitCrops:
+    @pytest.mark.parametrize("kind", ["loaded", "synthetic", "by-hand", "mixed"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64", np.float64],
+                             ids=["float32", "float64", "int8-input"])
+    def test_batch_has_the_bits_of_the_float_images(self, kind, dtype, tmp_path):
+        samples = _crops(kind, tmp_path)
+        batch = stack_images([s.pixels for s in samples], dtype)
+        expected = np.stack([s.image for s in samples]).astype(dtype)
+        assert batch.dtype == expected.dtype
+        assert batch.tobytes() == expected.tobytes()
+
+    def test_codes_are_kept_and_image_is_k_over_255(self, tmp_path):
+        for sample in _crops("loaded", tmp_path) + _crops("synthetic", tmp_path):
+            assert sample.pixels.dtype == np.uint8
+            assert sample.image.dtype == np.float64
+            assert sample.image.tobytes() == (sample.pixels.astype(np.float64) / 255.0).tobytes()
+
+    def test_load_dataset_holds_one_byte_per_pixel_channel(self, tmp_path):
+        """A 128 px crop takes its 49,152 bytes of codes, not the 393,216 of
+        a float64 image. The allowance covers per sample the annotations,
+        the objects and the JSONL text, and once the file being read."""
+        n = 16
+        save_dataset(generate_synthetic(n, 128, seed=1, formats=["p51"]), tmp_path)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            dataset = load_dataset(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(dataset) == n
+        crop = 128 * 128 * 3
+        assert peak < n * (crop + 8192) + 4 * crop
+
+    def test_save_of_a_loaded_dataset_writes_the_same_bytes(self, tmp_path):
+        generated = generate_synthetic(4, 16, seed=7, formats=["p51", "p68"])
+        save_dataset(generated, tmp_path / "a")
+        loaded = load_dataset(tmp_path / "a")
+        for a, b in zip(generated, loaded):
+            np.testing.assert_array_equal(a.pixels, b.pixels)
+        save_dataset(loaded, tmp_path / "b")
+        names = sorted(os.listdir(tmp_path / "a" / "images"))
+        assert names == sorted(os.listdir(tmp_path / "b" / "images")) and len(names) == 4
+        for name in names:
+            rel = os.path.join("images", name)
+            assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+    def test_dataset_and_batch_stream_convert_no_image(self, tmp_path, monkeypatch):
+        samples = _crops("loaded", tmp_path) + _crops("synthetic", tmp_path)
+
+        def converted(sample):
+            raise AssertionError("an image was converted")
+
+        monkeypatch.setattr(Sample, "image", property(converted))
+        dataset = Dataset(samples, ["p51"])
+        assert dataset.image_size == 16
+        stream = BatchStream([dataset, Dataset(samples[:3], ["p51"])], batch_size=4, seed=0)
+        assert sum(len(batch) for batch in stream.batches(0)) == len(samples) + 3
+
+    def test_read_ppm_codes_reads_what_write_ppm_wrote(self, tmp_path, rng):
+        codes = rng.integers(256, size=(5, 7, 3), dtype=np.uint8)
+        write_ppm(tmp_path / "x.ppm", codes)
+        np.testing.assert_array_equal(read_ppm_codes(tmp_path / "x.ppm"), codes)
+        np.testing.assert_array_equal(read_ppm(tmp_path / "x.ppm"), codes / 255.0)
 
 
 def _tiny_dataset(n, size=8, seed=0):

@@ -1,7 +1,8 @@
 """Seeded fuzzing of the loaders: truncations, bit flips and field resizes
 applied to containers, PPM headers and JSONL records. ``load``,
-``read_ppm`` and ``load_dataset`` either return or raise a ``DataError``
-(exit code 2); any other exception is a bug."""
+``read_ppm_codes`` (and ``read_ppm`` over it) and ``load_dataset`` either
+return or raise a ``DataError`` (exit code 2); any other exception is a
+bug."""
 
 import json
 
@@ -11,7 +12,7 @@ import pytest
 from efld.container import load, save
 from efld.data import load_dataset, save_dataset
 from efld.errors import DataError
-from efld.image import read_ppm
+from efld.image import read_ppm, read_ppm_codes
 from efld.model import EosaConfig, HeadConfig, ModelConfig, build_model
 from efld.quantize import calibrate, quantize_model
 from efld.synthetic import generate_synthetic
@@ -111,10 +112,14 @@ def test_read_ppm_raises_only_data_errors(tmp_path):
     for data in mutated:
         path.write_bytes(data)
         try:
-            image = read_ppm(path)
+            codes = read_ppm_codes(path)
         except DataError:
+            with pytest.raises(DataError):
+                read_ppm(path)
             continue
-        assert image.ndim == 3 and image.shape[2] == 3 and image.size > 0
+        assert codes.dtype == np.uint8
+        assert codes.ndim == 3 and codes.shape[2] == 3 and codes.size > 0
+        np.testing.assert_array_equal(read_ppm(path), codes / 255.0)
 
 
 def jsonl_field_variants(records, rng):
