@@ -22,6 +22,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value: 'x'", as with type=int
+    return parse
+
+
 def _resolved(name: str, **kwargs) -> None:
     pairs = " ".join(f"{k}={v}" for k, v in kwargs.items())
     print(f"efld {name}: {pairs}", file=sys.stderr)
@@ -36,9 +47,9 @@ def build_parser() -> _Parser:
         "--version", action="version",
         version=f"efld {__version__} (container format {CONTAINER_VERSION})",
     )
-    parser.add_argument("--seed", type=int, default=None, dest="global_seed",
+    parser.add_argument("--seed", type=_at_least(0), default=None, dest="global_seed",
                         help="override the seed of seeded subcommands")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_at_least(1), default=None,
                         help="cap intra-op threads (recorded; set before work begins)")
     parser.add_argument("--verbose", action="store_true", help="debug logging to stderr")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
@@ -46,7 +57,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--count", type=int, required=True, help="number of samples")
     p.add_argument("--size", type=int, default=128, help="square image size in pixels")
-    p.add_argument("--seed", type=int, default=None, help="generator seed (default 0)")
+    p.add_argument("--seed", type=_at_least(0), default=None, help="generator seed (default 0)")
     p.add_argument("--formats", default="p51", help="comma-separated formats to annotate")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--annotate", choices=("all", "round-robin", "none"), default="all",
@@ -107,6 +118,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _check_crop_size(dataset, path, model_config) -> None:
+    """Raise DataError unless the crops of a nonempty dataset fit the model's input."""
+    if dataset.samples and dataset.image_size != model_config.input_size:
+        raise DataError(
+            f"{path}: dataset images are {dataset.image_size}px but the model expects "
+            f"{model_config.input_size}px"
+        )
+
+
 def cmd_train(args) -> int:
     from .config import load_config_file
     from .container import save
@@ -124,6 +144,8 @@ def cmd_train(args) -> int:
               log=args.log, epochs=train_config.epochs, batch_size=train_config.batch_size,
               lr_max=train_config.lr_max, seed=train_config.seed)
     datasets = [load_dataset(d) for d in dirs]
+    for dataset, path in zip(datasets, dirs):
+        _check_crop_size(dataset, path, model_config)
     model = build_model(model_config, seed=train_config.seed, dtype="float32")
     train_log = train(model, datasets, train_config)
     save(model, args.out)
@@ -184,11 +206,7 @@ def cmd_eval(args) -> int:
     annotated = [s for s in dataset if s.has(args.format)]
     if not annotated:
         raise DataError(f"{args.data}: no samples annotated with {args.format!r}")
-    if dataset.image_size != model.config.input_size:
-        raise DataError(
-            f"dataset images are {dataset.image_size}px but the model expects "
-            f"{model.config.input_size}px"
-        )
+    _check_crop_size(dataset, args.data, model.config)
     chunk = _eval_chunk(model)
     predictions = np.concatenate([
         _predict(model, [s.pixels for s in annotated[start : start + chunk]])[args.format]
@@ -221,6 +239,7 @@ def cmd_quantize(args) -> int:
     if not isinstance(model, Model):
         raise UsageError(f"{args.model} is already quantized")
     dataset = load_dataset(args.calib)
+    _check_crop_size(dataset, args.calib, model.config)
     activations = calibrate(model, dataset)
     qmodel = quantize_model(model, activations)
     save(qmodel, args.out)
@@ -332,7 +351,7 @@ def _global_threads(argv):
         name, eq, given = arg.partition("=")
         if len(name) > 2 and "--threads".startswith(name):  # argparse takes abbreviations
             value = given if eq else following
-    return int(value) if value.isdigit() else None
+    return int(value) if value.isdigit() and int(value) >= 1 else None
 
 
 def run(argv) -> int:

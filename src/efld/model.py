@@ -95,10 +95,9 @@ class EosaConfig:
     extra_conv: str = "conventional"
 
     def validate(self, where: str = "eosa") -> None:
-        if self.n_osa < 1:
-            raise ConfigError(f"{where}: n_osa must be >= 1, got {self.n_osa}")
-        if self.f_osa < 1 or self.f_conv < 1:
-            raise ConfigError(f"{where}: channel counts must be >= 1")
+        for key in ("n_osa", "f_osa", "f_conv"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{where}: {key} must be >= 1, got {getattr(self, key)}")
         if self.extra_conv not in EXTRA_CONV_KINDS:
             raise ConfigError(f"{where}: unknown extra_conv kind {self.extra_conv!r}")
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,12 +49,29 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (0.0 <= self.lr_min <= self.lr_max):
             raise ConfigError(f"need 0 <= lr_min <= lr_max, got {self.lr_min}, {self.lr_max}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.eps <= 0.0:
+            raise ConfigError(f"eps must be > 0, got {self.eps}")
+        if self.weight_decay < 0.0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        # each step scales every weight by 1 - lr * weight_decay, which must not go negative
+        if self.lr_max * self.weight_decay > 1.0:
+            raise ConfigError(f"need lr_max * weight_decay <= 1, got {self.lr_max} * "
+                              f"{self.weight_decay}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 class OptimizerState:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -103,6 +104,102 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert not out
         assert f"{bad}: tensor '{name}'" in err and "internal error" not in err
+
+
+class TestInvalidInput:
+    """Invalid configs, flags and datasets exit 2 (1 for a flag) before any
+    work starts, naming the file, the key or the flag; never a traceback or
+    an internal error."""
+
+    @pytest.fixture(scope="class")
+    def crops(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("crops")
+        for size in (32, 64):
+            assert run(["synth", "--count", "4", "--size", str(size), "--seed", "1",
+                        "--formats", "p51", "--out", str(root / f"d{size}")]) == 0
+        return root
+
+    def train(self, crops, tmp_path, capsys, text, data="d32"):
+        config = tmp_path / "m.ini"
+        config.write_bytes(text if isinstance(text, bytes) else text.encode())
+        capsys.readouterr()
+        code = run(["train", "--config", str(config), "--data", str(crops / data),
+                    "--out", str(tmp_path / "m.efld")])
+        err = capsys.readouterr().err
+        assert "internal error" not in err and not (tmp_path / "m.efld").exists()
+        return code, err
+
+    @staticmethod
+    def config_text(input_size=32, **train):
+        train_text = render_train_config(TrainConfig(epochs=1, batch_size=2))
+        for key, value in train.items():
+            train_text = re.sub(rf"^{key} = .*$", f"{key} = {value}", train_text, flags=re.M)
+        return render_model_config(reduced_config(input_size=input_size)) + "\n" + train_text
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("seed", "-1", "seed must be >= 0, got -1"),
+        ("beta1", "1.5", "beta1 must be in [0, 1), got 1.5"),
+        ("beta2", "1.0", "beta2 must be in [0, 1), got 1.0"),
+        ("eps", "0", "eps must be > 0, got 0.0"),
+        ("lr_max", "inf", "lr_max must be finite, got inf"),
+        ("weight_decay", "nan", "weight_decay must be finite, got nan"),
+        ("weight_decay", "1e300", "need lr_max * weight_decay <= 1, got 0.001 * 1e+300"),
+    ])
+    def test_train_value_out_of_range_exits_2(self, crops, tmp_path, capsys, key, value,
+                                              message):
+        code, err = self.train(crops, tmp_path, capsys, self.config_text(**{key: value}))
+        assert code == 2
+        assert err.splitlines()[-1] == f"error: {tmp_path / 'm.ini'}: {message}"
+
+    def test_config_not_utf8_exits_2(self, crops, tmp_path, capsys):
+        text = self.config_text().encode().replace(b"head_kind = efld", b"head_kind = \xff\xfe")
+        code, err = self.train(crops, tmp_path, capsys, text)
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            f"error: {tmp_path / 'm.ini'}: line 4: not UTF-8 text (invalid start byte)")
+
+    def test_train_config_larger_than_crops_exits_2(self, crops, tmp_path, capsys):
+        code, err = self.train(crops, tmp_path, capsys, self.config_text(input_size=64))
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            f"error: {crops / 'd32'}: dataset images are 32px but the model expects 64px")
+
+    def test_quantize_calibration_larger_than_model_exits_2(self, pipeline, crops, tmp_path,
+                                                            capsys):
+        out = tmp_path / "q.efld"
+        code = run(["quantize", "--model", str(pipeline["model"]), "--calib",
+                    str(crops / "d64"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err.splitlines()[-1] == (
+            f"error: {crops / 'd64'}: dataset images are 64px but the model expects 32px")
+
+    def test_eval_crops_larger_than_model_exits_2(self, pipeline, crops, capsys):
+        code = run(["eval", "--model", str(pipeline["model"]), "--data", str(crops / "d64"),
+                    "--format", "p51"])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out
+        assert err.splitlines()[-1] == (
+            f"error: {crops / 'd64'}: dataset images are 64px but the model expects 32px")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--threads", "0"], "argument --threads: must be >= 1, got 0"),
+        (["--threads=-3"], "argument --threads: must be >= 1, got -3"),
+        (["--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+        (["--threads", "x"], "argument --threads: invalid int value: 'x'"),
+    ], ids=["threads-0", "threads-negative", "global-seed-negative", "threads-word"])
+    def test_global_flag_out_of_range_exits_1(self, monkeypatch, capsys, argv, message):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert run([*argv, "analyze", "--config", "default"]) == 1
+        out, err = capsys.readouterr()
+        assert not out and err.startswith(f"error: {message}\nusage: efld ")
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+    def test_synth_seed_negative_exits_1(self, tmp_path, capsys):
+        assert run(["synth", "--count", "1", "--size", "32", "--seed", "-4",
+                    "--out", str(tmp_path / "d")]) == 1
+        assert capsys.readouterr().err.startswith("error: argument --seed: must be >= 0, got -4")
+        assert not (tmp_path / "d").exists()
 
 
 class TestHelp:

@@ -2,13 +2,21 @@
 applied to containers, PPM headers and JSONL records. ``load``,
 ``read_ppm_codes`` (and ``read_ppm`` over it) and ``load_dataset`` either
 return or raise a ``DataError`` (exit code 2); any other exception is a
-bug."""
+bug.
+
+The CLI boundary is fuzzed too: hostile values for every config key and
+global flag end in exit 0, 1 or 2 with a message naming the file and the
+key or the flag, never in a traceback or an internal error (exit 3)."""
 
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from efld.cli import run
+from efld.config import render_model_config, render_train_config
 from efld.container import load, save
 from efld.data import load_dataset, save_dataset
 from efld.errors import DataError
@@ -16,6 +24,9 @@ from efld.image import read_ppm, read_ppm_codes
 from efld.model import EosaConfig, HeadConfig, ModelConfig, build_model
 from efld.quantize import calibrate, quantize_model
 from efld.synthetic import generate_synthetic
+from efld.training import TrainConfig
+
+from conftest import reduced_config
 
 CASES = 120  # per file kind and mutation
 
@@ -160,3 +171,73 @@ def test_load_dataset_raises_only_data_errors(tmp_path):
     for data in mutated:
         index.write_bytes(data)
         loads_or_data_error(load_dataset, root)
+
+
+HOSTILE = [b"nan", b"inf", b"-inf", b"-1", b"0", b"1e300", b"", b"word", b"\xff\xfe"]
+CONFIG_CLASSES = {"model": ModelConfig, "eosa.1": EosaConfig, "head.p51": HeadConfig,
+                  "train": TrainConfig}
+
+
+def config_keys(text: bytes):
+    """(section, key) for each field of the config classes that is a key of
+    its section in ``text``."""
+    keys = []
+    for section, cls in CONFIG_CLASSES.items():
+        body = text.split(f"[{section}]\n".encode(), 1)[1].split(b"\n\n", 1)[0]
+        keys += [(section, f.name) for f in fields(cls)
+                 if re.search(rb"(?m)^" + f.name.encode() + rb" = ", body)]
+    return keys
+
+
+def set_key(text: bytes, section: str, key: str, value: bytes) -> bytes:
+    """``text`` with the first ``key`` line after ``[section]`` set to ``value``."""
+    head, body = text.split(f"[{section}]\n".encode(), 1)
+    body = re.sub(rb"(?m)^" + key.encode() + rb" = .*$", lambda _: key.encode() + b" = " + value,
+                  body, count=1)
+    return head + f"[{section}]\n".encode() + body
+
+
+def test_train_config_values_exit_cleanly(tmp_path, capsys):
+    """Every key takes every hostile value, then seeded pairs of them."""
+    data = tmp_path / "data"
+    save_dataset(generate_synthetic(4, 32, seed=1, formats=["p51"]), data)
+    base = (render_model_config(reduced_config()) + "\n"
+            + render_train_config(TrainConfig(epochs=1, batch_size=2))).encode()
+    keys = config_keys(base)
+    assert {key for _, key in keys} >= {f.name for f in fields(TrainConfig)}
+    rng = np.random.default_rng(17)
+    cases = [[(key, value)] for key in keys for value in HOSTILE]
+    cases += [[(keys[int(i)], HOSTILE[int(rng.integers(len(HOSTILE)))]) for i in pair]
+              for pair in (rng.choice(len(keys), 2, replace=False) for _ in range(40))]
+    config = tmp_path / "fuzzed.ini"
+    for edits in cases:
+        text = base
+        for (section, key), value in edits:
+            text = set_key(text, section, key, value)
+        config.write_bytes(text)
+        capsys.readouterr()
+        code = run(["train", "--config", str(config), "--data", str(data),
+                    "--out", str(tmp_path / "m.efld")])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (edits, err)
+        assert "Traceback" not in err and "internal error" not in err, (edits, err)
+        if code:
+            last = err.splitlines()[-1]
+            names = [key for (_, key), _ in edits] + ["not UTF-8"]
+            assert str(config) in last and any(name in last for name in names), (edits, last)
+
+
+@pytest.mark.parametrize("argv", [["--threads"], ["--seed"], ["synth", "--seed"]],
+                         ids=["threads", "seed", "synth-seed"])
+def test_flag_values_exit_cleanly(argv, tmp_path, monkeypatch, capsys):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)  # restored after the test
+    command = (["--count", "1", "--size", "8", "--out", str(tmp_path / "d")] if "synth" in argv
+               else ["analyze", "--config", "default"])
+    for value in [v.decode("utf-8", "replace") for v in HOSTILE] + ["1", "3"]:
+        code = run([*argv, value, *command])
+        err = capsys.readouterr().err
+        assert code in (0, 1), (value, err)
+        assert "Traceback" not in err and "internal error" not in err, (value, err)
+        if code:
+            assert err.startswith(f"error: argument {argv[-1]}: "), (value, err)
