@@ -197,10 +197,7 @@ def cmd_eval(args) -> int:
     _resolved("eval", model=args.model, data=args.data, format=args.format,
               threshold=args.threshold, report=args.report, ced=args.ced)
     model = load(args.model)
-    if args.format not in model.head_formats():
-        raise UsageError(
-            f"model has no {args.format!r} head; available: {', '.join(model.head_formats())}"
-        )
+    model.config.with_heads([args.format])  # UsageError unless the model has the head
     fmt = default_registry().get(args.format)
     dataset = load_dataset(args.data)
     annotated = [s for s in dataset if s.has(args.format)]
@@ -294,10 +291,7 @@ def cmd_infer(args) -> int:
     _resolved("infer", model=args.model, image=args.image, data=args.data,
               format=args.format, out=args.out)
     model = load(args.model)
-    if args.format not in model.head_formats():
-        raise UsageError(
-            f"model has no {args.format!r} head; available: {', '.join(model.head_formats())}"
-        )
+    model.config.with_heads([args.format])  # UsageError unless the model has the head
     size = model.config.input_size
 
     if args.image is not None:

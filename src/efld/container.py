@@ -19,7 +19,7 @@ import tempfile
 import numpy as np
 
 from .config import parse_model_config, render_model_config
-from .errors import ConfigError, ContainerError, CorruptionError, UsageError
+from .errors import ConfigError, ContainerError, CorruptionError
 from .model import Model, iter_layers
 from .quantize import QMAX, QMIN, QuantParams, QuantizedModel, plan_sites
 from .tensor import Tensor
@@ -74,23 +74,11 @@ def _entries_for_qmodel(qmodel: QuantizedModel, config) -> list:
 def save(model, path, keep_heads=None) -> None:
     """Serialize the backbone, decoder, and selected heads only.
 
-    ``keep_heads`` defaults to all heads; it must be a nonempty subset of the
-    model's heads. The stored config lists only the kept heads, so pruning
-    commutes with inference.
+    ``keep_heads`` defaults to all heads, else picks them as
+    ``ModelConfig.with_heads`` does. The stored config lists only the kept
+    heads, so pruning commutes with inference.
     """
-    config = model.config
-    if keep_heads is not None:
-        available = set(h.format for h in config.heads)
-        unknown = set(keep_heads) - available
-        if unknown:
-            raise UsageError(
-                f"unknown head(s) {', '.join(sorted(unknown))}; available: "
-                f"{', '.join(sorted(available))}"
-            )
-        if not keep_heads:
-            raise UsageError("keep_heads must be a nonempty subset of the model heads")
-        config = config.with_heads(keep_heads)
-        config.validate()
+    config = model.config if keep_heads is None else model.config.with_heads(keep_heads)
 
     quantized = isinstance(model, QuantizedModel)
     entries = _entries_for_qmodel(model, config) if quantized else _entries_for_model(model, config)

@@ -60,8 +60,4 @@ class CalibrationError(EfldError):
 
 
 class NumericsError(EfldError):
-    """A loss or gradient became non-finite during training."""
-
-
-class InternalError(EfldError):
-    """An internal invariant failed; indicates a bug in the toolkit."""
+    """A loss, gradient or parameter update became non-finite during training."""

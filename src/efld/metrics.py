@@ -81,42 +81,26 @@ def failure_rate(nmes, threshold: float) -> float:
 
 
 def ced_auc(nmes, threshold: float) -> float:
-    """Normalized area under the empirical CED curve up to the threshold.
-
-    CED(e) is the fraction of samples with NME <= e, integrated exactly as a
-    step function over [0, threshold].
-    """
-    arr = np.sort(np.asarray(nmes, dtype=np.float64))
-    if arr.size == 0:
+    """Normalized area under the empirical CED curve up to the threshold:
+    ``ced_curve``'s step function integrated exactly over [0, threshold]."""
+    if np.size(nmes) == 0:
         raise UsageError("ced_auc over an empty NME list")
     if threshold <= 0:
         raise UsageError(f"ced_auc threshold must be > 0, got {threshold}")
-    n = arr.size
-    area = 0.0
-    prev = 0.0
-    below = 0
-    for value in arr:
-        if value > threshold:
-            break
-        if value > prev:
-            area += (value - prev) * (below / n)
-            prev = value
-        below += 1
-    area += (threshold - prev) * (below / n)
+    points = ced_curve(nmes, threshold)
+    area = sum((e1 - e0) * fraction for (e0, fraction), (e1, _) in zip(points, points[1:]))
     return area / threshold
 
 
 def ced_curve(nmes, threshold: float):
-    """(error, fraction) breakpoints of the CED step function up to threshold."""
+    """(error, fraction) breakpoints of the CED step function up to
+    threshold: CED(e) is the fraction of samples with NME <= e, and holds
+    from each breakpoint up to the next."""
     arr = np.sort(np.asarray(nmes, dtype=np.float64))
     n = arr.size
-    points = [(0.0, float((arr <= 0.0).sum()) / n)]
-    for value in np.unique(arr):
-        if value <= 0.0 or value > threshold:
-            continue
-        points.append((float(value), float((arr <= value).sum()) / n))
-    points.append((threshold, float((arr <= threshold).sum()) / n))
-    return points
+    errors = [0.0, *np.unique(arr[(arr > 0.0) & (arr <= threshold)]), threshold]
+    counts = np.searchsorted(arr, errors, side="right")
+    return [(float(e), int(c) / n) for e, c in zip(errors, counts)]
 
 
 def evaluate(predictions, ground_truth, fmt: LandmarkFormat, threshold: float = 0.10,
@@ -221,29 +205,18 @@ def layer_macs(kind: str, kernel, cin: int, cout: int, out_hw) -> int:
 
 
 def count_cost(config: ModelConfig, heads=None, input_size: int | None = None) -> CostReport:
-    """MACs and parameters per layer for the given head subset, per sample."""
+    """MACs and parameters per layer, per sample, of the model with the
+    heads ``heads`` (all when None; see ``ModelConfig.with_heads``)."""
     config.validate()
     if input_size is not None and input_size != config.input_size:
         config = replace(config, input_size=input_size)
         config.validate()
-    keep = set(heads) if heads is not None else {h.format for h in config.heads}
-    unknown = keep - {h.format for h in config.heads}
-    if unknown:
-        raise UsageError(f"count_cost: unknown heads {sorted(unknown)}")
-    layers = []
-    for spec in iter_layers(config):
-        if spec.name.startswith("head."):
-            fmt = spec.name.split(".")[1]
-            if fmt not in keep:
-                continue
-        layers.append(
-            LayerCost(
-                name=spec.name,
-                kind=spec.kind,
-                macs=layer_macs(spec.kind, spec.kernel, spec.cin, spec.cout, spec.out_hw),
-                params=spec.param_count,
-            )
-        )
+    if heads is not None:
+        config = config.with_heads(heads)
+    layers = [LayerCost(spec.name, spec.kind,
+                        layer_macs(spec.kind, spec.kernel, spec.cin, spec.cout, spec.out_hw),
+                        spec.param_count)
+              for spec in iter_layers(config)]
     return CostReport(layers=layers, input_size=config.input_size)
 
 

@@ -161,21 +161,19 @@ class ModelConfig:
         if self.head_kind not in HEAD_KINDS:
             raise ConfigError(f"unknown head_kind {self.head_kind!r}")
 
-    @property
-    def feature_map_size(self) -> int:
-        return self.input_size // (2 ** len(self.eosa))
-
-    def head(self, fmt: str) -> HeadConfig:
-        for h in self.heads:
-            if h.format == fmt:
-                return h
-        raise UsageError(
-            f"unknown format {fmt!r}; available heads: {', '.join(h.format for h in self.heads)}"
-        )
-
     def with_heads(self, formats) -> "ModelConfig":
-        kept = tuple(h for h in self.heads if h.format in set(formats))
-        return replace(self, heads=kept)
+        """This config with only the heads named in ``formats``, in this
+        config's order. The one check of a head subset: raises
+        ``UsageError`` when ``formats`` is empty or names a head this config
+        lacks."""
+        wanted = set(formats)
+        available = [h.format for h in self.heads]
+        unknown = wanted.difference(available)
+        if unknown or not wanted:
+            problem = (f"unknown heads {', '.join(sorted(unknown))}" if unknown
+                       else "a head subset must be nonempty")
+            raise UsageError(f"{problem}; available heads: {', '.join(available)}")
+        return replace(self, heads=tuple(h for h in self.heads if h.format in wanted))
 
 
 VARIANTS = ("default", "conv-backbone", "pfld-head")
@@ -557,8 +555,10 @@ def head_forward(model: Model, fmt: str, v: Tensor, tape: Tape | None = None,
                  observer=None) -> Tensor:
     """One detection head on the shared feature vector; no final activation.
     Point k of the output lives at indices (2k, 2k+1)."""
-    model.config.head(fmt)  # UsageError for an unknown format
-    return _run_stage(model, f"head.{fmt}", v, tape, observer)
+    stage = f"head.{fmt}"
+    if stage not in model._stages:
+        model.config.with_heads((fmt,))  # raises the UsageError naming the model's heads
+    return _run_stage(model, stage, v, tape, observer)
 
 
 def backbone_forward(model: Model, images: Tensor, tape: Tape | None = None,
@@ -605,24 +605,14 @@ def model_forward(model: Model, images: Tensor, formats=None, tape: Tape | None 
     block without a tape, see ``backbone_forward``); each requested head runs
     once on the whole batch of them. ``observer(site, value)``, when given,
     sees the value of every site the forward computes: a backbone site once
-    per block of samples, a head site once per batch. Returns {format:
-    predictions (B, 2K)}. Raises ``ValidationError`` naming the first image
-    with a NaN or infinite pixel."""
-    available = model.head_formats()
-    if formats is None:
-        requested = available
-    else:
-        requested = tuple(f for f in available if f in set(formats))
-        missing = set(formats) - set(available)
-        if missing:
-            raise UsageError(
-                f"unknown format {', '.join(sorted(missing))}; available heads: "
-                f"{', '.join(available)}"
-            )
-        if not requested:
-            raise UsageError("no formats requested")
+    per block of samples, a head site once per batch. ``formats`` picks the
+    heads (all when None; see ``ModelConfig.with_heads``). Returns {format:
+    predictions (B, 2K)}, in the model's head order. Raises ``ValidationError``
+    naming the first image with a NaN or infinite pixel."""
+    heads = model.config.heads if formats is None else model.config.with_heads(formats).heads
     v = backbone_forward(model, images, tape=tape, observer=observer)
-    return {f: head_forward(model, f, v, tape=tape, observer=observer) for f in requested}
+    return {h.format: head_forward(model, h.format, v, tape=tape, observer=observer)
+            for h in heads}
 
 
 def default_config(formats=("p51",), points=None) -> ModelConfig:

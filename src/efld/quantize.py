@@ -343,16 +343,18 @@ class _Layer(NamedTuple):
 
 
 class _Tables(NamedTuple):
-    """A ReLU or concat step of the compiled int8 plan that maps each operand
-    through its int8-to-int8 table and joins the results on the last axis."""
+    """A concat step of the compiled int8 plan that no layer step writes in
+    place: it maps each operand through its int8-to-int8 table and joins
+    the results on the last axis. (No ReLU step is left to run alone:
+    ``build_plan`` puts each ReLU after a layer as its only reader.)"""
 
     inputs: tuple
     output: str
     tables: tuple
 
     def run(self, operands, buffers: dict):
-        parts = [np.take(table, q.view(np.uint8)) for q, table in zip(operands, self.tables)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+        return np.concatenate([np.take(table, q.view(np.uint8))
+                               for q, table in zip(operands, self.tables)], axis=-1)
 
 
 class _Buffered(NamedTuple):
@@ -389,7 +391,7 @@ def _compile(qmodel: QuantizedModel) -> _Int8Plan:
     """The int8 plan of ``qmodel.plan``. Each layer step takes in the ReLU
     step that alone reads its output. A concat whose operands all come from
     blocked layer steps is written in place by those steps, each through its
-    operand's table into its channel slice. Any other ReLU or concat maps its
+    operand's table into its channel slice. Any other concat maps its
     operands through tables."""
     plan, act = qmodel.plan, qmodel.activations
     readers = {}
@@ -427,8 +429,7 @@ def _compile(qmodel: QuantizedModel) -> _Int8Plan:
             steps.append(_Buffered(step.inputs, step.output))
         elif step.spec is None:
             steps.append(_Tables(step.inputs, step.output, tuple(
-                _relu_table(act[site], act[step.output]) if step.op == "relu"
-                else _requant(_CODES, act[site], act[step.output]) for site in step.inputs)))
+                _requant(_CODES, act[site], act[step.output]) for site in step.inputs)))
         elif step in later:  # it ran in the step of its group's first layer
             steps.append(_Buffered((), (fused[step] or step).output))
         else:

@@ -35,6 +35,8 @@ from .tensor import Tape, Tensor, backward_multi
 
 log = logging.getLogger(__name__)
 
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
 
 @dataclass
 class TrainConfig:
@@ -64,6 +66,10 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.eps <= 0.0:
             raise ConfigError(f"eps must be > 0, got {self.eps}")
+        # the update runs in the parameters' float32, where a larger eps is inf
+        if self.eps > _FLOAT32_MAX:
+            raise ConfigError(f"eps must be <= {_FLOAT32_MAX} (the largest float32), "
+                              f"got {self.eps}")
         if self.weight_decay < 0.0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         # each step scales every weight by 1 - lr * weight_decay, which must not go negative
@@ -94,25 +100,39 @@ def cosine_lr(t: int, total: int, lr_max: float, lr_min: float = 0.0) -> float:
 
 def adamw_step(params: dict, grads: dict, state: OptimizerState, lr: float,
                config: TrainConfig) -> None:
-    """One decoupled-weight-decay Adam update, in place on the parameters."""
+    """One decoupled-weight-decay Adam update, in place on the parameters.
+    Raises ``NumericsError`` on a non-finite gradient, and when the update
+    overflows the parameters' dtype, before it writes an infinite weight."""
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
-    for name, tensor in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericsError(f"non-finite gradient for parameter {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / bias1
-        v_hat = v / bias2
-        tensor.data -= (lr * (m_hat / (np.sqrt(v_hat) + config.eps)
-                              + config.weight_decay * tensor.data)).astype(tensor.data.dtype)
+    try:
+        with np.errstate(over="raise"):
+            for name, tensor in params.items():
+                g = grads[name]
+                if not np.all(np.isfinite(g)):
+                    raise NumericsError(f"non-finite gradient for parameter {name!r}; "
+                                        f"{_diverged(config)}")
+                m = state.m[name]
+                v = state.v[name]
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                m_hat = m / bias1
+                v_hat = v / bias2
+                tensor.data -= (lr * (m_hat / (np.sqrt(v_hat) + config.eps)
+                                      + config.weight_decay * tensor.data)
+                                ).astype(tensor.data.dtype)
+    except FloatingPointError:
+        raise NumericsError(f"the AdamW update of parameter {name!r} overflowed "
+                            f"{tensor.data.dtype}; {_diverged(config)}") from None
+
+
+def _diverged(config: TrainConfig) -> str:
+    """What a ``NumericsError`` of training tells the user to change."""
+    return f"training diverged: lower lr_max (now {config.lr_max:g})"
 
 
 def _interocular(gt: np.ndarray, fmt: LandmarkFormat) -> np.ndarray:
@@ -286,7 +306,7 @@ def _train_step(model: Model, batch, formats, registry: FormatRegistry,
         predictions = model_forward(model, Tensor(images), heads, tape=tape)
         part, detail, seeds = masked_multihead_loss(predictions, micro, registry, counts)
         if not math.isfinite(part):
-            raise NumericsError(f"loss became non-finite at {where}")
+            raise NumericsError(f"loss became non-finite at {where}; {_diverged(config)}")
         for fmt_name, (head_loss, _) in detail.items():
             losses[fmt_name] += head_loss
         grads = backward_multi(tape, seeds)

@@ -151,6 +151,14 @@ class TestInvalidInput:
         assert code == 2
         assert err.splitlines()[-1] == f"error: {tmp_path / 'm.ini'}: {message}"
 
+    def test_train_eps_above_float32_exits_2(self, crops, tmp_path, capsys):
+        """The AdamW update runs in float32, where a larger eps is inf."""
+        code, err = self.train(crops, tmp_path, capsys, self.config_text(eps="1e300"))
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            f"error: {tmp_path / 'm.ini'}: eps must be <= 3.4028234663852886e+38 "
+            "(the largest float32), got 1e+300")
+
     def test_config_not_utf8_exits_2(self, crops, tmp_path, capsys):
         text = self.config_text().encode().replace(b"head_kind = efld", b"head_kind = \xff\xfe")
         code, err = self.train(crops, tmp_path, capsys, text)
@@ -519,3 +527,21 @@ class TestDeterminism:
         assert run(["synth", "--count", "2", "--size", "32", "--seed", "9",
                     "--formats", "p51", "--out", str(d2)]) == 0
         assert (d1 / "annotations.jsonl").read_bytes() == (d2 / "annotations.jsonl").read_bytes()
+
+
+def test_diverging_training_names_the_setting_to_lower(tmp_path, capsys):
+    """A config inside every range can still diverge. Training stops at the
+    first update that overflows, before any weight is infinite, with exit 3
+    naming lr_max and no numpy warning."""
+    data, config, out = tmp_path / "d32", tmp_path / "m.ini", tmp_path / "m.efld"
+    assert run(["synth", "--count", "4", "--size", "32", "--seed", "1", "--formats", "p51",
+                "--out", str(data)]) == 0
+    config.write_text(TestInvalidInput.config_text(lr_max="1e300", weight_decay="0"))
+    capsys.readouterr()
+    code = run(["train", "--config", str(config), "--data", str(data), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3 and not out.exists()
+    assert "Warning" not in err
+    assert err.splitlines()[-1] == (
+        "internal error: the AdamW update of parameter 'eosa1.extra.w' overflowed float32; "
+        "training diverged: lower lr_max (now 1e+300)")

@@ -6,7 +6,10 @@ bug.
 
 The CLI boundary is fuzzed too: hostile values for every config key and
 global flag end in exit 0, 1 or 2 with a message naming the file and the
-key or the flag, never in a traceback or an internal error (exit 3)."""
+key or the flag, never in a traceback or an internal error (exit 3). Empty,
+unknown and repeated head lists for ``export --heads``, and an unknown
+``eval``/``infer --format``, end in exit 0 or 1 with a message naming the
+heads."""
 
 import json
 import re
@@ -241,3 +244,44 @@ def test_flag_values_exit_cleanly(argv, tmp_path, monkeypatch, capsys):
         assert "Traceback" not in err and "internal error" not in err, (value, err)
         if code:
             assert err.startswith(f"error: argument {argv[-1]}: "), (value, err)
+
+
+@pytest.fixture(scope="module")
+def three_heads(tmp_path_factory):
+    """A float container with heads p51, p68 and p98, and a 32 px dataset."""
+    root = tmp_path_factory.mktemp("heads")
+    save(build_model(reduced_config(("p51", "p68", "p98")), seed=1), root / "m.efld")
+    save_dataset(generate_synthetic(2, 32, seed=2, formats=["p51"]), root / "data")
+    return root
+
+
+AVAILABLE = "available heads: p51, p68, p98"
+
+
+@pytest.mark.parametrize("heads,last", [
+    ("", f"error: a head subset must be nonempty; {AVAILABLE}"),
+    (",", f"error: a head subset must be nonempty; {AVAILABLE}"),
+    ("p40", f"error: unknown heads p40; {AVAILABLE}"),
+    ("p51,p40", f"error: unknown heads p40; {AVAILABLE}"),
+    ("p51,p51", None),
+], ids=["empty", "comma", "unknown", "unknown-among-known", "repeated"])
+def test_export_head_lists_exit_cleanly(three_heads, tmp_path, capsys, heads, last):
+    out = tmp_path / "x.efld"
+    code = run(["export", "--model", str(three_heads / "m.efld"), "--heads", heads,
+                "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if last is None:
+        assert code == 0 and load(out).head_formats() == ("p51",)
+    else:
+        assert code == 1 and not out.exists()
+        assert err.splitlines()[-1] == last
+
+
+@pytest.mark.parametrize("command", ["eval", "infer"])
+def test_unknown_format_exits_cleanly(three_heads, capsys, command):
+    code = run([command, "--model", str(three_heads / "m.efld"), "--data",
+                str(three_heads / "data"), "--format", "p40"])
+    out, err = capsys.readouterr()
+    assert code == 1 and not out and "Traceback" not in err
+    assert err.splitlines()[-1] == f"error: unknown heads p40; {AVAILABLE}"

@@ -624,3 +624,45 @@ def test_full_model_gradient_check():
         err = max_rel_error(grads.wrt(tensor), num)
         worst = max(worst, err)
     assert worst < 1e-4
+
+
+class TestHeadSubset:
+    """``ModelConfig.with_heads`` is the one check of a head subset: the
+    forward, head pruning on save and costing raise its text."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return build_model(reduced_config(("p51", "p68", "p98")), dtype="float64")
+
+    def test_keeps_the_model_order_and_drops_repeats(self, model):
+        kept = model.config.with_heads(["p98", "p51", "p98"])
+        assert [h.format for h in kept.heads] == ["p51", "p98"]
+        assert kept.eosa == model.config.eosa and kept.decoder_dim == model.config.decoder_dim
+
+    @pytest.mark.parametrize("subset,message", [
+        (["p40"], "unknown heads p40; available heads: p51, p68, p98"),
+        (["p51", "p40", "p12"], "unknown heads p12, p40; available heads: p51, p68, p98"),
+        ([], "a head subset must be nonempty; available heads: p51, p68, p98"),
+    ], ids=["unknown", "unknown-among-known", "empty"])
+    def test_every_caller_raises_the_same_text(self, model, tmp_path, subset, message):
+        from efld.container import save
+        from efld.metrics import count_cost
+
+        x = Tensor(np.zeros((1, 32, 32, 3)))
+        calls = [
+            lambda: model.config.with_heads(subset),
+            lambda: model_forward(model, x, formats=subset),
+            lambda: save(model, tmp_path / "m.efld", keep_heads=subset),
+            lambda: count_cost(model.config, heads=subset),
+        ]
+        for call in calls:
+            with pytest.raises(UsageError) as info:
+                call()
+            assert str(info.value) == message
+        assert not (tmp_path / "m.efld").exists()
+
+    def test_head_forward_of_an_unknown_head(self, model):
+        v = Tensor(np.zeros((1, model.config.decoder_dim)))
+        with pytest.raises(UsageError) as info:
+            head_forward(model, "p40", v)
+        assert str(info.value) == "unknown heads p40; available heads: p51, p68, p98"

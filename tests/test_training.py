@@ -219,6 +219,15 @@ class TestAdamW:
         with pytest.raises(NumericsError, match="'w'"):
             adamw_step(model.params, {"w": np.array([np.nan])}, state, 0.1, TrainConfig())
 
+    def test_overflowing_update_aborts_before_writing(self):
+        model = type("Stub", (), {"params": {"w": Tensor(np.ones(2, np.float32))}})()
+        state = OptimizerState(model)
+        config = TrainConfig(lr_max=1e300, weight_decay=0.0)
+        with pytest.raises(NumericsError, match=r"^the AdamW update of parameter 'w' overflowed "
+                                                r"float32; training diverged: lower lr_max"):
+            adamw_step(model.params, {"w": np.ones(2, np.float32)}, state, 1e300, config)
+        np.testing.assert_array_equal(model.params["w"].data, [1.0, 1.0])
+
     def test_step_counter_increases(self):
         model = self._single_param_model(1.0)
         state = OptimizerState(model)
@@ -287,6 +296,17 @@ class TestTrainLoop:
         for row in log.rows:
             assert row.head_count["p51"] == 3
             assert row.head_count["p68"] == 3
+
+    def test_non_finite_loss_names_lr_max(self):
+        """An update that fits float32 can still blow up the next forward;
+        numpy's warnings on the way there are beside the point here."""
+        model = build_model(reduced_config(("p51",)), seed=0)
+        ds = generate_synthetic(4, 32, seed=3, formats=["p51"])
+        config = TrainConfig(epochs=2, batch_size=4, lr_max=1e20, weight_decay=0.0)
+        with np.errstate(all="ignore"), pytest.raises(NumericsError) as info:
+            train(model, [ds], config)
+        assert str(info.value) == ("loss became non-finite at epoch 1, step 1; "
+                                   "training diverged: lower lr_max (now 1e+20)")
 
     def test_first_epoch_lr_is_lr_max(self):
         ds = generate_synthetic(4, 32, seed=6, formats=["p51"])
