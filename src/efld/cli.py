@@ -157,9 +157,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _predict(model, images):
-    """Every head's (B, 2K) float64 predictions for a list of crops, each
-    held as ``Sample.pixels`` holds them (uint8 codes or floats in [0, 1])."""
+def _predict(model, images, fmt: str):
+    """Head ``fmt``'s (B, 2K) float64 predictions for a list of crops, each
+    held as ``Sample.pixels`` holds them (uint8 codes or floats in [0, 1]).
+    A float model runs that head alone; an int8 model runs every head."""
     import numpy as np
 
     from .data import stack_images
@@ -169,8 +170,8 @@ def _predict(model, images):
 
     if isinstance(model, Model):
         batch = Tensor(stack_images(images, model.dtype))
-        return {f: t.data.astype(np.float64) for f, t in model_forward(model, batch).items()}
-    return quantized_forward(model, stack_images(images, np.float64))
+        return model_forward(model, batch, [fmt])[fmt].data.astype(np.float64)
+    return quantized_forward(model, stack_images(images, np.float64))[fmt]
 
 
 # ``efld eval`` predicts about this many samples per forward, rounded up to
@@ -206,7 +207,7 @@ def cmd_eval(args) -> int:
     _check_crop_size(dataset, args.data, model.config)
     chunk = _eval_chunk(model)
     predictions = np.concatenate([
-        _predict(model, [s.pixels for s in annotated[start : start + chunk]])[args.format]
+        _predict(model, [s.pixels for s in annotated[start : start + chunk]], args.format)
         for start in range(0, len(annotated), chunk)
     ])
     gt = np.stack([s.annotations[args.format] for s in annotated])
@@ -307,7 +308,7 @@ def cmd_infer(args) -> int:
     for name, image in jobs:
         h, w, _ = image.shape
         resized = image if (h, w) == (size, size) else bilinear_resize(image, size, size)
-        pred = _predict(model, [resized])[args.format][0]
+        pred = _predict(model, [resized], args.format)[0]
         points = pred.reshape(-1, 2) * np.array([w, h], dtype=np.float64)
         lines.append(json.dumps({"image": name, "format": args.format,
                                  "points": points.tolist()}))

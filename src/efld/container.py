@@ -5,8 +5,10 @@ The byte layout is normative and documented in docs/container.md: magic
 tensor table, and the payload section. Quantized activation sites are stored
 as zero-length int8 entries named ``site:<name>`` carrying their scale and
 zero point. Saving is deterministic, writes atomically (temp file + rename),
-and save -> load -> save reproduces files byte-identically. Loading checks
-every entry against the architecture's plan before it builds a model.
+and save -> load -> save reproduces files byte-identically. One list of the
+tensors a config's container holds (``_layout``) is what save writes, what
+load checks the table against before it builds a model, and what both
+model kinds are assembled from.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .config import parse_model_config, render_model_config
 from .errors import ConfigError, ContainerError, CorruptionError
-from .model import Model, iter_layers
+from .model import Model, build_plan
 from .quantize import QMAX, QMIN, QuantParams, QuantizedModel, plan_sites
 from .tensor import Tensor
 
@@ -32,43 +34,21 @@ _DTYPE_TAGS = {"float32": 0, "float64": 1, "int8": 2, "int32": 3}
 _TAG_DTYPES = {v: np.dtype(k) for k, v in _DTYPE_TAGS.items()}
 _QUANTIZED_TAGS = (2, 3)
 
-
-class _Entry:
-    def __init__(self, name, array, scale=None, zero_point=None, payload=True):
-        self.name = name
-        self.array = array
-        self.scale = scale
-        self.zero_point = zero_point
-        self.payload = array.tobytes() if payload else b""
+# per tensor name suffix, a quantized layer's QuantizedModel attributes
+# (arrays, scales) and the dtype of its arrays
+_PARTS = {".w": ("weights", "weight_scales", np.int8), ".b": ("biases", "bias_scales", np.int32)}
 
 
-def _entries_for_model(model: Model, config) -> list:
-    entries = []
-    for spec in iter_layers(config):
-        for suffix in (".w", ".b"):
-            name = spec.name + suffix
-            entries.append(_Entry(name, model.params[name].data))
-    return entries
-
-
-def _entries_for_qmodel(qmodel: QuantizedModel, config) -> list:
-    entries = []
-    for spec in iter_layers(config):
-        entries.append(
-            _Entry(spec.name + ".w", qmodel.weights[spec.name],
-                   qmodel.weight_scales[spec.name], 0)
-        )
-        entries.append(
-            _Entry(spec.name + ".b", qmodel.biases[spec.name],
-                   qmodel.bias_scales[spec.name], 0)
-        )
-    for site in plan_sites(config):
-        qp = qmodel.activations[site]
-        entries.append(
-            _Entry(f"site:{site}", np.empty(0, dtype=np.int8), qp.scale, qp.zero_point,
-                   payload=False)
-        )
-    return entries
+def _layout(config, quantized: bool) -> list:
+    """Every tensor of a container of ``config``, in file order, as (name,
+    shape, owner): each layer's weight and then its bias, in plan order,
+    owned by the layer's plan step; then, for int8, one entry of shape ()
+    per activation site, in execution order, owned by the site's name."""
+    tensors = [(step.layer + suffix, shape, step) for step in build_plan(config) if step.spec
+               for suffix, shape in ((".w", step.spec.weight_shape), (".b", (step.spec.cout,)))]
+    if quantized:
+        tensors += [(f"site:{site}", (), site) for site in plan_sites(config)]
+    return tensors
 
 
 def save(model, path, keep_heads=None) -> None:
@@ -79,30 +59,36 @@ def save(model, path, keep_heads=None) -> None:
     heads, so pruning commutes with inference.
     """
     config = model.config if keep_heads is None else model.config.with_heads(keep_heads)
-
     quantized = isinstance(model, QuantizedModel)
-    entries = _entries_for_qmodel(model, config) if quantized else _entries_for_model(model, config)
+    layout = _layout(config, quantized)
+
+    table = bytearray()
+    payloads = []
+    offset = 0
+    for name, shape, owner in layout:
+        if isinstance(owner, str):  # a site: a scale and zero point, no payload
+            qp = model.activations[owner]
+            array, quant = np.empty(0, np.int8), (qp.scale, qp.zero_point)
+        elif quantized:
+            arrays, scales, _ = _PARTS[name[-2:]]
+            array = getattr(model, arrays)[owner.layer]
+            quant = (getattr(model, scales)[owner.layer], 0)
+        else:
+            array, quant = model.params[name].data, ()
+        payload = array.tobytes()
+        encoded = name.encode("utf-8")
+        table += struct.pack(f"<H{len(encoded)}sBB{len(shape)}I", len(encoded), encoded,
+                             _DTYPE_TAGS[array.dtype.name], len(shape), *shape)
+        if quant:
+            table += struct.pack("<di", *quant)
+        table += struct.pack("<QQ", offset, len(payload))
+        offset += len(payload)
+        payloads.append(payload)
 
     blob = render_model_config(config).encode("utf-8")
-    table = bytearray()
-    offset = 0
-    for entry in entries:
-        name = entry.name.encode("utf-8")
-        arr = entry.array
-        tag = _DTYPE_TAGS[arr.dtype.name]
-        table += struct.pack("<H", len(name)) + name
-        table += struct.pack("<BB", tag, arr.ndim if entry.payload else 0)
-        if entry.payload:
-            for dim in arr.shape:
-                table += struct.pack("<I", dim)
-        if tag in _QUANTIZED_TAGS:
-            table += struct.pack("<di", entry.scale, entry.zero_point)
-        table += struct.pack("<QQ", offset, len(entry.payload))
-        offset += len(entry.payload)
-
     header = MAGIC + struct.pack("<HH", CONTAINER_VERSION, FLAG_INT8 if quantized else 0)
     header += struct.pack("<I", len(blob)) + blob
-    header += struct.pack("<I", len(entries))
+    header += struct.pack("<I", len(layout))
 
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".efld-")
@@ -110,8 +96,8 @@ def save(model, path, keep_heads=None) -> None:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
             fh.write(bytes(table))
-            for entry in entries:
-                fh.write(entry.payload)
+            for payload in payloads:
+                fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -181,8 +167,7 @@ def load(path):
     payload_start = reader.pos
     payload_size = len(raw) - payload_start
     spans = []
-    arrays = {}
-    quant = {}
+    tensors = {}
     for name, tag, dims, scale, zero_point, offset, length in table:
         if offset + length > payload_size:
             raise CorruptionError(f"{path}: tensor {name!r} payload out of bounds")
@@ -197,62 +182,60 @@ def load(path):
                 f"{path}: tensor {name!r} payload is {length} bytes, expected {expected}"
             )
         data = raw[payload_start + offset : payload_start + offset + length]
-        arrays[name] = np.frombuffer(data, dtype=dtype).reshape(dims).copy() if dims else None
-        quant[name] = (scale, zero_point)
-
-    if flags & FLAG_INT8:
-        return _assemble_quantized(path, config, arrays, quant)
-    return _assemble_float(path, config, arrays)
+        array = np.frombuffer(data, dtype=dtype).reshape(dims).copy() if dims else None
+        tensors[name] = (dtype, array, scale, zero_point)
+    return _assemble(path, config, bool(flags & FLAG_INT8), tensors)
 
 
-def _check_plan(path, config, arrays, quant=None) -> tuple:
-    """The architecture's layers, and its activation sites when ``quant`` is
-    given, once every tensor of the container matches the plan: its name
-    and shape and, with ``quant``, its scale (finite and > 0) and zero point
-    (0 for a weight or bias, within [-128, 127] for a site)."""
-    layers = list(iter_layers(config))
-    sites = [] if quant is None else plan_sites(config)
-    shapes = {}
-    for spec in layers:
-        shapes.update({spec.name + ".w": spec.weight_shape, spec.name + ".b": (spec.cout,)})
-    shapes.update((f"site:{site}", ()) for site in sites)
-    if set(arrays) != set(shapes):
+def _assemble(path, config, quantized: bool, tensors: dict):
+    """The model that ``tensors`` (name -> (dtype, array or None, scale, zero
+    point), as the table holds them) make up, once they are the tensors of
+    ``_layout``: each with its shape; a float container in one float dtype;
+    in an int8 container, every scale finite and > 0, the zero point of a
+    weight or bias 0 and that of a site within [-128, 127], weights int8
+    and biases int32; then each bias's scale exactly its input site's scale
+    times its weight's scale, as ``quantize_model`` computes it, and each
+    site int8."""
+    layout = _layout(config, quantized)
+    if set(tensors) != {name for name, _, _ in layout}:
         raise ContainerError(f"{path}: tensor names do not match the architecture")
-    for name, shape in shapes.items():
-        got = () if arrays[name] is None else arrays[name].shape
+    for name, shape, owner in layout:
+        _, array, scale, zero_point = tensors[name]
+        got = () if array is None else array.shape
         if got != shape:
             raise ContainerError(f"{path}: tensor {name!r} has shape {got}, expected {shape}")
-        if quant is None:
-            continue
-        scale, zero_point = quant[name]
-        lo, hi = (0, 0) if shape else (QMIN, QMAX)  # a site has no dims
-        if scale is None or not (math.isfinite(scale) and scale > 0) or not lo <= zero_point <= hi:
+        lo, hi = (QMIN, QMAX) if isinstance(owner, str) else (0, 0)
+        if quantized and (scale is None or not (math.isfinite(scale) and scale > 0)
+                          or not lo <= zero_point <= hi):
             raise ContainerError(f"{path}: tensor {name!r} has scale {scale} and zero point "
                                  f"{zero_point}; it needs a finite scale > 0 and a zero point "
                                  f"within [{lo}, {hi}]")
-    return layers, sites
-
-
-def _assemble_float(path, config, arrays) -> Model:
-    layers, _ = _check_plan(path, config, arrays)
-    dtypes = {array.dtype.name for array in arrays.values()}
-    if len(dtypes) != 1 or not dtypes <= {"float32", "float64"}:
-        raise ContainerError(f"{path}: float container holds dtypes {sorted(dtypes)}")
-    params = {name: Tensor(arrays[name]) for spec in layers
-              for name in (spec.name + ".w", spec.name + ".b")}
-    return Model(config, params, dtypes.pop())
-
-
-def _assemble_quantized(path, config, arrays, quant) -> QuantizedModel:
-    layers, sites = _check_plan(path, config, arrays, quant)
-    weights, weight_scales, biases, bias_scales = {}, {}, {}, {}
-    for spec in layers:
-        w_name, b_name = spec.name + ".w", spec.name + ".b"
-        if arrays[w_name].dtype != np.int8 or arrays[b_name].dtype != np.int32:
-            raise ContainerError(f"{path}: layer {spec.name!r} has wrong quantized dtypes")
-        weights[spec.name] = arrays[w_name]
-        weight_scales[spec.name] = quant[w_name][0]
-        biases[spec.name] = arrays[b_name]
-        bias_scales[spec.name] = quant[b_name][0]
-    activations = {site: QuantParams(*quant[f"site:{site}"]) for site in sites}
-    return QuantizedModel(config, weights, weight_scales, biases, bias_scales, activations)
+    if not quantized:
+        dtypes = {tensors[name][0].name for name, _, _ in layout}
+        if len(dtypes) != 1 or not dtypes <= {"float32", "float64"}:
+            raise ContainerError(f"{path}: float container holds dtypes {sorted(dtypes)}")
+        return Model(config, {name: Tensor(tensors[name][1]) for name, _, _ in layout},
+                     dtypes.pop())
+    for name, _, owner in layout:
+        if not isinstance(owner, str) and tensors[name][0] != _PARTS[name[-2:]][2]:
+            raise ContainerError(f"{path}: layer {owner.layer!r} has wrong quantized dtypes")
+    parts = {attr: {} for attrs in _PARTS.values() for attr in attrs[:2]}
+    activations = {}
+    for name, _, owner in layout:
+        dtype, array, scale, zero_point = tensors[name]
+        if isinstance(owner, str):
+            if dtype != np.int8:
+                raise ContainerError(f"{path}: tensor {name!r} has dtype {dtype}; a site "
+                                     f"entry needs int8")
+            activations[owner] = QuantParams(scale, zero_point)
+            continue
+        if name.endswith(".b"):
+            site, weight = f"site:{owner.inputs[0]}", owner.layer + ".w"
+            product = tensors[site][2] * tensors[weight][2]
+            if scale != product:
+                raise ContainerError(f"{path}: tensor {name!r} has scale {scale!r}; it needs the "
+                                     f"scale of {site!r} times that of {weight!r}, {product!r}")
+        arrays, scales, _ = _PARTS[name[-2:]]
+        parts[arrays][owner.layer] = array
+        parts[scales][owner.layer] = scale
+    return QuantizedModel(config, activations=activations, **parts)

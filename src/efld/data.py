@@ -149,7 +149,8 @@ def _parse_record(text: str, line: int, registry: FormatRegistry) -> tuple:
 
 def load_dataset(path, registry: FormatRegistry | None = None) -> Dataset:
     """Load a dataset directory; samples keep file order and hold each crop
-    as the uint8 codes of its PPM."""
+    as the uint8 codes of its PPM. The index is read one line at a time,
+    numbered as ``bytes.splitlines`` numbers the whole file."""
     registry = registry or default_registry()
     index = os.path.join(path, ANNOTATIONS_FILE)
     if not os.path.isfile(index):
@@ -157,22 +158,24 @@ def load_dataset(path, registry: FormatRegistry | None = None) -> Dataset:
     samples = []
     seen_formats = []
     with open(index, "rb") as fh:
-        lines = fh.read().splitlines()
-    for line_no, raw in enumerate(lines, 1):
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise ParseError("not UTF-8 text", line_no) from None
-        if not text.strip():
-            continue
-        image_rel, annotations = _parse_record(text, line_no, registry)
-        image_path = os.path.join(path, image_rel)
-        if not os.path.isfile(image_path):
-            raise DataError(f"line {line_no}: image file {image_rel!r} not found")
-        samples.append(Sample(image=read_ppm_codes(image_path), annotations=annotations))
-        for fmt in annotations:
-            if fmt not in seen_formats:
-                seen_formats.append(fmt)
+        # one line at a time: the file yields chunks that end in "\n", and
+        # splitlines also ends a line at "\r", as on the whole file
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for line_no, raw in enumerate(lines, 1):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError("not UTF-8 text", line_no) from None
+            if not text.strip():
+                continue
+            image_rel, annotations = _parse_record(text, line_no, registry)
+            image_path = os.path.join(path, image_rel)
+            if not os.path.isfile(image_path):
+                raise DataError(f"line {line_no}: image file {image_rel!r} not found")
+            samples.append(Sample(image=read_ppm_codes(image_path), annotations=annotations))
+            for fmt in annotations:
+                if fmt not in seen_formats:
+                    seen_formats.append(fmt)
     return Dataset(samples, seen_formats)
 
 

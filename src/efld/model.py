@@ -76,6 +76,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ShapeError, UsageError, ValidationError
+from .formats import default_registry
 from .ops import (_out_and_pad, concat_channels, conv2d, depthwise_conv2d, flatten_rows, linear,
                   relu, sibling_conv2d, with_border)
 from .tensor import LayerParams, Tape, Tensor
@@ -615,10 +616,8 @@ def model_forward(model: Model, images: Tensor, formats=None, tape: Tape | None 
             for h in heads}
 
 
-def default_config(formats=("p51",), points=None) -> ModelConfig:
-    """The stock architecture with heads for the given formats."""
-    table = {"p51": 51, "p68": 68, "p98": 98}
-    if points:
-        table.update(points)
-    heads = tuple(HeadConfig(f, table[f]) for f in formats)
-    return ModelConfig(heads=heads)
+def default_config(formats=("p51",)) -> ModelConfig:
+    """The stock architecture with heads for the given registered formats,
+    each with its format's point count."""
+    registry = default_registry()
+    return ModelConfig(heads=tuple(HeadConfig(f, registry.get(f).points) for f in formats))

@@ -296,25 +296,28 @@ def _train_step(model: Model, batch, formats, registry: FormatRegistry,
     counts = head_counts(batch, formats, registry, model.dtype)
     losses = dict.fromkeys(formats, 0.0)
     grad_map = None
-    for start in range(0, len(batch), model.micro_batch):
-        micro = batch[start : start + model.micro_batch]
-        heads = [f for f in formats if any(s.has(f) for s in micro)]
-        if not heads:  # calibration-only samples
-            continue
-        images = stack_images([s.pixels for s in micro], model.dtype)
-        tape = Tape(model.params.values())
-        predictions = model_forward(model, Tensor(images), heads, tape=tape)
-        part, detail, seeds = masked_multihead_loss(predictions, micro, registry, counts)
-        if not math.isfinite(part):
-            raise NumericsError(f"loss became non-finite at {where}; {_diverged(config)}")
-        for fmt_name, (head_loss, _) in detail.items():
-            losses[fmt_name] += head_loss
-        grads = backward_multi(tape, seeds)
-        if grad_map is None:
-            grad_map = {name: grads.wrt(t) for name, t in model.params.items()}
-        else:
-            for name, t in model.params.items():
-                grad_map[name] += grads.wrt(t)
+    # a diverging run overflows in the forward and backward first; the loss
+    # check and adamw_step's gradient check turn that into NumericsError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(batch), model.micro_batch):
+            micro = batch[start : start + model.micro_batch]
+            heads = [f for f in formats if any(s.has(f) for s in micro)]
+            if not heads:  # calibration-only samples
+                continue
+            images = stack_images([s.pixels for s in micro], model.dtype)
+            tape = Tape(model.params.values())
+            predictions = model_forward(model, Tensor(images), heads, tape=tape)
+            part, detail, seeds = masked_multihead_loss(predictions, micro, registry, counts)
+            if not math.isfinite(part):
+                raise NumericsError(f"loss became non-finite at {where}; {_diverged(config)}")
+            for fmt_name, (head_loss, _) in detail.items():
+                losses[fmt_name] += head_loss
+            grads = backward_multi(tape, seeds)
+            if grad_map is None:
+                grad_map = {name: grads.wrt(t) for name, t in model.params.items()}
+            else:
+                for name, t in model.params.items():
+                    grad_map[name] += grads.wrt(t)
     adamw_step(model.params, grad_map, state, lr, config)
     return sum(losses.values()), {f: (losses[f], counts[f]) for f in formats}
 
@@ -332,6 +335,10 @@ def train(model: Model, datasets, config: TrainConfig,
     """
     config.validate()
     registry = registry or default_registry()
+    for head in model.config.heads:  # the loss reads a head's output as its format's points
+        if head.format in registry and head.points != registry.get(head.format).points:
+            raise ConfigError(f"[head.{head.format}] points = {head.points}, but format "
+                              f"{head.format!r} has {registry.get(head.format).points} points")
     head_formats = model.head_formats()
     present = set()
     for ds in datasets:

@@ -160,12 +160,15 @@ def max_rel_error(analytic, numeric, floor=1e-4):
     return float((np.abs(a - n) / denom).max())
 
 
-def patch_entry(path, name, dims=None, scale=None, zero_point=None):
+def patch_entry(path, name, dims=None, scale=None, zero_point=None, tag=None):
     """Overwrite fields of tensor ``name``'s table entry in the container
-    file ``path`` in place: its dims (same rank), scale or zero point."""
+    file ``path`` in place: its dims (same rank), scale, zero point or dtype
+    tag (one that keeps the entry's fields: int8 for int32, say)."""
     raw = bytearray(path.read_bytes())
     key = struct.pack("<H", len(name)) + name.encode("utf-8")
     at = raw.index(key) + len(key)
+    if tag is not None:
+        raw[at] = tag
     rank = raw[at + 1]
     at += 2
     if dims is not None:

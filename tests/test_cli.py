@@ -5,6 +5,7 @@ import os
 import re
 import shutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,20 @@ class TestInvalidInput:
         assert err.splitlines()[-1] == (
             f"error: {tmp_path / 'm.ini'}: line 4: not UTF-8 text (invalid start byte)")
 
+    @pytest.mark.parametrize("head,points,registered",
+                             [("p51", 50, 51), ("p68", 51, 68), ("p51", 68, 51)])
+    def test_head_points_not_its_formats_exits_2(self, crops, tmp_path, capsys, head, points,
+                                                 registered):
+        """The loss reads a head's output as its format's points."""
+        config = reduced_config(("p51", "p68"))
+        heads = tuple(replace(h, points=points) if h.format == head else h for h in config.heads)
+        text = (render_model_config(replace(config, heads=heads)) + "\n"
+                + render_train_config(TrainConfig(epochs=1, batch_size=2)))
+        code, err = self.train(crops, tmp_path, capsys, text)
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            f"error: [head.{head}] points = {points}, but format {head!r} has {registered} points")
+
     def test_train_config_larger_than_crops_exits_2(self, crops, tmp_path, capsys):
         code, err = self.train(crops, tmp_path, capsys, self.config_text(input_size=64))
         assert code == 2
@@ -320,7 +335,7 @@ class TestEvalCommand:
 
         samples = load_dataset(pipeline["data"]).samples
         model = load(pipeline[kind])
-        whole = efld.cli._predict(model, [s.image for s in samples])["p51"]
+        whole = efld.cli._predict(model, [s.image for s in samples], "p51")
         gt = np.stack([s.annotations["p51"] for s in samples])
         expected = evaluate(whole, gt, default_registry().get("p51"), image_size=32)
         monkeypatch.setattr(efld.model, "_BLOCK_ELEMENTS", 1)
@@ -342,6 +357,29 @@ class TestEvalCommand:
         model = build_model(default_config(("p51", "p68", "p98")))
         chunk = _eval_chunk(model)
         assert chunk % model._block == 0 and chunk >= EVAL_SAMPLES
+
+
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    def test_float_model_runs_the_asked_head_alone(self, tmp_path, monkeypatch, command):
+        import efld.model
+        from efld.container import save
+        from efld.model import build_model
+
+        model = tmp_path / "m.efld"
+        save(build_model(reduced_config(("p51", "p68", "p98")), seed=1), model)
+        data = tmp_path / "d"
+        assert run(["synth", "--count", "2", "--size", "32", "--seed", "1", "--formats", "p68",
+                    "--out", str(data)]) == 0
+        ran = []
+        head_forward = efld.model.head_forward
+
+        def recorded(model, fmt, *args, **kwargs):
+            ran.append(fmt)
+            return head_forward(model, fmt, *args, **kwargs)
+
+        monkeypatch.setattr(efld.model, "head_forward", recorded)
+        assert run([command, "--model", str(model), "--data", str(data), "--format", "p68"]) == 0
+        assert ran and set(ran) == {"p68"}  # infer runs one forward per crop
 
 
 class TestExportInfer:
@@ -545,3 +583,23 @@ def test_diverging_training_names_the_setting_to_lower(tmp_path, capsys):
     assert err.splitlines()[-1] == (
         "internal error: the AdamW update of parameter 'eosa1.extra.w' overflowed float32; "
         "training diverged: lower lr_max (now 1e+300)")
+
+
+@pytest.mark.parametrize("lr_max", ["1e5", "1e10", "1e30"])
+def test_diverging_forward_prints_no_numpy_warning(tmp_path, capsys, lr_max):
+    """An update that stays finite in float32 makes the next forward overflow.
+    The loss check reports it, with exit 3 naming lr_max; no numpy
+    RuntimeWarning is raised on the way (the suite turns warnings into
+    errors)."""
+    data, config, out = tmp_path / "d32", tmp_path / "m.ini", tmp_path / "m.efld"
+    assert run(["synth", "--count", "4", "--size", "32", "--seed", "1", "--formats", "p51",
+                "--out", str(data)]) == 0
+    config.write_text(TestInvalidInput.config_text(lr_max=lr_max, weight_decay="0"))
+    capsys.readouterr()
+    code = run(["train", "--config", str(config), "--data", str(data), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3 and not out.exists()
+    assert "Warning" not in err
+    assert err.splitlines()[-1] == (
+        "internal error: loss became non-finite at epoch 0, step 1; "
+        f"training diverged: lower lr_max (now {float(lr_max):g})")

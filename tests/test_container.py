@@ -6,8 +6,10 @@ import struct
 import numpy as np
 import pytest
 
+from efld.cli import run
 from efld.container import CONTAINER_VERSION, MAGIC, load, save
 from efld.errors import ContainerError, CorruptionError, UsageError
+from efld.image import write_ppm
 from efld.model import Model, build_model, default_config, model_forward
 from efld.quantize import QuantizedModel, calibrate, quantize_model, quantized_forward
 from efld.synthetic import generate_synthetic
@@ -215,3 +217,73 @@ class TestPlanChecks:
         message = rf"q\.efld: tensor '{name}' has scale \S+ and zero point {zero_point};"
         with pytest.raises(ContainerError, match=message):
             load(path)
+
+
+class TestInt8Rules:
+    """Two rules of an int8 container that the inference path does not read,
+    so that a file breaking them would run: each bias's scale is its input
+    site's scale times its weight's scale, exactly as ``quantize_model``
+    computes it, and each site entry is int8. ``efld infer`` exits 2 on
+    either, naming the file and the tensor."""
+
+    @staticmethod
+    def infer(path, tmp_path, capsys):
+        crop = tmp_path / "crop.ppm"
+        write_ppm(crop, np.zeros((32, 32, 3), dtype=np.uint8))
+        capsys.readouterr()
+        code = run(["infer", "--model", str(path), "--image", str(crop), "--format", "p51"])
+        return code, capsys.readouterr()
+
+    def test_saved_bias_scales_are_the_exact_products(self, quantized, tmp_path):
+        qmodel, _ = quantized
+        path = tmp_path / "q.efld"
+        save(qmodel, path)
+        loaded = load(path)
+        for step in loaded.plan:
+            if step.layer:
+                site = loaded.activations[step.inputs[0]]
+                expected = site.scale * loaded.weight_scales[step.layer]
+                assert loaded.bias_scales[step.layer] == expected
+
+    def test_bias_scale_1000x_too_large_exits_2(self, quantized, tmp_path, capsys):
+        qmodel, _ = quantized
+        path = tmp_path / "q.efld"
+        save(qmodel, path)
+        scale = qmodel.bias_scales["eosa1.extra"]
+        patch_entry(path, "eosa1.extra.b", scale=scale * 1000)
+        code, out = self.infer(path, tmp_path, capsys)
+        assert code == 2 and out.out == ""
+        assert out.err.splitlines()[-1] == (
+            f"error: {path}: tensor 'eosa1.extra.b' has scale {scale * 1000!r}; it needs the "
+            f"scale of 'site:input' times that of 'eosa1.extra.w', {scale!r}")
+
+    @pytest.mark.parametrize("name", ["eosa1.extra.b", "decoder.dw.b", "head.p68.out.b"])
+    def test_bias_scale_one_ulp_off_is_rejected(self, quantized, tmp_path, name):
+        qmodel, _ = quantized
+        path = tmp_path / "q.efld"
+        save(qmodel, path)
+        scale = qmodel.bias_scales[name[:-2]]
+        patch_entry(path, name, scale=float(np.nextafter(scale, np.inf)))
+        with pytest.raises(ContainerError, match=rf"q\.efld: tensor '{re.escape(name)}' has scale"):
+            load(path)
+
+    def test_site_entry_tagged_int32_exits_2(self, quantized, tmp_path, capsys):
+        path = tmp_path / "q.efld"
+        save(quantized[0], path)
+        patch_entry(path, "site:input", tag=3)
+        code, out = self.infer(path, tmp_path, capsys)
+        assert code == 2 and out.out == ""
+        assert out.err.splitlines()[-1] == (
+            f"error: {path}: tensor 'site:input' has dtype int32; a site entry needs int8")
+
+    @pytest.mark.parametrize("name", ["site:eosa2.concat", "site:decoder.out",
+                                      "site:head.p98.out"])
+    def test_site_entry_must_be_int8(self, quantized, tmp_path, name):
+        path = tmp_path / "q.efld"
+        save(quantized[0], path)
+        raw = path.read_bytes()
+        patch_entry(path, name, tag=3)
+        with pytest.raises(ContainerError, match=rf"tensor '{re.escape(name)}' has dtype int32"):
+            load(path)
+        path.write_bytes(raw)
+        load(path)

@@ -104,6 +104,20 @@ class TestDatasetIO:
         with pytest.raises(ParseError, match="line 2"):
             load_dataset(tmp_path)
 
+    def test_line_numbers_count_crlf_and_bare_cr_as_one_line_end(self, tmp_path):
+        """Lines are numbered as ``bytes.splitlines`` numbers the whole file:
+        "\\r\\n" ends one line, and so does a bare "\\r"."""
+        save_dataset(generate_synthetic(3, 8, seed=3, formats=["p51"]), tmp_path)
+        index = tmp_path / "annotations.jsonl"
+        good = index.read_bytes().splitlines()
+        text = good[0] + b"\r\n" + good[1] + b"\r" + b"\r\n" + good[2] + b"\r" + b"[]\r\n"
+        assert text.splitlines().index(b"[]") + 1 == 5
+        index.write_bytes(text)
+        with pytest.raises(ParseError, match="^line 5: record must be a JSON object$"):
+            load_dataset(tmp_path)
+        index.write_bytes(text[: -len(b"[]\r\n")])
+        assert len(load_dataset(tmp_path)) == 3
+
     def test_missing_image_field(self, tmp_path):
         ds = generate_synthetic(1, 32, seed=3, formats=["p51"])
         save_dataset(ds, tmp_path)
@@ -242,6 +256,29 @@ class TestEightBitCrops:
         assert len(dataset) == n
         crop = 128 * 128 * 3
         assert peak < n * (crop + 8192) + 4 * crop
+
+    def test_load_dataset_peak_is_what_it_keeps(self, tmp_path):
+        """The JSONL is parsed one line at a time, so loading allocates little
+        beyond the samples it keeps: 64 crops of 128 px annotated in p51, p68
+        and p98 (about 9 KB of JSONL and 48 KiB of codes each)."""
+        rng = np.random.default_rng(0)
+        (tmp_path / "images").mkdir()
+        with open(tmp_path / "annotations.jsonl", "w", encoding="utf-8") as fh:
+            for i in range(64):
+                rel = f"images/{i:06d}.ppm"
+                write_ppm(tmp_path / rel, rng.integers(256, size=(128, 128, 3), dtype=np.uint8))
+                annotations = {f: rng.uniform(size=(k, 2)).tolist()
+                               for f, k in (("p51", 51), ("p68", 68), ("p98", 98))}
+                fh.write(json.dumps({"image": rel, "annotations": annotations}) + "\n")
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            dataset = load_dataset(tmp_path)
+            kept, peak = (m - start for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(dataset) == 64
+        assert peak <= 1.05 * kept, (peak, kept)
 
     def test_save_of_a_loaded_dataset_writes_the_same_bytes(self, tmp_path):
         generated = generate_synthetic(4, 16, seed=7, formats=["p51", "p68"])
