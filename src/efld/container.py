@@ -22,8 +22,8 @@ import numpy as np
 
 from .config import parse_model_config, render_model_config
 from .errors import ConfigError, ContainerError, CorruptionError
-from .model import Model, build_plan
-from .quantize import QMAX, QMIN, QuantParams, QuantizedModel, plan_sites
+from .model import Model, iter_layers
+from .quantize import QMAX, QMIN, QuantParams, QuantizedModel, layer_input_sites, plan_sites
 from .tensor import Tensor
 
 MAGIC = b"EFLD"
@@ -34,20 +34,18 @@ _DTYPE_TAGS = {"float32": 0, "float64": 1, "int8": 2, "int32": 3}
 _TAG_DTYPES = {v: np.dtype(k) for k, v in _DTYPE_TAGS.items()}
 _QUANTIZED_TAGS = (2, 3)
 
-# per tensor name suffix, a quantized layer's QuantizedModel attributes
-# (arrays, scales) and the dtype of its arrays
-_PARTS = {".w": ("weights", "weight_scales", np.int8), ".b": ("biases", "bias_scales", np.int32)}
-
 
 def _layout(config, quantized: bool) -> list:
     """Every tensor of a container of ``config``, in file order, as (name,
-    shape, owner): each layer's weight and then its bias, in plan order,
-    owned by the layer's plan step; then, for int8, one entry of shape ()
-    per activation site, in execution order, owned by the site's name."""
-    tensors = [(step.layer + suffix, shape, step) for step in build_plan(config) if step.spec
-               for suffix, shape in ((".w", step.spec.weight_shape), (".b", (step.spec.cout,)))]
+    shape, kind, key): each layer's "weight" and then its "bias", in plan
+    order, keyed by the layer's name; then, for int8, one "site" entry of
+    shape () per activation site, in execution order, keyed by the site."""
+    tensors = []
+    for spec in iter_layers(config):
+        tensors.append((spec.name + ".w", spec.weight_shape, "weight", spec.name))
+        tensors.append((spec.name + ".b", (spec.cout,), "bias", spec.name))
     if quantized:
-        tensors += [(f"site:{site}", (), site) for site in plan_sites(config)]
+        tensors += [(f"site:{site}", (), "site", site) for site in plan_sites(config)]
     return tensors
 
 
@@ -65,20 +63,22 @@ def save(model, path, keep_heads=None) -> None:
     table = bytearray()
     payloads = []
     offset = 0
-    for name, shape, owner in layout:
-        if isinstance(owner, str):  # a site: a scale and zero point, no payload
-            qp = model.activations[owner]
+    for name, shape, kind, key in layout:
+        if kind == "site":  # a scale and zero point, no payload
+            qp = model.activations[key]
             array, quant = np.empty(0, np.int8), (qp.scale, qp.zero_point)
-        elif quantized:
-            arrays, scales, _ = _PARTS[name[-2:]]
-            array = getattr(model, arrays)[owner.layer]
-            quant = (getattr(model, scales)[owner.layer], 0)
-        else:
+        elif not quantized:
             array, quant = model.params[name].data, ()
+        elif kind == "weight":
+            array, quant = model.weights[key], (model.weight_scales[key], 0)
+        else:
+            array, quant = model.biases[key], (model.bias_scales[key], 0)
         payload = array.tobytes()
         encoded = name.encode("utf-8")
-        table += struct.pack(f"<H{len(encoded)}sBB{len(shape)}I", len(encoded), encoded,
-                             _DTYPE_TAGS[array.dtype.name], len(shape), *shape)
+        table += struct.pack("<H", len(encoded)) + encoded
+        table += struct.pack("<BB", _DTYPE_TAGS[array.dtype.name], len(shape))
+        for dim in shape:
+            table += struct.pack("<I", dim)
         if quant:
             table += struct.pack("<di", *quant)
         table += struct.pack("<QQ", offset, len(payload))
@@ -167,7 +167,7 @@ def load(path):
     payload_start = reader.pos
     payload_size = len(raw) - payload_start
     spans = []
-    tensors = {}
+    entries = []
     for name, tag, dims, scale, zero_point, offset, length in table:
         if offset + length > payload_size:
             raise CorruptionError(f"{path}: tensor {name!r} payload out of bounds")
@@ -183,59 +183,60 @@ def load(path):
             )
         data = raw[payload_start + offset : payload_start + offset + length]
         array = np.frombuffer(data, dtype=dtype).reshape(dims).copy() if dims else None
-        tensors[name] = (dtype, array, scale, zero_point)
-    return _assemble(path, config, bool(flags & FLAG_INT8), tensors)
+        entries.append((name, (dtype, array, scale, zero_point)))
+    return _assemble(path, config, bool(flags & FLAG_INT8), entries)
 
 
-def _assemble(path, config, quantized: bool, tensors: dict):
-    """The model that ``tensors`` (name -> (dtype, array or None, scale, zero
-    point), as the table holds them) make up, once they are the tensors of
-    ``_layout``: each with its shape; a float container in one float dtype;
-    in an int8 container, every scale finite and > 0, the zero point of a
-    weight or bias 0 and that of a site within [-128, 127], weights int8
-    and biases int32; then each bias's scale exactly its input site's scale
-    times its weight's scale, as ``quantize_model`` computes it, and each
-    site int8."""
+def _assemble(path, config, quantized: bool, entries: list):
+    """The model that ``entries`` (name, (dtype, array or None, scale, zero
+    point)), in table order, make up, once they are the tensors of ``_layout``,
+    in its order and each once: each with its shape; a float container in
+    one float dtype; in an int8 container, every scale finite and > 0, the
+    zero point of a weight or bias 0 and that of a site within [-128, 127],
+    weights int8 and biases int32; then each bias's scale exactly its input
+    site's scale times its weight's scale, as ``quantize_model`` computes
+    it, and each site int8."""
     layout = _layout(config, quantized)
-    if set(tensors) != {name for name, _, _ in layout}:
+    if [name for name, _ in entries] != [tensor[0] for tensor in layout]:
         raise ContainerError(f"{path}: tensor names do not match the architecture")
-    for name, shape, owner in layout:
+    tensors = dict(entries)
+    for name, shape, kind, _ in layout:
         _, array, scale, zero_point = tensors[name]
         got = () if array is None else array.shape
         if got != shape:
             raise ContainerError(f"{path}: tensor {name!r} has shape {got}, expected {shape}")
-        lo, hi = (QMIN, QMAX) if isinstance(owner, str) else (0, 0)
+        lo, hi = (QMIN, QMAX) if kind == "site" else (0, 0)
         if quantized and (scale is None or not (math.isfinite(scale) and scale > 0)
                           or not lo <= zero_point <= hi):
             raise ContainerError(f"{path}: tensor {name!r} has scale {scale} and zero point "
                                  f"{zero_point}; it needs a finite scale > 0 and a zero point "
                                  f"within [{lo}, {hi}]")
     if not quantized:
-        dtypes = {tensors[name][0].name for name, _, _ in layout}
+        dtypes = {tensors[name][0].name for name, *_ in layout}
         if len(dtypes) != 1 or not dtypes <= {"float32", "float64"}:
             raise ContainerError(f"{path}: float container holds dtypes {sorted(dtypes)}")
-        return Model(config, {name: Tensor(tensors[name][1]) for name, _, _ in layout},
+        return Model(config, {name: Tensor(tensors[name][1]) for name, *_ in layout},
                      dtypes.pop())
-    for name, _, owner in layout:
-        if not isinstance(owner, str) and tensors[name][0] != _PARTS[name[-2:]][2]:
-            raise ContainerError(f"{path}: layer {owner.layer!r} has wrong quantized dtypes")
-    parts = {attr: {} for attrs in _PARTS.values() for attr in attrs[:2]}
-    activations = {}
-    for name, _, owner in layout:
+    wanted = {"weight": np.int8, "bias": np.int32}
+    for name, _, kind, key in layout:
+        if kind in wanted and tensors[name][0] != wanted[kind]:
+            raise ContainerError(f"{path}: layer {key!r} has wrong quantized dtypes")
+    input_sites = layer_input_sites(config)
+    weights, weight_scales, biases, bias_scales, activations = {}, {}, {}, {}, {}
+    for name, _, kind, key in layout:
         dtype, array, scale, zero_point = tensors[name]
-        if isinstance(owner, str):
-            if dtype != np.int8:
-                raise ContainerError(f"{path}: tensor {name!r} has dtype {dtype}; a site "
-                                     f"entry needs int8")
-            activations[owner] = QuantParams(scale, zero_point)
-            continue
-        if name.endswith(".b"):
-            site, weight = f"site:{owner.inputs[0]}", owner.layer + ".w"
+        if kind == "weight":
+            weights[key], weight_scales[key] = array, scale
+        elif kind == "bias":
+            site, weight = f"site:{input_sites[key]}", key + ".w"
             product = tensors[site][2] * tensors[weight][2]
             if scale != product:
                 raise ContainerError(f"{path}: tensor {name!r} has scale {scale!r}; it needs the "
                                      f"scale of {site!r} times that of {weight!r}, {product!r}")
-        arrays, scales, _ = _PARTS[name[-2:]]
-        parts[arrays][owner.layer] = array
-        parts[scales][owner.layer] = scale
-    return QuantizedModel(config, activations=activations, **parts)
+            biases[key], bias_scales[key] = array, scale
+        elif dtype != np.int8:
+            raise ContainerError(f"{path}: tensor {name!r} has dtype {dtype}; a site entry "
+                                 f"needs int8")
+        else:
+            activations[key] = QuantParams(scale, zero_point)
+    return QuantizedModel(config, weights, weight_scales, biases, bias_scales, activations)

@@ -1,7 +1,6 @@
 """Recorded mutations of the source, each with the tests that must catch it.
 
-    python3 tests/mutants.py              # every mutant
-    python3 tests/mutants.py -k bias      # the mutants whose name holds "bias"
+    python3 tests/mutants.py
 
 Each mutant is (name, file, exact old text, new text, test node ids). The
 named tests first run once on an unmutated copy of the checkout, where each
@@ -20,7 +19,6 @@ does not collect this file, and it is not part of tier-1.
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import shutil
@@ -52,10 +50,16 @@ MUTANTS = [
            ("tests/test_container.py::TestInt8Rules::test_bias_scale_one_ulp_off_is_rejected",)),
     # container: a site entry is int8
     Mutant("site-dtype-int32-allowed", "src/efld/container.py",
-           "            if dtype != np.int8:",
-           "            if dtype not in (np.int8, np.int32):",
+           "        elif dtype != np.int8:",
+           "        elif dtype not in (np.int8, np.int32):",
            ("tests/test_container.py::TestInt8Rules::test_site_entry_tagged_int32_exits_2",
             "tests/test_container.py::TestInt8Rules::test_site_entry_must_be_int8")),
+    # container: the table holds the layout's names in its order, each once
+    Mutant("table-names-as-a-set", "src/efld/container.py",
+           "if [name for name, _ in entries] != [tensor[0] for tensor in layout]:",
+           "if {name for name, _ in entries} != {tensor[0] for tensor in layout}:",
+           ("tests/test_container.py::TestTableOrder::test_repeated_site_entry_exits_2",
+            "tests/test_container.py::TestTableOrder::test_swapped_site_entries_are_rejected")),
     # training: a head has its registered format's point count
     Mutant("head-points-only-too-few", "src/efld/training.py",
            "head.points != registry.get(head.format).points",
@@ -85,7 +89,7 @@ MUTANTS = [
            ("tests/test_cli.py::TestEvalCommand::test_float_model_runs_the_asked_head_alone",)),
     # recorded in CHANGES.md with earlier changes
     Mutant("container-bias-shape-cin", "src/efld/container.py",
-           '(".b", (step.spec.cout,))', '(".b", (step.spec.cin,))',
+           '".b", (spec.cout,), "bias"', '".b", (spec.cin,), "bias"',
            ("tests/test_container.py::TestFloatRoundtrip::test_save_load_save_byte_idempotent",
             "tests/test_container.py::TestQuantizedRoundtrip::test_byte_idempotent")),
     Mutant("container-site-zero-point-from-minus-127", "src/efld/container.py",
@@ -160,15 +164,9 @@ def check(mutant: Mutant) -> str:
     return f"survived: {', '.join(survivors)} passed" if survivors else "killed"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("-k", default="", help="run only the mutants whose name holds this")
-    args = parser.parse_args(argv)
-    mutants = [m for m in MUTANTS if args.k in m.name]
-    if not mutants:
-        parser.error(f"no mutant's name holds {args.k!r}")
+def main() -> int:
     start = time.monotonic()
-    tests = list(dict.fromkeys(t for m in mutants for t in m.tests))
+    tests = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
     with tempfile.TemporaryDirectory(prefix="efld-mutant-") as tmp:
         code, failed = _run(_copy(tmp), tests)
     if code != 0:
@@ -177,7 +175,7 @@ def main(argv=None) -> int:
         return 1
     print(f"unmutated: {len(tests)} named tests pass ({time.monotonic() - start:.0f} s)")
     results = []
-    for mutant in mutants:
+    for mutant in MUTANTS:
         began = time.monotonic()
         result = check(mutant)
         results.append(result)

@@ -11,7 +11,8 @@ from efld.container import CONTAINER_VERSION, MAGIC, load, save
 from efld.errors import ContainerError, CorruptionError, UsageError
 from efld.image import write_ppm
 from efld.model import Model, build_model, default_config, model_forward
-from efld.quantize import QuantizedModel, calibrate, quantize_model, quantized_forward
+from efld.quantize import (QuantizedModel, calibrate, plan_sites, quantize_model,
+                           quantized_forward)
 from efld.synthetic import generate_synthetic
 from efld.tensor import Tensor
 
@@ -287,3 +288,49 @@ class TestInt8Rules:
             load(path)
         path.write_bytes(raw)
         load(path)
+
+
+class TestTableOrder:
+    """The table lists the architecture's tensors in file order, each once.
+    A site entry holds no payload, so a repeated or moved one passes the
+    bounds and overlap checks; the name check catches it."""
+
+    @staticmethod
+    def site_entries(raw, first, second):
+        """The table's byte spans of two site entries (rank 0: name, tag and
+        rank, scale and zero point, offset and length), and where the
+        tensor count sits."""
+        (blob_len,) = struct.unpack_from("<I", raw, 8)
+        spans = []
+        for name in (first, second):
+            key = struct.pack("<H", len(name)) + name.encode("utf-8")
+            start = raw.index(key)
+            spans.append((start, start + len(key) + 2 + 12 + 16))
+        return spans, 12 + blob_len
+
+    def test_repeated_site_entry_exits_2(self, quantized, tmp_path, capsys):
+        path = tmp_path / "q.efld"
+        save(quantized[0], path)
+        raw = bytearray(path.read_bytes())
+        [(lo, hi), _], count_at = self.site_entries(raw, "site:input", "site:input")
+        (count,) = struct.unpack_from("<I", raw, count_at)
+        struct.pack_into("<I", raw, count_at, count + 1)
+        raw[hi:hi] = raw[lo:hi]
+        path.write_bytes(bytes(raw))
+        code, out = TestInt8Rules.infer(path, tmp_path, capsys)
+        assert code == 2 and out.out == ""
+        assert out.err.splitlines()[-1] == (
+            f"error: {path}: tensor names do not match the architecture")
+
+    def test_swapped_site_entries_are_rejected(self, quantized, tmp_path):
+        qmodel = quantized[0]
+        path = tmp_path / "q.efld"
+        save(qmodel, path)
+        raw = bytearray(path.read_bytes())
+        second = "site:" + plan_sites(qmodel.config)[1]
+        [(lo, mid), (mid2, hi)], _ = self.site_entries(raw, "site:input", second)
+        assert mid == mid2
+        raw[lo:hi] = raw[mid:hi] + raw[lo:mid]
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ContainerError, match="tensor names do not match the architecture"):
+            load(path)
