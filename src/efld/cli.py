@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -22,15 +23,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
+def _checked(kind, ok, rule: str):
+    """An argparse type: a ``kind`` value for which ``ok`` holds."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: 'x'", as with type=kind
+    return parse
+
+
 def _at_least(minimum: int):
     """An argparse type: an integer no smaller than ``minimum``."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        return value
-    parse.__name__ = "int"  # argparse's "invalid int value: 'x'", as with type=int
-    return parse
+    return _checked(int, lambda value: value >= minimum, f">= {minimum}")
 
 
 def _resolved(name: str, **kwargs) -> None:
@@ -55,14 +61,16 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--count", type=int, required=True, help="number of samples")
-    p.add_argument("--size", type=int, default=128, help="square image size in pixels")
+    p.add_argument("--count", type=_at_least(1), required=True, help="number of samples")
+    p.add_argument("--size", type=_at_least(1), default=128, help="square image size in pixels")
     p.add_argument("--seed", type=_at_least(0), default=None, help="generator seed (default 0)")
     p.add_argument("--formats", default="p51", help="comma-separated formats to annotate")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--annotate", choices=("all", "round-robin", "none"), default="all",
                    help="annotate every format per sample, one per sample, or none")
-    p.add_argument("--noise", type=float, default=0.02, help="pixel noise sigma")
+    # -0.0 fails too: numpy's normal rejects a scale with the sign bit set
+    sigma = _checked(float, lambda v: math.copysign(1, v) > 0 and v < math.inf, "finite and >= 0")
+    p.add_argument("--noise", type=sigma, default=0.02, help="pixel noise sigma")
 
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--config", required=True, help="model+train config file")
@@ -76,7 +84,8 @@ def build_parser() -> _Parser:
     p.add_argument("--format", required=True, help="landmark format to evaluate")
     p.add_argument("--report", default=None, help="JSON report path")
     p.add_argument("--ced", default=None, help="CED curve CSV path (columns error,fraction)")
-    p.add_argument("--threshold", type=float, default=0.10, help="FR/AUC threshold")
+    threshold = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
+    p.add_argument("--threshold", type=threshold, default=0.10, help="FR/AUC threshold")
 
     p = sub.add_parser("quantize", help="int8 post-training quantization")
     p.add_argument("--model", required=True, help="float model container")
@@ -160,7 +169,8 @@ def cmd_train(args) -> int:
 def _predict(model, images, fmt: str):
     """Head ``fmt``'s (B, 2K) float64 predictions for a list of crops, each
     held as ``Sample.pixels`` holds them (uint8 codes or floats in [0, 1]).
-    A float model runs that head alone; an int8 model runs every head."""
+    Either model kind runs every head it has: ``eval`` and ``infer`` hand
+    it ``model.with_heads([fmt])``."""
     import numpy as np
 
     from .data import stack_images
@@ -170,7 +180,7 @@ def _predict(model, images, fmt: str):
 
     if isinstance(model, Model):
         batch = Tensor(stack_images(images, model.dtype))
-        return model_forward(model, batch, [fmt])[fmt].data.astype(np.float64)
+        return model_forward(model, batch)[fmt].data.astype(np.float64)
     return quantized_forward(model, stack_images(images, np.float64))[fmt]
 
 
@@ -197,8 +207,7 @@ def cmd_eval(args) -> int:
 
     _resolved("eval", model=args.model, data=args.data, format=args.format,
               threshold=args.threshold, report=args.report, ced=args.ced)
-    model = load(args.model)
-    model.config.with_heads([args.format])  # UsageError unless the model has the head
+    model = load(args.model).with_heads([args.format])
     fmt = default_registry().get(args.format)
     dataset = load_dataset(args.data)
     annotated = [s for s in dataset if s.has(args.format)]
@@ -291,8 +300,7 @@ def cmd_infer(args) -> int:
         raise UsageError("infer needs exactly one of --image or --data")
     _resolved("infer", model=args.model, image=args.image, data=args.data,
               format=args.format, out=args.out)
-    model = load(args.model)
-    model.config.with_heads([args.format])  # UsageError unless the model has the head
+    model = load(args.model).with_heads([args.format])
     size = model.config.input_size
 
     if args.image is not None:

@@ -52,13 +52,13 @@ def _layout(config, quantized: bool) -> list:
 def save(model, path, keep_heads=None) -> None:
     """Serialize the backbone, decoder, and selected heads only.
 
-    ``keep_heads`` defaults to all heads, else picks them as
-    ``ModelConfig.with_heads`` does. The stored config lists only the kept
+    ``keep_heads`` defaults to all heads, else saves
+    ``model.with_heads(keep_heads)``. The stored config lists only the kept
     heads, so pruning commutes with inference.
     """
-    config = model.config if keep_heads is None else model.config.with_heads(keep_heads)
+    model = model if keep_heads is None else model.with_heads(keep_heads)
     quantized = isinstance(model, QuantizedModel)
-    layout = _layout(config, quantized)
+    layout = _layout(model.config, quantized)
 
     table = bytearray()
     payloads = []
@@ -85,7 +85,7 @@ def save(model, path, keep_heads=None) -> None:
         offset += len(payload)
         payloads.append(payload)
 
-    blob = render_model_config(config).encode("utf-8")
+    blob = render_model_config(model.config).encode("utf-8")
     header = MAGIC + struct.pack("<HH", CONTAINER_VERSION, FLAG_INT8 if quantized else 0)
     header += struct.pack("<I", len(blob)) + blob
     header += struct.pack("<I", len(layout))
@@ -94,10 +94,7 @@ def save(model, path, keep_heads=None) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".efld-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(bytes(table))
-            for payload in payloads:
-                fh.write(payload)
+            fh.writelines([header, table, *payloads])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

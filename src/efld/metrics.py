@@ -204,15 +204,13 @@ def layer_macs(kind: str, kernel, cin: int, cout: int, out_hw) -> int:
     return cin * cout
 
 
-def count_cost(config: ModelConfig, heads=None, input_size: int | None = None) -> CostReport:
-    """MACs and parameters per layer, per sample, of the model with the
-    heads ``heads`` (all when None; see ``ModelConfig.with_heads``)."""
+def count_cost(config: ModelConfig, input_size: int | None = None) -> CostReport:
+    """MACs and parameters per layer, per sample, of the model of ``config``
+    with all its heads (``ModelConfig.with_heads`` picks a subset)."""
     config.validate()
     if input_size is not None and input_size != config.input_size:
         config = replace(config, input_size=input_size)
         config.validate()
-    if heads is not None:
-        config = config.with_heads(heads)
     layers = [LayerCost(spec.name, spec.kind,
                         layer_macs(spec.kind, spec.kernel, spec.cin, spec.cout, spec.out_hw),
                         spec.param_count)

@@ -446,6 +446,14 @@ class Model:
     def parameter_count(self) -> int:
         return sum(t.size for t in self.params.values())
 
+    def with_heads(self, formats) -> "Model":
+        """This model over ``config.with_heads(formats)``: the same parameter
+        tensors, those of its own layers only. The one way to run or save a
+        head subset."""
+        config = self.config.with_heads(formats)
+        names = [spec.name + part for spec in iter_layers(config) for part in (".w", ".b")]
+        return Model(config, {name: self.params[name] for name in names}, self.dtype)
+
 
 def build_model(config: ModelConfig, seed: int = 0, dtype: str = "float32") -> Model:
     """Deterministically initialized model: uniform He-style fan-in scaling
@@ -600,20 +608,19 @@ def _backbone_block(model: Model, images: Tensor, tape: Tape | None, observer,
     return decoder_forward(model, x, tape=tape, observer=observer)
 
 
-def model_forward(model: Model, images: Tensor, formats=None, tape: Tape | None = None,
+def model_forward(model: Model, images: Tensor, tape: Tape | None = None,
                   observer=None) -> dict:
     """Backbone and decoder give each sample its feature vector (block by
-    block without a tape, see ``backbone_forward``); each requested head runs
-    once on the whole batch of them. ``observer(site, value)``, when given,
-    sees the value of every site the forward computes: a backbone site once
-    per block of samples, a head site once per batch. ``formats`` picks the
-    heads (all when None; see ``ModelConfig.with_heads``). Returns {format:
-    predictions (B, 2K)}, in the model's head order. Raises ``ValidationError``
-    naming the first image with a NaN or infinite pixel."""
-    heads = model.config.heads if formats is None else model.config.with_heads(formats).heads
+    block without a tape, see ``backbone_forward``); every head of the model
+    runs once on the whole batch of them (``Model.with_heads`` picks a
+    subset). ``observer(site, value)``, when given, sees the value of every
+    site the forward computes: a backbone site once per block of samples, a
+    head site once per batch. Returns {format: predictions (B, 2K)}, in the
+    model's head order. Raises ``ValidationError`` naming the first image
+    with a NaN or infinite pixel."""
     v = backbone_forward(model, images, tape=tape, observer=observer)
-    return {h.format: head_forward(model, h.format, v, tape=tape, observer=observer)
-            for h in heads}
+    return {fmt: head_forward(model, fmt, v, tape=tape, observer=observer)
+            for fmt in model.head_formats()}
 
 
 def default_config(formats=("p51",)) -> ModelConfig:

@@ -213,6 +213,17 @@ class QuantizedModel:
     def parameter_count(self) -> int:
         return self.weight_byte_count() + sum(b.size for b in self.biases.values())
 
+    def with_heads(self, formats) -> "QuantizedModel":
+        """This model over ``config.with_heads(formats)``: the same arrays,
+        scales and site parameters, those of its own layers and sites only.
+        The one way to run or save a head subset."""
+        config = self.config.with_heads(formats)
+        layers = [spec.name for spec in iter_layers(config)]
+        tables = [{name: table[name] for name in layers}
+                  for table in (self.weights, self.weight_scales, self.biases, self.bias_scales)]
+        return QuantizedModel(config, *tables,
+                              {site: self.activations[site] for site in plan_sites(config)})
+
     @cached_property
     def _states(self) -> "_Int8Plan":
         """The compiled int8 plan (see ``_compile``). Built on the first

@@ -3,9 +3,10 @@
 The per-sample loss is the mean per-point Euclidean error divided by the
 ground truth's inter-ocular distance. Heads are masked at the gradient
 level: a sample lacking a format contributes an exactly-zero gradient to
-that head, and a head with no annotated sample in the batch is not run at
-all. Each head's loss is normalized by its annotated-sample count so head
-gradients stay scale-comparable when formats are unevenly represented.
+that head, and a head with no annotated sample gets no seed gradient, so
+it moves no gradient at all. Each head's loss is normalized by its
+annotated-sample count so head gradients stay scale-comparable when formats
+are unevenly represented.
 
 A step's memory is bounded by the plan, not by the batch. The step runs
 forward and backward on ``Model.micro_batch`` samples at a time (see
@@ -289,10 +290,13 @@ class TrainLog:
 
 def _train_step(model: Model, batch, formats, registry: FormatRegistry,
                 state: OptimizerState, lr: float, config: TrainConfig, where: str) -> tuple:
-    """One step on ``batch`` for the heads ``formats``: forward, masked loss
-    and backward per micro-batch of ``model.micro_batch`` samples, then one
-    AdamW update. Returns (total loss, {format: (loss, count)}) for the
-    whole batch. Its tapes, predictions, seeds and gradients die with it."""
+    """One step on ``batch``, whose samples are annotated in the heads
+    ``formats`` only: forward of every head, masked loss and backward per
+    micro-batch of ``model.micro_batch`` samples, then one AdamW update. A
+    head with no annotated sample gets no seed, so it moves no gradient.
+    Returns (total loss, {format: (loss, count)}) for the heads ``formats``
+    over the whole batch. Its tapes, predictions, seeds and gradients die
+    with it."""
     counts = head_counts(batch, formats, registry, model.dtype)
     losses = dict.fromkeys(formats, 0.0)
     grad_map = None
@@ -301,17 +305,16 @@ def _train_step(model: Model, batch, formats, registry: FormatRegistry,
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(batch), model.micro_batch):
             micro = batch[start : start + model.micro_batch]
-            heads = [f for f in formats if any(s.has(f) for s in micro)]
-            if not heads:  # calibration-only samples
+            if not any(s.has(f) for s in micro for f in formats):  # calibration-only samples
                 continue
             images = stack_images([s.pixels for s in micro], model.dtype)
             tape = Tape(model.params.values())
-            predictions = model_forward(model, Tensor(images), heads, tape=tape)
+            predictions = model_forward(model, Tensor(images), tape=tape)
             part, detail, seeds = masked_multihead_loss(predictions, micro, registry, counts)
             if not math.isfinite(part):
                 raise NumericsError(f"loss became non-finite at {where}; {_diverged(config)}")
-            for fmt_name, (head_loss, _) in detail.items():
-                losses[fmt_name] += head_loss
+            for fmt_name in formats:
+                losses[fmt_name] += detail[fmt_name][0]
             grads = backward_multi(tape, seeds)
             if grad_map is None:
                 grad_map = {name: grads.wrt(t) for name, t in model.params.items()}
@@ -326,9 +329,9 @@ def train(model: Model, datasets, config: TrainConfig,
           registry: FormatRegistry | None = None) -> TrainLog:
     """Cross-format training loop; mutates the model in place.
 
-    Per step: draw a merged-shuffle batch, forward every head with at least
-    one annotated sample, compute the masked loss, backpropagate, and apply
-    one AdamW step at the per-step cosine learning rate, micro-batch by
+    Per step: draw a merged-shuffle batch, forward every head, compute the
+    masked loss over the heads with an annotated sample, backpropagate, and
+    apply one AdamW step at the per-step cosine learning rate, micro-batch by
     micro-batch as the module describes, so that memory stops growing with
     ``batch_size`` past ``model.micro_batch`` samples. Fully deterministic
     given (seed, config, data).

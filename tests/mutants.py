@@ -82,11 +82,40 @@ MUTANTS = [
            "lines = fh.read().splitlines()",
            ("tests/test_formats_data.py::TestEightBitCrops"
             "::test_load_dataset_peak_is_what_it_keeps",)),
-    # cli: a float model runs the asked head alone
-    Mutant("predict-runs-every-head", "src/efld/cli.py",
-           "model_forward(model, batch, [fmt])[fmt]",
-           "model_forward(model, batch)[fmt]",
-           ("tests/test_cli.py::TestEvalCommand::test_float_model_runs_the_asked_head_alone",)),
+    # cli: eval and infer prune the model to the asked head right after load
+    Mutant("eval-runs-every-head", "src/efld/cli.py",
+           "    model = load(args.model).with_heads([args.format])\n    fmt =",
+           "    model = load(args.model)\n    fmt =",
+           ("tests/test_cli.py::TestEvalCommand::test_float_model_runs_the_asked_head_alone",
+            "tests/test_cli.py::TestEvalCommand::test_int8_model_runs_the_asked_head_alone")),
+    Mutant("infer-runs-every-head", "src/efld/cli.py",
+           "    model = load(args.model).with_heads([args.format])\n    size =",
+           "    model = load(args.model)\n    size =",
+           ("tests/test_cli.py::TestEvalCommand::test_float_model_runs_the_asked_head_alone",
+            "tests/test_cli.py::TestEvalCommand::test_int8_model_runs_the_asked_head_alone")),
+    # cli: numeric flags are checked where they are parsed
+    Mutant("threshold-infinite-accepted", "src/efld/cli.py",
+           "lambda v: 0 < v < math.inf", "lambda v: 0 < v",
+           ("tests/test_fuzz.py::test_flag_values_exit_cleanly[eval-threshold]",)),
+    Mutant("noise-infinite-accepted", "src/efld/cli.py",
+           "lambda v: math.copysign(1, v) > 0 and v < math.inf", "lambda v: v >= 0",
+           ("tests/test_fuzz.py::test_flag_values_exit_cleanly[synth-noise]",)),
+    Mutant("count-unchecked", "src/efld/cli.py",
+           '"--count", type=_at_least(1)', '"--count", type=int',
+           ("tests/test_fuzz.py::test_flag_values_exit_cleanly[synth-count]",)),
+    Mutant("size-unchecked", "src/efld/cli.py",
+           '"--size", type=_at_least(1)', '"--size", type=int',
+           ("tests/test_fuzz.py::test_flag_values_exit_cleanly[synth-size]",)),
+    # with_heads: a pruned model holds the tensors of its own layers and sites only
+    Mutant("float-with-heads-keeps-every-layer", "src/efld/model.py",
+           'for spec in iter_layers(config) for part in (".w", ".b")',
+           'for spec in iter_layers(self.config) for part in (".w", ".b")',
+           ("tests/test_container.py::TestWithHeads::test_shares_only_its_own_tensors",
+            "tests/test_container.py::TestWithHeads"
+            "::test_parameter_count_is_the_pruned_containers")),
+    Mutant("int8-with-heads-keeps-every-site", "src/efld/quantize.py",
+           "for site in plan_sites(config)})", "for site in plan_sites(self.config)})",
+           ("tests/test_container.py::TestWithHeads::test_shares_only_its_own_tensors",)),
     # recorded in CHANGES.md with earlier changes
     Mutant("container-bias-shape-cin", "src/efld/container.py",
            '".b", (spec.cout,), "bias"', '".b", (spec.cin,), "bias"',
@@ -118,6 +147,32 @@ MUTANTS = [
            "for start in range(0, len(annotated), chunk)",
            "for start in range(0, min(len(annotated), chunk), chunk)",
            ("tests/test_cli.py::TestEvalCommand::test_chunks_score_like_one_forward",)),
+    Mutant("int8-accumulates-in-float32", "src/efld/quantize.py",
+           "return np.float32 if spec.fan_in * (QMAX - QMIN) * -QMIN < 2**24 else np.float64",
+           "return np.float32",
+           ("tests/test_quantize.py::TestIntegerOracle::test_accumulator_dtype_follows_fan_in",
+            "tests/test_quantize.py::TestIntegerOracle"
+            "::test_accumulator_is_exact_at_the_extremes")),
+    Mutant("concat-tables-from-the-first-operand", "src/efld/quantize.py",
+           "_requant(_CODES, act[site], act[step.output]) for site in step.inputs",
+           "_requant(_CODES, act[step.inputs[0]], act[step.output]) for site in step.inputs",
+           ("tests/test_quantize.py::TestIntegerOracle"
+            "::test_quantized_forward_matches_integer_oracle",
+            "tests/test_differential.py::test_quantized_forward_matches_the_integer_oracle")),
+    Mutant("group-requantized-with-the-first-multiplier", "src/efld/quantize.py",
+           "                acc *= o.multiplier",
+           "                acc *= self.outputs[0].multiplier",
+           ("tests/test_differential.py::test_quantized_forward_matches_the_integer_oracle",)),
+    Mutant("group-adds-the-first-bias-row", "src/efld/quantize.py",
+           "            _add_bias(r, o.bias)", "            _add_bias(r, outputs[0].bias)",
+           ("tests/test_differential.py::test_quantized_forward_matches_the_integer_oracle",)),
+    Mutant("gradients-want-every-tensor", "src/efld/tensor.py",
+           "return self._wanted is None or id(tensor) in self._wanted", "return True",
+           ("tests/test_autodiff.py::test_excluded_leaf_gradient_is_never_read_as_zero",
+            "tests/test_autodiff.py::test_pruning_changes_no_parameter_gradient_bit")),
+    Mutant("wrt-zero-fills-an-excluded-tensor", "src/efld/tensor.py",
+           "        if not self.wants(tensor):", "        if False:",
+           ("tests/test_autodiff.py::test_excluded_leaf_gradient_is_never_read_as_zero",)),
 ]
 
 

@@ -247,7 +247,7 @@ def test_criterion_09_export_pruning(tmp_path):
     assert pruned.parameter_count() == 130938
 
     x = Tensor(np.random.default_rng(14).uniform(size=(2, 128, 128, 3)).astype("float32"))
-    before = model_forward(model, x, formats={"p51"})["p51"].data
+    before = model_forward(model, x)["p51"].data
     after = model_forward(pruned, x)["p51"].data
     np.testing.assert_array_equal(before, after)
 

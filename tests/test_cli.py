@@ -381,6 +381,32 @@ class TestEvalCommand:
         assert run([command, "--model", str(model), "--data", str(data), "--format", "p68"]) == 0
         assert ran and set(ran) == {"p68"}  # infer runs one forward per crop
 
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    def test_int8_model_runs_the_asked_head_alone(self, tmp_path, monkeypatch, command):
+        import efld.quantize
+        from efld.container import save
+        from efld.model import build_model
+        from efld.synthetic import generate_synthetic
+
+        float_model = build_model(reduced_config(("p51", "p68", "p98")), seed=1)
+        activations = efld.quantize.calibrate(float_model, generate_synthetic(2, 32, 1, []))
+        model = tmp_path / "q.efld"
+        save(efld.quantize.quantize_model(float_model, activations), model)
+        data = tmp_path / "d"
+        assert run(["synth", "--count", "2", "--size", "32", "--seed", "1", "--formats", "p68",
+                    "--out", str(data)]) == 0
+        ran = []
+        layer_run = efld.quantize._Layer.run
+
+        def recorded(layer, *args):
+            ran.append(layer.step.stage)
+            return layer_run(layer, *args)
+
+        monkeypatch.setattr(efld.quantize._Layer, "run", recorded)
+        assert run([command, "--model", str(model), "--data", str(data), "--format", "p68"]) == 0
+        heads = {stage for stage in ran if stage.startswith("head.")}
+        assert "eosa1" in ran and heads == {"head.p68"}
+
 
 class TestExportInfer:
     def test_export_then_infer(self, pipeline, tmp_path, capsys):

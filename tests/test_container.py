@@ -81,7 +81,7 @@ class TestPruning:
         save(three_head_model, path, keep_heads=["p51"])
         pruned = load(path)
         x = Tensor(np.random.default_rng(1).uniform(size=(2, 32, 32, 3)).astype("float32"))
-        full = model_forward(three_head_model, x, formats={"p51"})["p51"]
+        full = model_forward(three_head_model.with_heads({"p51"}), x)["p51"]
         after = model_forward(pruned, x)["p51"]
         np.testing.assert_array_equal(full.data, after.data)
 
@@ -98,6 +98,70 @@ class TestPruning:
     def test_empty_heads_rejected(self, three_head_model, tmp_path):
         with pytest.raises(UsageError, match="nonempty"):
             save(three_head_model, tmp_path / "x.efld", keep_heads=[])
+
+
+def _forward(model, images) -> dict:
+    """Every head's predictions as arrays, for either model kind."""
+    if isinstance(model, QuantizedModel):
+        return quantized_forward(model, images)
+    return {fmt: out.data for fmt, out in model_forward(model, Tensor(images)).items()}
+
+
+def _tensors(model) -> list:
+    """(name, object) of every tensor, scale and site parameter the model holds."""
+    if isinstance(model, Model):
+        return list(model.params.items())
+    tables = {"w": model.weights, "w.scale": model.weight_scales, "b": model.biases,
+              "b.scale": model.bias_scales}
+    held = [(f"{layer}.{part}", value) for part, table in tables.items()
+            for layer, value in table.items()]
+    return held + [(f"site:{site}", qp) for site, qp in model.activations.items()]
+
+
+class TestWithHeads:
+    """``with_heads`` prunes either model kind to a head subset that runs,
+    costs and saves as the pruned container does."""
+
+    @pytest.fixture(params=["float32", "int8"])
+    def full(self, request, three_head_model, quantized):
+        return three_head_model if request.param == "float32" else quantized[0]
+
+    @pytest.fixture
+    def images(self, quantized):
+        return np.stack([s.image for s in quantized[1].samples[:3]]).astype("float32")
+
+    @pytest.mark.parametrize("heads", [["p51"], ["p98", "p51"]], ids=["p51", "p51-p98"])
+    def test_outputs_are_the_full_models_rows(self, full, images, heads):
+        pruned = full.with_heads(heads)
+        assert type(pruned) is type(full)
+        got, want = _forward(pruned, images), _forward(full, images)
+        assert list(got) == [fmt for fmt in want if fmt in heads]
+        for fmt, out in got.items():
+            assert out.tobytes() == want[fmt].tobytes(), fmt
+
+    def test_shares_only_its_own_tensors(self, full):
+        pruned = full.with_heads(["p68"])
+        held = dict(_tensors(full))
+        kept = _tensors(pruned)
+        assert all(value is held[name] for name, value in kept)
+        names = [name for name, _ in kept]
+        assert not [name for name in names if "p51" in name or "p98" in name]
+        assert any("head.p68" in name for name in names)
+
+    def test_parameter_count_is_the_pruned_containers(self, full, tmp_path):
+        path = tmp_path / "m.efld"
+        save(full, path, keep_heads=["p51"])
+        pruned = full.with_heads(["p51"])
+        assert pruned.parameter_count() == load(path).parameter_count() < full.parameter_count()
+
+    def test_saves_the_bytes_of_keep_heads(self, full, tmp_path):
+        for heads in (["p51"], ["p68", "p98"]):
+            kept, pruned = tmp_path / "kept.efld", tmp_path / "pruned.efld"
+            save(full, kept, keep_heads=heads)
+            save(full.with_heads(heads), pruned)
+            assert kept.read_bytes() == pruned.read_bytes()
+            save(load(pruned), kept)
+            assert kept.read_bytes() == pruned.read_bytes()
 
 
 class TestQuantizedRoundtrip:

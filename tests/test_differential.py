@@ -266,7 +266,7 @@ def whole_batch_step(model, batch, registry):
     formats = [f for f in model.head_formats() if any(s.has(f) for s in batch)]
     tape = Tape(model.params.values())
     images = np.stack([s.image for s in batch]).astype(model.dtype)
-    predictions = model_forward(model, Tensor(images), formats, tape=tape)
+    predictions = model_forward(model.with_heads(formats), Tensor(images), tape=tape)
     total, detail, seeds = training.masked_multihead_loss(predictions, batch, registry)
     grads = backward_multi(tape, seeds)
     return total, detail, {name: grads.wrt(t) for name, t in model.params.items()}

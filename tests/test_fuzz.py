@@ -6,7 +6,8 @@ bug.
 
 The CLI boundary is fuzzed too: hostile values for every config key and
 global flag end in exit 0, 1 or 2 with a message naming the file and the
-key or the flag, never in a traceback or an internal error (exit 3). Empty,
+key or the flag, never in a traceback or an internal error (exit 3); a
+flag value out of its range is a usage error (exit 1). Empty,
 unknown and repeated head lists for ``export --heads``, and an unknown
 ``eval``/``infer --format``, end in exit 0 or 1 with a message naming the
 heads."""
@@ -230,20 +231,37 @@ def test_train_config_values_exit_cleanly(tmp_path, capsys):
             assert str(config) in last and any(name in last for name in names), (edits, last)
 
 
-@pytest.mark.parametrize("argv", [["--threads"], ["--seed"], ["synth", "--seed"]],
-                         ids=["threads", "seed", "synth-seed"])
-def test_flag_values_exit_cleanly(argv, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command,flag,valid", [
+    (None, "--threads", {"1", "3"}),
+    (None, "--seed", {"0", "1", "3"}),
+    ("synth", "--seed", {"0", "1", "3"}),
+    ("synth", "--count", {"1", "3"}),
+    ("synth", "--size", {"1", "3"}),
+    ("synth", "--noise", {"0", "1e300", "1", "3"}),
+    ("eval", "--threshold", {"1e300", "1", "3"}),
+], ids=["threads", "seed", "synth-seed", "synth-count", "synth-size", "synth-noise",
+        "eval-threshold"])
+def test_flag_values_exit_cleanly(command, flag, valid, tmp_path, monkeypatch, capsys):
+    """Each hostile or plain value of ``flag`` runs (exit 0) when it is in
+    ``valid`` and is a usage error naming the flag (exit 1) otherwise."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)  # restored after the test
-    command = (["--count", "1", "--size", "8", "--out", str(tmp_path / "d")] if "synth" in argv
-               else ["analyze", "--config", "default"])
+    model, data = tmp_path / "m.efld", tmp_path / "data"
+    if command == "eval":
+        save(build_model(reduced_config(), seed=1), model)
+        save_dataset(generate_synthetic(2, 32, seed=2, formats=["p51"]), data)
+    given = {"synth": ["--count", "1", "--size", "8", "--out", str(tmp_path / "d")],
+             "eval": ["--model", str(model), "--data", str(data), "--format", "p51"]}
     for value in [v.decode("utf-8", "replace") for v in HOSTILE] + ["1", "3"]:
-        code = run([*argv, value, *command])
+        # a subcommand's flag goes last, where it overrides the one ``given`` sets
+        argv = ([command, *given[command], flag, value] if command
+                else [flag, value, "analyze", "--config", "default"])
+        code = run(argv)
         err = capsys.readouterr().err
-        assert code in (0, 1), (value, err)
+        assert code == (0 if value in valid else 1), (value, err)
         assert "Traceback" not in err and "internal error" not in err, (value, err)
         if code:
-            assert err.startswith(f"error: argument {argv[-1]}: "), (value, err)
+            assert err.startswith(f"error: argument {flag}: "), (value, err)
 
 
 @pytest.fixture(scope="module")

@@ -169,7 +169,7 @@ class TestCostAccounting:
     def test_head_subset_removes_exact_share(self):
         config = default_config(("p51", "p68", "p98"))
         full = count_cost(config)
-        without98 = count_cost(config, heads=("p51", "p68"))
+        without98 = count_cost(config.with_heads(("p51", "p68")))
         share_macs = sum(l.macs for l in full.layers if l.name.startswith("head.p98"))
         share_params = sum(l.params for l in full.layers if l.name.startswith("head.p98"))
         assert share_macs > 0
@@ -178,7 +178,7 @@ class TestCostAccounting:
 
     def test_unknown_head_subset(self):
         with pytest.raises(UsageError, match="unknown heads"):
-            count_cost(default_config(), heads=("p99",))
+            count_cost(default_config().with_heads(("p99",)))
 
     def test_mac_formula_matches_instrumented_counter(self):
         report = count_cost(reduced_config(("p51",)))

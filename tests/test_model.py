@@ -450,7 +450,7 @@ class TestModelForward:
         model = build_model(reduced_config(("p51", "p68", "p98")), dtype="float64")
         x = Tensor(np.random.default_rng(3).uniform(size=(1, 32, 32, 3)))
         tape_one = Tape()
-        model_forward(model, x, formats={"p51"}, tape=tape_one)
+        model_forward(model.with_heads({"p51"}), x, tape=tape_one)
         tape_all = Tape()
         model_forward(model, x, tape=tape_all)
         # 3 block linears + 1 output linear per head
@@ -475,7 +475,7 @@ class TestModelForward:
         model = build_model(reduced_config(("p51",)), dtype="float64")
         x = Tensor(np.zeros((1, 32, 32, 3)))
         with pytest.raises(UsageError, match="p51"):
-            model_forward(model, x, formats={"p98"})
+            model_forward(model.with_heads({"p98"}), x)
 
     def test_identical_batch_rows_give_identical_outputs(self):
         model = build_model(reduced_config(("p51",)))
@@ -627,12 +627,19 @@ def test_full_model_gradient_check():
 
 
 class TestHeadSubset:
-    """``ModelConfig.with_heads`` is the one check of a head subset: the
-    forward, head pruning on save and costing raise its text."""
+    """``ModelConfig.with_heads`` is the one check of a head subset: pruning
+    either model kind and head pruning on save raise its text."""
 
     @pytest.fixture(scope="class")
     def model(self):
         return build_model(reduced_config(("p51", "p68", "p98")), dtype="float64")
+
+    @pytest.fixture(scope="class")
+    def qmodel(self, model):
+        from efld.quantize import calibrate, quantize_model
+        from efld.synthetic import generate_synthetic
+
+        return quantize_model(model, calibrate(model, generate_synthetic(2, 32, 1, [])))
 
     def test_keeps_the_model_order_and_drops_repeats(self, model):
         kept = model.config.with_heads(["p98", "p51", "p98"])
@@ -644,16 +651,15 @@ class TestHeadSubset:
         (["p51", "p40", "p12"], "unknown heads p12, p40; available heads: p51, p68, p98"),
         ([], "a head subset must be nonempty; available heads: p51, p68, p98"),
     ], ids=["unknown", "unknown-among-known", "empty"])
-    def test_every_caller_raises_the_same_text(self, model, tmp_path, subset, message):
+    def test_every_caller_raises_the_same_text(self, model, qmodel, tmp_path, subset, message):
         from efld.container import save
-        from efld.metrics import count_cost
 
-        x = Tensor(np.zeros((1, 32, 32, 3)))
         calls = [
             lambda: model.config.with_heads(subset),
-            lambda: model_forward(model, x, formats=subset),
+            lambda: model.with_heads(subset),
+            lambda: qmodel.with_heads(subset),
             lambda: save(model, tmp_path / "m.efld", keep_heads=subset),
-            lambda: count_cost(model.config, heads=subset),
+            lambda: save(qmodel, tmp_path / "m.efld", keep_heads=subset),
         ]
         for call in calls:
             with pytest.raises(UsageError) as info:

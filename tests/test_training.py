@@ -350,10 +350,10 @@ def test_no_activation_of_a_step_survives_into_the_next(monkeypatch):
     alive = []  # weak references to what the last forward made
     calls = []
 
-    def watched(model, images, formats, tape=None):
+    def watched(model, images, tape=None):
         assert [ref for ref in alive if ref() is not None] == []
         calls.append(len(images.data))
-        out = forward(model, images, formats, tape=tape)
+        out = forward(model, images, tape=tape)
         values = [images] + [output for _, output, _ in tape._nodes]
         alive[:] = [weakref.ref(obj) for value in values
                     for obj in (value, value.data, value.data.base) if obj is not None]
