@@ -1,6 +1,7 @@
 """Command-line interface: synth, train, eval, quantize, analyze, export, infer.
 
-Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 internal
+Exit codes: 0 success, 1 usage error, 2 data/validation error or a file
+that cannot be read or written (missing, a directory, ...), 3 internal
 invariant violation. Diagnostics (including the resolved configuration each
 run prints before doing work) go to stderr; results go to stdout or files.
 """
@@ -191,9 +192,11 @@ EVAL_SAMPLES = 32
 
 
 def _eval_chunk(model) -> int:
-    from .model import block_samples, build_plan
+    from .model import block_samples, build_plan, site_pads, site_shapes
 
-    block = block_samples(build_plan(model.config), model.config.input_size)
+    plan = build_plan(model.config)
+    shapes = site_shapes(plan, model.config.input_size)
+    block = block_samples(shapes, site_pads(plan, shapes))
     return block * -(-EVAL_SAMPLES // block)
 
 
@@ -383,7 +386,9 @@ def run(argv) -> int:
     except (DataError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a file that cannot be read or written: missing, a directory, ...
+        if exc.filename is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EfldError as exc:

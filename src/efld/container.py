@@ -13,6 +13,7 @@ model kinds are assembled from.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import struct
@@ -30,9 +31,20 @@ MAGIC = b"EFLD"
 CONTAINER_VERSION = 1
 FLAG_INT8 = 0x0001
 
-_DTYPE_TAGS = {"float32": 0, "float64": 1, "int8": 2, "int32": 3}
-_TAG_DTYPES = {v: np.dtype(k) for k, v in _DTYPE_TAGS.items()}
+_TAG_DTYPES = dict(enumerate(map(np.dtype, ["float32", "float64", "int8", "int32"])))
+_DTYPE_TAGS = {dtype: tag for tag, dtype in _TAG_DTYPES.items()}
 _QUANTIZED_TAGS = (2, 3)
+_FLOAT_DTYPES = {np.dtype(np.float32), np.dtype(np.float64)}
+
+# The fixed-size fields, read and written by precompiled structs.
+_MAGIC = struct.Struct("4s")
+_HEADER = struct.Struct("<HH")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_TAG_RANK = struct.Struct("<BB")
+_DIMS = tuple(struct.Struct(f"<{rank}I") for rank in range(256))
+_QUANT = struct.Struct("<di")
+_LOCATION = struct.Struct("<QQ")
 
 
 def _layout(config, quantized: bool) -> list:
@@ -75,26 +87,27 @@ def save(model, path, keep_heads=None) -> None:
             array, quant = model.biases[key], (model.bias_scales[key], 0)
         payload = array.tobytes()
         encoded = name.encode("utf-8")
-        table += struct.pack("<H", len(encoded)) + encoded
-        table += struct.pack("<BB", _DTYPE_TAGS[array.dtype.name], len(shape))
-        for dim in shape:
-            table += struct.pack("<I", dim)
+        table += _U16.pack(len(encoded)) + encoded
+        table += _TAG_RANK.pack(_DTYPE_TAGS[array.dtype], len(shape))
+        table += _DIMS[len(shape)].pack(*shape)
         if quant:
-            table += struct.pack("<di", *quant)
-        table += struct.pack("<QQ", offset, len(payload))
+            table += _QUANT.pack(*quant)
+        table += _LOCATION.pack(offset, len(payload))
         offset += len(payload)
         payloads.append(payload)
 
     blob = render_model_config(model.config).encode("utf-8")
-    header = MAGIC + struct.pack("<HH", CONTAINER_VERSION, FLAG_INT8 if quantized else 0)
-    header += struct.pack("<I", len(blob)) + blob
-    header += struct.pack("<I", len(layout))
+    header = MAGIC + _HEADER.pack(CONTAINER_VERSION, FLAG_INT8 if quantized else 0)
+    header += _U32.pack(len(blob)) + blob + _U32.pack(len(layout))
 
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".efld-")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines([header, table, *payloads])
+        umask = os.umask(0o077)  # read the umask: mkstemp made the file 0600
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -103,24 +116,33 @@ def save(model, path, keep_heads=None) -> None:
 
 
 class _Reader:
+    """Reads a container's fields in order, each after one bounds check. The
+    field ``what`` of a table entry is named ``tensor <name> <what>`` in an
+    error, and formatted only then."""
+
     def __init__(self, raw: bytes, path):
         self.raw = raw
         self.pos = 0
         self.path = path
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.raw):
-            raise CorruptionError(f"{self.path}: truncated while reading {what}")
-        piece = self.raw[self.pos : self.pos + n]
-        self.pos += n
-        return piece
+    def truncated(self, what: str, name) -> CorruptionError:
+        what = what if name is None else f"tensor {name} {what}"
+        return CorruptionError(f"{self.path}: truncated while reading {what}")
 
-    def unpack(self, fmt: str, what: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+    def unpack(self, fmt: struct.Struct, what: str, name=None) -> tuple:
+        pos = self.pos
+        self.pos = pos + fmt.size
+        if self.pos > len(self.raw):
+            raise self.truncated(what, name)
+        return fmt.unpack_from(self.raw, pos)
 
     def text(self, n: int, what: str) -> str:
+        pos = self.pos
+        self.pos = pos + n
+        if self.pos > len(self.raw):
+            raise self.truncated(what, None)
         try:
-            return self.take(n, what).decode("utf-8")
+            return self.raw[pos : self.pos].decode("utf-8")
         except UnicodeDecodeError:
             raise ContainerError(f"{self.path}: {what} is not UTF-8 text") from None
 
@@ -134,54 +156,72 @@ def load(path):
     with open(path, "rb") as fh:
         raw = fh.read()
     reader = _Reader(raw, path)
-    if reader.take(4, "magic") != MAGIC:
+    if reader.unpack(_MAGIC, "magic") != (MAGIC,):
         raise ContainerError(f"{path}: bad magic; not a model container")
-    version, flags = reader.unpack("<HH", "header")
+    version, flags = reader.unpack(_HEADER, "header")
     if version != CONTAINER_VERSION:
         raise ContainerError(f"{path}: unsupported container version {version}")
-    (blob_len,) = reader.unpack("<I", "config length")
+    (blob_len,) = reader.unpack(_U32, "config length")
     blob = reader.text(blob_len, "config blob")
     try:
         config = parse_model_config(blob)
     except ConfigError as exc:
         raise ContainerError(f"{path}: config blob: {exc}") from None
-    (count,) = reader.unpack("<I", "tensor count")
+    (count,) = reader.unpack(_U32, "tensor count")
 
     table = []
     for _ in range(count):
-        (name_len,) = reader.unpack("<H", "tensor name length")
+        (name_len,) = reader.unpack(_U16, "tensor name length")
         name = reader.text(name_len, "tensor name")
-        tag, rank = reader.unpack("<BB", f"tensor {name} header")
+        tag, rank = reader.unpack(_TAG_RANK, "header", name)
         if tag not in _TAG_DTYPES:
             raise ContainerError(f"{path}: tensor {name!r} has unknown dtype tag {tag}")
-        dims = tuple(reader.unpack("<I", f"tensor {name} dims")[0] for _ in range(rank))
+        dims = reader.unpack(_DIMS[rank], "dims", name)
         scale = zero_point = None
         if tag in _QUANTIZED_TAGS:
-            scale, zero_point = reader.unpack("<di", f"tensor {name} quant params")
-        offset, length = reader.unpack("<QQ", f"tensor {name} location")
+            scale, zero_point = reader.unpack(_QUANT, "quant params", name)
+        offset, length = reader.unpack(_LOCATION, "location", name)
         table.append((name, tag, dims, scale, zero_point, offset, length))
 
     payload_start = reader.pos
     payload_size = len(raw) - payload_start
+    scan = _may_overlap(table)
     spans = []
     entries = []
     for name, tag, dims, scale, zero_point, offset, length in table:
         if offset + length > payload_size:
             raise CorruptionError(f"{path}: tensor {name!r} payload out of bounds")
-        for other, (lo, hi) in spans:
-            if length and hi > offset and lo < offset + length:
-                raise CorruptionError(f"{path}: tensors {name!r} and {other!r} overlap")
-        spans.append((name, (offset, offset + length)))
+        if scan:
+            for other, (lo, hi) in spans:
+                if length and hi > offset and lo < offset + length:
+                    raise CorruptionError(f"{path}: tensors {name!r} and {other!r} overlap")
+            spans.append((name, (offset, offset + length)))
         dtype = _TAG_DTYPES[tag]
-        expected = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if dims else 0
-        if dims and length != expected:
-            raise CorruptionError(
-                f"{path}: tensor {name!r} payload is {length} bytes, expected {expected}"
-            )
-        data = raw[payload_start + offset : payload_start + offset + length]
-        array = np.frombuffer(data, dtype=dtype).reshape(dims).copy() if dims else None
+        items = math.prod(dims)
+        if dims and length != items * dtype.itemsize:
+            raise CorruptionError(f"{path}: tensor {name!r} payload is {length} bytes, "
+                                  f"expected {items * dtype.itemsize}")
+        array = (np.frombuffer(raw, dtype, items, payload_start + offset).reshape(dims).copy()
+                 if dims else None)
         entries.append((name, (dtype, array, scale, zero_point)))
     return _assemble(path, config, bool(flags & FLAG_INT8), entries)
+
+
+def _may_overlap(table) -> bool:
+    """Whether two payloads of ``table`` overlap, or a zero-length entry's
+    offset lies strictly inside a payload. The pairwise scan in ``load``,
+    which checks each nonempty entry against every entry before it in the
+    table, can find an overlap only then."""
+    spans = sorted((offset, offset + length) for *_, offset, length in table if length)
+    if any(lo < hi for (_, hi), (lo, _) in zip(spans, spans[1:])):
+        return True
+    starts = [lo for lo, _ in spans]
+    for *_, offset, length in table:
+        if not length:
+            at = bisect.bisect_left(starts, offset)
+            if at and offset < spans[at - 1][1]:
+                return True
+    return False
 
 
 def _assemble(path, config, quantized: bool, entries: list):
@@ -209,12 +249,13 @@ def _assemble(path, config, quantized: bool, entries: list):
                                  f"{zero_point}; it needs a finite scale > 0 and a zero point "
                                  f"within [{lo}, {hi}]")
     if not quantized:
-        dtypes = {tensors[name][0].name for name, *_ in layout}
-        if len(dtypes) != 1 or not dtypes <= {"float32", "float64"}:
-            raise ContainerError(f"{path}: float container holds dtypes {sorted(dtypes)}")
+        dtypes = {tensors[name][0] for name, *_ in layout}
+        if len(dtypes) != 1 or not dtypes <= _FLOAT_DTYPES:
+            raise ContainerError(f"{path}: float container holds dtypes "
+                                 f"{sorted(dtype.name for dtype in dtypes)}")
         return Model(config, {name: Tensor(tensors[name][1]) for name, *_ in layout},
-                     dtypes.pop())
-    wanted = {"weight": np.int8, "bias": np.int32}
+                     dtypes.pop().name)
+    wanted = {"weight": np.dtype(np.int8), "bias": np.dtype(np.int32)}
     for name, _, kind, key in layout:
         if kind in wanted and tensors[name][0] != wanted[kind]:
             raise ContainerError(f"{path}: layer {key!r} has wrong quantized dtypes")

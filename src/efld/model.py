@@ -326,14 +326,13 @@ def site_shapes(plan, input_size: int) -> dict:
     return shapes
 
 
-def site_pads(plan, input_size: int) -> dict:
+def site_pads(plan, shapes: dict) -> dict:
     """The zero border of every activation site that a convolution pads:
     (top, bottom, left, right), the elementwise max of the padding of the
     convolutions that read the site. The forward copies the input, and runs
     each ReLU and concat, into the interior of a zero buffer with its site's
     border, and every reader takes its padded input as a view of that
-    buffer (see ``ops``). Depends only on the plan and the input size."""
-    shapes = site_shapes(plan, input_size)
+    buffer (see ``ops``). Depends only on the plan and its ``site_shapes``."""
     pads = {}
     for step in plan:
         spec, src = step.spec, step.inputs[0]
@@ -353,12 +352,11 @@ def site_pads(plan, input_size: int) -> dict:
 _BLOCK_ELEMENTS = 5 << 16
 
 
-def block_samples(plan, input_size: int) -> int:
+def block_samples(shapes: dict, pads: dict) -> int:
     """Samples per block of the untaped backbone: ``_BLOCK_ELEMENTS`` over
-    the largest site of one sample with its ``site_pads`` border."""
-    pads = site_pads(plan, input_size)
+    the largest site of one sample (``shapes``) with its border (``pads``)."""
     largest = 1
-    for site, shape in site_shapes(plan, input_size).items():
+    for site, shape in shapes.items():
         if len(shape) == 3:
             top, bottom, left, right = pads.get(site, (0, 0, 0, 0))
             largest = max(largest, (shape[0] + top + bottom) * (shape[1] + left + right) * shape[2])
@@ -371,11 +369,11 @@ def block_samples(plan, input_size: int) -> int:
 _STEP_ELEMENTS = 1 << 23
 
 
-def micro_batch_samples(plan, input_size: int) -> int:
+def micro_batch_samples(shapes: dict) -> int:
     """Samples per micro-batch of a training step: ``_STEP_ELEMENTS`` over
     the elements of all the activation sites of one sample, the input
     included (``site_shapes``)."""
-    per_sample = sum(math.prod(shape) for shape in site_shapes(plan, input_size).values())
+    per_sample = sum(math.prod(shape) for shape in shapes.values())
     return max(1, _STEP_ELEMENTS // per_sample)
 
 
@@ -422,9 +420,10 @@ class Model:
         for step in plan:
             self._stages.setdefault(step.stage, []).append(step)
         self._drops = {stage: last_reads(steps) for stage, steps in self._stages.items()}
-        self._pads = site_pads(plan, config.input_size)
-        self._block = block_samples(plan, config.input_size)
-        self.micro_batch = micro_batch_samples(plan, config.input_size)
+        shapes = site_shapes(plan, config.input_size)
+        self._pads = site_pads(plan, shapes)
+        self._block = block_samples(shapes, self._pads)
+        self.micro_batch = micro_batch_samples(shapes)
         self._siblings = {group[0].output: group for group in sibling_convs(plan)}
         self._layers = {}
 

@@ -160,13 +160,16 @@ def max_rel_error(analytic, numeric, floor=1e-4):
     return float((np.abs(a - n) / denom).max())
 
 
-def patch_entry(path, name, dims=None, scale=None, zero_point=None, tag=None):
+def patch_entry(path, name, dims=None, scale=None, zero_point=None, tag=None, offset=None,
+                length=None):
     """Overwrite fields of tensor ``name``'s table entry in the container
-    file ``path`` in place: its dims (same rank), scale, zero point or dtype
-    tag (one that keeps the entry's fields: int8 for int32, say)."""
+    file ``path`` in place: its dims (same rank), scale, zero point, dtype
+    tag (one that keeps the entry's fields: int8 for int32, say), payload
+    offset or payload length."""
     raw = bytearray(path.read_bytes())
     key = struct.pack("<H", len(name)) + name.encode("utf-8")
     at = raw.index(key) + len(key)
+    quantized = raw[at] in (2, 3)
     if tag is not None:
         raw[at] = tag
     rank = raw[at + 1]
@@ -179,6 +182,11 @@ def patch_entry(path, name, dims=None, scale=None, zero_point=None, tag=None):
         raw[at : at + 8] = struct.pack("<d", scale)
     if zero_point is not None:
         raw[at + 8 : at + 12] = struct.pack("<i", zero_point)
+    at += 12 if quantized else 0
+    if offset is not None:
+        raw[at : at + 8] = struct.pack("<Q", offset)
+    if length is not None:
+        raw[at + 8 : at + 16] = struct.pack("<Q", length)
     path.write_bytes(bytes(raw))
 
 

@@ -60,6 +60,35 @@ MUTANTS = [
            "if {name for name, _ in entries} != {tensor[0] for tensor in layout}:",
            ("tests/test_container.py::TestTableOrder::test_repeated_site_entry_exits_2",
             "tests/test_container.py::TestTableOrder::test_swapped_site_entries_are_rejected")),
+    # container: each field is read after one bounds check, naming the field
+    Mutant("field-bounds-off-by-one", "src/efld/container.py",
+           "        if self.pos > len(self.raw):\n            raise self.truncated(what, name)",
+           "        if self.pos > len(self.raw) + 1:\n            raise self.truncated(what, name)",
+           ("tests/test_container.py::TestLoadErrors::test_truncation_at_every_field_boundary",)),
+    # container: the pairwise overlap scan runs when _may_overlap finds a candidate
+    Mutant("overlap-scan-skipped", "src/efld/container.py",
+           "        if scan:", "        if False:",
+           ("tests/test_container.py::TestLoadErrors"
+            "::test_overlapping_payloads_name_the_later_entry_first",
+            "tests/test_container.py::TestLoadErrors"
+            "::test_zero_length_entry_inside_a_later_payload_overlaps")),
+    Mutant("zero-length-offsets-never-overlap", "src/efld/container.py",
+           "            if at and offset < spans[at - 1][1]:", "            if False:",
+           ("tests/test_container.py::TestLoadErrors"
+            "::test_zero_length_entry_inside_a_later_payload_overlaps",)),
+    # container: a payload's size is the exact product of its dims times the item size
+    Mutant("payload-size-wraps-in-int64", "src/efld/container.py",
+           "        items = math.prod(dims)",
+           "        items = int(np.prod(dims, dtype=np.int64))",
+           ("tests/test_container.py::TestInt8Rules::test_dims_whose_product_wraps_int64_exit_2",)),
+    # container: a saved file gets 0o666 & ~umask, as open() would give it
+    Mutant("saved-file-mode-0600", "src/efld/container.py",
+           "        os.chmod(tmp, 0o666 & ~umask)", "        pass",
+           ("tests/test_container.py::TestFloatRoundtrip::test_saved_file_mode_follows_the_umask",)),
+    # cli: an OSError that names a path exits 2, not only FileNotFoundError
+    Mutant("only-missing-files-exit-2", "src/efld/cli.py",
+           "    except OSError as exc:", "    except FileNotFoundError as exc:",
+           ("tests/test_cli.py::TestExitCodes::test_infer_directory_for_a_file_exits_2",)),
     # training: a head has its registered format's point count
     Mutant("head-points-only-too-few", "src/efld/training.py",
            "head.points != registry.get(head.format).points",

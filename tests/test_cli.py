@@ -78,6 +78,20 @@ class TestExitCodes:
         assert run(["analyze", "--config", "default"]) == 0
         assert run(["eval", "--model", str(bad), "--data", "/tmp", "--format", "p51"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--model", "--image"])
+    def test_infer_directory_for_a_file_exits_2(self, pipeline, tmp_path, capsys, flag):
+        from efld.image import write_ppm
+
+        crop = tmp_path / "crop.ppm"
+        write_ppm(crop, np.zeros((32, 32, 3), dtype=np.uint8))
+        paths = {"--model": str(pipeline["model"]), "--image": str(crop), flag: str(tmp_path)}
+        capsys.readouterr()
+        assert run(["infer", *(part for item in paths.items() for part in item),
+                    "--format", "p51"]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.splitlines()[-1] == f"error: [Errno 21] Is a directory: '{tmp_path}'"
+
     def test_infer_missing_head_exits_1(self, pipeline, capsys):
         code = run(["infer", "--model", str(pipeline["model"]), "--data",
                     str(pipeline["data"]), "--format", "p98"])

@@ -1,6 +1,8 @@
 """Container serialization: roundtrips, pruning, corruption handling."""
 
+import os
 import re
+import stat
 import struct
 
 import numpy as np
@@ -10,7 +12,8 @@ from efld.cli import run
 from efld.container import CONTAINER_VERSION, MAGIC, load, save
 from efld.errors import ContainerError, CorruptionError, UsageError
 from efld.image import write_ppm
-from efld.model import Model, build_model, default_config, model_forward
+from efld.model import (EosaConfig, HeadConfig, Model, ModelConfig, build_model, default_config,
+                        model_forward)
 from efld.quantize import (QuantizedModel, calibrate, plan_sites, quantize_model,
                            quantized_forward)
 from efld.synthetic import generate_synthetic
@@ -55,6 +58,19 @@ class TestFloatRoundtrip:
         save(three_head_model, p1)
         save(load(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_saved_file_mode_follows_the_umask(self, three_head_model, tmp_path, umask):
+        path = tmp_path / "m.efld"
+        path.write_bytes(b"")
+        os.chmod(path, 0o600 if umask == 0o022 else 0o644)
+        old = os.umask(umask)
+        try:
+            save(three_head_model, path)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        assert [p.name for p in tmp_path.iterdir()] == ["m.efld"]
 
     def test_float64_roundtrip(self, tmp_path):
         model = build_model(reduced_config(("p51",)), seed=1, dtype="float64")
@@ -231,6 +247,111 @@ class TestCorruption:
         assert path.read_bytes()[:4] == MAGIC
 
 
+def container_fields(raw: bytes) -> tuple:
+    """A container's layout as docs/container.md gives it: (start, end,
+    what) of each header and table field in file order, ``what`` as a load
+    error names the field; where the payload section starts; and the
+    (name, offset, length) of each table entry."""
+    (blob_len,) = struct.unpack_from("<I", raw, 8)
+    pos = 12 + blob_len
+    fields = [(0, 4, "magic"), (4, 8, "header"), (8, 12, "config length"),
+              (12, pos, "config blob"), (pos, pos + 4, "tensor count")]
+    (count,) = struct.unpack_from("<I", raw, pos)
+    pos += 4
+    entries = []
+    for _ in range(count):
+        (n,) = struct.unpack_from("<H", raw, pos)
+        name = raw[pos + 2 : pos + 2 + n].decode("utf-8")
+        tag, rank = raw[pos + 2 + n : pos + 4 + n]
+        for size, what in [(2, "tensor name length"), (n, "tensor name"),
+                           (2, f"tensor {name} header"), (4 * rank, f"tensor {name} dims"),
+                           (12 * (tag in (2, 3)), f"tensor {name} quant params"),
+                           (16, f"tensor {name} location")]:
+            if size:
+                fields.append((pos, pos + size, what))
+                pos += size
+        entries.append((name, *struct.unpack_from("<QQ", raw, pos - 16)))
+    return fields, pos, entries
+
+
+@pytest.fixture(scope="module")
+def small_containers(tmp_path_factory):
+    """The bytes of a float and an int8 container of a one-head 16 px model."""
+    config = ModelConfig(16, (EosaConfig(2, 1, 2), EosaConfig(2, 2, 2, "depthwise-separable")),
+                         4, (HeadConfig("p51", 51, 1, 4),))
+    model = build_model(config, seed=2)
+    qmodel = quantize_model(model, calibrate(model, generate_synthetic(2, 16, seed=3,
+                                                                       formats=["p51"])))
+    out = {}
+    for kind, m in (("float32", model), ("int8", qmodel)):
+        path = tmp_path_factory.mktemp("small") / f"{kind}.efld"
+        save(m, path)
+        out[kind] = path.read_bytes()
+    return out
+
+
+class TestLoadErrors:
+    """The exact error of a truncated or overlapping container: each names
+    the file and the field or the tensors."""
+
+    @pytest.mark.parametrize("kind", ["float32", "int8"])
+    def test_truncation_at_every_field_boundary(self, small_containers, kind, tmp_path):
+        raw = small_containers[kind]
+        fields, payload_start, entries = container_fields(raw)
+        cases = [(cut, f"truncated while reading {what}")
+                 for start, end, what in fields for cut in (start, end - 1)]
+        for _, offset, length in entries:
+            for cut in (offset, offset + length - 1) if length else ():
+                first = next(name for name, o, n in entries if o + n > cut)
+                cases.append((payload_start + cut, f"tensor {first!r} payload out of bounds"))
+        path = tmp_path / "t.efld"
+        for cut, message in cases:
+            path.write_bytes(raw[:cut])
+            with pytest.raises(CorruptionError) as caught:
+                load(path)
+            assert str(caught.value) == f"{path}: {message}", cut
+        path.write_bytes(raw)
+        load(path)
+
+    @pytest.mark.parametrize("kind", ["float32", "int8"])
+    def test_overlapping_payloads_name_the_later_entry_first(self, small_containers, kind,
+                                                             tmp_path):
+        path = tmp_path / "o.efld"
+        path.write_bytes(small_containers[kind])
+        _, _, entries = container_fields(small_containers[kind])
+        (earlier, offset, _), (later, *_) = entries[1], entries[3]
+        patch_entry(path, later, offset=offset)
+        with pytest.raises(CorruptionError) as caught:
+            load(path)
+        assert str(caught.value) == f"{path}: tensors {later!r} and {earlier!r} overlap"
+
+    @staticmethod
+    def site_first(raw: bytes, site: str) -> bytes:
+        """The container with ``site``'s entry moved to the front of the table."""
+        [(lo, hi), _], count_at = TestTableOrder.site_entries(raw, site, site)
+        table = count_at + 4
+        return raw[:table] + raw[lo:hi] + raw[table:lo] + raw[hi:]
+
+    def test_zero_length_entry_inside_a_later_payload_overlaps(self, small_containers,
+                                                               tmp_path):
+        path = tmp_path / "z.efld"
+        path.write_bytes(self.site_first(small_containers["int8"], "site:input"))
+        patch_entry(path, "site:input", offset=1)
+        with pytest.raises(CorruptionError) as caught:
+            load(path)
+        assert str(caught.value) == f"{path}: tensors 'eosa1.extra.w' and 'site:input' overlap"
+
+    def test_zero_length_entry_inside_an_earlier_payload_loads(self, small_containers,
+                                                               tmp_path):
+        path = tmp_path / "z.efld"
+        path.write_bytes(small_containers["int8"])
+        patch_entry(path, "site:input", offset=1)
+        assert load(path).activations["input"].scale > 0
+        patch_entry(path, "site:input", offset=0, length=1)
+        with pytest.raises(CorruptionError, match="tensors 'site:input' and 'eosa1.extra.w'"):
+            load(path)
+
+
 class TestPlanChecks:
     """``load`` checks every tensor against the plan: its shape, and each
     quantized scale and zero point. A byte-patched entry that would load
@@ -340,6 +461,15 @@ class TestInt8Rules:
         assert code == 2 and out.out == ""
         assert out.err.splitlines()[-1] == (
             f"error: {path}: tensor 'site:input' has dtype int32; a site entry needs int8")
+
+    def test_dims_whose_product_wraps_int64_exit_2(self, quantized, tmp_path, capsys):
+        path = tmp_path / "q.efld"
+        save(quantized[0], path)
+        patch_entry(path, "eosa1.extra.w", dims=(65536,) * 4, length=0)
+        code, out = self.infer(path, tmp_path, capsys)
+        assert code == 2 and out.out == ""
+        assert out.err.splitlines()[-1] == (
+            f"error: {path}: tensor 'eosa1.extra.w' payload is 0 bytes, expected {2**64}")
 
     @pytest.mark.parametrize("name", ["site:eosa2.concat", "site:decoder.out",
                                       "site:head.p98.out"])

@@ -26,6 +26,7 @@ from efld.model import (
     run_plan,
     sibling_convs,
     site_pads,
+    site_shapes,
 )
 from efld.tensor import LayerParams, Tape, Tensor, backward
 
@@ -217,7 +218,8 @@ def test_eosa_forward_matches_loop_oracles(extra_conv):
 
 def test_site_pads_are_the_widest_padding_of_the_readers():
     config = default_config()
-    pads = site_pads(build_plan(config), config.input_size)
+    plan = build_plan(config)
+    pads = site_pads(plan, site_shapes(plan, config.input_size))
     assert pads["input"] == (0, 1, 0, 1)  # two 3x3 stride-2 convs on an even input
     assert pads["eosa1.osa.l0.relu"] == (1, 1, 1, 1)
     assert pads["eosa1.concat"] == (0, 1, 0, 1)
@@ -230,7 +232,7 @@ def test_site_pads_are_the_widest_padding_of_the_readers():
                         LayerSpec(name, "conv", kernel, 1, 1, stride, "same", (8, 8)))
 
     plan = [reader("a", (3, 3), 2), reader("b", (1, 5), 1), reader("c", (3, 1), 1)]
-    assert site_pads(plan, 8) == {"input": (1, 1, 2, 2)}
+    assert site_pads(plan, site_shapes(plan, 8)) == {"input": (1, 1, 2, 2)}
 
 
 @pytest.mark.parametrize("formats", [("p51",), ("p51", "p68", "p98")], ids=["1head", "3heads"])
@@ -312,7 +314,7 @@ def test_forward_calls_each_patched_op_once_per_plan_step(monkeypatch):
     config = reduced_config(("p51", "p68"))
     model = build_model(config, seed=1)
     plan = build_plan(config)
-    pads = site_pads(plan, config.input_size)
+    pads = site_pads(plan, site_shapes(plan, config.input_size))
     groups = sibling_convs(plan)
     assert [[step.layer for step in group] for group in groups] == [["eosa1.extra",
                                                                      "eosa1.osa.l0"]]
