@@ -101,17 +101,21 @@ def save(model, path, keep_heads=None) -> None:
     header += _U32.pack(len(blob)) + blob + _U32.pack(len(layout))
 
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".efld-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".efld-")
         with os.fdopen(fd, "wb") as fh:
             fh.writelines([header, table, *payloads])
         umask = os.umask(0o077)  # read the umask: mkstemp made the file 0600
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            # name the file asked for, not the temporary one
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

@@ -75,15 +75,39 @@ def read_ppm_codes(path) -> np.ndarray:
     return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3)
 
 
-def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resize (H, W, C) with bilinear interpolation, half-pixel centers.
+# Output rows resized per band. A band's source rows and its scratch stay in
+# cache from the horizontal pass to the vertical one.
+_BAND_ROWS = 32
 
-    Non-square inputs are stretched to the target aspect ratio.
+
+def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Resize (H, W, C) with bilinear interpolation, half-pixel centers, into
+    a new float64 image; uint8 input is read as its codes, not codes / 255.
+
+    Non-square inputs are stretched to the target aspect ratio. Output pixel
+    (y, x) samples the source at ys = (y + 0.5) * H / out_h - 0.5 and xs
+    likewise, each clipped to the image; a00, a01, a10 and a11 are the four
+    source pixels around it and wy, wx its offsets from a00. Bit contract:
+    each output value is, in float64 and in this order,
+
+        (a00 * (1 - wx) + a01 * wx) * (1 - wy) + (a10 * (1 - wx) + a11 * wx) * wy
+
+    The image is resized in bands of output rows. A horizontal pass blends
+    the band's source rows (at most two per output row) along x, then a
+    vertical pass blends those rows along y into the band's output rows.
+    Both run along whole rows of out_w * C values, with the x weights
+    repeated per channel; one scratch serves every band.
+
+    A NaN made by adding two NaNs takes the sign of the one that numpy's add
+    loop returns, which depends on where the element falls in that loop (as
+    with whole-image temporaries), so the sign bit of a NaN output is outside
+    the contract; where the output is NaN is not.
     """
     arr = np.asarray(image, dtype=np.float64)
     h, w = arr.shape[:2]
     if (h, w) == (out_h, out_w):
         return arr.copy()
+    c = arr.shape[2]
     ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
     xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
     ys = np.clip(ys, 0.0, h - 1.0)
@@ -92,8 +116,44 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x0 = np.floor(xs).astype(int)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[:, None, None]
-    wx = (xs - x0)[None, :, None]
-    top = arr[y0][:, x0] * (1 - wx) + arr[y0][:, x1] * wx
-    bottom = arr[y1][:, x0] * (1 - wx) + arr[y1][:, x1] * wx
-    return top * (1 - wy) + bottom * wy
+    wy = (ys - y0)[:, None]
+    wx = xs - x0
+    right_w, left_w = np.repeat(wx, c), np.repeat(1 - wx, c)
+    lanes = np.arange(c)
+    left = (x0[:, None] * c + lanes).reshape(-1)
+    right = (x1[:, None] * c + lanes).reshape(-1)
+    # The source rows read, in order, and the place among them of each
+    # output row's upper and lower source row.
+    read = np.zeros(h, dtype=bool)
+    read[y0] = True
+    read[y1] = True
+    rows = np.flatnonzero(read)
+    place = np.cumsum(read) - 1
+    upper, lower = place[y0], place[y1]
+
+    src = arr.reshape(h, w * c)
+    out = np.empty((out_h, out_w * c))
+    band = min(_BAND_ROWS, out_h)
+    scratch = np.empty((2, 2 * band, out_w * c))
+    for start in range(0, out_h, band):
+        stop = min(start + band, out_h)
+        first, last = upper[start], lower[stop - 1] + 1
+        n = last - first
+        # the band's source rows: a view when they are consecutive
+        lo = rows[first]
+        picked = src[lo : lo + n] if rows[last - 1] == lo + n - 1 else src[rows[first:last]]
+        # Every index is in range; mode="clip" writes ``out`` directly,
+        # where the default mode goes through a buffer.
+        blend, other = scratch[0, :n], scratch[1, :n]
+        np.take(picked, left, axis=1, out=blend, mode="clip")
+        blend *= left_w
+        np.take(picked, right, axis=1, out=other, mode="clip")
+        other *= right_w
+        blend += other
+        band_out, below = out[start:stop], scratch[1, : stop - start]
+        np.take(blend, upper[start:stop] - first, axis=0, out=band_out, mode="clip")
+        band_out *= 1 - wy[start:stop]
+        np.take(blend, lower[start:stop] - first, axis=0, out=below, mode="clip")
+        below *= wy[start:stop]
+        band_out += below
+    return out.reshape(out_h, out_w, c)

@@ -1,6 +1,6 @@
 """Shared test oracles: naive loop-reference layers, an int64 interpreter of
-the int8 plan built on them, and finite differences; plus a container
-byte-patcher.
+the int8 plan built on them, a whole-image bilinear resize, and finite
+differences; plus a container byte-patcher.
 
 These stay deliberately independent of the library's vectorized kernels so
 they can serve as ground truth for them.
@@ -131,6 +131,29 @@ def integer_oracle(qmodel, images):
             values[step.output] = oracle_requant(acc * (multiplier / out_qp.scale),
                                                  out_qp.zero_point)
     return results
+
+
+def ref_bilinear_resize(image, out_h, out_w):
+    """Bilinear resize of an (H, W, C) image with half-pixel centers, on
+    whole-image float64 temporaries: per element
+    (a00*(1-wx) + a01*wx)*(1-wy) + (a10*(1-wx) + a11*wx)*wy."""
+    arr = np.asarray(image, dtype=np.float64)
+    h, w = arr.shape[:2]
+    if (h, w) == (out_h, out_w):
+        return arr.copy()
+    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    ys = np.clip(ys, 0.0, h - 1.0)
+    xs = np.clip(xs, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[:, None, None]
+    wx = (xs - x0)[None, :, None]
+    top = arr[y0][:, x0] * (1 - wx) + arr[y0][:, x1] * wx
+    bottom = arr[y1][:, x0] * (1 - wx) + arr[y1][:, x1] * wx
+    return top * (1 - wy) + bottom * wy
 
 
 def central_difference(f, arrays, eps=1e-5):

@@ -145,6 +145,92 @@ MUTANTS = [
     Mutant("int8-with-heads-keeps-every-site", "src/efld/quantize.py",
            "for site in plan_sites(config)})", "for site in plan_sites(self.config)})",
            ("tests/test_container.py::TestWithHeads::test_shares_only_its_own_tensors",)),
+    # container: a failed save names the path asked for and leaves no temporary file
+    Mutant("save-error-names-the-temp-file", "src/efld/container.py",
+           "            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc",
+           "            raise",
+           ("tests/test_cli.py::TestExportInfer::test_export_that_cannot_write_names_out",)),
+    Mutant("failed-save-keeps-its-temp-file", "src/efld/container.py",
+           "        if tmp is not None and os.path.exists(tmp):\n            os.unlink(tmp)",
+           "        pass",
+           ("tests/test_cli.py::TestExportInfer"
+            "::test_export_that_cannot_write_leaves_no_temporary_file",)),
+    # image: the resize blends along x, then along y, each band from all its source rows
+    Mutant("resize-vertical-pass-first", "src/efld/image.py",
+           """        blend, other = scratch[0, :n], scratch[1, :n]
+        np.take(picked, left, axis=1, out=blend, mode="clip")
+        blend *= left_w
+        np.take(picked, right, axis=1, out=other, mode="clip")
+        other *= right_w
+        blend += other
+        band_out, below = out[start:stop], scratch[1, : stop - start]
+        np.take(blend, upper[start:stop] - first, axis=0, out=band_out, mode="clip")
+        band_out *= 1 - wy[start:stop]
+        np.take(blend, lower[start:stop] - first, axis=0, out=below, mode="clip")
+        below *= wy[start:stop]
+        band_out += below""",
+           """        blend = (picked[upper[start:stop] - first] * (1 - wy[start:stop])
+                 + picked[lower[start:stop] - first] * wy[start:stop])
+        out[start:stop] = blend[:, left] * left_w + blend[:, right] * right_w""",
+           ("tests/test_formats_data.py::TestResizeBits::test_bit_equal_to_the_oracle",)),
+    Mutant("resize-band-one-source-row-short", "src/efld/image.py",
+           "        first, last = upper[start], lower[stop - 1] + 1",
+           "        first, last = upper[start], lower[stop - 1]",
+           ("tests/test_formats_data.py::TestResizeBits::test_bit_equal_to_the_oracle",
+            "tests/test_cli.py::TestExportInfer::test_infer_single_image_and_nonsquare_resize")),
+    Mutant("resize-right-sample-weighted-1-wx", "src/efld/image.py",
+           "right_w, left_w = np.repeat(wx, c), np.repeat(1 - wx, c)",
+           "right_w, left_w = np.repeat(1 - wx, c), np.repeat(1 - wx, c)",
+           ("tests/test_formats_data.py::TestResizeBits::test_bit_equal_to_the_oracle",
+            "tests/test_cli.py::TestExportInfer::test_infer_single_image_and_nonsquare_resize")),
+    # image: uint8 codes are written as they are
+    Mutant("write-ppm-rounds-codes-as-floats", "src/efld/image.py",
+           "    if arr.dtype == np.uint8:\n        data = arr",
+           "    if False:\n        data = arr",
+           ("tests/test_formats_data.py::TestEightBitCrops"
+            "::test_read_ppm_codes_reads_what_write_ppm_wrote",)),
+    # ops: each member of a sibling group records its own backward, with its own weights
+    Mutant("sibling-backward-with-the-first-layers-weights", "src/efld/ops.py",
+           """            tape.record(op, results[-1], _conv_backward(x, params, w2, cols, stride, pt, pl))
+    return results
+
+
+def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: int, pl: int):
+    \"\"\"The backward of one conventional convolution of ``x``, whose forward
+    read the receptive-field view ``cols`` with the (top, left) padding
+    (pt, pl), and the weights as the (fan_in, cout) matrix ``w2``.\"\"\"
+    w = params.weights.data""",
+           """            tape.record(op, results[-1], _conv_backward(x, params, w2, cols, stride, pt, pl,
+                                                        layers[0]))
+    return results
+
+
+def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: int, pl: int,
+                   first):
+    w = first.weights.data""",
+           ("tests/test_differential.py::test_taped_gradients_match_central_differences",
+            "tests/test_tensor_ops.py::TestSiblingConv2d"
+            "::test_gradients_are_each_layers_conv2d_gradients")),
+    Mutant("sibling-group-records-its-first-layer-only", "src/efld/ops.py",
+           "        if tape is not None:\n            tape.record(op, results[-1], _conv_backward(",
+           "        if tape is not None and params is layers[0]:\n"
+           "            tape.record(op, results[-1], _conv_backward(",
+           ("tests/test_differential.py::test_taped_gradients_match_central_differences",
+            "tests/test_model.py::test_forward_calls_each_patched_op_once_per_plan_step")),
+    # ops: pixels that no tap reaches get a gradient of exactly zero; only a
+    # kernel smaller than the stride leaves a phase that no GEMM writes
+    Mutant("conv-input-gradient-from-np-empty", "src/efld/ops.py",
+           "    dx = np.zeros(shape, dtype=grad.dtype)\n    for r0 in range(stride):",
+           "    dx = np.empty(shape, dtype=grad.dtype)\n    for r0 in range(stride):",
+           ("tests/test_tensor_ops.py::TestConv2dInputGradient"
+            "::test_one_by_one_stride2_leaves_untapped_pixels_exactly_zero",)),
+    # ops: the depthwise input gradient adds its taps in row-major order
+    Mutant("phase-gradient-taps-column-major", "src/efld/ops.py",
+           "                for i in range(a, kh, stride):\n"
+           "                    for j in range(b, kw, stride):",
+           "                for j in range(b, kw, stride):\n"
+           "                    for i in range(a, kh, stride):",
+           ("tests/test_tensor_ops.py::TestDepthwiseInputGradient::test_bit_equal_to_the_scatter",)),
     # recorded in CHANGES.md with earlier changes
     Mutant("container-bias-shape-cin", "src/efld/container.py",
            '".b", (spec.cout,), "bias"', '".b", (spec.cin,), "bias"',

@@ -15,7 +15,7 @@ from efld.cli import run
 from efld.config import render_model_config, render_train_config
 from efld.training import TrainConfig
 
-from conftest import patch_entry, reduced_config
+from conftest import patch_entry, reduced_config, ref_bilinear_resize
 
 
 def write_config(path, formats=("p51",), epochs=80, batch_size=8, lr=0.003, seed=3):
@@ -436,6 +436,27 @@ class TestExportInfer:
         assert record["format"] == "p51"
         assert len(record["points"]) == 51
 
+    @pytest.mark.parametrize("target,message", [
+        ("missing/m.efld", "[Errno 2] No such file or directory"),
+        ("directory", "[Errno 21] Is a directory"),
+    ], ids=["missing-directory", "a-directory"])
+    def test_export_that_cannot_write_names_out(self, pipeline, tmp_path, capsys, target,
+                                                message):
+        (tmp_path / "directory").mkdir()
+        out = tmp_path / target
+        capsys.readouterr()
+        assert run(["export", "--model", str(pipeline["model"]), "--heads", "p51",
+                    "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert not stdout
+        assert err.splitlines()[-1] == f"error: {message}: '{out}'"
+
+    def test_export_that_cannot_write_leaves_no_temporary_file(self, pipeline, tmp_path):
+        (tmp_path / "directory").mkdir()
+        assert run(["export", "--model", str(pipeline["model"]), "--heads", "p51",
+                    "--out", str(tmp_path / "directory")]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["directory"]
+
     def test_infer_quantized_points_within_bounds(self, pipeline, capsys):
         code = run(["infer", "--model", str(pipeline["qmodel"]), "--data",
                     str(pipeline["data"]), "--format", "p51"])
@@ -460,17 +481,34 @@ class TestExportInfer:
         assert "image 0 has a non-finite pixel" in err and "Traceback" not in err
 
     def test_infer_single_image_and_nonsquare_resize(self, pipeline, tmp_path, capsys):
-        from efld.image import write_ppm
+        """A 24x40 crop's points are the model's output on the oracle's
+        resize of the crop, scaled to the crop: the same bits, float32 and
+        int8 (JSON keeps a float's bits)."""
+        from efld.container import load
+        from efld.image import read_ppm, write_ppm
+        from efld.model import model_forward
+        from efld.quantize import quantized_forward
+        from efld.tensor import Tensor
 
         rng = np.random.default_rng(0)
         image = np.round(rng.uniform(size=(24, 40, 3)) * 255) / 255
         path = tmp_path / "face.ppm"
         write_ppm(path, image)
-        assert run(["infer", "--model", str(pipeline["model"]), "--image", str(path),
-                    "--format", "p51"]) == 0
-        record = json.loads(capsys.readouterr().out.splitlines()[0])
-        pts = np.array(record["points"])
-        assert pts.shape == (51, 2)  # pixel coords scale to the 40x24 crop
+        resized = ref_bilinear_resize(read_ppm(path), 32, 32)[None]
+        for model in ("model", "qmodel"):
+            assert run(["infer", "--model", str(pipeline[model]), "--image", str(path),
+                        "--format", "p51"]) == 0
+            record = json.loads(capsys.readouterr().out.splitlines()[0])
+            pts = np.array(record["points"])
+            assert pts.shape == (51, 2)  # pixel coords scale to the 40x24 crop
+
+            net = load(pipeline[model])
+            if model == "model":
+                pred = model_forward(net, Tensor(resized.astype(net.dtype)))["p51"].data
+            else:
+                pred = quantized_forward(net, resized)["p51"]
+            want = pred.astype(np.float64)[0].reshape(-1, 2) * np.array([40, 24], np.float64)
+            np.testing.assert_array_equal(pts.view(np.uint64), want.view(np.uint64))
 
     def test_float_vs_quantized_predictions_close(self, pipeline, tmp_path, capsys):
         out_f = tmp_path / "float.jsonl"

@@ -20,6 +20,8 @@ from efld.formats import FormatRegistry, LandmarkFormat, default_registry, inter
 from efld.image import bilinear_resize, read_ppm, read_ppm_codes, write_ppm
 from efld.synthetic import generate_synthetic
 
+from conftest import ref_bilinear_resize
+
 
 class TestRegistry:
     def test_defaults(self):
@@ -205,6 +207,69 @@ class TestPpm:
         image = np.full((5, 9, 3), 0.25)
         out = bilinear_resize(image, 32, 32)
         np.testing.assert_allclose(out, 0.25, atol=1e-12)
+
+
+# (source shape, output height and width), each resized bit for bit as the
+# whole-image oracle does. Output heights 1, 3 and 6 fill less than a band of
+# rows, and 19, 23, 37 and 50 are no multiple of 8, 16 or 32.
+RESIZE_CASES = {
+    "upscale": ((5, 7, 3), (37, 29)),
+    "downscale-by-3-rows-skipped": ((90, 100, 3), (30, 25)),
+    "downscale-by-5.3": ((101, 67, 3), (19, 12)),
+    "one-px-source": ((1, 1, 3), (9, 7)),
+    "one-px-target": ((40, 30, 3), (1, 1)),
+    "one-row-source": ((1, 13, 3), (6, 5)),
+    "one-column-source": ((13, 1, 3), (6, 5)),
+    "same-size": ((8, 8, 3), (8, 8)),
+    "bench-160x192": ((160, 192, 3), (128, 128)),
+    "bench-192x160": ((192, 160, 3), (128, 128)),
+    "bench-176x224": ((176, 224, 3), (128, 128)),
+    "bench-224x176": ((224, 176, 3), (128, 128)),
+    "out-h-3": ((20, 20, 3), (3, 17)),
+    "out-h-50": ((64, 48, 3), (50, 40)),
+    "c1": ((33, 21, 1), (47, 19)),
+    "c4": ((21, 33, 4), (19, 47)),
+}
+
+
+class TestResizeBits:
+    """``bilinear_resize`` against the whole-image oracle of ``conftest``,
+    compared as the bits of its float64 output."""
+
+    @staticmethod
+    def assert_same_bits(out, want):
+        assert out.dtype == np.float64 and out.shape == want.shape
+        np.testing.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("case", list(RESIZE_CASES))
+    def test_bit_equal_to_the_oracle(self, case):
+        shape, (out_h, out_w) = RESIZE_CASES[case]
+        image = np.random.default_rng(list(RESIZE_CASES).index(case)).uniform(size=shape)
+        self.assert_same_bits(bilinear_resize(image, out_h, out_w),
+                              ref_bilinear_resize(image, out_h, out_w))
+
+    @pytest.mark.parametrize("out_hw", [(23, 9), (5, 31), (40, 7)])
+    def test_nan_and_inf_pixels_keep_their_bits(self, out_hw):
+        """NaN, +inf and -inf pixels, the corners among them, make NaNs of
+        either sign (inf * 0 is a negative NaN here). Where two NaNs meet in
+        an add, numpy's loop picks the sign (see ``bilinear_resize``); at
+        these shapes it is the oracle's."""
+        rng = np.random.default_rng(7)
+        image = rng.uniform(-1.0, 1.0, size=(16, 12, 3))
+        for value in (np.nan, np.inf, -np.inf):
+            image[rng.integers(0, 16, 6), rng.integers(0, 12, 6), rng.integers(0, 3, 6)] = value
+        image[0, 0], image[-1, -1], image[0, -1] = np.nan, np.inf, -np.inf
+        with np.errstate(invalid="ignore"):
+            want = ref_bilinear_resize(image, *out_hw)
+            out = bilinear_resize(image, *out_hw)
+        assert np.isnan(want).any()
+        self.assert_same_bits(out, want)
+
+    def test_uint8_input_is_read_as_its_codes(self):
+        codes = np.random.default_rng(3).integers(0, 256, size=(24, 40, 3), dtype=np.uint8)
+        out = bilinear_resize(codes, 32, 32)
+        self.assert_same_bits(out, ref_bilinear_resize(codes, 32, 32))
+        assert out.max() > 1.0  # codes, not codes / 255
 
 
 def _crops(kind, tmp_path):
