@@ -174,7 +174,7 @@ def _predict(model, images, fmt: str):
     it ``model.with_heads([fmt])``."""
     import numpy as np
 
-    from .data import stack_images
+    from .image import stack_images
     from .model import Model, model_forward
     from .quantize import quantized_forward
     from .tensor import Tensor

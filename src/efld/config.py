@@ -9,17 +9,67 @@ The config dataclasses are the schema: a section's keys are its class's
 fields, in field order, each read by its type; a field with a default is
 optional and one without is required. The model's ``eosa`` and ``heads``
 are sections of their own, and a head's ``format`` is its section name.
+``ModelConfig``, ``EosaConfig`` and ``HeadConfig`` live in ``efld.model``,
+which builds the model from them. ``TrainConfig`` lives here, with the
+checks of its documented ranges; ``efld.training`` runs it.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import MISSING, fields
+import math
+from dataclasses import MISSING, dataclass, fields
 from functools import cache
+
+import numpy as np
 
 from .errors import ConfigError
 from .model import EosaConfig, HeadConfig, ModelConfig
-from .training import TrainConfig
+
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+@dataclass
+class TrainConfig:
+    epochs: int = 1500
+    batch_size: int = 512
+    lr_max: float = 0.001
+    lr_min: float = 0.0
+    weight_decay: float = 0.01
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    seed: int = 0
+
+    def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (0.0 <= self.lr_min <= self.lr_max):
+            raise ConfigError(f"need 0 <= lr_min <= lr_max, got {self.lr_min}, {self.lr_max}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.eps <= 0.0:
+            raise ConfigError(f"eps must be > 0, got {self.eps}")
+        # the update runs in the parameters' float32, where a larger eps is inf
+        if self.eps > _FLOAT32_MAX:
+            raise ConfigError(f"eps must be <= {_FLOAT32_MAX} (the largest float32), "
+                              f"got {self.eps}")
+        if self.weight_decay < 0.0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        # each step scales every weight by 1 - lr * weight_decay, which must not go negative
+        if self.lr_max * self.weight_decay > 1.0:
+            raise ConfigError(f"need lr_max * weight_decay <= 1, got {self.lr_max} * "
+                              f"{self.weight_decay}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
 
 _NOT_KEYS = {ModelConfig: ("eosa", "heads"), HeadConfig: ("format",)}
 # field type -> its reader (as ConfigParser's getint, getfloat and get) and

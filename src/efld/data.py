@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataError, ParseError, UsageError, ValidationError
 from .formats import FormatRegistry, default_registry
-from .image import from_codes, read_ppm_codes, write_ppm
+from .image import _as_float, read_ppm_codes, write_ppm
 
 ANNOTATIONS_FILE = "annotations.jsonl"
 IMAGES_DIR = "images"
@@ -50,20 +50,6 @@ class Sample:
         return fmt in self.annotations
 
 
-def _as_float(pixels: np.ndarray) -> np.ndarray:
-    return from_codes(pixels) if pixels.dtype == np.uint8 else pixels
-
-
-def stack_images(images, dtype) -> np.ndarray:
-    """One (B, S, S, 3) batch in ``dtype`` of crops held as ``Sample.pixels``
-    holds them, with the bits of ``np.stack([s.image ...]).astype(dtype)``:
-    codes k become float64 k / 255 before the cast. A batch of codes alone
-    is stacked as codes and converted once."""
-    if all(p.dtype == np.uint8 for p in images):
-        return from_codes(np.stack(images)).astype(dtype, copy=False)
-    return np.stack([_as_float(p) for p in images]).astype(dtype, copy=False)
-
-
 class Dataset:
     """Ordered samples sharing one image size; immutable after load."""
 
@@ -80,9 +66,6 @@ class Dataset:
 
     def __iter__(self):
         return iter(self.samples)
-
-    def annotated_count(self, fmt: str) -> int:
-        return sum(1 for s in self.samples if s.has(fmt))
 
 
 def save_dataset(dataset: Dataset, path) -> None:

@@ -43,10 +43,6 @@ class ValidationError(DataError):
     """Parsed data violates a documented invariant (range, length, size)."""
 
 
-class DegenerateAnnotationError(ValidationError):
-    """Inter-ocular distance too small to normalize by."""
-
-
 class ContainerError(DataError):
     """A serialized model file is not a valid container."""
 

@@ -1,12 +1,23 @@
-"""Landmark format registry and inter-ocular geometry."""
+"""Landmark formats and the normalized mean error (NME) they define.
+
+A format names its point count and the two eye points whose distance, the
+inter-ocular distance, normalizes its error. This module holds the format
+registry and the one copy of that rule: ``eye_distances`` and
+``_nme_terms`` over a batch, which training's loss and evaluation's
+metrics both read, and ``nme_loss``, their batch mean.
+"""
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateAnnotationError, ValidationError
+from .errors import ConfigError, UsageError
+from .tensor import Tensor
+
+log = logging.getLogger(__name__)
 
 MIN_INTEROCULAR = 1e-6
 
@@ -77,26 +88,57 @@ def default_registry() -> FormatRegistry:
     )
 
 
-def as_points(landmarks, fmt: LandmarkFormat) -> np.ndarray:
-    """View a flat (2K,) annotation as (K, 2) rows of (x, y)."""
-    arr = np.asarray(landmarks, dtype=np.float64).reshape(-1)
-    if arr.shape[0] != 2 * fmt.points:
-        raise ValidationError(
-            f"annotation length {arr.shape[0]} does not match 2*{fmt.points} "
-            f"for format {fmt.name!r}"
-        )
-    return arr.reshape(fmt.points, 2)
-
-
-def interocular_distance(landmarks, fmt: LandmarkFormat) -> float:
-    """Euclidean distance between the format's two eye points, in the same
-    units as the coordinates. Translation of all points leaves it unchanged."""
-    pts = as_points(landmarks, fmt)
+def eye_distances(gt: np.ndarray, fmt: LandmarkFormat) -> np.ndarray:
+    """Per sample, the inter-ocular distance of the (n, 2K) ground truth:
+    the Euclidean distance between the format's two eye points."""
+    g = gt.reshape(len(gt), fmt.points, 2)
     left, right = fmt.interocular
-    d = float(np.linalg.norm(pts[left] - pts[right]))
-    if d < MIN_INTEROCULAR:
-        raise DegenerateAnnotationError(
-            f"inter-ocular distance {d:.3e} below {MIN_INTEROCULAR} "
-            f"for format {fmt.name!r}"
+    return np.linalg.norm(g[:, left] - g[:, right], axis=1)
+
+
+def _nme_terms(pred: np.ndarray, gt: np.ndarray, fmt: LandmarkFormat):
+    """Per-sample NME values, gradients w.r.t. pred, and a validity mask.
+
+    Samples with a degenerate inter-ocular distance get weight 0 and a
+    logged warning. The gradient at exact point coincidence is 0.
+    """
+    n = pred.shape[0]
+    k = fmt.points
+    p = pred.reshape(n, k, 2)
+    g = gt.reshape(n, k, 2)
+    dio = eye_distances(gt, fmt)
+    valid = dio >= MIN_INTEROCULAR
+    if not np.all(valid):
+        log.warning(
+            "%s: excluding %d sample(s) with degenerate inter-ocular distance from the loss",
+            fmt.name, int((~valid).sum()),
         )
-    return d
+    diff = p - g
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    safe_dio = np.where(valid, dio, 1.0)
+    nme = dist.mean(axis=1) / safe_dio
+    nme = np.where(valid, nme, 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(dist[..., None] > 0.0, diff / np.maximum(dist, 1e-300)[..., None], 0.0)
+    dnme = unit / (k * safe_dio[:, None, None])
+    dnme[~valid] = 0.0
+    return nme, dnme.reshape(n, 2 * k), valid
+
+
+def nme_loss(pred, gt, fmt: LandmarkFormat) -> float:
+    """Batch-mean normalized mean error; invariant under similarity
+    transforms applied jointly to predictions and ground truth."""
+    p = pred.data if isinstance(pred, Tensor) else np.asarray(pred, dtype=np.float64)
+    g = gt.data if isinstance(gt, Tensor) else np.asarray(gt, dtype=np.float64)
+    if p.ndim == 1:
+        p = p[None, :]
+        g = g[None, :]
+    if p.shape != g.shape or p.shape[1] != 2 * fmt.points:
+        raise UsageError(
+            f"nme_loss: shapes {p.shape} / {g.shape} do not match format "
+            f"{fmt.name!r} with {fmt.points} points"
+        )
+    nme, _, valid = _nme_terms(p, g, fmt)
+    if not valid.any():
+        raise UsageError("nme_loss: every sample has a degenerate inter-ocular distance")
+    return float(nme[valid].sum() / valid.sum())

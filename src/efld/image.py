@@ -1,4 +1,10 @@
-"""Lossless 8-bit raster I/O (binary PPM) and bilinear resizing."""
+"""Crops as pixels: lossless 8-bit raster I/O (binary PPM), the codes-to-floats
+conversion, batch stacking and bilinear resizing.
+
+A crop is held either as the (S, S, 3) uint8 codes k of its PPM or as floats
+in [0, 1]; ``from_codes`` maps codes to the float64 image k / 255, and
+``stack_images`` turns a list of crops held either way into one batch.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +16,20 @@ from .errors import DataError
 def from_codes(codes: np.ndarray) -> np.ndarray:
     """8-bit codes k as the float64 image k / 255, in [0, 1]."""
     return np.divide(codes, 255.0, dtype=np.float64)
+
+
+def _as_float(pixels: np.ndarray) -> np.ndarray:
+    return from_codes(pixels) if pixels.dtype == np.uint8 else pixels
+
+
+def stack_images(images, dtype) -> np.ndarray:
+    """One (B, S, S, 3) batch in ``dtype`` of crops held as ``Sample.pixels``
+    holds them, with the bits of ``np.stack([s.image ...]).astype(dtype)``:
+    codes k become float64 k / 255 before the cast. A batch of codes alone
+    is stacked as codes and converted once."""
+    if all(p.dtype == np.uint8 for p in images):
+        return from_codes(np.stack(images)).astype(dtype, copy=False)
+    return np.stack([_as_float(p) for p in images]).astype(dtype, copy=False)
 
 
 def write_ppm(path, image) -> None:

@@ -15,9 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UsageError
-from .formats import LandmarkFormat
+from .formats import LandmarkFormat, _nme_terms
 from .model import ModelConfig, iter_layers
-from .training import nme_loss, _nme_terms
 
 DTYPE_BYTES = {"float64": 8, "float32": 4, "int8": 1}
 

@@ -62,8 +62,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Sample, stack_images
 from .errors import CalibrationError, ShapeError, UsageError, ValidationError
+from .image import stack_images
 from .model import (LayerSpec, Model, ModelConfig, PlanStep, _apply, build_plan, iter_layers,
                     last_reads, model_forward, run_plan, sibling_convs)
 from .ops import _add_bias, _conv_gemm, _depthwise_taps, _out_and_pad, _receptive_fields
@@ -119,18 +119,6 @@ class QuantParams:
             raise UsageError(f"zero point {self.zero_point} outside [{QMIN}, {QMAX}]")
 
 
-def quantize_value(x, qp: QuantParams):
-    """q = clamp(round(x / scale) + zero_point, -128, 127), saturating,
-    round half away from zero. Nondecreasing in x."""
-    q = _to_int8(np.asarray(x, dtype=np.float64) / qp.scale, qp.zero_point)
-    return q if q.ndim else q[()]
-
-
-def dequantize_value(q, qp: QuantParams):
-    x = (np.asarray(q, dtype=np.float64) - qp.zero_point) * qp.scale
-    return x if x.ndim else float(x)
-
-
 def params_from_range(lo: float, hi: float, site: str = "") -> QuantParams:
     """Asymmetric params mapping [lo, hi] onto [-128, 127]."""
     scale = (hi - lo) / 255.0
@@ -155,7 +143,8 @@ def calibrate(model: Model, dataset, batch_size: int = 32) -> dict:
     """Float forward passes over every calibration sample, recording global
     per-site min/max and deriving asymmetric int8 params. Sites after ReLU
     get their min clamped to 0 so exact zero stays representable. The
-    dataset is read once, one batch at a time; the forward reports each
+    dataset is read once, one batch at a time, each sample through its
+    ``pixels`` as ``data.Sample`` holds them; the forward reports each
     backbone site once per block of samples, and min and max merge over the
     blocks into the range of the whole batch."""
     ranges = {}
@@ -170,10 +159,8 @@ def calibrate(model: Model, dataset, batch_size: int = 32) -> dict:
 
     samples = iter(dataset)
     while chunk := list(islice(samples, batch_size)):
-        # a sample that is not a ``Sample`` calibrates on its ``image``
-        crops = [s.pixels if isinstance(s, Sample) else s.image for s in chunk]
-        model_forward(model, Tensor(stack_images(crops, model.dtype)), tape=None,
-                      observer=observer)
+        crops = stack_images([s.pixels for s in chunk], model.dtype)
+        model_forward(model, Tensor(crops), tape=None, observer=observer)
     if not ranges:
         raise UsageError("calibrate requires a nonempty dataset")
 

@@ -1,12 +1,13 @@
-"""NME loss, cross-format masked loss, AdamW, cosine schedule, training loop.
+"""The trainer: cross-format masked loss, AdamW, cosine schedule, training loop.
 
-The per-sample loss is the mean per-point Euclidean error divided by the
-ground truth's inter-ocular distance. Heads are masked at the gradient
-level: a sample lacking a format contributes an exactly-zero gradient to
-that head, and a head with no annotated sample gets no seed gradient, so
-it moves no gradient at all. Each head's loss is normalized by its
-annotated-sample count so head gradients stay scale-comparable when formats
-are unevenly represented.
+It runs a ``config.TrainConfig``. The per-sample loss is the NME of
+``efld.formats``: the mean per-point Euclidean error divided by the ground
+truth's inter-ocular distance. Heads are masked at the gradient level: a
+sample lacking a format contributes an exactly-zero gradient to that head,
+and a head with no annotated sample gets no seed gradient, so it moves no
+gradient at all. Each head's loss is normalized by its annotated-sample
+count so head gradients stay scale-comparable when formats are unevenly
+represented.
 
 A step's memory is bounded by the plan, not by the batch. The step runs
 forward and backward on ``Model.micro_batch`` samples at a time (see
@@ -22,63 +23,19 @@ as a step that never splits.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BatchStream, stack_images
+from .config import TrainConfig
+from .data import BatchStream
 from .errors import ConfigError, NumericsError, UsageError
-from .formats import FormatRegistry, LandmarkFormat, MIN_INTEROCULAR, default_registry
+from .formats import (MIN_INTEROCULAR, FormatRegistry, _nme_terms, default_registry,
+                      eye_distances)
+from .image import stack_images
 from .model import Model, model_forward
 from .tensor import Tape, Tensor, backward_multi
-
-log = logging.getLogger(__name__)
-
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 1500
-    batch_size: int = 512
-    lr_max: float = 0.001
-    lr_min: float = 0.0
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    seed: int = 0
-
-    def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (0.0 <= self.lr_min <= self.lr_max):
-            raise ConfigError(f"need 0 <= lr_min <= lr_max, got {self.lr_min}, {self.lr_max}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if self.eps <= 0.0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
-        # the update runs in the parameters' float32, where a larger eps is inf
-        if self.eps > _FLOAT32_MAX:
-            raise ConfigError(f"eps must be <= {_FLOAT32_MAX} (the largest float32), "
-                              f"got {self.eps}")
-        if self.weight_decay < 0.0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        # each step scales every weight by 1 - lr * weight_decay, which must not go negative
-        if self.lr_max * self.weight_decay > 1.0:
-            raise ConfigError(f"need lr_max * weight_decay <= 1, got {self.lr_max} * "
-                              f"{self.weight_decay}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 class OptimizerState:
@@ -136,42 +93,6 @@ def _diverged(config: TrainConfig) -> str:
     return f"training diverged: lower lr_max (now {config.lr_max:g})"
 
 
-def _interocular(gt: np.ndarray, fmt: LandmarkFormat) -> np.ndarray:
-    """Per sample, the inter-ocular distance of the (n, 2K) ground truth."""
-    g = gt.reshape(len(gt), fmt.points, 2)
-    left, right = fmt.interocular
-    return np.linalg.norm(g[:, left] - g[:, right], axis=1)
-
-
-def _nme_terms(pred: np.ndarray, gt: np.ndarray, fmt: LandmarkFormat):
-    """Per-sample NME values, gradients w.r.t. pred, and a validity mask.
-
-    Samples with a degenerate inter-ocular distance get weight 0 and a
-    logged warning. The gradient at exact point coincidence is 0.
-    """
-    n = pred.shape[0]
-    k = fmt.points
-    p = pred.reshape(n, k, 2)
-    g = gt.reshape(n, k, 2)
-    dio = _interocular(gt, fmt)
-    valid = dio >= MIN_INTEROCULAR
-    if not np.all(valid):
-        log.warning(
-            "%s: excluding %d sample(s) with degenerate inter-ocular distance from the loss",
-            fmt.name, int((~valid).sum()),
-        )
-    diff = p - g
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    safe_dio = np.where(valid, dio, 1.0)
-    nme = dist.mean(axis=1) / safe_dio
-    nme = np.where(valid, nme, 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(dist[..., None] > 0.0, diff / np.maximum(dist, 1e-300)[..., None], 0.0)
-    dnme = unit / (k * safe_dio[:, None, None])
-    dnme[~valid] = 0.0
-    return nme, dnme.reshape(n, 2 * k), valid
-
-
 def _ground_truth(batch, rows, fmt_name: str, dtype) -> np.ndarray:
     """The (len(rows), 2K) annotations of ``fmt_name`` as the loss reads
     them: rounded to the predictions' ``dtype``, then widened to float64."""
@@ -188,28 +109,9 @@ def head_counts(batch, formats, registry: FormatRegistry, dtype) -> dict:
         rows = [i for i, sample in enumerate(batch) if sample.has(fmt_name)]
         counts[fmt_name] = 0
         if rows:
-            dio = _interocular(_ground_truth(batch, rows, fmt_name, dtype), registry.get(fmt_name))
+            dio = eye_distances(_ground_truth(batch, rows, fmt_name, dtype), registry.get(fmt_name))
             counts[fmt_name] = int(np.count_nonzero(dio >= MIN_INTEROCULAR))
     return counts
-
-
-def nme_loss(pred, gt, fmt: LandmarkFormat) -> float:
-    """Batch-mean normalized mean error; invariant under similarity
-    transforms applied jointly to predictions and ground truth."""
-    p = pred.data if isinstance(pred, Tensor) else np.asarray(pred, dtype=np.float64)
-    g = gt.data if isinstance(gt, Tensor) else np.asarray(gt, dtype=np.float64)
-    if p.ndim == 1:
-        p = p[None, :]
-        g = g[None, :]
-    if p.shape != g.shape or p.shape[1] != 2 * fmt.points:
-        raise UsageError(
-            f"nme_loss: shapes {p.shape} / {g.shape} do not match format "
-            f"{fmt.name!r} with {fmt.points} points"
-        )
-    nme, _, valid = _nme_terms(p, g, fmt)
-    if not valid.any():
-        raise UsageError("nme_loss: every sample has a degenerate inter-ocular distance")
-    return float(nme[valid].sum() / valid.sum())
 
 
 def masked_multihead_loss(predictions: dict, batch, registry: FormatRegistry, counts=None):

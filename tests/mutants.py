@@ -245,11 +245,20 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
     Mutant("param-count-without-bias", "src/efld/model.py",
            "        return n + self.cout", "        return n",
            ("tests/test_metrics.py::TestCostAccounting::test_default_config_flops_and_params",)),
-    Mutant("mixed-batch-stacked-unconverted", "src/efld/data.py",
+    Mutant("mixed-batch-stacked-unconverted", "src/efld/image.py",
            "return np.stack([_as_float(p) for p in images]).astype(dtype, copy=False)",
            "return np.stack(images).astype(dtype, copy=False)",
            ("tests/test_formats_data.py::TestEightBitCrops"
             "::test_batch_has_the_bits_of_the_float_images",)),
+    # formats: the inter-ocular distance is between the format's two eye points
+    Mutant("interocular-wrong-eye-index", "src/efld/formats.py",
+           "g[:, left] - g[:, right]", "g[:, left] - g[:, -1]",
+           ("tests/test_formats_data.py::TestInterocular::test_hand_case",)),
+    # metrics: the inference modules do not import the trainer
+    Mutant("metrics-imports-the-trainer", "src/efld/metrics.py",
+           "from .formats import LandmarkFormat, _nme_terms",
+           "from .formats import LandmarkFormat\nfrom .training import _nme_terms",
+           ("tests/test_cli.py::test_inference_modules_load_no_trainer",)),
     Mutant("ppm-zero-size-accepted", "src/efld/image.py",
            "    if w < 1 or h < 1:", "    if w < 0 or h < 0:",
            ("tests/test_fuzz.py::test_read_ppm_raises_only_data_errors",)),

@@ -9,16 +9,15 @@ import numpy as np
 import pytest
 
 from efld.cli import run
-from efld.config import render_model_config, render_train_config
+from efld.config import TrainConfig, render_model_config, render_train_config
 from efld.container import load, save
-from efld.formats import default_registry
+from efld.formats import default_registry, nme_loss
 from efld.metrics import count_cost, competition_score
 from efld.model import apply_variant, build_model, default_config, model_forward
-from efld.quantize import QuantParams, calibrate, dequantize_value, quantize_model, \
-    quantize_value, quantized_forward
+from efld.quantize import QuantParams, _to_int8, calibrate, quantize_model, quantized_forward
 from efld.synthetic import generate_synthetic
 from efld.tensor import Tape, Tensor, backward, backward_multi
-from efld.training import TrainConfig, masked_multihead_loss, nme_loss, train
+from efld.training import masked_multihead_loss, train
 
 from conftest import central_difference, max_rel_error, reduced_config
 
@@ -200,10 +199,11 @@ def test_criterion_06_cross_format_training(trained):
 def test_criterion_07_quantization(trained):
     qp = QuantParams(scale=0.004, zero_point=-17)
     rng = np.random.default_rng(77)
-    lo = dequantize_value(-128, qp)
-    hi = dequantize_value(127, qp)
+    lo = (-128 - qp.zero_point) * qp.scale
+    hi = (127 - qp.zero_point) * qp.scale
     values = rng.uniform(lo, hi, size=10**6)
-    back = dequantize_value(quantize_value(values, qp), qp)
+    q = _to_int8(values / qp.scale, qp.zero_point)
+    back = (q.astype(np.float64) - qp.zero_point) * qp.scale
     assert np.abs(back - values).max() <= qp.scale / 2 + 1e-12
 
     model = trained["model"]

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from efld.cli import run
-from efld.config import render_model_config, render_train_config
-from efld.training import TrainConfig
+from efld.config import TrainConfig, render_model_config, render_train_config
 
 from conftest import patch_entry, reduced_config, ref_bilinear_resize
 
@@ -623,6 +622,27 @@ def test_threads_set_before_numpy_import(flag):
     lines = proc.stdout.splitlines()
     assert lines[0] == "False 1"
     assert lines[-1] == "0 1"
+
+
+def test_inference_modules_load_no_trainer():
+    """``efld infer`` and ``efld eval`` import the container, the int8 path
+    and the metrics; none of them, imported alone in a fresh interpreter,
+    loads the trainer, the dataset reader or the synthetic generator."""
+    import subprocess
+
+    import efld
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(efld.__file__).resolve().parent.parent), env.get("PYTHONPATH")) if p)
+    script = "import sys, {}\nprint(*sorted(m for m in sys.modules if m.startswith('efld.')))"
+    for module in ("efld.container", "efld.quantize", "efld.metrics"):
+        proc = subprocess.run([sys.executable, "-c", script.format(module)], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert module in loaded
+        assert not loaded & {"efld.training", "efld.data", "efld.synthetic"}, (module, loaded)
 
 
 class TestDeterminism:

@@ -7,11 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from efld.config import (load_config_file, parse_model_config, parse_train_config,
+from efld.config import (TrainConfig, load_config_file, parse_model_config, parse_train_config,
                          render_model_config, render_train_config)
 from efld.errors import ConfigError
 from efld.model import VARIANTS, EosaConfig, HeadConfig, ModelConfig, apply_variant, default_config
-from efld.training import TrainConfig
 
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "config.md"
 

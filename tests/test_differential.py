@@ -7,7 +7,6 @@ list derived from the config alone; and a micro-batched training step
 against the whole batch on one tape."""
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -91,7 +90,7 @@ def random_biases(model, rng):
 
 def calibration_samples(config, rng, count=4):
     size = config.input_size
-    return [SimpleNamespace(image=image) for image in rng.uniform(size=(count, size, size, 3))]
+    return [Sample(image, {}) for image in rng.uniform(size=(count, size, size, 3))]
 
 
 def test_generated_configs_cover_the_grid():

@@ -7,17 +7,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from efld.data import BatchStream, Dataset, Sample, load_dataset, save_dataset, stack_images
+from efld.data import BatchStream, Dataset, Sample, load_dataset, save_dataset
 from efld.errors import (
     ConfigError,
     DataError,
-    DegenerateAnnotationError,
     ParseError,
     UsageError,
     ValidationError,
 )
-from efld.formats import FormatRegistry, LandmarkFormat, default_registry, interocular_distance
-from efld.image import bilinear_resize, read_ppm, read_ppm_codes, write_ppm
+from efld.formats import (MIN_INTEROCULAR, FormatRegistry, LandmarkFormat, _nme_terms,
+                          default_registry, eye_distances, nme_loss)
+from efld.image import bilinear_resize, read_ppm, read_ppm_codes, stack_images, write_ppm
 from efld.synthetic import generate_synthetic
 
 from conftest import ref_bilinear_resize
@@ -56,24 +56,29 @@ class TestInterocular:
     FMT = LandmarkFormat("t3", 3, (0, 1))
 
     def test_hand_case(self):
-        pts = np.array([0.3, 0.4, 0.7, 0.4, 0.5, 0.9])
-        assert interocular_distance(pts, self.FMT) == pytest.approx(0.4)
+        pts = np.array([[0.3, 0.4, 0.7, 0.4, 0.5, 0.9]])
+        assert eye_distances(pts, self.FMT) == pytest.approx([0.4])
 
-    def test_coincident_eyes_degenerate(self):
-        pts = np.array([0.5, 0.5, 0.5, 0.5, 0.1, 0.1])
-        with pytest.raises(DegenerateAnnotationError):
-            interocular_distance(pts, self.FMT)
+    def test_coincident_eyes_degenerate(self, caplog):
+        """A sample whose eyes coincide is left out of the NME: weight 0,
+        a zero gradient row and a warning, beside a valid sample."""
+        pts = np.array([[0.3, 0.4, 0.7, 0.4, 0.5, 0.9], [0.5, 0.5, 0.5, 0.5, 0.1, 0.1]])
+        assert eye_distances(pts, self.FMT)[1] < MIN_INTEROCULAR
+        with caplog.at_level("WARNING"):
+            nme, dnme, valid = _nme_terms(pts + 0.1, pts, self.FMT)
+        assert "t3: excluding 1 sample(s) with degenerate inter-ocular distance" in caplog.text
+        assert valid.tolist() == [True, False]
+        assert nme[1] == 0.0 and nme[0] > 0.0
+        np.testing.assert_array_equal(dnme[1], np.zeros(6))
 
     def test_translation_invariant(self, rng):
-        pts = rng.uniform(size=6)
+        pts = rng.uniform(size=(1, 6))
         shifted = pts + np.tile([0.07, -0.11], 3)
-        assert interocular_distance(pts, self.FMT) == pytest.approx(
-            interocular_distance(shifted, self.FMT)
-        )
+        assert eye_distances(pts, self.FMT) == pytest.approx(eye_distances(shifted, self.FMT))
 
     def test_length_validation(self):
-        with pytest.raises(ValidationError, match="length"):
-            interocular_distance(np.zeros(4), self.FMT)
+        with pytest.raises(UsageError, match="do not match format 't3' with 3 points"):
+            nme_loss(np.zeros(4), np.zeros(4), self.FMT)
 
 
 class TestDatasetIO:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from efld.cli import run
-from efld.config import render_model_config, render_train_config
+from efld.config import TrainConfig, render_model_config, render_train_config
 from efld.container import load, save
 from efld.data import load_dataset, save_dataset
 from efld.errors import DataError
@@ -28,7 +28,6 @@ from efld.image import read_ppm, read_ppm_codes
 from efld.model import EosaConfig, HeadConfig, ModelConfig, build_model
 from efld.quantize import calibrate, quantize_model
 from efld.synthetic import generate_synthetic
-from efld.training import TrainConfig
 
 from conftest import reduced_config
 

@@ -25,14 +25,13 @@ from efld.quantize import (
     _Layer,
     _accumulate,
     _round_half_away,
+    _to_int8,
     accumulator_dtype,
     build_plan,
     calibrate,
-    dequantize_value,
     params_from_range,
     plan_sites,
     quantize_model,
-    quantize_value,
     quantized_forward,
 )
 from efld.synthetic import generate_synthetic
@@ -42,39 +41,44 @@ from conftest import integer_oracle, reduced_config, ref_conv2d
 
 
 class TestQuantizeValue:
+    """q = clamp(round_half_away(x / scale) + zero_point, -128, 127), as the
+    forward quantizes, through ``_to_int8``; (q - zero_point) * scale is the
+    real value that q stands for."""
+
     def test_hand_case(self):
         qp = QuantParams(scale=0.01, zero_point=0)
-        assert quantize_value(0.5, qp) == 50
-        assert dequantize_value(50, qp) == pytest.approx(0.50)
+        assert _to_int8(0.5 / qp.scale, qp.zero_point) == 50
+        assert (50 - qp.zero_point) * qp.scale == pytest.approx(0.50)
 
     def test_zero_maps_to_zero_point(self):
         qp = QuantParams(scale=0.01, zero_point=0)
-        assert quantize_value(0.0, qp) == 0
+        assert _to_int8(0.0 / qp.scale, qp.zero_point) == 0
         qp2 = QuantParams(scale=0.01, zero_point=-7)
-        assert quantize_value(0.0, qp2) == -7
+        assert _to_int8(0.0 / qp2.scale, qp2.zero_point) == -7
 
     def test_saturation(self):
         qp = QuantParams(scale=0.01, zero_point=0)
-        assert quantize_value(10.0, qp) == 127
-        assert quantize_value(-10.0, qp) == -128
+        assert _to_int8(10.0 / qp.scale, qp.zero_point) == 127
+        assert _to_int8(-10.0 / qp.scale, qp.zero_point) == -128
 
     def test_round_half_away_from_zero(self):
         qp = QuantParams(scale=1.0, zero_point=0)
-        assert quantize_value(0.5, qp) == 1
-        assert quantize_value(-0.5, qp) == -1
-        assert quantize_value(1.5, qp) == 2
+        assert _to_int8(0.5 / qp.scale, qp.zero_point) == 1
+        assert _to_int8(-0.5 / qp.scale, qp.zero_point) == -1
+        assert _to_int8(1.5 / qp.scale, qp.zero_point) == 2
 
     def test_roundtrip_within_half_scale(self, rng):
         qp = QuantParams(scale=0.02, zero_point=11)
-        lo, hi = dequantize_value(-128, qp), dequantize_value(127, qp)
+        lo, hi = (-128 - qp.zero_point) * qp.scale, (127 - qp.zero_point) * qp.scale
         x = rng.uniform(lo, hi, size=10**6)
-        back = dequantize_value(quantize_value(x, qp), qp)
+        q = _to_int8(x / qp.scale, qp.zero_point)
+        back = (q.astype(np.float64) - qp.zero_point) * qp.scale
         assert np.abs(back - x).max() <= qp.scale / 2 + 1e-12
 
     def test_monotonicity(self, rng):
         qp = QuantParams(scale=0.013, zero_point=-3)
         x = np.sort(rng.uniform(-3, 3, size=4096))
-        q = quantize_value(x, qp).astype(np.int32)
+        q = _to_int8(x / qp.scale, qp.zero_point).astype(np.int32)
         assert np.all(np.diff(q) >= 0)
 
     def test_invalid_params(self):
@@ -146,7 +150,7 @@ class TestCalibrate:
         for site in plan_sites(config):
             if site.endswith(".relu"):
                 qp = activations[site]
-                zero = dequantize_value(quantize_value(0.0, qp), qp)
+                zero = (int(_to_int8(0.0 / qp.scale, qp.zero_point)) - qp.zero_point) * qp.scale
                 assert abs(zero) <= qp.scale / 2
 
     def test_deterministic(self, small_setup):

@@ -14,17 +14,16 @@ import pytest
 import efld.training as training
 from efld.data import Dataset, Sample
 from efld.errors import ConfigError, NumericsError, UsageError
-from efld.formats import LandmarkFormat, default_registry
+from efld.config import TrainConfig
+from efld.formats import LandmarkFormat, default_registry, nme_loss
 from efld.model import build_model, build_plan, default_config, model_forward, site_shapes
 from efld.synthetic import generate_synthetic
 from efld.tensor import Tape, Tensor, backward_multi
 from efld.training import (
     OptimizerState,
-    TrainConfig,
     adamw_step,
     cosine_lr,
     masked_multihead_loss,
-    nme_loss,
     train,
 )
 
