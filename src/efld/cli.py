@@ -296,7 +296,6 @@ def cmd_infer(args) -> int:
     import numpy as np
 
     from .container import load
-    from .data import IMAGES_DIR, load_dataset
     from .image import bilinear_resize, read_ppm
 
     if (args.image is None) == (args.data is None):
@@ -309,6 +308,8 @@ def cmd_infer(args) -> int:
     if args.image is not None:
         jobs = [(args.image, read_ppm(args.image))]
     else:
+        from .data import IMAGES_DIR, load_dataset  # not loaded for --image
+
         dataset = load_dataset(args.data)
         if not dataset.samples:
             raise DataError(f"{args.data}: empty dataset")

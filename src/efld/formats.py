@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .tensor import Tensor
 
 log = logging.getLogger(__name__)
 
@@ -128,8 +127,8 @@ def _nme_terms(pred: np.ndarray, gt: np.ndarray, fmt: LandmarkFormat):
 def nme_loss(pred, gt, fmt: LandmarkFormat) -> float:
     """Batch-mean normalized mean error; invariant under similarity
     transforms applied jointly to predictions and ground truth."""
-    p = pred.data if isinstance(pred, Tensor) else np.asarray(pred, dtype=np.float64)
-    g = gt.data if isinstance(gt, Tensor) else np.asarray(gt, dtype=np.float64)
+    p = np.asarray(pred, dtype=np.float64)
+    g = np.asarray(gt, dtype=np.float64)
     if p.ndim == 1:
         p = p[None, :]
         g = g[None, :]

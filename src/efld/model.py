@@ -34,9 +34,10 @@ backbone's kernels treat every sample on its own, so the outputs are
 bit-identical to a whole-batch forward. A taped forward runs each stage on
 the whole batch it is given: blocks made it no faster, and the tape keeps
 every value until the backward anyway. Training bounds that memory instead
-by handing it one micro-batch at a time (``micro_batch_samples``: as many
-samples as keep all the activation sites of a micro-batch within
-``_STEP_ELEMENTS``, 16 for the stock 3-head model at 128 px).
+by handing it micro-batches, ``STEP_LANES`` at a time on as many threads
+(``micro_batch_samples``: as many samples as keep all the activation sites
+of the micro-batches in flight within ``_STEP_ELEMENTS``, 8 for the stock
+3-head model at 128 px).
 
 Each group of ``sibling_convs``, conv layers that read one site with one
 kernel size, stride and padding, runs as one ``ops.sibling_conv2d`` at the
@@ -363,18 +364,22 @@ def block_samples(shapes: dict, pads: dict) -> int:
     return max(1, _BLOCK_ELEMENTS // largest)
 
 
-# A training step runs forward and backward on as many samples at a time as
-# keep the activations of every site of the plan within this many elements
-# (at least one sample): 16 samples of the stock 3-head model at 128 px.
+# A training step runs forward and backward on STEP_LANES micro-batches at
+# once, one per thread, each of as many samples as keep the activations of
+# every site of the plan within its share of this many elements (at least
+# one sample): 8 samples of the stock 3-head model at 128 px.
 _STEP_ELEMENTS = 1 << 23
+STEP_LANES = 2
 
 
 def micro_batch_samples(shapes: dict) -> int:
-    """Samples per micro-batch of a training step: ``_STEP_ELEMENTS`` over
-    the elements of all the activation sites of one sample, the input
-    included (``site_shapes``)."""
+    """Samples per micro-batch of a training step: ``_STEP_ELEMENTS``, split
+    between the ``STEP_LANES`` micro-batches in flight, over the elements
+    of all the activation sites of one sample, the input included
+    (``site_shapes``). It depends on the plan alone, not on the cores or
+    threads there are, so a step's bits do not either."""
     per_sample = sum(math.prod(shape) for shape in shapes.values())
-    return max(1, _STEP_ELEMENTS // per_sample)
+    return max(1, _STEP_ELEMENTS // (STEP_LANES * per_sample))
 
 
 def sibling_convs(plan) -> list:
@@ -400,14 +405,16 @@ class Model:
     """Instantiated parameter set, addressable by stable hierarchical names.
 
     Parameter tensors are named ``<layer>.w`` and ``<layer>.b``. A built model
-    is immutable during inference and safe for concurrent forward passes;
-    training mutates parameters in place and requires exclusive access.
+    is immutable during inference and safe for concurrent forward passes,
+    taped or not; training mutates parameters in place, only while no
+    forward runs, and requires exclusive access.
     Each forward allocates its own activation buffers, with the zero border
     of ``site_pads`` where a convolution reads them; none is shared between
     calls. An untaped forward runs the backbone on ``block_samples`` samples
     at a time, a number fixed per model from the plan; a training step
-    runs forward and backward on ``micro_batch`` samples at a time
-    (``micro_batch_samples``), fixed per model from the plan too.
+    runs forward and backward on micro-batches of ``micro_batch`` samples,
+    ``STEP_LANES`` at a time (``micro_batch_samples``), fixed per model from
+    the plan too.
     """
 
     def __init__(self, config: ModelConfig, params: dict, dtype: str):

@@ -10,21 +10,32 @@ count so head gradients stay scale-comparable when formats are unevenly
 represented.
 
 A step's memory is bounded by the plan, not by the batch. The step runs
-forward and backward on ``Model.micro_batch`` samples at a time (see
+forward and backward on micro-batches of ``Model.micro_batch`` samples (see
 ``model.micro_batch_samples``), each head's loss and seed gradients scaled
-by its count over the whole batch, and adds each micro-batch's parameter
-gradients into the first one's; one AdamW update ends the step. The
-backward frees the tape as it goes (see ``tensor.backward_multi``), and
-everything a step allocated is freed before the next one starts, so memory
-stops growing with the batch past one micro-batch. A batch that fits in
-one micro-batch runs as one forward and one backward, with the same bits
-as a step that never splits.
+by its count over the whole batch. ``STEP_LANES`` micro-batches run at once,
+each on a thread of its own (a lane) under its own ``np.errstate``: a
+micro-batch's work is independent of the others' until its gradients are
+added, and numpy releases the GIL for most of it. The calling thread adds
+each micro-batch's losses, and its parameter gradients into the first
+one's, in micro-batch order whichever lane finishes first, and raises the
+error of the first micro-batch that failed; one AdamW update ends the
+step. The micro-batch size comes from the plan alone, so a step gives the
+same bits on any number of cores or threads. The backward frees the tape
+as it goes (see ``tensor.backward_multi``), and everything a step allocated
+is freed before the next one starts, so memory stops growing with the batch
+past ``STEP_LANES`` micro-batches. A batch that fits in one micro-batch
+runs as one forward and one backward, with the same bits as a step that
+never splits. ``train`` starts the lanes and joins them before it returns
+or raises.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -34,7 +45,7 @@ from .errors import ConfigError, NumericsError, UsageError
 from .formats import (MIN_INTEROCULAR, FormatRegistry, _nme_terms, default_registry,
                       eye_distances)
 from .image import stack_images
-from .model import Model, model_forward
+from .model import STEP_LANES, Model, model_forward
 from .tensor import Tape, Tensor, backward_multi
 
 
@@ -190,39 +201,70 @@ class TrainLog:
             fh.write(self.to_csv())
 
 
-def _train_step(model: Model, batch, formats, registry: FormatRegistry,
-                state: OptimizerState, lr: float, config: TrainConfig, where: str) -> tuple:
-    """One step on ``batch``, whose samples are annotated in the heads
-    ``formats`` only: forward of every head, masked loss and backward per
-    micro-batch of ``model.micro_batch`` samples, then one AdamW update. A
-    head with no annotated sample gets no seed, so it moves no gradient.
-    Returns (total loss, {format: (loss, count)}) for the heads ``formats``
-    over the whole batch. Its tapes, predictions, seeds and gradients die
-    with it."""
-    counts = head_counts(batch, formats, registry, model.dtype)
-    losses = dict.fromkeys(formats, 0.0)
-    grad_map = None
-    # a diverging run overflows in the forward and backward first; the loss
+def _lanes() -> ThreadPoolExecutor:
+    """The threads that run the micro-batches of a step, ``STEP_LANES`` at
+    a time; ``train`` holds one set for the length of the call."""
+    return ThreadPoolExecutor(STEP_LANES, thread_name_prefix="efld-lane")
+
+
+def _micro_step(model: Model, micro, formats, registry: FormatRegistry, counts: dict,
+                config: TrainConfig, where: str) -> tuple:
+    """Forward, masked loss and backward of one micro-batch, on a lane's
+    thread. Returns ({format: loss} for the heads ``formats``, {parameter
+    name: gradient})."""
+    # numpy's error state is per thread, so each lane sets its own: a
+    # diverging run overflows in the forward and backward first; the loss
     # check and adamw_step's gradient check turn that into NumericsError
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(batch), model.micro_batch):
-            micro = batch[start : start + model.micro_batch]
-            if not any(s.has(f) for s in micro for f in formats):  # calibration-only samples
-                continue
-            images = stack_images([s.pixels for s in micro], model.dtype)
-            tape = Tape(model.params.values())
-            predictions = model_forward(model, Tensor(images), tape=tape)
-            part, detail, seeds = masked_multihead_loss(predictions, micro, registry, counts)
-            if not math.isfinite(part):
-                raise NumericsError(f"loss became non-finite at {where}; {_diverged(config)}")
+        images = stack_images([s.pixels for s in micro], model.dtype)
+        tape = Tape(model.params.values())
+        predictions = model_forward(model, Tensor(images), tape=tape)
+        part, detail, seeds = masked_multihead_loss(predictions, micro, registry, counts)
+        if not math.isfinite(part):
+            raise NumericsError(f"loss became non-finite at {where}; {_diverged(config)}")
+        grads = backward_multi(tape, seeds)
+        return ({f: detail[f][0] for f in formats},
+                {name: grads.wrt(t) for name, t in model.params.items()})
+
+
+def _train_step(model: Model, batch, formats, registry: FormatRegistry,
+                state: OptimizerState, lr: float, config: TrainConfig, where: str,
+                lanes: ThreadPoolExecutor) -> tuple:
+    """One step on ``batch``, whose samples are annotated in the heads
+    ``formats`` only: forward of every head, masked loss and backward per
+    micro-batch of ``model.micro_batch`` samples, on the threads of
+    ``lanes``, then one AdamW update. A head with no annotated sample gets
+    no seed, so it moves no gradient. The losses and gradients of the
+    micro-batches are added in micro-batch order, whichever finished first,
+    and the first micro-batch that fails raises its error. Returns (total
+    loss, {format: (loss, count)}) for the heads ``formats`` over the whole
+    batch. Its tapes, predictions, seeds and gradients die with it."""
+    counts = head_counts(batch, formats, registry, model.dtype)
+    micros = (batch[start : start + model.micro_batch]
+              for start in range(0, len(batch), model.micro_batch))
+    submitted = (lanes.submit(_micro_step, model, micro, formats, registry, counts, config, where)
+                 for micro in micros
+                 if any(s.has(f) for s in micro for f in formats))  # else calibration-only
+    pending = deque(islice(submitted, STEP_LANES))  # oldest first
+    losses = dict.fromkeys(formats, 0.0)
+    grad_map = None
+    try:
+        while pending:
+            # one more in flight while the oldest is read: a lane that
+            # finishes first starts it, and at most STEP_LANES + 1 results wait
+            pending.extend(islice(submitted, 1))
+            part, grads = pending.popleft().result()
             for fmt_name in formats:
-                losses[fmt_name] += detail[fmt_name][0]
-            grads = backward_multi(tape, seeds)
+                losses[fmt_name] += part[fmt_name]
             if grad_map is None:
-                grad_map = {name: grads.wrt(t) for name, t in model.params.items()}
+                grad_map = grads
             else:
-                for name, t in model.params.items():
-                    grad_map[name] += grads.wrt(t)
+                for name, grad in grads.items():
+                    grad_map[name] += grad
+    finally:  # no lane runs a micro-batch of this step once it returns or raises
+        for future in pending:
+            future.cancel()
+        wait(pending)
     adamw_step(model.params, grad_map, state, lr, config)
     return sum(losses.values()), {f: (losses[f], counts[f]) for f in formats}
 
@@ -261,34 +303,35 @@ def train(model: Model, datasets, config: TrainConfig,
     state = OptimizerState(model)
     train_log = TrainLog(head_formats)
     step = 0
-    for epoch in range(config.epochs):
-        epoch_lr = None
-        step_totals = []
-        loss_sums = {f: 0.0 for f in head_formats}
-        count_sums = {f: 0 for f in head_formats}
-        for batch in stream.batches(epoch):
-            lr = cosine_lr(step, total_steps, config.lr_max, config.lr_min)
-            if epoch_lr is None:
-                epoch_lr = lr
-            formats = [f for f in head_formats if any(s.has(f) for s in batch)]
-            if formats:  # else a batch of calibration-only samples
-                total, detail = _train_step(model, batch, formats, registry, state, lr, config,
-                                            f"epoch {epoch}, step {step}")
-                step_totals.append(total)
-                for fmt_name, (head_loss, count) in detail.items():
-                    loss_sums[fmt_name] += head_loss * count
-                    count_sums[fmt_name] += count
-            step += 1
-        train_log.append(
-            EpochStats(
-                epoch=epoch,
-                lr=epoch_lr,
-                loss_total=float(np.mean(step_totals)) if step_totals else 0.0,
-                head_loss={
-                    f: (loss_sums[f] / count_sums[f] if count_sums[f] else 0.0)
-                    for f in head_formats
-                },
-                head_count=dict(count_sums),
+    with _lanes() as lanes:
+        for epoch in range(config.epochs):
+            epoch_lr = None
+            step_totals = []
+            loss_sums = {f: 0.0 for f in head_formats}
+            count_sums = {f: 0 for f in head_formats}
+            for batch in stream.batches(epoch):
+                lr = cosine_lr(step, total_steps, config.lr_max, config.lr_min)
+                if epoch_lr is None:
+                    epoch_lr = lr
+                formats = [f for f in head_formats if any(s.has(f) for s in batch)]
+                if formats:  # else a batch of calibration-only samples
+                    total, detail = _train_step(model, batch, formats, registry, state, lr, config,
+                                                f"epoch {epoch}, step {step}", lanes)
+                    step_totals.append(total)
+                    for fmt_name, (head_loss, count) in detail.items():
+                        loss_sums[fmt_name] += head_loss * count
+                        count_sums[fmt_name] += count
+                step += 1
+            train_log.append(
+                EpochStats(
+                    epoch=epoch,
+                    lr=epoch_lr,
+                    loss_total=float(np.mean(step_totals)) if step_totals else 0.0,
+                    head_loss={
+                        f: (loss_sums[f] / count_sums[f] if count_sums[f] else 0.0)
+                        for f in head_formats
+                    },
+                    head_count=dict(count_sums),
+                )
             )
-        )
     return train_log

@@ -242,6 +242,29 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
     Mutant("micro-batch-scaled-by-its-own-count", "src/efld/training.py",
            "scale = count if counts is None else counts[fmt_name]", "scale = count",
            ("tests/test_differential.py::test_micro_batched_step_matches_the_whole_batch",)),
+    # training: the lanes' losses and gradients are added in micro-batch order
+    Mutant("lane-results-added-as-they-finish", "src/efld/training.py",
+           "            part, grads = pending.popleft().result()",
+           "            from concurrent.futures import as_completed\n"
+           "            first = next(as_completed(pending))\n"
+           "            pending.remove(first)\n"
+           "            part, grads = first.result()",
+           ("tests/test_training.py::TestLanes"
+            "::test_first_micro_batch_ending_last_gives_the_sequential_bits",
+            "tests/test_training.py::TestLanes"
+            "::test_nan_pixel_raises_the_first_failing_micro_batchs_error")),
+    # training: numpy's error state is per thread, so each lane sets its own
+    Mutant("lane-without-its-errstate", "src/efld/training.py",
+           '    with np.errstate(over="ignore", invalid="ignore"):',
+           "    with np.errstate():",
+           ("tests/test_training.py::TestTrainLoop::test_non_finite_loss_names_lr_max",
+            "tests/test_cli.py::test_diverging_forward_prints_no_numpy_warning")),
+    # model: the lanes split the step's budget, so two micro-batches fit it together
+    Mutant("lanes-each-take-the-whole-budget", "src/efld/model.py",
+           "return max(1, _STEP_ELEMENTS // (STEP_LANES * per_sample))",
+           "return max(1, _STEP_ELEMENTS // per_sample)",
+           ("tests/test_training.py::test_training_step_peak_memory_is_bounded_by_the_plan",
+            "tests/test_differential.py::test_micro_batched_step_matches_the_whole_batch")),
     Mutant("param-count-without-bias", "src/efld/model.py",
            "        return n + self.cout", "        return n",
            ("tests/test_metrics.py::TestCostAccounting::test_default_config_flops_and_params",)),
@@ -259,6 +282,16 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
            "from .formats import LandmarkFormat, _nme_terms",
            "from .formats import LandmarkFormat\nfrom .training import _nme_terms",
            ("tests/test_cli.py::test_inference_modules_load_no_trainer",)),
+    Mutant("formats-imports-the-autodiff", "src/efld/formats.py",
+           "from .errors import ConfigError, UsageError\n",
+           "from .errors import ConfigError, UsageError\nfrom .tensor import Tensor  # noqa: F401\n",
+           ("tests/test_cli.py::test_inference_modules_load_no_trainer",)),
+    # cli: infer --image reads one PPM and loads no dataset reader
+    Mutant("infer-image-imports-the-dataset-reader", "src/efld/cli.py",
+           "    from .image import bilinear_resize, read_ppm\n\n    if (args.image",
+           "    from .data import load_dataset  # noqa: F401\n"
+           "    from .image import bilinear_resize, read_ppm\n\n    if (args.image",
+           ("tests/test_cli.py::test_infer_image_loads_no_dataset_reader",)),
     Mutant("ppm-zero-size-accepted", "src/efld/image.py",
            "    if w < 1 or h < 1:", "    if w < 0 or h < 0:",
            ("tests/test_fuzz.py::test_read_ppm_raises_only_data_errors",)),

@@ -624,10 +624,9 @@ def test_threads_set_before_numpy_import(flag):
     assert lines[-1] == "0 1"
 
 
-def test_inference_modules_load_no_trainer():
-    """``efld infer`` and ``efld eval`` import the container, the int8 path
-    and the metrics; none of them, imported alone in a fresh interpreter,
-    loads the trainer, the dataset reader or the synthetic generator."""
+def fresh_python(script, *args):
+    """``script`` run with ``args`` in a fresh interpreter that imports efld
+    from this checkout."""
     import subprocess
 
     import efld
@@ -635,14 +634,52 @@ def test_inference_modules_load_no_trainer():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(efld.__file__).resolve().parent.parent), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_inference_modules_load_no_trainer():
+    """``efld infer`` and ``efld eval`` import the container, the int8 path
+    and the metrics; none of them, imported alone in a fresh interpreter,
+    loads the trainer, the dataset reader or the synthetic generator. The
+    formats, which the metrics read, load no autodiff either."""
     script = "import sys, {}\nprint(*sorted(m for m in sys.modules if m.startswith('efld.')))"
-    for module in ("efld.container", "efld.quantize", "efld.metrics"):
-        proc = subprocess.run([sys.executable, "-c", script.format(module)], capture_output=True,
-                              text=True, env=env, timeout=120)
+    for module in ("efld.container", "efld.quantize", "efld.metrics", "efld.formats"):
+        proc = fresh_python(script.format(module))
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
         assert module in loaded
         assert not loaded & {"efld.training", "efld.data", "efld.synthetic"}, (module, loaded)
+        if module == "efld.formats":
+            assert "efld.tensor" not in loaded, loaded
+
+
+_RUN_AND_LIST_MODULES = """
+import sys
+from efld.cli import run
+code = run(sys.argv[1:])
+print(*sorted(m for m in sys.modules if m.startswith("efld.")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_infer_image_loads_no_dataset_reader(pipeline, tmp_path, capsys):
+    """``efld infer --image`` in a fresh interpreter prints what it prints
+    in this one, with the same exit code, and never loads ``efld.data``:
+    for a float and an int8 model, and for a missing image (exit 2)."""
+    from efld.image import write_ppm
+
+    face = tmp_path / "face.ppm"
+    write_ppm(face, np.random.default_rng(1).uniform(size=(24, 40, 3)))
+    for model, image in (("model", face), ("qmodel", face), ("model", tmp_path / "none.ppm")):
+        argv = ["infer", "--model", str(pipeline[model]), "--image", str(image),
+                "--format", "p51"]
+        code = run(argv)
+        out = capsys.readouterr().out
+        proc = fresh_python(_RUN_AND_LIST_MODULES, *argv)
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert code == (2 if image.name == "none.ppm" else 0)
+        assert "efld.data" not in proc.stderr.splitlines()[-1].split(), proc.stderr
 
 
 class TestDeterminism:

@@ -278,19 +278,21 @@ def train_step(model, batch, registry, monkeypatch):
     monkeypatch.setattr(training, "adamw_step",
                         lambda params, grads, *args: applied.update(grads))
     formats = [f for f in model.head_formats() if any(s.has(f) for s in batch)]
-    total, detail = training._train_step(model, batch, formats, registry, None, 0.0, None,
-                                         "test")
+    with training._lanes() as lanes:
+        total, detail = training._train_step(model, batch, formats, registry, None, 0.0, None,
+                                             "test", lanes)
     return total, detail, applied
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_micro_batched_step_matches_the_whole_batch(seed, monkeypatch):
-    """Float64, with the budget cut to 2 samples: the batch of 5 runs as
-    2 + 2 + 1, and its losses and gradients match one tape over all 5."""
+    """Float64, with the budget cut to 2 samples a lane: the batch of 5 runs
+    as 2 + 2 + 1, and its losses and gradients match one tape over all 5."""
     model, registry, batch = training_case(seed, "float64")
     sites = site_shapes(build_plan(model.config), model.config.input_size).values()
     per_sample = sum(int(np.prod(shape)) for shape in sites)
-    monkeypatch.setattr(efld.model, "_STEP_ELEMENTS", 2 * per_sample + 1)
+    monkeypatch.setattr(efld.model, "_STEP_ELEMENTS",
+                        efld.model.STEP_LANES * 2 * per_sample + 1)
     model = efld.model.Model(model.config, model.params, model.dtype)
     assert model.micro_batch == 2
     total, detail, grads = train_step(model, batch, registry, monkeypatch)

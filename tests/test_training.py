@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -13,10 +15,12 @@ import pytest
 
 import efld.training as training
 from efld.data import Dataset, Sample
-from efld.errors import ConfigError, NumericsError, UsageError
+from efld.errors import ConfigError, NumericsError, UsageError, ValidationError
 from efld.config import TrainConfig
 from efld.formats import LandmarkFormat, default_registry, nme_loss
-from efld.model import build_model, build_plan, default_config, model_forward, site_shapes
+from efld.image import stack_images
+from efld.model import (Model, build_model, build_plan, default_config, model_forward,
+                        site_shapes)
 from efld.synthetic import generate_synthetic
 from efld.tensor import Tape, Tensor, backward_multi
 from efld.training import (
@@ -296,16 +300,21 @@ class TestTrainLoop:
             assert row.head_count["p51"] == 3
             assert row.head_count["p68"] == 3
 
-    def test_non_finite_loss_names_lr_max(self):
-        """An update that fits float32 can still blow up the next forward;
-        numpy's warnings on the way there are beside the point here."""
+    @pytest.mark.parametrize("micro_batch", [4, 2])
+    def test_non_finite_loss_names_lr_max(self, micro_batch):
+        """An update that fits float32 blows up the next step's forward, in
+        one micro-batch or in both. Each lane ignores numpy's overflow on
+        its own thread, so no RuntimeWarning escapes (the suite turns
+        warnings into errors), and no lane outlives the call."""
         model = build_model(reduced_config(("p51",)), seed=0)
+        model.micro_batch = micro_batch
         ds = generate_synthetic(4, 32, seed=3, formats=["p51"])
         config = TrainConfig(epochs=2, batch_size=4, lr_max=1e20, weight_decay=0.0)
-        with np.errstate(all="ignore"), pytest.raises(NumericsError) as info:
+        with pytest.raises(NumericsError) as info:
             train(model, [ds], config)
         assert str(info.value) == ("loss became non-finite at epoch 1, step 1; "
                                    "training diverged: lower lr_max (now 1e+20)")
+        assert not [t for t in threading.enumerate() if t.name.startswith("efld-lane")]
 
     def test_first_epoch_lr_is_lr_max(self):
         ds = generate_synthetic(4, 32, seed=6, formats=["p51"])
@@ -314,16 +323,130 @@ class TestTrainLoop:
         assert log.rows[0].lr == pytest.approx(0.003)
 
 
+def delay_forward(monkeypatch, micro, seconds=0.5):
+    """Make the forward of the micro-batch ``micro`` start ``seconds`` late,
+    on whichever lane runs it. Returns the list that gets True when that
+    forward returns and False when any other does."""
+    target = stack_images([s.pixels for s in micro], "float32")
+    forward = training.model_forward
+    returned = []
+
+    def delayed(model, images, tape=None):
+        mine = np.array_equal(images.data, target, equal_nan=True)
+        if mine:
+            time.sleep(seconds)
+        out = forward(model, images, tape=tape)
+        returned.append(mine)
+        return out
+
+    monkeypatch.setattr(training, "model_forward", delayed)
+    return returned
+
+
+def lane_step(monkeypatch, model, batch, registry, state, lr, config):
+    """``training._train_step`` on ``batch`` with its own lanes: (total,
+    detail, the gradients AdamW was given)."""
+    applied = {}
+    update = training.adamw_step
+
+    def recorded(params, grads, *args):
+        applied.update({name: g.copy() for name, g in grads.items()})
+        update(params, grads, *args)
+
+    monkeypatch.setattr(training, "adamw_step", recorded)
+    formats = [f for f in model.head_formats() if any(s.has(f) for s in batch)]
+    with training._lanes() as lanes:
+        total, detail = training._train_step(model, batch, formats, registry, state, lr, config,
+                                             "test", lanes)
+    return total, detail, applied
+
+
+def sequential_step(model, batch, registry, state, lr, config):
+    """The step written as a loop: each micro-batch run after the last,
+    its losses and gradients added as it ends, then one AdamW update."""
+    formats = [f for f in model.head_formats() if any(s.has(f) for s in batch)]
+    counts = training.head_counts(batch, formats, registry, model.dtype)
+    losses = dict.fromkeys(formats, 0.0)
+    grads = None
+    for start in range(0, len(batch), model.micro_batch):
+        micro = batch[start : start + model.micro_batch]
+        tape = Tape(model.params.values())
+        images = Tensor(stack_images([s.pixels for s in micro], model.dtype))
+        predictions = model_forward(model, images, tape=tape)
+        _, detail, seeds = masked_multihead_loss(predictions, micro, registry, counts)
+        for f in formats:
+            losses[f] += detail[f][0]
+        wrt = backward_multi(tape, seeds)
+        if grads is None:
+            grads = {name: wrt.wrt(t).copy() for name, t in model.params.items()}
+        else:
+            for name, t in model.params.items():
+                grads[name] += wrt.wrt(t)
+    adamw_step(model.params, grads, state, lr, config)
+    return sum(losses.values()), {f: (losses[f], counts[f]) for f in formats}, grads
+
+
+class TestLanes:
+    """Two lanes run a step's micro-batches; the step's bits are those of
+    the micro-batches run one after another, whichever lane ends first."""
+
+    def _case(self):
+        config = reduced_config(("p51", "p68"))
+        ds = generate_synthetic(6, 32, seed=4, formats=["p51", "p68"], annotate="round-robin")
+        model = build_model(config, seed=1)
+        model.micro_batch = 2  # three micro-batches
+        return model, list(ds.samples), default_registry()
+
+    def test_first_micro_batch_ending_last_gives_the_sequential_bits(self, monkeypatch):
+        model, batch, registry = self._case()
+        twin = Model(model.config, {k: Tensor(t.data.copy()) for k, t in model.params.items()},
+                     model.dtype)
+        twin.micro_batch = model.micro_batch
+        config = TrainConfig(lr_max=0.002, weight_decay=0.01)
+        want_total, want_detail, want_grads = sequential_step(
+            twin, batch, registry, OptimizerState(twin), 0.002, config)
+        returned = delay_forward(monkeypatch, batch[:2])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the lanes trade the GIL as often as they can
+        try:
+            total, detail, grads = lane_step(monkeypatch, model, batch, registry,
+                                             OptimizerState(model), 0.002, config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert returned == [False, False, True]  # the first micro-batch ended last
+        assert (total, detail) == (want_total, want_detail)
+        assert grads.keys() == want_grads.keys()
+        for name, want in want_grads.items():
+            assert grads[name].tobytes() == want.tobytes(), name
+        for name, t in model.params.items():
+            assert t.data.tobytes() == twin.params[name].data.tobytes(), name
+
+    def test_nan_pixel_raises_the_first_failing_micro_batchs_error(self, monkeypatch):
+        """NaN pixels in the second and third micro-batches, the second made
+        to fail last: the step raises the second's error, as a loop would."""
+        model, batch, registry = self._case()
+        for i in (3, 4):  # image 1 of the second micro-batch, image 0 of the third
+            batch[i] = Sample(batch[i].image.copy(), batch[i].annotations)
+            batch[i].pixels[5, 7, 1] = np.nan
+        returned = delay_forward(monkeypatch, batch[2:4])
+        with pytest.raises(ValidationError) as info:
+            lane_step(monkeypatch, model, batch, registry, OptimizerState(model), 0.002,
+                      TrainConfig())
+        assert str(info.value) == "model_forward: image 1 has a non-finite pixel"
+        assert returned == [False]  # the third failed first; the second raised after its delay
+
+
 def test_training_step_peak_memory_is_bounded_by_the_plan():
     """One step of the stock 3-head model at batch 64 holds at most 0.4
     times the float32 bytes of all the activation sites of the batch at
-    once: the step runs in micro-batches of 16 samples, and the backward
-    frees each activation after its last use. (The whole batch on one tape,
-    freed only after the backward, peaks at about twice those bytes.)"""
+    once: the step runs two micro-batches of 8 samples at a time, and the
+    backward frees each activation after its last use. (The whole batch on
+    one tape, freed only after the backward, peaks at about twice those
+    bytes.)"""
     formats = ("p51", "p68", "p98")
     config = default_config(formats)
     model = build_model(config, seed=3)
-    assert model.micro_batch == 16
+    assert model.micro_batch == 8
     rng = np.random.default_rng(0)
     batch = 64
     samples = [Sample(rng.uniform(size=(128, 128, 3)),
