@@ -24,20 +24,27 @@ convolution pads inside the zero border those convolutions read
 (``site_pads``), so they take their padded input as a view.
 
 Without a tape, the float forward runs the backbone and decoder depth-first:
-eosa1 to the decoder on one block of samples, then on the next
-(``block_samples``: as many samples as keep the largest bordered site of a
-block within ``_BLOCK_ELEMENTS``, 4 for the stock model at 128 px), so a
-block's activations stay in cache from layer to layer and the forward's
-memory does not grow with the batch. Only the (B, decoder_dim) feature rows
-of the blocks are joined, and the heads run once on the whole batch. The
-backbone's kernels treat every sample on its own, so the outputs are
-bit-identical to a whole-batch forward. A taped forward runs each stage on
-the whole batch it is given: blocks made it no faster, and the tape keeps
-every value until the backward anyway. Training bounds that memory instead
-by handing it micro-batches, ``STEP_LANES`` at a time on as many threads
-(``micro_batch_samples``: as many samples as keep all the activation sites
-of the micro-batches in flight within ``_STEP_ELEMENTS``, 8 for the stock
-3-head model at 128 px).
+eosa1 to the decoder on one block of samples at a time (``block_samples``:
+as many samples as keep the largest bordered site of a block within
+``_BLOCK_ELEMENTS``, 4 for the stock model at 128 px), so a block's
+activations stay in cache from layer to layer and the forward's memory does
+not grow with the batch. The blocks run ``STEP_LANES`` at a time, one per
+thread (a lane, see ``_lanes``), each under the caller's ``np.errstate``:
+their kernels are large numpy calls that release the GIL. Only the
+(B, decoder_dim) feature rows of the blocks are joined, in block order
+whichever lane ends first, and the heads run once on the whole batch on the
+calling thread. A batch of one block starts no thread, and with an
+``observer`` (calibration) the blocks run one after another on the calling
+thread. The backbone's kernels treat every sample on its own, so the
+outputs are bit-identical to a whole-batch forward. A stage whose input is
+the batch's images copies them into their zero border itself, so only the
+stage holds that copy and it dies after its last reader. A taped forward
+runs each stage on the whole batch it is given: blocks made it no faster,
+and the tape keeps every value until the backward anyway. Training bounds
+that memory instead by handing it micro-batches, ``STEP_LANES`` at a time
+on the lanes (``micro_batch_samples``: as many samples as keep all the
+activation sites of the micro-batches in flight within ``_STEP_ELEMENTS``,
+8 for the stock 3-head model at 128 px).
 
 Each group of ``sibling_convs``, conv layers that read one site with one
 kernel size, stride and padding, runs as one ``ops.sibling_conv2d`` at the
@@ -70,6 +77,7 @@ any summation order, and in float64 otherwise.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -367,9 +375,16 @@ def block_samples(shapes: dict, pads: dict) -> int:
 # A training step runs forward and backward on STEP_LANES micro-batches at
 # once, one per thread, each of as many samples as keep the activations of
 # every site of the plan within its share of this many elements (at least
-# one sample): 8 samples of the stock 3-head model at 128 px.
+# one sample): 8 samples of the stock 3-head model at 128 px. An untaped
+# forward runs its backbone blocks on as many threads.
 _STEP_ELEMENTS = 1 << 23
 STEP_LANES = 2
+
+
+def _lanes() -> ThreadPoolExecutor:
+    """The threads, ``STEP_LANES`` of them, that run the micro-batches of a
+    training step or the blocks of an untaped forward."""
+    return ThreadPoolExecutor(STEP_LANES, thread_name_prefix="efld-lane")
 
 
 def micro_batch_samples(shapes: dict) -> int:
@@ -410,11 +425,11 @@ class Model:
     forward runs, and requires exclusive access.
     Each forward allocates its own activation buffers, with the zero border
     of ``site_pads`` where a convolution reads them; none is shared between
-    calls. An untaped forward runs the backbone on ``block_samples`` samples
-    at a time, a number fixed per model from the plan; a training step
-    runs forward and backward on micro-batches of ``micro_batch`` samples,
-    ``STEP_LANES`` at a time (``micro_batch_samples``), fixed per model from
-    the plan too.
+    calls. An untaped forward runs the backbone on blocks of
+    ``block_samples`` samples, a number fixed per model from the plan,
+    ``STEP_LANES`` blocks at a time; a training step runs forward and
+    backward on micro-batches of ``micro_batch`` samples, ``STEP_LANES`` at
+    a time (``micro_batch_samples``), fixed per model from the plan too.
     """
 
     def __init__(self, config: ModelConfig, params: dict, dtype: str):
@@ -527,9 +542,11 @@ def run_plan(steps, values: dict, apply, drops=None) -> dict:
 def _run_stage(model: Model, stage: str, x: Tensor, tape: Tape | None,
                observer) -> Tensor:
     """Run one stage of the plan on ``x``, reporting each output site to
-    ``observer``. The first step of each group of ``sibling_convs`` runs
-    the whole group as one ``sibling_conv2d``, on the tape when there is
-    one, and each later member's step hands on its output."""
+    ``observer``. An ``x`` that lacks the zero border of its site (the
+    images) is copied into one. The first step of each group of
+    ``sibling_convs`` runs the whole group as one ``sibling_conv2d``, on the
+    tape when there is one, and each later member's step hands on its
+    output."""
     steps = model._stages[stage]
     held = {}  # output site -> the output of a group member whose step is still to come
 
@@ -549,7 +566,13 @@ def _run_stage(model: Model, stage: str, x: Tensor, tape: Tape | None,
             observer(step.output, y.data)
         return y
 
-    (y,) = run_plan(steps, {steps[0].inputs[0]: x}, apply, model._drops[stage]).values()
+    site = steps[0].inputs[0]
+    values = {site: x}
+    if site in model._pads and x.border is None:
+        # the images: run_plan alone holds their bordered copy, and drops it
+        # after its last reader
+        values[site] = with_border(x, model._pads[site], tape=tape)
+    (y,) = run_plan(steps, values, apply, model._drops[stage]).values()
     return y
 
 
@@ -579,9 +602,15 @@ def head_forward(model: Model, fmt: str, v: Tensor, tape: Tape | None = None,
 def backbone_forward(model: Model, images: Tensor, tape: Tape | None = None,
                      observer=None) -> Tensor:
     """The (B, decoder_dim) feature vectors of ``images``. Without a tape the
-    backbone and decoder run on one block of samples after another, and
-    ``observer`` sees each of their sites once per block; with a tape they
-    run on the whole batch at once. The outputs are the same bits."""
+    backbone and decoder run block by block of samples: on ``STEP_LANES``
+    threads made for the call and joined before it returns or raises, each
+    under the caller's ``np.errstate``, and one after another on the
+    calling thread when ``observer`` is given, which then sees each of
+    their sites once per block, in block order. A batch of one block runs
+    on the calling thread. The rows are joined in block order, and the
+    first block that fails raises its error. With a tape the backbone and
+    decoder run on the whole batch at once. The outputs are the same
+    bits."""
     s = model.config.input_size
     if images.data.ndim != 4 or images.shape[1:] != (s, s, INPUT_CHANNELS) \
             or not images.shape[0]:
@@ -590,10 +619,18 @@ def backbone_forward(model: Model, images: Tensor, tape: Tape | None = None,
     block = model._block
     if tape is not None or len(images.data) <= block:
         return _backbone_block(model, images, tape, observer)
-    rows = [_backbone_block(model, Tensor(images.data[start : start + block]), None, observer,
-                            start).data
-            for start in range(0, len(images.data), block)]
-    return Tensor(np.concatenate(rows))
+    errors = np.geterr()  # per thread: each lane runs under the caller's
+
+    def block_rows(start):
+        with np.errstate(**errors):
+            return _backbone_block(model, Tensor(images.data[start : start + block]), None,
+                                   observer, start).data
+
+    starts = range(0, len(images.data), block)
+    if observer is not None:  # calibration: the blocks in order, on this thread
+        return Tensor(np.concatenate([block_rows(start) for start in starts]))
+    with _lanes() as lanes:
+        return Tensor(np.concatenate(list(lanes.map(block_rows, starts))))
 
 
 def _backbone_block(model: Model, images: Tensor, tape: Tape | None, observer,
@@ -601,14 +638,13 @@ def _backbone_block(model: Model, images: Tensor, tape: Tape | None, observer,
     """The backbone and decoder on ``images``, samples ``first`` onward of
     the batch, in one piece, stage by stage. Raises ``ValidationError``
     naming the first image with a NaN or infinite pixel."""
-    pad = model._pads.get("input")
-    x = images if pad is None else with_border(images, pad, tape=tape)
-    finite = np.isfinite(x.data)  # on the bordered copy, while it is in cache
-    if not finite.all():
-        bad = first + int(np.argmin(finite.reshape(len(finite), -1).all(axis=1)))
+    if not np.isfinite(images.data).all():
+        finite = np.isfinite(images.data).reshape(len(images.data), -1).all(axis=1)
+        bad = first + int(np.argmin(finite))
         raise ValidationError(f"model_forward: image {bad} has a non-finite pixel")
     if observer is not None:
         observer("input", images.data)
+    x = images
     for i in range(1, len(model.config.eosa) + 1):
         x = eosa_forward(model, i, x, tape=tape, observer=observer)
     return decoder_forward(model, x, tape=tape, observer=observer)

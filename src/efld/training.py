@@ -45,7 +45,7 @@ from .errors import ConfigError, NumericsError, UsageError
 from .formats import (MIN_INTEROCULAR, FormatRegistry, _nme_terms, default_registry,
                       eye_distances)
 from .image import stack_images
-from .model import STEP_LANES, Model, model_forward
+from .model import STEP_LANES, Model, _lanes, model_forward
 from .tensor import Tape, Tensor, backward_multi
 
 
@@ -199,12 +199,6 @@ class TrainLog:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(self.to_csv())
-
-
-def _lanes() -> ThreadPoolExecutor:
-    """The threads that run the micro-batches of a step, ``STEP_LANES`` at
-    a time; ``train`` holds one set for the length of the call."""
-    return ThreadPoolExecutor(STEP_LANES, thread_name_prefix="efld-lane")
 
 
 def _micro_step(model: Model, micro, formats, registry: FormatRegistry, counts: dict,

@@ -259,6 +259,29 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
            "    with np.errstate():",
            ("tests/test_training.py::TestTrainLoop::test_non_finite_loss_names_lr_max",
             "tests/test_cli.py::test_diverging_forward_prints_no_numpy_warning")),
+    # model: the forward's lanes' rows are joined in block order
+    Mutant("forward-blocks-joined-in-finish-order", "src/efld/model.py",
+           "return Tensor(np.concatenate(list(lanes.map(block_rows, starts))))",
+           "from concurrent.futures import as_completed\n"
+           "        futures = [lanes.submit(block_rows, start) for start in starts]\n"
+           "        return Tensor(np.concatenate([f.result() for f in as_completed(futures)]))",
+           ("tests/test_model.py::TestForwardLanes"
+            "::test_first_block_ending_last_gives_the_sequential_bits",
+            "tests/test_model.py::TestForwardLanes"
+            "::test_nan_pixel_raises_the_first_failing_blocks_error")),
+    # model: numpy's error state is per thread, so each forward lane takes the caller's
+    Mutant("forward-lane-without-callers-errstate", "src/efld/model.py",
+           "        with np.errstate(**errors):",
+           "        with np.errstate():",
+           ("tests/test_model.py::TestForwardLanes"
+            "::test_lanes_raise_on_overflow_under_the_callers_errstate",
+            "tests/test_model.py::TestForwardLanes"
+            "::test_lanes_ignore_overflow_under_the_callers_errstate")),
+    # model: a batch of one block runs on the calling thread
+    Mutant("forward-lanes-at-batch-one", "src/efld/model.py",
+           "    if tape is not None or len(images.data) <= block:",
+           "    if tape is not None:",
+           ("tests/test_model.py::TestForwardLanes::test_batch_of_one_starts_no_thread",)),
     # model: the lanes split the step's budget, so two micro-batches fit it together
     Mutant("lanes-each-take-the-whole-budget", "src/efld/model.py",
            "return max(1, _STEP_ELEMENTS // (STEP_LANES * per_sample))",

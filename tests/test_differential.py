@@ -278,7 +278,7 @@ def train_step(model, batch, registry, monkeypatch):
     monkeypatch.setattr(training, "adamw_step",
                         lambda params, grads, *args: applied.update(grads))
     formats = [f for f in model.head_formats() if any(s.has(f) for s in batch)]
-    with training._lanes() as lanes:
+    with efld.model._lanes() as lanes:
         total, detail = training._train_step(model, batch, formats, registry, None, 0.0, None,
                                              "test", lanes)
     return total, detail, applied

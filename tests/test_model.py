@@ -1,5 +1,9 @@
 """Architecture assembly: parameter counts, shapes, head wiring, ablations."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -416,8 +420,9 @@ def test_untaped_backbone_runs_in_blocks_bit_equal_to_the_taped_forward(monkeypa
 def test_untaped_forward_peak_memory_does_not_grow_with_the_batch():
     """At batch 16 the untaped stock forward holds at most a fifth of the
     float32 bytes of all its activation sites at once: the backbone keeps
-    only one block of samples alive. (A whole-batch forward peaks above a
-    third of them.)"""
+    only two blocks of samples alive, one per lane, and the bordered copy
+    of a block's images lives only until the first convolutions have read
+    it. (A whole-batch forward peaks above a third of them.)"""
     import tracemalloc
 
     model = build_model(default_config(), seed=3)
@@ -434,6 +439,106 @@ def test_untaped_forward_peak_memory_does_not_grow_with_the_batch():
     finally:
         tracemalloc.stop()
     assert peak <= 0.2 * activation_bytes, (peak, activation_bytes)
+
+
+def delay_block(monkeypatch, first, seconds=0.5):
+    """Make the backbone block of samples ``first`` onward start ``seconds``
+    late, on whichever lane runs it. Returns the list that gets each
+    block's first sample as the block returns or raises, and the set of
+    the names of the threads that ran a block."""
+    import efld.model as model_module
+
+    block = model_module._backbone_block
+    returned, threads = [], set()
+
+    def delayed(model, images, tape, observer, start=0):
+        threads.add(threading.current_thread().name)
+        if start == first:
+            time.sleep(seconds)
+        try:
+            return block(model, images, tape, observer, start)
+        finally:
+            returned.append(start)
+
+    monkeypatch.setattr(model_module, "_backbone_block", delayed)
+    return returned, threads
+
+
+class TestForwardLanes:
+    """An untaped forward of more than one block of samples runs the blocks
+    on two lanes; its bits are those of the blocks run one after another on
+    the calling thread, whichever lane ends first."""
+
+    def _case(self, scale=1.0):
+        config = reduced_config(("p51", "p68"))
+        model = build_model(config, seed=1)
+        model = Model(config, {name: Tensor(t.data * np.float32(scale))
+                               for name, t in model.params.items()}, model.dtype)
+        model._block = 2  # a batch of 5 runs as blocks of 2, 2 and 1
+        images = np.random.default_rng(7).uniform(size=(5, 32, 32, 3)).astype("float32")
+        return model, images
+
+    def test_first_block_ending_last_gives_the_sequential_bits(self, monkeypatch):
+        model, images = self._case()
+        want = model_forward(model, Tensor(images), observer=lambda site, value: None)
+        returned, threads = delay_block(monkeypatch, 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the lanes trade the GIL as often as they can
+        try:
+            got = model_forward(model, Tensor(images))
+        finally:
+            sys.setswitchinterval(interval)
+        assert returned == [2, 4, 0]  # the first block ended last
+        assert {name.startswith("efld-lane") for name in threads} == {True}
+        assert list(got) == list(want)
+        for fmt in want:
+            assert got[fmt].data.tobytes() == want[fmt].data.tobytes()
+
+    def test_nan_pixel_raises_the_first_failing_blocks_error(self, monkeypatch):
+        """NaN pixels in the second and third blocks, the second made to
+        fail last: the forward names the second's image, as a loop would."""
+        model, images = self._case()
+        images[3, 5, 7, 1] = images[4, 0, 0, 2] = np.nan
+        returned, _ = delay_block(monkeypatch, 2)
+        with pytest.raises(ValidationError) as info:
+            model_forward(model, Tensor(images))
+        assert str(info.value) == "model_forward: image 3 has a non-finite pixel"
+        assert returned == [0, 4, 2]  # the third failed first; the second raised after its delay
+
+    def test_no_lane_outlives_the_forward(self, monkeypatch):
+        model, images = self._case()
+        _, threads = delay_block(monkeypatch, 4, seconds=0.1)
+        model_forward(model, Tensor(images))
+        assert threads and all(name.startswith("efld-lane") for name in threads)
+        assert not [t for t in threading.enumerate() if t.name.startswith("efld-lane")]
+
+    def test_batch_of_one_starts_no_thread(self, monkeypatch):
+        model, images = self._case()
+        started = []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        model_forward(model, Tensor(images[:1]))
+        assert started == []
+
+    def test_lanes_raise_on_overflow_under_the_callers_errstate(self):
+        """numpy's error state is per thread; each lane runs under the
+        caller's, so weights that overflow float32 raise here."""
+        model, images = self._case(scale=1e8)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            model_forward(model, Tensor(images))
+
+    def test_lanes_ignore_overflow_under_the_callers_errstate(self):
+        """Under the caller's ``all="ignore"`` no lane warns (the suite turns
+        warnings into errors), and the overflow shows in the outputs."""
+        model, images = self._case(scale=1e8)
+        with np.errstate(all="ignore"):
+            out = model_forward(model, Tensor(images))
+        assert not np.isfinite(out["p51"].data).all()
 
 
 def test_layer_params_are_rebuilt_only_when_a_tensor_is_replaced():

@@ -19,7 +19,7 @@ from efld.errors import ConfigError, NumericsError, UsageError, ValidationError
 from efld.config import TrainConfig
 from efld.formats import LandmarkFormat, default_registry, nme_loss
 from efld.image import stack_images
-from efld.model import (Model, build_model, build_plan, default_config, model_forward,
+from efld.model import (Model, _lanes, build_model, build_plan, default_config, model_forward,
                         site_shapes)
 from efld.synthetic import generate_synthetic
 from efld.tensor import Tape, Tensor, backward_multi
@@ -355,7 +355,7 @@ def lane_step(monkeypatch, model, batch, registry, state, lr, config):
 
     monkeypatch.setattr(training, "adamw_step", recorded)
     formats = [f for f in model.head_formats() if any(s.has(f) for s in batch)]
-    with training._lanes() as lanes:
+    with _lanes() as lanes:
         total, detail = training._train_step(model, batch, formats, registry, state, lr, config,
                                              "test", lanes)
     return total, detail, applied
