@@ -358,7 +358,11 @@ def _global_threads(argv):
         name, eq, given = arg.partition("=")
         if len(name) > 2 and "--threads".startswith(name):  # argparse takes abbreviations
             value = given if eq else following
-    return int(value) if value.isdigit() and int(value) >= 1 else None
+    try:  # read as argparse reads it, so "+2" counts and "²" does not
+        threads = int(value)
+    except ValueError:
+        return None
+    return threads if threads >= 1 else None
 
 
 def run(argv) -> int:

@@ -28,23 +28,23 @@ eosa1 to the decoder on one block of samples at a time (``block_samples``:
 as many samples as keep the largest bordered site of a block within
 ``_BLOCK_ELEMENTS``, 4 for the stock model at 128 px), so a block's
 activations stay in cache from layer to layer and the forward's memory does
-not grow with the batch. The blocks run ``STEP_LANES`` at a time, one per
-thread (a lane, see ``_lanes``), each under the caller's ``np.errstate``:
-their kernels are large numpy calls that release the GIL. Only the
-(B, decoder_dim) feature rows of the blocks are joined, in block order
-whichever lane ends first, and the heads run once on the whole batch on the
-calling thread. A batch of one block starts no thread, and with an
-``observer`` (calibration) the blocks run one after another on the calling
-thread. The backbone's kernels treat every sample on its own, so the
-outputs are bit-identical to a whole-batch forward. A stage whose input is
-the batch's images copies them into their zero border itself, so only the
-stage holds that copy and it dies after its last reader. A taped forward
-runs each stage on the whole batch it is given: blocks made it no faster,
-and the tape keeps every value until the backward anyway. Training bounds
-that memory instead by handing it micro-batches, ``STEP_LANES`` at a time
-on the lanes (``micro_batch_samples``: as many samples as keep all the
-activation sites of the micro-batches in flight within ``_STEP_ELEMENTS``,
-8 for the stock 3-head model at 128 px).
+not grow with the batch. The blocks run through ``on_lanes``, ``STEP_LANES``
+at a time on the process's one set of threads (the lanes): their kernels are
+large numpy calls that release the GIL. Only the (B, decoder_dim) feature
+rows of the blocks are joined, in block order whichever lane ends first, and
+the heads run once on the whole batch on the calling thread. A batch of one
+block submits nothing to the lanes, and with an ``observer`` (calibration)
+the blocks run one after another on the calling thread. The backbone's
+kernels treat every sample on its own, so the outputs are bit-identical to
+a whole-batch forward. A stage whose input is the batch's images copies
+them into their zero border itself, so only the stage holds that copy and
+it dies after its last reader. A taped forward runs each stage on the whole
+batch it is given: blocks made it no faster, and the tape keeps every value
+until the backward anyway. Training bounds that memory instead by handing
+it micro-batches, ``STEP_LANES`` at a time through ``on_lanes``
+(``micro_batch_samples``: as many samples as keep all the activation sites
+of the micro-batches in flight within ``_STEP_ELEMENTS``, 8 for the stock
+3-head model at 128 px).
 
 Each group of ``sibling_convs``, conv layers that read one site with one
 kernel size, stride and padding, runs as one ``ops.sibling_conv2d`` at the
@@ -77,9 +77,12 @@ any summation order, and in float64 otherwise.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -373,18 +376,53 @@ def block_samples(shapes: dict, pads: dict) -> int:
 
 
 # A training step runs forward and backward on STEP_LANES micro-batches at
-# once, one per thread, each of as many samples as keep the activations of
+# once, one per lane, each of as many samples as keep the activations of
 # every site of the plan within its share of this many elements (at least
 # one sample): 8 samples of the stock 3-head model at 128 px. An untaped
-# forward runs its backbone blocks on as many threads.
+# forward runs its backbone blocks on the same lanes.
 _STEP_ELEMENTS = 1 << 23
 STEP_LANES = 2
 
 
-def _lanes() -> ThreadPoolExecutor:
-    """The threads, ``STEP_LANES`` of them, that run the micro-batches of a
-    training step or the blocks of an untaped forward."""
-    return ThreadPoolExecutor(STEP_LANES, thread_name_prefix="efld-lane")
+def _reset_lanes() -> None:
+    """Make the process's one set of lanes: ``STEP_LANES`` threads, started
+    by the first submission and used by every later call. A forked child
+    has none of its parent's threads, so it makes a set of its own."""
+    global _LANES
+    _LANES = ThreadPoolExecutor(STEP_LANES, thread_name_prefix="efld-lane")
+
+
+_reset_lanes()
+os.register_at_fork(after_in_child=_reset_lanes)
+
+
+def on_lanes(fn, items) -> Iterator:
+    """Yield ``fn(item)`` for each of ``items`` in item order, whichever lane
+    ends first, each run on the lanes under the caller's ``np.errstate``
+    (numpy's is per thread); an item whose call raised raises in its turn.
+    At most ``STEP_LANES`` + 1 items are in flight. When the caller stops
+    reading (returns or raises), items not yet started are cancelled and
+    running ones joined, so no call of ``fn`` outlives the loop. ``fn`` must
+    not submit to the lanes itself: they are the whole process's, and a
+    lane waiting on them can wait forever."""
+    errors = np.geterr()
+
+    def run(item):
+        with np.errstate(**errors):
+            return fn(item)
+
+    submitted = (_LANES.submit(run, item) for item in items)
+    pending = deque(islice(submitted, STEP_LANES))  # oldest first
+    try:
+        while pending:
+            # one more in flight while the oldest is read: a lane that
+            # finishes first starts it
+            pending.extend(islice(submitted, 1))
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
 
 
 def micro_batch_samples(shapes: dict) -> int:
@@ -427,9 +465,10 @@ class Model:
     of ``site_pads`` where a convolution reads them; none is shared between
     calls. An untaped forward runs the backbone on blocks of
     ``block_samples`` samples, a number fixed per model from the plan,
-    ``STEP_LANES`` blocks at a time; a training step runs forward and
-    backward on micro-batches of ``micro_batch`` samples, ``STEP_LANES`` at
-    a time (``micro_batch_samples``), fixed per model from the plan too.
+    ``STEP_LANES`` blocks at a time on the lanes; a training step runs
+    forward and backward on micro-batches of ``micro_batch`` samples,
+    ``STEP_LANES`` at a time on the same lanes (``micro_batch_samples``),
+    fixed per model from the plan too.
     """
 
     def __init__(self, config: ModelConfig, params: dict, dtype: str):
@@ -602,10 +641,9 @@ def head_forward(model: Model, fmt: str, v: Tensor, tape: Tape | None = None,
 def backbone_forward(model: Model, images: Tensor, tape: Tape | None = None,
                      observer=None) -> Tensor:
     """The (B, decoder_dim) feature vectors of ``images``. Without a tape the
-    backbone and decoder run block by block of samples: on ``STEP_LANES``
-    threads made for the call and joined before it returns or raises, each
-    under the caller's ``np.errstate``, and one after another on the
-    calling thread when ``observer`` is given, which then sees each of
+    backbone and decoder run block by block of samples: on the lanes
+    (``on_lanes``), so no block outlives the call, and one after another on
+    the calling thread when ``observer`` is given, which then sees each of
     their sites once per block, in block order. A batch of one block runs
     on the calling thread. The rows are joined in block order, and the
     first block that fails raises its error. With a tape the backbone and
@@ -619,18 +657,15 @@ def backbone_forward(model: Model, images: Tensor, tape: Tape | None = None,
     block = model._block
     if tape is not None or len(images.data) <= block:
         return _backbone_block(model, images, tape, observer)
-    errors = np.geterr()  # per thread: each lane runs under the caller's
 
     def block_rows(start):
-        with np.errstate(**errors):
-            return _backbone_block(model, Tensor(images.data[start : start + block]), None,
-                                   observer, start).data
+        return _backbone_block(model, Tensor(images.data[start : start + block]), None,
+                               observer, start).data
 
     starts = range(0, len(images.data), block)
-    if observer is not None:  # calibration: the blocks in order, on this thread
-        return Tensor(np.concatenate([block_rows(start) for start in starts]))
-    with _lanes() as lanes:
-        return Tensor(np.concatenate(list(lanes.map(block_rows, starts))))
+    # with an observer (calibration), the blocks in order on this thread
+    rows = map(block_rows, starts) if observer is not None else on_lanes(block_rows, starts)
+    return Tensor(np.concatenate(list(rows)))
 
 
 def _backbone_block(model: Model, images: Tensor, tape: Tape | None, observer,

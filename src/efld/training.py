@@ -12,30 +12,27 @@ represented.
 A step's memory is bounded by the plan, not by the batch. The step runs
 forward and backward on micro-batches of ``Model.micro_batch`` samples (see
 ``model.micro_batch_samples``), each head's loss and seed gradients scaled
-by its count over the whole batch. ``STEP_LANES`` micro-batches run at once,
-each on a thread of its own (a lane) under its own ``np.errstate``: a
-micro-batch's work is independent of the others' until its gradients are
-added, and numpy releases the GIL for most of it. The calling thread adds
-each micro-batch's losses, and its parameter gradients into the first
-one's, in micro-batch order whichever lane finishes first, and raises the
-error of the first micro-batch that failed; one AdamW update ends the
-step. The micro-batch size comes from the plan alone, so a step gives the
-same bits on any number of cores or threads. The backward frees the tape
-as it goes (see ``tensor.backward_multi``), and everything a step allocated
-is freed before the next one starts, so memory stops growing with the batch
-past ``STEP_LANES`` micro-batches. A batch that fits in one micro-batch
-runs as one forward and one backward, with the same bits as a step that
-never splits. ``train`` starts the lanes and joins them before it returns
-or raises.
+by its count over the whole batch. The micro-batches run through
+``model.on_lanes``, ``STEP_LANES`` at once on the process's lanes, each
+under its own ``np.errstate``: a micro-batch's work is independent of the
+others' until its gradients are added, and numpy releases the GIL for most
+of it. The calling thread adds each micro-batch's losses, and its parameter
+gradients into the first one's, in micro-batch order whichever lane
+finishes first, and raises the error of the first micro-batch that failed;
+one AdamW update ends the step. The micro-batch size comes from the plan
+alone, so a step gives the same bits on any number of cores or threads. The
+backward frees the tape as it goes (see ``tensor.backward_multi``), and
+everything a step allocated is freed before the next one starts, so memory
+stops growing with the batch past ``STEP_LANES`` micro-batches. A batch that
+fits in one micro-batch runs as one forward and one backward, with the same
+bits as a step that never splits. No micro-batch of a step runs once the
+step returns or raises.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -45,7 +42,7 @@ from .errors import ConfigError, NumericsError, UsageError
 from .formats import (MIN_INTEROCULAR, FormatRegistry, _nme_terms, default_registry,
                       eye_distances)
 from .image import stack_images
-from .model import STEP_LANES, Model, _lanes, model_forward
+from .model import Model, model_forward, on_lanes
 from .tensor import Tape, Tensor, backward_multi
 
 
@@ -222,13 +219,12 @@ def _micro_step(model: Model, micro, formats, registry: FormatRegistry, counts: 
 
 
 def _train_step(model: Model, batch, formats, registry: FormatRegistry,
-                state: OptimizerState, lr: float, config: TrainConfig, where: str,
-                lanes: ThreadPoolExecutor) -> tuple:
+                state: OptimizerState, lr: float, config: TrainConfig, where: str) -> tuple:
     """One step on ``batch``, whose samples are annotated in the heads
     ``formats`` only: forward of every head, masked loss and backward per
-    micro-batch of ``model.micro_batch`` samples, on the threads of
-    ``lanes``, then one AdamW update. A head with no annotated sample gets
-    no seed, so it moves no gradient. The losses and gradients of the
+    micro-batch of ``model.micro_batch`` samples, on the lanes
+    (``on_lanes``), then one AdamW update. A head with no annotated sample
+    gets no seed, so it moves no gradient. The losses and gradients of the
     micro-batches are added in micro-batch order, whichever finished first,
     and the first micro-batch that fails raises its error. Returns (total
     loss, {format: (loss, count)}) for the heads ``formats`` over the whole
@@ -236,29 +232,22 @@ def _train_step(model: Model, batch, formats, registry: FormatRegistry,
     counts = head_counts(batch, formats, registry, model.dtype)
     micros = (batch[start : start + model.micro_batch]
               for start in range(0, len(batch), model.micro_batch))
-    submitted = (lanes.submit(_micro_step, model, micro, formats, registry, counts, config, where)
-                 for micro in micros
+    annotated = (micro for micro in micros
                  if any(s.has(f) for s in micro for f in formats))  # else calibration-only
-    pending = deque(islice(submitted, STEP_LANES))  # oldest first
+
+    def micro_step(micro):
+        return _micro_step(model, micro, formats, registry, counts, config, where)
+
     losses = dict.fromkeys(formats, 0.0)
     grad_map = None
-    try:
-        while pending:
-            # one more in flight while the oldest is read: a lane that
-            # finishes first starts it, and at most STEP_LANES + 1 results wait
-            pending.extend(islice(submitted, 1))
-            part, grads = pending.popleft().result()
-            for fmt_name in formats:
-                losses[fmt_name] += part[fmt_name]
-            if grad_map is None:
-                grad_map = grads
-            else:
-                for name, grad in grads.items():
-                    grad_map[name] += grad
-    finally:  # no lane runs a micro-batch of this step once it returns or raises
-        for future in pending:
-            future.cancel()
-        wait(pending)
+    for part, grads in on_lanes(micro_step, annotated):
+        for fmt_name in formats:
+            losses[fmt_name] += part[fmt_name]
+        if grad_map is None:
+            grad_map = grads
+        else:
+            for name, grad in grads.items():
+                grad_map[name] += grad
     adamw_step(model.params, grad_map, state, lr, config)
     return sum(losses.values()), {f: (losses[f], counts[f]) for f in formats}
 
@@ -297,35 +286,34 @@ def train(model: Model, datasets, config: TrainConfig,
     state = OptimizerState(model)
     train_log = TrainLog(head_formats)
     step = 0
-    with _lanes() as lanes:
-        for epoch in range(config.epochs):
-            epoch_lr = None
-            step_totals = []
-            loss_sums = {f: 0.0 for f in head_formats}
-            count_sums = {f: 0 for f in head_formats}
-            for batch in stream.batches(epoch):
-                lr = cosine_lr(step, total_steps, config.lr_max, config.lr_min)
-                if epoch_lr is None:
-                    epoch_lr = lr
-                formats = [f for f in head_formats if any(s.has(f) for s in batch)]
-                if formats:  # else a batch of calibration-only samples
-                    total, detail = _train_step(model, batch, formats, registry, state, lr, config,
-                                                f"epoch {epoch}, step {step}", lanes)
-                    step_totals.append(total)
-                    for fmt_name, (head_loss, count) in detail.items():
-                        loss_sums[fmt_name] += head_loss * count
-                        count_sums[fmt_name] += count
-                step += 1
-            train_log.append(
-                EpochStats(
-                    epoch=epoch,
-                    lr=epoch_lr,
-                    loss_total=float(np.mean(step_totals)) if step_totals else 0.0,
-                    head_loss={
-                        f: (loss_sums[f] / count_sums[f] if count_sums[f] else 0.0)
-                        for f in head_formats
-                    },
-                    head_count=dict(count_sums),
-                )
+    for epoch in range(config.epochs):
+        epoch_lr = None
+        step_totals = []
+        loss_sums = {f: 0.0 for f in head_formats}
+        count_sums = {f: 0 for f in head_formats}
+        for batch in stream.batches(epoch):
+            lr = cosine_lr(step, total_steps, config.lr_max, config.lr_min)
+            if epoch_lr is None:
+                epoch_lr = lr
+            formats = [f for f in head_formats if any(s.has(f) for s in batch)]
+            if formats:  # else a batch of calibration-only samples
+                total, detail = _train_step(model, batch, formats, registry, state, lr, config,
+                                            f"epoch {epoch}, step {step}")
+                step_totals.append(total)
+                for fmt_name, (head_loss, count) in detail.items():
+                    loss_sums[fmt_name] += head_loss * count
+                    count_sums[fmt_name] += count
+            step += 1
+        train_log.append(
+            EpochStats(
+                epoch=epoch,
+                lr=epoch_lr,
+                loss_total=float(np.mean(step_totals)) if step_totals else 0.0,
+                head_loss={
+                    f: (loss_sums[f] / count_sums[f] if count_sums[f] else 0.0)
+                    for f in head_formats
+                },
+                head_count=dict(count_sums),
             )
+        )
     return train_log

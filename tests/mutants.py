@@ -242,34 +242,42 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
     Mutant("micro-batch-scaled-by-its-own-count", "src/efld/training.py",
            "scale = count if counts is None else counts[fmt_name]", "scale = count",
            ("tests/test_differential.py::test_micro_batched_step_matches_the_whole_batch",)),
-    # training: the lanes' losses and gradients are added in micro-batch order
-    Mutant("lane-results-added-as-they-finish", "src/efld/training.py",
-           "            part, grads = pending.popleft().result()",
+    # model: on_lanes yields in item order; one runner serves both callers,
+    # so the tests of each must catch it on their own
+    Mutant("lane-results-added-as-they-finish", "src/efld/model.py",
+           "            yield pending.popleft().result()",
            "            from concurrent.futures import as_completed\n"
            "            first = next(as_completed(pending))\n"
            "            pending.remove(first)\n"
-           "            part, grads = first.result()",
+           "            yield first.result()",
            ("tests/test_training.py::TestLanes"
             "::test_first_micro_batch_ending_last_gives_the_sequential_bits",
             "tests/test_training.py::TestLanes"
             "::test_nan_pixel_raises_the_first_failing_micro_batchs_error")),
+    Mutant("forward-blocks-joined-in-finish-order", "src/efld/model.py",
+           "            yield pending.popleft().result()",
+           "            from concurrent.futures import as_completed\n"
+           "            first = next(as_completed(pending))\n"
+           "            pending.remove(first)\n"
+           "            yield first.result()",
+           ("tests/test_model.py::TestForwardLanes"
+            "::test_first_block_ending_last_gives_the_sequential_bits",
+            "tests/test_model.py::TestForwardLanes"
+            "::test_nan_pixel_raises_the_first_failing_blocks_error")),
+    # model: a caller that stops reading on_lanes's results joins what it started
+    Mutant("lanes-not-joined-when-the-caller-raises", "src/efld/model.py",
+           "        wait(pending)", "        pass",
+           ("tests/test_model.py::TestForwardLanes"
+            "::test_raising_forward_returns_after_every_started_block",
+            "tests/test_training.py::TestLanes"
+            "::test_raising_step_returns_after_every_started_micro_batch")),
     # training: numpy's error state is per thread, so each lane sets its own
     Mutant("lane-without-its-errstate", "src/efld/training.py",
            '    with np.errstate(over="ignore", invalid="ignore"):',
            "    with np.errstate():",
            ("tests/test_training.py::TestTrainLoop::test_non_finite_loss_names_lr_max",
             "tests/test_cli.py::test_diverging_forward_prints_no_numpy_warning")),
-    # model: the forward's lanes' rows are joined in block order
-    Mutant("forward-blocks-joined-in-finish-order", "src/efld/model.py",
-           "return Tensor(np.concatenate(list(lanes.map(block_rows, starts))))",
-           "from concurrent.futures import as_completed\n"
-           "        futures = [lanes.submit(block_rows, start) for start in starts]\n"
-           "        return Tensor(np.concatenate([f.result() for f in as_completed(futures)]))",
-           ("tests/test_model.py::TestForwardLanes"
-            "::test_first_block_ending_last_gives_the_sequential_bits",
-            "tests/test_model.py::TestForwardLanes"
-            "::test_nan_pixel_raises_the_first_failing_blocks_error")),
-    # model: numpy's error state is per thread, so each forward lane takes the caller's
+    # model: numpy's error state is per thread, so each lane takes the caller's
     Mutant("forward-lane-without-callers-errstate", "src/efld/model.py",
            "        with np.errstate(**errors):",
            "        with np.errstate():",
@@ -282,6 +290,15 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
            "    if tape is not None or len(images.data) <= block:",
            "    if tape is not None:",
            ("tests/test_model.py::TestForwardLanes::test_batch_of_one_starts_no_thread",)),
+    # model: the process has one set of lanes, and a forked child a set of its own
+    Mutant("lanes-built-per-call", "src/efld/model.py",
+           "    submitted = (_LANES.submit(run, item) for item in items)",
+           "    lanes = ThreadPoolExecutor(STEP_LANES, thread_name_prefix=\"efld-lane\")\n"
+           "    submitted = (lanes.submit(run, item) for item in items)",
+           ("tests/test_training.py::test_one_set_of_lanes_runs_every_forward_and_step",)),
+    Mutant("lanes-kept-after-fork", "src/efld/model.py",
+           "os.register_at_fork(after_in_child=_reset_lanes)\n", "",
+           ("tests/test_model.py::TestForwardLanes::test_forked_child_runs_lanes_of_its_own",)),
     # model: the lanes split the step's budget, so two micro-batches fit it together
     Mutant("lanes-each-take-the-whole-budget", "src/efld/model.py",
            "return max(1, _STEP_ELEMENTS // (STEP_LANES * per_sample))",

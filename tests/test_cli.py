@@ -223,7 +223,9 @@ class TestInvalidInput:
         (["--threads=-3"], "argument --threads: must be >= 1, got -3"),
         (["--seed", "-1"], "argument --seed: must be >= 0, got -1"),
         (["--threads", "x"], "argument --threads: invalid int value: 'x'"),
-    ], ids=["threads-0", "threads-negative", "global-seed-negative", "threads-word"])
+        (["--threads", "²"], "argument --threads: invalid int value: '²'"),
+    ], ids=["threads-0", "threads-negative", "global-seed-negative", "threads-word",
+            "threads-superscript"])
     def test_global_flag_out_of_range_exits_1(self, monkeypatch, capsys, argv, message):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         assert run([*argv, "analyze", "--config", "default"]) == 1
@@ -592,8 +594,9 @@ def test_console_script_version(tmp_path):
     assert "efld 0.1.0" in proc.stdout
 
 
-@pytest.mark.parametrize("flag", [["--threads", "1"], ["--threads=1"], ["--thread", "1"]],
-                         ids=["space", "equals", "abbreviated"])
+@pytest.mark.parametrize("flag", [["--threads", "1"], ["--threads=1"], ["--thread", "1"],
+                                  ["--threads", "+1"]],
+                         ids=["space", "equals", "abbreviated", "signed"])
 def test_threads_set_before_numpy_import(flag):
     """``--threads`` after another global option still reaches BLAS: the
     environment is set before anything imports numpy."""

@@ -1,8 +1,11 @@
 """Architecture assembly: parameter counts, shapes, head wiring, ablations."""
 
+import os
+import signal
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -441,27 +444,28 @@ def test_untaped_forward_peak_memory_does_not_grow_with_the_batch():
     assert peak <= 0.2 * activation_bytes, (peak, activation_bytes)
 
 
-def delay_block(monkeypatch, first, seconds=0.5):
-    """Make the backbone block of samples ``first`` onward start ``seconds``
-    late, on whichever lane runs it. Returns the list that gets each
-    block's first sample as the block returns or raises, and the set of
+def delay_block(monkeypatch, delays):
+    """Make the backbone block of samples ``first`` onward start
+    ``delays[first]`` seconds late, for each ``first`` in ``delays``, on
+    whichever lane runs it. Returns the lists that get each block's first
+    sample as the block starts and as it returns or raises, and the set of
     the names of the threads that ran a block."""
     import efld.model as model_module
 
     block = model_module._backbone_block
-    returned, threads = [], set()
+    started, returned, threads = [], [], set()
 
     def delayed(model, images, tape, observer, start=0):
+        started.append(start)
         threads.add(threading.current_thread().name)
-        if start == first:
-            time.sleep(seconds)
+        time.sleep(delays.get(start, 0))
         try:
             return block(model, images, tape, observer, start)
         finally:
             returned.append(start)
 
     monkeypatch.setattr(model_module, "_backbone_block", delayed)
-    return returned, threads
+    return started, returned, threads
 
 
 class TestForwardLanes:
@@ -481,7 +485,7 @@ class TestForwardLanes:
     def test_first_block_ending_last_gives_the_sequential_bits(self, monkeypatch):
         model, images = self._case()
         want = model_forward(model, Tensor(images), observer=lambda site, value: None)
-        returned, threads = delay_block(monkeypatch, 0)
+        _, returned, threads = delay_block(monkeypatch, {0: 0.5})
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # the lanes trade the GIL as often as they can
         try:
@@ -499,31 +503,63 @@ class TestForwardLanes:
         fail last: the forward names the second's image, as a loop would."""
         model, images = self._case()
         images[3, 5, 7, 1] = images[4, 0, 0, 2] = np.nan
-        returned, _ = delay_block(monkeypatch, 2)
+        _, returned, _ = delay_block(monkeypatch, {2: 0.5})
         with pytest.raises(ValidationError) as info:
             model_forward(model, Tensor(images))
         assert str(info.value) == "model_forward: image 3 has a non-finite pixel"
         assert returned == [0, 4, 2]  # the third failed first; the second raised after its delay
 
-    def test_no_lane_outlives_the_forward(self, monkeypatch):
+    def test_raising_forward_returns_after_every_started_block(self, monkeypatch):
+        """The first block fails while the second sleeps on the other lane:
+        the forward raises only once the second has returned, and the third
+        either ran to its end or never started."""
         model, images = self._case()
-        _, threads = delay_block(monkeypatch, 4, seconds=0.1)
-        model_forward(model, Tensor(images))
-        assert threads and all(name.startswith("efld-lane") for name in threads)
-        assert not [t for t in threading.enumerate() if t.name.startswith("efld-lane")]
+        images[0, 0, 0, 0] = np.nan
+        started, returned, _ = delay_block(monkeypatch, {0: 0.2, 2: 0.5})
+        with pytest.raises(ValidationError, match="image 0 has"):
+            model_forward(model, Tensor(images))
+        assert 2 in started and sorted(returned) == sorted(started)
 
     def test_batch_of_one_starts_no_thread(self, monkeypatch):
+        import efld.model as model_module
+
         model, images = self._case()
-        started = []
-        start = threading.Thread.start
 
-        def recording(thread):
-            started.append(thread.name)
-            start(thread)
+        def submit(*args, **kwargs):
+            raise AssertionError("a batch of one block was sent to the lanes")
 
-        monkeypatch.setattr(threading.Thread, "start", recording)
+        monkeypatch.setattr(model_module._LANES, "submit", submit)
         model_forward(model, Tensor(images[:1]))
-        assert started == []
+
+    def test_forked_child_runs_lanes_of_its_own(self):
+        """A forked child has none of its parent's threads. After a lane
+        forward here, a child's multi-block forward runs on lanes of its own
+        and exits, where the parent's lanes would leave it waiting forever."""
+        model, images = self._case()
+        model_forward(model, Tensor(images))
+        with warnings.catch_warnings():
+            # Python 3.12 on warns of a fork in a process with threads; the
+            # child runs only this forward, which takes no lock a lane holds
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                model_forward(model, Tensor(images))
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's forward did not end within 30 s")
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_lanes_raise_on_overflow_under_the_callers_errstate(self):
         """numpy's error state is per thread; each lane runs under the

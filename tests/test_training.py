@@ -19,8 +19,8 @@ from efld.errors import ConfigError, NumericsError, UsageError, ValidationError
 from efld.config import TrainConfig
 from efld.formats import LandmarkFormat, default_registry, nme_loss
 from efld.image import stack_images
-from efld.model import (Model, _lanes, build_model, build_plan, default_config, model_forward,
-                        site_shapes)
+from efld.model import (STEP_LANES, Model, build_model, build_plan, default_config,
+                        model_forward, site_shapes)
 from efld.synthetic import generate_synthetic
 from efld.tensor import Tape, Tensor, backward_multi
 from efld.training import (
@@ -305,7 +305,7 @@ class TestTrainLoop:
         """An update that fits float32 blows up the next step's forward, in
         one micro-batch or in both. Each lane ignores numpy's overflow on
         its own thread, so no RuntimeWarning escapes (the suite turns
-        warnings into errors), and no lane outlives the call."""
+        warnings into errors)."""
         model = build_model(reduced_config(("p51",)), seed=0)
         model.micro_batch = micro_batch
         ds = generate_synthetic(4, 32, seed=3, formats=["p51"])
@@ -314,7 +314,6 @@ class TestTrainLoop:
             train(model, [ds], config)
         assert str(info.value) == ("loss became non-finite at epoch 1, step 1; "
                                    "training diverged: lower lr_max (now 1e+20)")
-        assert not [t for t in threading.enumerate() if t.name.startswith("efld-lane")]
 
     def test_first_epoch_lr_is_lr_max(self):
         ds = generate_synthetic(4, 32, seed=6, formats=["p51"])
@@ -323,29 +322,34 @@ class TestTrainLoop:
         assert log.rows[0].lr == pytest.approx(0.003)
 
 
-def delay_forward(monkeypatch, micro, seconds=0.5):
-    """Make the forward of the micro-batch ``micro`` start ``seconds`` late,
-    on whichever lane runs it. Returns the list that gets True when that
-    forward returns and False when any other does."""
-    target = stack_images([s.pixels for s in micro], "float32")
+def delay_forward(monkeypatch, delays):
+    """Make the forward of each micro-batch of ``delays``, a list of
+    (micro-batch, seconds), start that many seconds late, on whichever lane
+    runs it. Returns the lists that get, as each forward starts and as it
+    returns or raises, the index in ``delays`` of its micro-batch, or None
+    for any other."""
+    targets = [(stack_images([s.pixels for s in micro], "float32"), seconds)
+               for micro, seconds in delays]
     forward = training.model_forward
-    returned = []
+    started, ended = [], []
 
     def delayed(model, images, tape=None):
-        mine = np.array_equal(images.data, target, equal_nan=True)
-        if mine:
-            time.sleep(seconds)
-        out = forward(model, images, tape=tape)
-        returned.append(mine)
-        return out
+        mine = next((i for i, (target, _) in enumerate(targets)
+                     if np.array_equal(images.data, target, equal_nan=True)), None)
+        started.append(mine)
+        time.sleep(0 if mine is None else targets[mine][1])
+        try:
+            return forward(model, images, tape=tape)
+        finally:
+            ended.append(mine)
 
     monkeypatch.setattr(training, "model_forward", delayed)
-    return returned
+    return started, ended
 
 
 def lane_step(monkeypatch, model, batch, registry, state, lr, config):
-    """``training._train_step`` on ``batch`` with its own lanes: (total,
-    detail, the gradients AdamW was given)."""
+    """``training._train_step`` on ``batch``: (total, detail, the gradients
+    AdamW was given)."""
     applied = {}
     update = training.adamw_step
 
@@ -355,9 +359,8 @@ def lane_step(monkeypatch, model, batch, registry, state, lr, config):
 
     monkeypatch.setattr(training, "adamw_step", recorded)
     formats = [f for f in model.head_formats() if any(s.has(f) for s in batch)]
-    with _lanes() as lanes:
-        total, detail = training._train_step(model, batch, formats, registry, state, lr, config,
-                                             "test", lanes)
+    total, detail = training._train_step(model, batch, formats, registry, state, lr, config,
+                                         "test")
     return total, detail, applied
 
 
@@ -405,7 +408,7 @@ class TestLanes:
         config = TrainConfig(lr_max=0.002, weight_decay=0.01)
         want_total, want_detail, want_grads = sequential_step(
             twin, batch, registry, OptimizerState(twin), 0.002, config)
-        returned = delay_forward(monkeypatch, batch[:2])
+        _, ended = delay_forward(monkeypatch, [(batch[:2], 0.5)])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # the lanes trade the GIL as often as they can
         try:
@@ -413,7 +416,7 @@ class TestLanes:
                                              OptimizerState(model), 0.002, config)
         finally:
             sys.setswitchinterval(interval)
-        assert returned == [False, False, True]  # the first micro-batch ended last
+        assert ended == [None, None, 0]  # the first micro-batch ended last
         assert (total, detail) == (want_total, want_detail)
         assert grads.keys() == want_grads.keys()
         for name, want in want_grads.items():
@@ -428,12 +431,47 @@ class TestLanes:
         for i in (3, 4):  # image 1 of the second micro-batch, image 0 of the third
             batch[i] = Sample(batch[i].image.copy(), batch[i].annotations)
             batch[i].pixels[5, 7, 1] = np.nan
-        returned = delay_forward(monkeypatch, batch[2:4])
+        _, ended = delay_forward(monkeypatch, [(batch[2:4], 0.5)])
         with pytest.raises(ValidationError) as info:
             lane_step(monkeypatch, model, batch, registry, OptimizerState(model), 0.002,
                       TrainConfig())
         assert str(info.value) == "model_forward: image 1 has a non-finite pixel"
-        assert returned == [False]  # the third failed first; the second raised after its delay
+        assert ended == [None, None, 0]  # the third failed first; the second raised after its delay
+
+    def test_raising_step_returns_after_every_started_micro_batch(self, monkeypatch):
+        """The first micro-batch fails while the second sleeps on the other
+        lane: the step raises only once the second has returned, and the
+        third either ran to its end or never started."""
+        model, batch, registry = self._case()
+        batch[0] = Sample(batch[0].image.copy(), batch[0].annotations)
+        batch[0].pixels[5, 7, 1] = np.nan
+        started, ended = delay_forward(monkeypatch, [(batch[:2], 0.2), (batch[2:4], 0.5)])
+        with pytest.raises(ValidationError, match="image 0 has"):
+            lane_step(monkeypatch, model, batch, registry, OptimizerState(model), 0.002,
+                      TrainConfig())
+        assert 1 in started and sorted(ended, key=str) == sorted(started, key=str)
+
+
+def test_one_set_of_lanes_runs_every_forward_and_step():
+    """Many multi-block forwards and two training runs in one process all
+    run on the same ``STEP_LANES`` threads."""
+    def lanes():
+        return {t for t in threading.enumerate() if t.name.startswith("efld-lane")}
+
+    model = build_model(reduced_config(("p51",)), seed=1)
+    model._block = 1
+    images = Tensor(np.random.default_rng(0).uniform(size=(4, 32, 32, 3)).astype("float32"))
+    model_forward(model, images)
+    first = lanes()
+    assert len(first) == STEP_LANES
+    for _ in range(50):
+        model_forward(model, images)
+        assert lanes() == first
+    model.micro_batch = 1
+    ds = generate_synthetic(4, 32, seed=3, formats=["p51"])
+    for _ in range(2):
+        train(model, [ds], TrainConfig(epochs=1, batch_size=4, lr_max=0.001))
+        assert lanes() == first
 
 
 def test_training_step_peak_memory_is_bounded_by_the_plan():
