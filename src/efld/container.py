@@ -264,7 +264,7 @@ def _assemble(path, config, quantized: bool, entries: list):
         if kind in wanted and tensors[name][0] != wanted[kind]:
             raise ContainerError(f"{path}: layer {key!r} has wrong quantized dtypes")
     input_sites = layer_input_sites(config)
-    weights, weight_scales, biases, bias_scales, activations = {}, {}, {}, {}, {}
+    weights, weight_scales, biases, activations = {}, {}, {}, {}
     for name, _, kind, key in layout:
         dtype, array, scale, zero_point = tensors[name]
         if kind == "weight":
@@ -275,10 +275,10 @@ def _assemble(path, config, quantized: bool, entries: list):
             if scale != product:
                 raise ContainerError(f"{path}: tensor {name!r} has scale {scale!r}; it needs the "
                                      f"scale of {site!r} times that of {weight!r}, {product!r}")
-            biases[key], bias_scales[key] = array, scale
+            biases[key] = array
         elif dtype != np.int8:
             raise ContainerError(f"{path}: tensor {name!r} has dtype {dtype}; a site entry "
                                  f"needs int8")
         else:
             activations[key] = QuantParams(scale, zero_point)
-    return QuantizedModel(config, weights, weight_scales, biases, bias_scales, activations)
+    return QuantizedModel(config, weights, weight_scales, biases, activations)

@@ -52,7 +52,8 @@ class CorruptionError(ContainerError):
 
 
 class CalibrationError(EfldError):
-    """Quantization calibration does not cover every activation site."""
+    """Quantization calibration does not cover every activation site, or
+    measured a range that is not finite."""
 
 
 class NumericsError(EfldError):

@@ -33,12 +33,13 @@ at a time on the process's one set of threads (the lanes): their kernels are
 large numpy calls that release the GIL. Only the (B, decoder_dim) feature
 rows of the blocks are joined, in block order whichever lane ends first, and
 the heads run once on the whole batch on the calling thread. A batch of one
-block submits nothing to the lanes, and with an ``observer`` (calibration)
-the blocks run one after another on the calling thread. The backbone's
-kernels treat every sample on its own, so the outputs are bit-identical to
-a whole-batch forward. A stage whose input is the batch's images copies
-them into their zero border itself, so only the stage holds that copy and
-it dies after its last reader. A taped forward runs each stage on the whole
+block submits nothing to the lanes. An ``observer`` (calibration) runs on
+the lanes with the blocks, so it may be called from two lanes at once and
+sees the blocks in any order. The backbone's kernels treat every sample on
+its own, so the outputs are bit-identical to a whole-batch forward. A stage
+whose input is the batch's images copies them into their zero border
+itself, so only the stage holds that copy and it dies after its last
+reader. A taped forward runs each stage on the whole
 batch it is given: blocks made it no faster, and the tape keeps every value
 until the backward anyway. Training bounds that memory instead by handing
 it micro-batches, ``STEP_LANES`` at a time through ``on_lanes``
@@ -641,14 +642,14 @@ def head_forward(model: Model, fmt: str, v: Tensor, tape: Tape | None = None,
 def backbone_forward(model: Model, images: Tensor, tape: Tape | None = None,
                      observer=None) -> Tensor:
     """The (B, decoder_dim) feature vectors of ``images``. Without a tape the
-    backbone and decoder run block by block of samples: on the lanes
-    (``on_lanes``), so no block outlives the call, and one after another on
-    the calling thread when ``observer`` is given, which then sees each of
-    their sites once per block, in block order. A batch of one block runs
-    on the calling thread. The rows are joined in block order, and the
-    first block that fails raises its error. With a tape the backbone and
-    decoder run on the whole batch at once. The outputs are the same
-    bits."""
+    backbone and decoder run block by block of samples on the lanes
+    (``on_lanes``), so no block outlives the call; ``observer``, when given,
+    runs there with them: it may be called from two lanes at once, and it
+    sees each of their sites once per block, the blocks in any order. A
+    batch of one block runs on the calling thread. The rows are joined in
+    block order, and the first block that fails raises its error. With a
+    tape the backbone and decoder run on the whole batch at once, on the
+    calling thread. The outputs are the same bits."""
     s = model.config.input_size
     if images.data.ndim != 4 or images.shape[1:] != (s, s, INPUT_CHANNELS) \
             or not images.shape[0]:
@@ -662,9 +663,7 @@ def backbone_forward(model: Model, images: Tensor, tape: Tape | None = None,
         return _backbone_block(model, Tensor(images.data[start : start + block]), None,
                                observer, start).data
 
-    starts = range(0, len(images.data), block)
-    # with an observer (calibration), the blocks in order on this thread
-    rows = map(block_rows, starts) if observer is not None else on_lanes(block_rows, starts)
+    rows = on_lanes(block_rows, range(0, len(images.data), block))
     return Tensor(np.concatenate(list(rows)))
 
 
@@ -691,10 +690,11 @@ def model_forward(model: Model, images: Tensor, tape: Tape | None = None,
     block without a tape, see ``backbone_forward``); every head of the model
     runs once on the whole batch of them (``Model.with_heads`` picks a
     subset). ``observer(site, value)``, when given, sees the value of every
-    site the forward computes: a backbone site once per block of samples, a
-    head site once per batch. Returns {format: predictions (B, 2K)}, in the
-    model's head order. Raises ``ValidationError`` naming the first image
-    with a NaN or infinite pixel."""
+    site the forward computes: a backbone site once per block of samples,
+    in any block order and maybe from two lanes at once, a head site once
+    per batch on the calling thread. Returns {format: predictions (B, 2K)},
+    in the model's head order. Raises ``ValidationError`` naming the first
+    image with a NaN or infinite pixel."""
     v = backbone_forward(model, images, tape=tape, observer=observer)
     return {fmt: head_forward(model, fmt, v, tape=tape, observer=observer)
             for fmt in model.head_formats()}

@@ -55,6 +55,8 @@ through one table, its ReLU's table followed by the operand's.
 from __future__ import annotations
 
 import logging
+import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -144,29 +146,36 @@ def calibrate(model: Model, dataset, batch_size: int = 32) -> dict:
     per-site min/max and deriving asymmetric int8 params. Sites after ReLU
     get their min clamped to 0 so exact zero stays representable. The
     dataset is read once, one batch at a time, each sample through its
-    ``pixels`` as ``data.Sample`` holds them; the forward reports each
-    backbone site once per block of samples, and min and max merge over the
-    blocks into the range of the whole batch."""
-    ranges = {}
+    ``pixels`` as ``data.Sample`` holds them. The forward reports each
+    backbone site once per block of samples, from the lanes in any block
+    order: a block's min and max merge under a lock into the range of the
+    batch, with a NaN kept whichever block saw it, so the ranges of finite
+    values do not depend on the order. Raises ``CalibrationError`` naming
+    the first site, in plan order, whose range is not finite."""
+    ranges, lock = {}, threading.Lock()
 
     def observer(site, value):
         lo, hi = float(value.min()), float(value.max())
-        if site in ranges:
-            old_lo, old_hi = ranges[site]
-            ranges[site] = (min(old_lo, lo), max(old_hi, hi))
-        else:
-            ranges[site] = (lo, hi)
+        with lock:
+            old_lo, old_hi = ranges.get(site, (lo, hi))
+            ranges[site] = (np.minimum(old_lo, lo), np.maximum(old_hi, hi))
 
     samples = iter(dataset)
-    while chunk := list(islice(samples, batch_size)):
-        crops = stack_images([s.pixels for s in chunk], model.dtype)
-        model_forward(model, Tensor(crops), tape=None, observer=observer)
+    # a forward that overflows shows in the ranges, and is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        while chunk := list(islice(samples, batch_size)):
+            crops = stack_images([s.pixels for s in chunk], model.dtype)
+            model_forward(model, Tensor(crops), tape=None, observer=observer)
     if not ranges:
         raise UsageError("calibrate requires a nonempty dataset")
 
     relu_sites = {step.output for step in build_plan(model.config) if step.op == "relu"}
     params = {}
-    for site, (lo, hi) in ranges.items():
+    for site in plan_sites(model.config):
+        lo, hi = map(float, ranges[site])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise CalibrationError(f"site {site!r} has calibration range [{lo}, {hi}], "
+                                   f"which is not finite")
         if site in relu_sites:
             lo = 0.0
         params[site] = params_from_range(lo, hi, site)
@@ -178,14 +187,22 @@ class QuantizedModel:
     the float reference config. Immutable; concurrent forwards are safe."""
 
     def __init__(self, config: ModelConfig, weights: dict, weight_scales: dict,
-                 biases: dict, bias_scales: dict, activations: dict):
+                 biases: dict, activations: dict):
         self.config = config
         self.weights = weights
         self.weight_scales = weight_scales
         self.biases = biases
-        self.bias_scales = bias_scales
         self.activations = activations
         self.plan = build_plan(config)
+
+    @cached_property
+    def bias_scales(self) -> dict:
+        """Each layer's int32 bias scale: its input site's scale times its
+        weight's, the float64 product that ``quantize_model`` quantizes the
+        bias with."""
+        sites = layer_input_sites(self.config)
+        return {name: self.activations[sites[name]].scale * w_scale
+                for name, w_scale in self.weight_scales.items()}
 
     @property
     def dtype(self) -> str:
@@ -207,7 +224,7 @@ class QuantizedModel:
         config = self.config.with_heads(formats)
         layers = [spec.name for spec in iter_layers(config)]
         tables = [{name: table[name] for name in layers}
-                  for table in (self.weights, self.weight_scales, self.biases, self.bias_scales)]
+                  for table in (self.weights, self.weight_scales, self.biases)]
         return QuantizedModel(config, *tables,
                               {site: self.activations[site] for site in plan_sites(config)})
 
@@ -227,7 +244,7 @@ def quantize_model(model: Model, activations: dict) -> QuantizedModel:
         if site not in activations:
             raise CalibrationError(f"calibration does not cover site {site!r}")
     in_sites = layer_input_sites(config)
-    weights, weight_scales, biases, bias_scales = {}, {}, {}, {}
+    weights, weight_scales, biases = {}, {}, {}
     for spec in iter_layers(config):
         w = model.params[spec.name + ".w"].data.astype(np.float64)
         b = model.params[spec.name + ".b"].data.astype(np.float64)
@@ -246,8 +263,7 @@ def quantize_model(model: Model, activations: dict) -> QuantizedModel:
         weights[spec.name] = q_w
         weight_scales[spec.name] = w_scale
         biases[spec.name] = q_b
-        bias_scales[spec.name] = b_scale
-    return QuantizedModel(config, weights, weight_scales, biases, bias_scales, dict(activations))
+    return QuantizedModel(config, weights, weight_scales, biases, dict(activations))
 
 
 def _requant(values, in_qp: QuantParams, out_qp: QuantParams) -> np.ndarray:
@@ -451,7 +467,7 @@ def _compile_layer(qmodel: QuantizedModel, group, outputs) -> _Layer:
         params = LayerParams(layer.spec.kind, Tensor(w.astype(dtype)),
                              Tensor(np.zeros(w.shape[-1], dtype)))
         bias = qmodel.biases[name].astype(np.float64)
-        multiplier = in_qp.scale * qmodel.weight_scales[name]
+        multiplier = qmodel.bias_scales[name]
         if not head:
             multiplier /= out_qp.scale
         site = (relu or layer).output

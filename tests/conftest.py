@@ -1,12 +1,15 @@
 """Shared test oracles: naive loop-reference layers, an int64 interpreter of
 the int8 plan built on them, a whole-image bilinear resize, and finite
-differences; plus a container byte-patcher.
+differences; plus a container byte-patcher and a probe that delays blocks
+of the untaped forward on the lanes.
 
 These stay deliberately independent of the library's vectorized kernels so
 they can serve as ground truth for them.
 """
 
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -227,6 +230,30 @@ def reduced_config(formats=("p51",), input_size=32, decoder_dim=128, width=16):
         decoder_dim=decoder_dim,
         heads=tuple(HeadConfig(f, points[f], 3, width) for f in formats),
     )
+
+
+def delay_block(monkeypatch, delays):
+    """Make the backbone block of samples ``first`` onward start
+    ``delays[first]`` seconds late, for each ``first`` in ``delays``, on
+    whichever lane runs it. Returns the lists that get each block's first
+    sample as the block starts and as it returns or raises, and the set of
+    the names of the threads that ran a block."""
+    import efld.model as model_module
+
+    block = model_module._backbone_block
+    started, returned, threads = [], [], set()
+
+    def delayed(model, images, tape, observer, start=0):
+        started.append(start)
+        threads.add(threading.current_thread().name)
+        time.sleep(delays.get(start, 0))
+        try:
+            return block(model, images, tape, observer, start)
+        finally:
+            returned.append(start)
+
+    monkeypatch.setattr(model_module, "_backbone_block", delayed)
+    return started, returned, threads
 
 
 @pytest.fixture

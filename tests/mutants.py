@@ -261,7 +261,7 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
            "            pending.remove(first)\n"
            "            yield first.result()",
            ("tests/test_model.py::TestForwardLanes"
-            "::test_first_block_ending_last_gives_the_sequential_bits",
+            "::test_first_block_ending_last_gives_the_whole_batch_bits",
             "tests/test_model.py::TestForwardLanes"
             "::test_nan_pixel_raises_the_first_failing_blocks_error")),
     # model: a caller that stops reading on_lanes's results joins what it started
@@ -290,6 +290,25 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
            "    if tape is not None or len(images.data) <= block:",
            "    if tape is not None:",
            ("tests/test_model.py::TestForwardLanes::test_batch_of_one_starts_no_thread",)),
+    # model: an observer (calibration) runs on the lanes with the blocks
+    Mutant("observed-blocks-in-order-on-the-caller", "src/efld/model.py",
+           "    rows = on_lanes(block_rows, range(0, len(images.data), block))",
+           "    starts = range(0, len(images.data), block)\n"
+           "    rows = map(block_rows, starts) if observer is not None "
+           "else on_lanes(block_rows, starts)",
+           ("tests/test_quantize.py::TestCalibrate"
+            "::test_observer_runs_on_the_lanes_in_any_block_order",)),
+    # quantize: calibration merges the blocks' ranges keeping any NaN, and
+    # rejects a range that is not finite
+    Mutant("calibration-merge-drops-nan", "src/efld/quantize.py",
+           "ranges[site] = (np.minimum(old_lo, lo), np.maximum(old_hi, hi))",
+           "ranges[site] = (min(old_lo, lo), max(old_hi, hi))",
+           ("tests/test_quantize.py::TestCalibrate::test_nan_in_a_later_block_is_not_dropped",)),
+    Mutant("calibration-range-not-checked", "src/efld/quantize.py",
+           "        if not (math.isfinite(lo) and math.isfinite(hi)):",
+           "        if False:",
+           ("tests/test_quantize.py::TestCalibrate::test_non_finite_range_names_the_first_site",
+            "tests/test_cli.py::test_quantize_of_an_overflowing_model_names_the_site")),
     # model: the process has one set of lanes, and a forked child a set of its own
     Mutant("lanes-built-per-call", "src/efld/model.py",
            "    submitted = (_LANES.submit(run, item) for item in items)",

@@ -723,6 +723,30 @@ def test_diverging_training_names_the_setting_to_lower(tmp_path, capsys):
         "training diverged: lower lr_max (now 1e+300)")
 
 
+def test_quantize_of_an_overflowing_model_names_the_site(tmp_path, capsys):
+    """Weights scaled by 1e6 overflow the float32 calibration forward. The
+    quantize run stops with exit 3 naming the first site whose range is not
+    finite, with no traceback and no numpy warning, and writes no model."""
+    from efld.container import save
+    from efld.model import Model, build_model
+    from efld.tensor import Tensor
+
+    config = reduced_config(("p51",))
+    model = build_model(config, seed=1)
+    path, data, out = tmp_path / "m.efld", tmp_path / "d32", tmp_path / "q.efld"
+    save(Model(config, {name: Tensor(t.data * np.float32(1e6))
+                        for name, t in model.params.items()}, model.dtype), path)
+    assert run(["synth", "--count", "3", "--size", "32", "--seed", "1", "--formats", "p51",
+                "--out", str(data)]) == 0
+    capsys.readouterr()
+    code = run(["quantize", "--model", str(path), "--calib", str(data), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3 and not out.exists()
+    assert "Traceback" not in err and "Warning" not in err
+    assert re.fullmatch(r"internal error: site '[\w.]+' has calibration range \[\S+, \S+\], "
+                        r"which is not finite", err.splitlines()[-1])
+
+
 @pytest.mark.parametrize("lr_max", ["1e5", "1e10", "1e30"])
 def test_diverging_forward_prints_no_numpy_warning(tmp_path, capsys, lr_max):
     """An update that stays finite in float32 makes the next forward overflow.

@@ -124,11 +124,11 @@ def _forward(model, images) -> dict:
 
 
 def _tensors(model) -> list:
-    """(name, object) of every tensor, scale and site parameter the model holds."""
+    """(name, object) of every tensor, scale and site parameter the model holds
+    (an int8 model derives its bias scales from these)."""
     if isinstance(model, Model):
         return list(model.params.items())
-    tables = {"w": model.weights, "w.scale": model.weight_scales, "b": model.biases,
-              "b.scale": model.bias_scales}
+    tables = {"w": model.weights, "w.scale": model.weight_scales, "b": model.biases}
     held = [(f"{layer}.{part}", value) for part, table in tables.items()
             for layer, value in table.items()]
     return held + [(f"site:{site}", qp) for site, qp in model.activations.items()]

@@ -1,5 +1,7 @@
 """Quantization arithmetic, calibration, and the integer inference path."""
 
+import sys
+import threading
 import weakref
 from dataclasses import replace
 
@@ -12,6 +14,7 @@ from efld.model import (
     VARIANTS,
     EosaConfig,
     LayerSpec,
+    Model,
     apply_variant,
     build_model,
     default_config,
@@ -37,7 +40,7 @@ from efld.quantize import (
 from efld.synthetic import generate_synthetic
 from efld.tensor import Tape, Tensor
 
-from conftest import integer_oracle, reduced_config, ref_conv2d
+from conftest import delay_block, integer_oracle, reduced_config, ref_conv2d
 
 
 class TestQuantizeValue:
@@ -167,11 +170,12 @@ class TestCalibrate:
         config = default_config(("p51", "p68"))
         model = build_model(config, seed=6)
         dataset = generate_synthetic(2 * model._block + 1, 128, seed=3, formats=[])
-        seen = {}
+        seen, lock = {}, threading.Lock()
 
         def observer(site, value):
-            seen[site] = seen.get(site, 0) + 1
-            ranges[site] = (float(value.min()), float(value.max()))
+            with lock:  # the blocks' calls come from two lanes
+                seen[site] = seen.get(site, 0) + 1
+                ranges[site] = (float(value.min()), float(value.max()))
 
         ranges = {}
         images = np.stack([s.image for s in dataset]).astype("float32")
@@ -184,6 +188,103 @@ class TestCalibrate:
         model_forward(model, Tensor(images), observer=observer)
         assert seen["input"] == seen["decoder.out"] == 3 and seen["head.p51.out"] == 1
         assert calibrate(model, dataset, batch_size=len(images)) == want
+
+    def test_observer_runs_on_the_lanes_in_any_block_order(self, monkeypatch):
+        """A batch of three blocks, the first made to end last, with the
+        lanes trading the GIL as often as they can: the observer runs on the
+        lanes, and the params are those of the whole-batch (taped) ranges."""
+        config = reduced_config(("p51", "p68"))
+        model = build_model(config, seed=6)
+        model._block = 2  # a batch of 5 runs as blocks of 2, 2 and 1
+        dataset = generate_synthetic(5, 32, seed=3, formats=[])
+        ranges = {}
+        images = np.stack([s.image for s in dataset]).astype("float32")
+        model_forward(model, Tensor(images), tape=Tape(),
+                      observer=lambda site, value: ranges.setdefault(
+                          site, (float(value.min()), float(value.max()))))
+        relu_sites = {step.output for step in build_plan(config) if step.op == "relu"}
+        want = {site: params_from_range(0.0 if site in relu_sites else lo, hi, site)
+                for site, (lo, hi) in ranges.items()}
+        threads = set()
+        forward = quantize_module.model_forward
+
+        def watched(model, images, tape=None, observer=None):
+            def recording(site, value):
+                threads.add((site, threading.current_thread().name))
+                observer(site, value)
+            return forward(model, images, tape, recording)
+
+        monkeypatch.setattr(quantize_module, "model_forward", watched)
+        _, returned, _ = delay_block(monkeypatch, {0: 0.3})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = calibrate(model, dataset, batch_size=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert returned == [2, 4, 0]  # the first block ended last
+        assert got == want and list(got) == plan_sites(config)
+        lanes = {name for site, name in threads if not site.startswith("head.")}
+        assert lanes and all(name.startswith("efld-lane") for name in lanes)
+        assert {name for site, name in threads if site.startswith("head.")} == {
+            threading.current_thread().name}
+
+    @pytest.mark.parametrize("batch_size", [1, 2], ids=["later-batch", "later-block"])
+    def test_nan_in_a_later_block_is_not_dropped(self, monkeypatch, batch_size):
+        """The taps of ``eosa1.extra.dw`` alternate between 2 and -2, so the
+        second crop's pixels of 3e38 give it +inf and -inf products, and
+        NaN sums, which the first crop's range must not hide: as a later
+        batch, and as a later block on the lanes that ends last."""
+        from efld.data import Sample
+
+        config = reduced_config(("p51",))
+        config = replace(config, eosa=(replace(config.eosa[0], extra_conv="depthwise-separable"),
+                                       *config.eosa[1:]))
+        model = build_model(config, seed=6)
+        taps = model.params["eosa1.extra.dw.w"].data
+        taps[:] = np.where(np.arange(taps.size).reshape(taps.shape) % 2, -2, 2)
+        model._block = 1
+        fine = generate_synthetic(1, 32, seed=3, formats=[]).samples[0]
+        samples = [fine, Sample(np.full((32, 32, 3), 3e38), {})]
+        delay_block(monkeypatch, {1: 0.3})
+        with pytest.raises(CalibrationError) as info:
+            calibrate(model, samples, batch_size=batch_size)
+        assert str(info.value) == (
+            "site 'eosa1.extra.dw.out' has calibration range [nan, nan], which is not finite")
+
+    @pytest.mark.parametrize("case", ["weights-1e6", "head-out-inf"])
+    def test_non_finite_range_names_the_first_site(self, case):
+        """Weights scaled by 1e6 overflow float32 deep in the backbone; an
+        infinite bias drives ``head.p51.out`` to +inf. Either way the error
+        names the first site, in plan order, whose range is not finite, with
+        that range, and no numpy warning is raised on the way (the suite
+        turns warnings into errors)."""
+        config = reduced_config(("p51", "p68"))
+        model = build_model(config, seed=2)
+        if case == "weights-1e6":
+            model = Model(config, {name: Tensor(t.data * np.float32(1e6))
+                                   for name, t in model.params.items()}, model.dtype)
+        else:
+            model.params["head.p51.out.b"].data[:] = np.inf
+        dataset = generate_synthetic(5, 32, seed=21, formats=[])
+        ranges = {}
+
+        def observer(site, value):
+            lo, hi = ranges.get(site, (np.inf, -np.inf))
+            ranges[site] = (np.minimum(lo, value.min()), np.maximum(hi, value.max()))
+
+        images = np.stack([s.image for s in dataset]).astype("float32")
+        with np.errstate(all="ignore"):
+            model_forward(model, Tensor(images), tape=Tape(), observer=observer)
+        site, (lo, hi) = next((site, ranges[site]) for site in plan_sites(config)
+                              if not np.isfinite(ranges[site]).all())
+        if case == "head-out-inf":
+            assert (site, hi) == ("head.p51.out", np.inf)
+        with pytest.raises(CalibrationError) as info:
+            calibrate(model, dataset)
+        assert str(info.value) == (
+            f"site {site!r} has calibration range [{float(lo)}, {float(hi)}], "
+            f"which is not finite")
 
     def test_empty_dataset_rejected(self, small_setup):
         _, model, _, _, _ = small_setup
@@ -489,7 +590,7 @@ class TestIntegerOracle:
         activations = dict(base.activations)
         activations[in_site] = QuantParams(activations[in_site].scale, zero_point)
         qmodel = QuantizedModel(config, {**base.weights, layer: w}, base.weight_scales,
-                                {**base.biases, layer: b}, base.bias_scales, activations)
+                                {**base.biases, layer: b}, activations)
         x = np.full((2, 5, 5, cin), q, dtype=np.int8)
         sums = ref_conv2d(x.astype(np.int64) - zero_point, w.astype(np.int64),
                           np.zeros(cout, np.int64), step.spec.stride, step.spec.padding)
