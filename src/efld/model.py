@@ -63,9 +63,14 @@ gradient would sum in another order.
 The int8 path in ``quantize`` compiles the plan once per model into fused
 steps, each layer with its ReLU and its writes into concat buffers, and runs
 them through ``run_plan`` too, each group of ``sibling_convs`` as one step
-on one receptive-field copy. Its spatial layers call the kernel bodies of
-the float convolutions one block of samples at a time, layer by layer (run
-depth-first, the int8 forward was slower), and its linears and
+on one receptive-field copy. Like the untaped float forward, it runs the
+backbone and decoder on the lanes, through ``rows_on_lanes``: the batch in
+``STEP_LANES`` chunks of ceil(B / ``STEP_LANES``) samples, one per lane (a
+batch of one sample on the calling thread), the rows joined in batch order
+and the heads run once on the whole batch on the calling thread. Within a
+chunk its spatial layers call the kernel bodies of the float convolutions
+one block of samples at a time, layer by layer (run depth-first, the int8
+forward was slower), and its linears and
 ``decoder.dw`` call ``_apply``, so it accumulates integers through these
 float kernels. Those sums are exact: a layer with fan-in K (kh*kw*cin,
 kh*kw for depthwise, the input width for linear) sums K products of
@@ -426,6 +431,18 @@ def on_lanes(fn, items) -> Iterator:
         wait(pending)
 
 
+def rows_on_lanes(fn, count: int, size: int) -> np.ndarray:
+    """The rows ``fn(start)`` of samples ``start`` to ``start + size`` of a
+    batch of ``count``, for each ``start`` = 0, ``size``, 2 * ``size``, ...,
+    joined in batch order. A batch of one piece runs on the calling thread;
+    more run through ``on_lanes``, and the first piece in batch order that
+    fails raises its error."""
+    starts = range(0, count, size)
+    if len(starts) == 1:
+        return fn(0)
+    return np.concatenate(list(on_lanes(fn, starts)))
+
+
 def micro_batch_samples(shapes: dict) -> int:
     """Samples per micro-batch of a training step: ``_STEP_ELEMENTS``, split
     between the ``STEP_LANES`` micro-batches in flight, over the elements
@@ -643,10 +660,10 @@ def backbone_forward(model: Model, images: Tensor, tape: Tape | None = None,
                      observer=None) -> Tensor:
     """The (B, decoder_dim) feature vectors of ``images``. Without a tape the
     backbone and decoder run block by block of samples on the lanes
-    (``on_lanes``), so no block outlives the call; ``observer``, when given,
-    runs there with them: it may be called from two lanes at once, and it
-    sees each of their sites once per block, the blocks in any order. A
-    batch of one block runs on the calling thread. The rows are joined in
+    (``rows_on_lanes``), so no block outlives the call; ``observer``, when
+    given, runs there with them: it may be called from two lanes at once,
+    and it sees each of their sites once per block, the blocks in any order.
+    A batch of one block runs on the calling thread. The rows are joined in
     block order, and the first block that fails raises its error. With a
     tape the backbone and decoder run on the whole batch at once, on the
     calling thread. The outputs are the same bits."""
@@ -655,16 +672,15 @@ def backbone_forward(model: Model, images: Tensor, tape: Tape | None = None,
             or not images.shape[0]:
         raise ShapeError("model_forward", f"expected images of shape (B, {s}, {s}, "
                          f"{INPUT_CHANNELS}) with B >= 1, got {tuple(images.shape)}")
-    block = model._block
-    if tape is not None or len(images.data) <= block:
+    if tape is not None:
         return _backbone_block(model, images, tape, observer)
+    block = model._block
 
     def block_rows(start):
         return _backbone_block(model, Tensor(images.data[start : start + block]), None,
                                observer, start).data
 
-    rows = on_lanes(block_rows, range(0, len(images.data), block))
-    return Tensor(np.concatenate(list(rows)))
+    return Tensor(rows_on_lanes(block_rows, len(images.data), block))
 
 
 def _backbone_block(model: Model, images: Tensor, tape: Tape | None, observer,

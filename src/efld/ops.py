@@ -39,10 +39,11 @@ at a time. Every op forms an input gradient only when the backward's
 ``Gradients`` wants it (see ``tensor.Tape``). The GEMMs sum float32 inputs
 in float32 and float64 inputs in float64, never in a narrower type; the
 int8 path relies on it for exact integer sums (see ``quantize``). The
-forward kernel bodies, the per-sample GEMM loop ``_conv_gemm``, the
-depthwise tap loop ``_depthwise_taps`` and the row-wise bias add
-``_add_bias``, are also the int8 path's kernels, which it runs on its own
-zero-bordered blocks of samples.
+forward kernel bodies, the per-sample GEMM loop ``_conv_gemm`` and the
+depthwise tap loop ``_depthwise_taps``, are also the int8 path's kernels,
+which it runs on its own zero-bordered blocks of samples (it adds its
+float64 bias along output rows itself, in the same pass that widens the
+accumulator to float64).
 
 Every conventional convolution runs through one body: ``sibling_conv2d``
 runs convolutions that share an input and a kernel size (the model's

@@ -12,18 +12,28 @@ point) or a concat operand; a head's final accumulator is multiplied by
 input_scale * weight_scale and returned as reals.
 
 The integer path compiles the model's execution plan (``build_plan``) once
-per model, on its first forward, and runs it through the float path's
-interpreter, ``model.run_plan``. Each layer step takes in the ReLU step that
-alone reads its output. A spatial convolution (every conv and depthwise layer
-but the flattened ``decoder.dw``) runs one block of samples at a time, one
-sample for the large layers, so that its scratch stays in cache: it writes
-q - zero_point into the interior of a zero-bordered float scratch, which the
-kernel body of the float op (``ops._conv_gemm`` or ``ops._depthwise_taps``)
-reads as its padded input; it then adds the int32 bias in float64 along
-whole output rows, through the float ops' ``ops._add_bias``, requantizes to
-int8, maps the result through the ReLU's table, and writes each concat
-operand through that operand's table straight into its channel slice of the
-concat buffer, so that the concat step only hands the buffer on.
+per model, on its first forward, into backbone steps and head steps, and
+runs each through the float path's interpreter, ``model.run_plan``. The
+batch is split into at most ``model.STEP_LANES`` chunks of
+ceil(B / STEP_LANES) samples; each chunk runs from the quantization of its
+images to ``decoder.out`` on one of the lanes (``model.rows_on_lanes``), in
+buffers of its own, and the heads then run once on the joined rows, on the
+calling thread. A batch of one sample is one chunk, on the calling thread.
+Each layer step takes in the ReLU step that alone reads its output. A spatial
+convolution (every conv and depthwise layer but the flattened
+``decoder.dw``) runs one block of samples at a time (up to
+``_BLOCK_ELEMENTS`` = 2**16 input or output elements; one sample for the
+large layers), so that its scratch stays in cache: it writes q - zero_point
+into the interior of a zero-bordered float scratch, which the kernel body of
+the float op (``ops._conv_gemm`` or ``ops._depthwise_taps``) reads as its
+padded input; it then forms the float64 accumulator in one pass, the
+kernel's output plus the int32 bias repeated along a whole output row (built
+once per layer), and requantizes it in place, with the rounding's
+copysign(0.5, x) written into the kernel's output buffer, free by then: 14
+bytes of scratch per output element. It maps the int8 result through the
+ReLU's table, and writes each concat operand through that operand's table
+straight into its channel slice of the concat buffer, so that the concat
+step only hands the buffer on.
 A group of ``sibling_convs`` (``eosa1.extra`` with ``eosa1.osa.l0`` in the
 stock model) is one such step: one scratch, one receptive-field copy per
 sample and one ``_conv_gemm`` call, in which each layer has its own GEMM, so
@@ -33,10 +43,12 @@ rows and read back through strided channel slices, made batch 1 slower).
 The step of a later layer of the group hands on the int8 value that the
 group's step left in the call's buffers.
 The input is quantized one sample at a time too, and an image with a NaN or
-infinite pixel is rejected. The heads' linears and ``decoder.dw`` accumulate
-the whole batch through the float path's step, ``model._apply``, and share
-the requantization. Every buffer belongs to one call, so concurrent forwards
-are safe.
+infinite pixel is rejected, named by its index in the batch. The heads'
+linears and ``decoder.dw`` accumulate the whole chunk, or the whole batch,
+through the float path's step, ``model._apply``, and share the
+requantization. Every buffer belongs to one chunk or one call, so concurrent
+forwards are safe. Every layer's integer sum is exact (below), so no split
+of the batch into chunks or blocks changes a bit of the outputs.
 
 A layer with fan-in K (kh*kw*cin for a convolution, kh*kw for a depthwise
 convolution, the input width for a linear) accumulates in float32 when
@@ -66,9 +78,10 @@ import numpy as np
 
 from .errors import CalibrationError, ShapeError, UsageError, ValidationError
 from .image import stack_images
-from .model import (LayerSpec, Model, ModelConfig, PlanStep, _apply, build_plan, iter_layers,
-                    last_reads, model_forward, run_plan, sibling_convs)
-from .ops import _add_bias, _conv_gemm, _depthwise_taps, _out_and_pad, _receptive_fields
+from .model import (STEP_LANES, LayerSpec, Model, ModelConfig, PlanStep, _apply, build_plan,
+                    iter_layers, last_reads, model_forward, rows_on_lanes, run_plan,
+                    sibling_convs)
+from .ops import _conv_gemm, _depthwise_taps, _out_and_pad, _receptive_fields
 from .tensor import LayerParams, Tensor
 
 log = logging.getLogger(__name__)
@@ -80,19 +93,24 @@ INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
 _CODES = np.arange(256, dtype=np.uint8).view(np.int8)
 
 
-def _round_half_away(x, out=None):
-    """trunc(x + copysign(0.5, x)) in float64, in one scratch buffer: ``out``
-    when given, else a fresh one."""
+def _round_half_away(x, out=None, half=None):
+    """trunc(x + copysign(0.5, x)) in float64, written to ``out`` when given,
+    else to a fresh buffer. copysign(0.5, x) goes to ``half`` when given,
+    else to ``out``: ``half`` may be a buffer of any float dtype shaped like
+    ``x``, since each holds ±0.5 exactly, and then ``out`` may be ``x``."""
     x = np.asarray(x, dtype=np.float64)
-    r = np.copysign(0.5, x, out=np.empty_like(x) if out is None else out)
-    np.add(x, r, out=r)
-    return np.trunc(r, out=r)
+    out = np.empty_like(x) if out is None else out
+    halves = np.copysign(0.5, x, out=out if half is None else half)
+    np.add(x, halves, out=out)
+    return np.trunc(out, out=out)
 
 
-def _to_int8(x, zero_point: int, out=None, scratch=None) -> np.ndarray:
+def _to_int8(x, zero_point: int, out=None, half=None) -> np.ndarray:
     """clamp(round_half_away(x) + zero_point, -128, 127) as int8, written to
-    ``out`` when given; ``scratch`` is the float64 buffer of the rounding."""
-    q = _round_half_away(x, scratch)
+    ``out`` when given. Given ``half`` (see ``_round_half_away``), the float64
+    ``x`` is rounded in place, so the caller must own it; else it is rounded
+    in a fresh buffer."""
+    q = _round_half_away(x, None if half is None else x, half)
     q += zero_point
     np.clip(q, QMIN, QMAX, out=q)
     if out is None:
@@ -278,7 +296,7 @@ def _relu_table(in_qp: QuantParams, out_qp: QuantParams) -> np.ndarray:
 # A blocked layer takes as many samples at a time as keep its block's input
 # and output at most this many elements each (one sample when a sample alone
 # holds more), so that the block's float scratch stays in cache.
-_BLOCK_ELEMENTS = 1 << 15
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class _Output(NamedTuple):
@@ -286,7 +304,7 @@ class _Output(NamedTuple):
     and where its int8 codes go."""
 
     params: LayerParams  # int8 weights cast to the accumulator dtype, zero bias
-    bias: np.ndarray  # the int32 bias in float64
+    bias: np.ndarray  # the int32 bias in float64, along one output row if blocked
     multiplier: float  # see the module docstring
     zero_point: int  # of the layer's output site; unused for a head output
     site: str  # the fused ReLU's site, else the layer's
@@ -296,13 +314,12 @@ class _Output(NamedTuple):
 
     def allocate(self, batch: int, acc, buffers: dict) -> tuple:
         """This call's int8 value (None unless ``keep``), its concat slices,
-        and the scratch of a block shaped like ``acc``."""
+        and the int8 scratch of a block shaped like ``acc``."""
         shape = (batch,) + acc.shape[1:]
         out = np.empty(shape, np.int8) if self.keep else None
         dests = [_concat_buffer(buffers, site, shape[:-1] + (channels,))[..., lo : lo + shape[-1]]
                  for site, channels, lo, _ in self.writes]
-        return out, dests, (np.empty_like(acc), np.empty(acc.shape, np.int8),
-                            np.empty(acc.shape, np.int8))
+        return out, dests, (np.empty(acc.shape, np.int8), np.empty(acc.shape, np.int8))
 
 
 class _Layer(NamedTuple):
@@ -332,7 +349,7 @@ class _Layer(NamedTuple):
         ``buffers`` under its site, for its own step to hand on. ``buffers``
         holds this call's concat buffers and group values by site."""
         (q,) = operands
-        for rows, accs in _accumulate(self, q):
+        for rows, accs, spares in _accumulate(self, q):
             if self.head:
                 (acc,) = accs
                 acc *= self.outputs[0].multiplier
@@ -340,11 +357,13 @@ class _Layer(NamedTuple):
             if rows.start == 0:  # the first block sizes this call's buffers
                 targets = [o.allocate(len(q), acc, buffers) for o, acc in zip(self.outputs, accs)]
             n = len(accs[0])
-            for o, acc, (out, dests, (spare, code, mapped)) in zip(self.outputs, accs, targets):
-                # Requantize the block, then map it through the ReLU table and
-                # through each concat's table into its slice, while it is in cache.
+            for o, acc, spare, (out, dests, (code, mapped)) in zip(self.outputs, accs, spares,
+                                                                   targets):
+                # Requantize the block in place, then map it through the ReLU
+                # table and through each concat's table into its slice, while
+                # it is in cache.
                 acc *= o.multiplier
-                codes = _to_int8(acc, o.zero_point, out=code[:n], scratch=spare[:n]).view(np.uint8)
+                codes = _to_int8(acc, o.zero_point, out=code[:n], half=spare).view(np.uint8)
                 if out is not None:  # mode "wrap" (codes are 0..255) does not buffer ``out``
                     np.take(o.table, codes, out=out[rows], mode="wrap")
                 for dest, (*_, table) in zip(dests, o.writes):
@@ -384,9 +403,22 @@ class _Buffered(NamedTuple):
         return buffers.pop(self.output)
 
 
-class _Int8Plan(NamedTuple):
+class _Section(NamedTuple):
+    """Compiled steps of the int8 plan, run through ``run_plan``."""
+
     steps: tuple
     drops: list  # ``model.last_reads(steps)``
+
+    def run(self, values: dict) -> dict:
+        buffers = {}  # this run's concat buffers and group values, by site
+        return run_plan(self.steps, values, lambda step, operands: step.run(operands, buffers),
+                        self.drops)
+
+
+class _Int8Plan(NamedTuple):
+    input: QuantParams
+    backbone: _Section  # from the int8 input to ``decoder.out``, run per chunk of samples
+    heads: _Section  # every head, run on the whole batch
 
 
 def _concat_buffer(buffers: dict, site: str, shape) -> np.ndarray:
@@ -402,11 +434,12 @@ def _blocked(step: PlanStep) -> bool:
 
 
 def _compile(qmodel: QuantizedModel) -> _Int8Plan:
-    """The int8 plan of ``qmodel.plan``. Each layer step takes in the ReLU
-    step that alone reads its output. A concat whose operands all come from
-    blocked layer steps is written in place by those steps, each through its
-    operand's table into its channel slice. Any other concat maps its
-    operands through tables."""
+    """The int8 plan of ``qmodel.plan``: the backbone steps, from the int8
+    input to ``decoder.out``, and the head steps, each with its own
+    ``last_reads``. Each layer step takes in the ReLU step that alone reads
+    its output. A concat whose operands all come from blocked layer steps is
+    written in place by those steps, each through its operand's table into
+    its channel slice. Any other concat maps its operands through tables."""
     plan, act = qmodel.plan, qmodel.activations
     readers = {}
     for step in plan:
@@ -435,8 +468,9 @@ def _compile(qmodel: QuantizedModel) -> _Int8Plan:
         keep = any(r.output not in in_place for r in readers.get(site, ()))
         return fused[layer], keep, slices.get(site, ())
 
-    steps = []
+    backbone, heads = [], []
     for step in plan:
+        steps = heads if step.stage.startswith("head.") else backbone
         if step in taken:
             continue
         if step.output in in_place:
@@ -449,8 +483,8 @@ def _compile(qmodel: QuantizedModel) -> _Int8Plan:
         else:
             group = groups.get(step, (step,))
             steps.append(_compile_layer(qmodel, group, [layer_output(layer) for layer in group]))
-    steps = tuple(steps)
-    return _Int8Plan(steps, last_reads(steps))
+    return _Int8Plan(act["input"], *(_Section(tuple(steps), last_reads(steps))
+                                     for steps in (backbone, heads)))
 
 
 def _compile_layer(qmodel: QuantizedModel, group, outputs) -> _Layer:
@@ -460,13 +494,15 @@ def _compile_layer(qmodel: QuantizedModel, group, outputs) -> _Layer:
     dtype = accumulator_dtype(step.spec)
     in_qp = act[step.inputs[0]]
     head = step.output in {f"head.{fmt}.out" for fmt in qmodel.head_formats()}
+    blocked = _blocked(step)
+    row = step.spec.out_hw[1] if blocked else 1  # a blocked layer adds its bias along rows
     compiled = []
     for layer, (relu, keep, slices) in zip(group, outputs):
         name, out_qp = layer.spec.name, act[layer.output]
         w = qmodel.weights[name]
         params = LayerParams(layer.spec.kind, Tensor(w.astype(dtype)),
                              Tensor(np.zeros(w.shape[-1], dtype)))
-        bias = qmodel.biases[name].astype(np.float64)
+        bias = np.tile(qmodel.biases[name].astype(np.float64), row)
         multiplier = qmodel.bias_scales[name]
         if not head:
             multiplier /= out_qp.scale
@@ -476,24 +512,27 @@ def _compile_layer(qmodel: QuantizedModel, group, outputs) -> _Layer:
                        for concat, channels, first in slices)
         compiled.append(_Output(params, bias, multiplier, out_qp.zero_point, site, table, keep,
                                 writes))
-    return _Layer(step, in_qp.zero_point, head, _blocked(step), tuple(compiled))
+    return _Layer(step, in_qp.zero_point, head, blocked, tuple(compiled))
 
 
 def _accumulate(layer: _Layer, q: np.ndarray):
-    """Yield (rows, accs): per layer of the step, its integer accumulator for
-    the int8 input ``q[rows]``, bias included, as exact integers in float64
-    that the caller may overwrite. A blocked step yields one block of
-    samples at a time: it writes q - zero_point into the interior of a
-    zero-bordered scratch, which the ``ops`` kernel reads as its padded
-    input, and reuses every buffer; the layers of a group read one
-    receptive-field copy per sample. A whole-batch layer runs its ``ops`` op
-    once and yields all rows."""
+    """Yield (rows, accs, spares): per layer of the step, its integer
+    accumulator for the int8 input ``q[rows]``, bias included, as exact
+    integers in float64 that the caller may overwrite, and a float buffer of
+    the same shape that the caller may overwrite too (the kernel's output,
+    free once the bias is added). A blocked step yields one block of samples
+    at a time: it writes q - zero_point into the interior of a zero-bordered
+    scratch, which the ``ops`` kernel reads as its padded input, forms the
+    float64 accumulator in one pass, the kernel's output plus the bias row,
+    and reuses every buffer; the layers of a group read one receptive-field
+    copy per sample. A whole-batch layer runs its ``ops`` op once and yields
+    all rows."""
     first = layer.outputs[0]
     dtype = first.params.weights.data.dtype
     if not layer.blocked:
         x = Tensor(np.subtract(q, layer.in_zero_point, dtype=dtype))
-        yield slice(0, len(q)), [np.add(_apply(layer.step, first.params, [x]).data, first.bias,
-                                        dtype=np.float64)]
+        y = _apply(layer.step, first.params, [x]).data
+        yield slice(0, len(q)), [np.add(y, first.bias, dtype=np.float64)], [y]
         return
     spec, outputs = layer.step.spec, layer.outputs
     batch, h, w, cin = q.shape
@@ -504,14 +543,14 @@ def _accumulate(layer: _Layer, q: np.ndarray):
     widths = [wt.shape[-1] for wt in weights]
     block = min(batch, max(1, _BLOCK_ELEMENTS // max(h * w * cin, out_h * out_w * sum(widths))))
     padded = np.zeros((block, h + pt + pb, w + pl + pr, cin), dtype)
-    accs = [np.empty((block, out_h, out_w, c), dtype) for c in widths]
-    reals = [np.empty(acc.shape) for acc in accs]
+    kernel_outs = [np.empty((block, out_h, out_w, c), dtype) for c in widths]
+    reals = [np.empty(y.shape) for y in kernel_outs]
     gemm = [wt.reshape(-1, c) for wt, c in zip(weights, widths)]
     for start in range(0, batch, block):
         rows = slice(start, min(start + block, batch))
         n = rows.stop - start
         x = padded[:n]
-        ys, rs = [acc[:n] for acc in accs], [real[:n] for real in reals]
+        ys, rs = [y[:n] for y in kernel_outs], [real[:n] for real in reals]
         np.subtract(q[rows], layer.in_zero_point, out=x[:, pt : pt + h, pl : pl + w], dtype=dtype)
         if layer.step.op == "conv":
             _conv_gemm(_receptive_fields(x, kh, kw, stride, out_h, out_w), gemm, ys)
@@ -519,32 +558,46 @@ def _accumulate(layer: _Layer, q: np.ndarray):
             ys[0].fill(0)
             _depthwise_taps(x, weights[0], stride, ys[0])
         for y, r, o in zip(ys, rs, outputs):
-            np.copyto(r, y)
-            _add_bias(r, o.bias)
-        yield rows, rs
+            np.add(y.reshape(n * out_h, -1), o.bias, out=r.reshape(n * out_h, -1))
+        yield rows, rs, ys
 
 
-def _quantize_images(images: np.ndarray, qp: QuantParams) -> np.ndarray:
-    """The int8 input site of float64 ``images``, one sample at a time.
-    Raises ``ValidationError`` naming the first image with a NaN or an
-    infinite pixel."""
+def _quantize_images(images: np.ndarray, qp: QuantParams, first: int = 0) -> np.ndarray:
+    """The int8 input site of float64 ``images``, samples ``first`` onward
+    of the batch, one sample at a time. Raises ``ValidationError`` naming
+    the first image with a NaN or an infinite pixel by its batch index."""
     q = np.empty(images.shape, np.int8)
-    real, spare = np.empty(images.shape[1:]), np.empty(images.shape[1:])
+    real, half = np.empty(images.shape[1:]), np.empty(images.shape[1:], np.float32)
     for n, image in enumerate(images):
         if not np.isfinite(image).all():
-            raise ValidationError(f"quantized_forward: image {n} has a non-finite pixel")
+            raise ValidationError(f"quantized_forward: image {first + n} has a non-finite pixel")
         np.divide(image, qp.scale, out=real)
-        _to_int8(real, qp.zero_point, out=q[n], scratch=spare)
+        _to_int8(real, qp.zero_point, out=q[n], half=half)
     return q
+
+
+def _backbone_chunk(plan: _Int8Plan, images: np.ndarray, first: int = 0) -> np.ndarray:
+    """The int8 ``decoder.out`` rows of float64 ``images``, samples ``first``
+    onward of the batch: the input quantized, then the backbone steps, in
+    buffers of this chunk's own."""
+    (rows,) = plan.backbone.run({"input": _quantize_images(images, plan.input, first)}).values()
+    return rows
 
 
 def quantized_forward(qmodel: QuantizedModel, images) -> dict:
     """Integer-only inference. Convolutions and linears accumulate int values
     and requantize to each output site; ReLU runs in the quantized domain;
     concat operands are requantized to the shared output site. The final head
-    accumulator is dequantized directly to reals. Each int8 value is dropped
-    after its last reader, and every buffer belongs to this call. Raises
-    ``ValidationError`` naming the first image with a NaN or infinite pixel."""
+    accumulator is dequantized directly to reals. The batch is split into
+    at most ``STEP_LANES`` chunks of ceil(B / ``STEP_LANES``) samples (the
+    last may hold fewer), which run from the input to ``decoder.out`` on the
+    lanes (``rows_on_lanes``; a batch of one sample runs on the calling
+    thread); their rows are joined in batch order, and the heads run once on
+    the whole batch on the calling thread. Each layer's integer sum is
+    exact, so the split changes no bit. Each int8 value is dropped after its
+    last reader, and every buffer belongs to this call. Raises
+    ``ValidationError`` naming the first image with a NaN or infinite pixel
+    by its index in the batch."""
     config = qmodel.config
     arr = np.asarray(images, dtype=np.float64)
     if arr.ndim == 3:
@@ -553,7 +606,13 @@ def quantized_forward(qmodel: QuantizedModel, images) -> dict:
     if arr.shape[1:] != (s, s, 3) or not arr.shape[0]:
         raise ShapeError("quantized_forward",
                          f"expected images (B, {s}, {s}, 3) with B >= 1, got {tuple(arr.shape)}")
-    plan, buffers = qmodel._states, {}
-    values = run_plan(plan.steps, {"input": _quantize_images(arr, qmodel.activations["input"])},
-                      lambda step, operands: step.run(operands, buffers), plan.drops)
+    plan = qmodel._states  # compiled here, not on the lanes
+    chunk = -(-len(arr) // STEP_LANES)
+
+    def chunk_rows(start):
+        return _backbone_chunk(plan, arr[start : start + chunk], start)
+
+    # the joined rows are held by the heads' run alone, which drops them after their last reader
+    values = plan.heads.run({plan.backbone.steps[-1].output:
+                             rows_on_lanes(chunk_rows, len(arr), chunk)})
     return {fmt: values[f"head.{fmt}.out"] for fmt in qmodel.head_formats()}

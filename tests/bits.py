@@ -10,9 +10,9 @@ BLAS thread), REV's first. A manifest holds one SHA-256 per artifact:
   int8} at 128 px, with and without ``keep_heads=["p51"]``, and a check
   that ``save(load(f))`` gives ``f`` back;
 - each int8 model's calibration: every site's scale and zero point;
-- the int8 outputs of REV's int8 containers at batch 32 and at batch 1, on
-  32 synthetic crops that REV's tree made, and a check that both batch
-  sizes give the same bits;
+- the int8 outputs of REV's int8 containers at batch 32, at batch 5 (two
+  uneven chunks) and at batch 1, on 32 synthetic crops that REV's tree
+  made, and checks that batches 32 and 5 give the bits of batch 1;
 - the CSV log of a short 3-head training run at 32 px;
 - a 32 px CLI pipeline: ``synth``, ``train``, ``quantize``, ``eval`` and
   ``infer`` of each head with both models, an ``infer`` that resizes, and
@@ -133,13 +133,17 @@ def build(out: str, fixed: str, write_fixed: bool) -> None:
                         shutil.copy(path, fixed)
             qmodel = load(os.path.join(fixed, f"{variant}-{len(heads)}h-int8.efld"))
             whole = quantized_forward(qmodel, crops)
+            five = quantized_forward(qmodel, crops[:5])
             single = [quantized_forward(qmodel, crops[i : i + 1]) for i in range(len(crops))]
             for fmt in heads:
                 one = np.concatenate([s[fmt] for s in single])
                 m.put(f"int8-outputs/{tag}/{fmt}/batch32", whole[fmt].tobytes())
+                m.put(f"int8-outputs/{tag}/{fmt}/batch5", five[fmt].tobytes())
                 m.put(f"int8-outputs/{tag}/{fmt}/batch1", one.tobytes())
                 m.check(f"int8-outputs/{tag}/{fmt}: batch 1 == batch 32",
                         one.tobytes() == whole[fmt].tobytes())
+                m.check(f"int8-outputs/{tag}/{fmt}: batch 1 == batch 5",
+                        one[:5].tobytes() == five[fmt].tobytes())
 
     small = replace(default_config(FORMATS), input_size=32)
     model = build_model(small, seed=0)

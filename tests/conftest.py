@@ -1,7 +1,7 @@
 """Shared test oracles: naive loop-reference layers, an int64 interpreter of
 the int8 plan built on them, a whole-image bilinear resize, and finite
-differences; plus a container byte-patcher and a probe that delays blocks
-of the untaped forward on the lanes.
+differences; plus a container byte-patcher and probes that delay blocks
+of the untaped forward and chunks of the int8 forward on the lanes.
 
 These stay deliberately independent of the library's vectorized kernels so
 they can serve as ground truth for them.
@@ -253,6 +253,30 @@ def delay_block(monkeypatch, delays):
             returned.append(start)
 
     monkeypatch.setattr(model_module, "_backbone_block", delayed)
+    return started, returned, threads
+
+
+def delay_chunk(monkeypatch, delays):
+    """Make the int8 backbone chunk of samples ``first`` onward start
+    ``delays[first]`` seconds late, for each ``first`` in ``delays``, on
+    whichever lane runs it. Returns the lists that get each chunk's first
+    sample as the chunk starts and as it returns or raises, and the set of
+    the names of the threads that ran a chunk."""
+    import efld.quantize as quantize_module
+
+    chunk = quantize_module._backbone_chunk
+    started, returned, threads = [], [], set()
+
+    def delayed(plan, images, first=0):
+        started.append(first)
+        threads.add(threading.current_thread().name)
+        time.sleep(delays.get(first, 0))
+        try:
+            return chunk(plan, images, first)
+        finally:
+            returned.append(first)
+
+    monkeypatch.setattr(quantize_module, "_backbone_chunk", delayed)
     return started, returned, threads
 
 

@@ -242,8 +242,9 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
     Mutant("micro-batch-scaled-by-its-own-count", "src/efld/training.py",
            "scale = count if counts is None else counts[fmt_name]", "scale = count",
            ("tests/test_differential.py::test_micro_batched_step_matches_the_whole_batch",)),
-    # model: on_lanes yields in item order; one runner serves both callers,
-    # so the tests of each must catch it on their own
+    # model: on_lanes yields in item order; one runner serves the training
+    # step, the float forward and the int8 forward, so the tests of each must
+    # catch it on their own
     Mutant("lane-results-added-as-they-finish", "src/efld/model.py",
            "            yield pending.popleft().result()",
            "            from concurrent.futures import as_completed\n"
@@ -254,6 +255,14 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
             "::test_first_micro_batch_ending_last_gives_the_sequential_bits",
             "tests/test_training.py::TestLanes"
             "::test_nan_pixel_raises_the_first_failing_micro_batchs_error")),
+    Mutant("int8-chunks-joined-in-finish-order", "src/efld/model.py",
+           "            yield pending.popleft().result()",
+           "            from concurrent.futures import as_completed\n"
+           "            first = next(as_completed(pending))\n"
+           "            pending.remove(first)\n"
+           "            yield first.result()",
+           ("tests/test_quantize.py::TestQuantizedForward"
+            "::test_first_chunk_ending_last_gives_the_rows_in_batch_order",)),
     Mutant("forward-blocks-joined-in-finish-order", "src/efld/model.py",
            "            yield pending.popleft().result()",
            "            from concurrent.futures import as_completed\n"
@@ -285,19 +294,27 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
             "::test_lanes_raise_on_overflow_under_the_callers_errstate",
             "tests/test_model.py::TestForwardLanes"
             "::test_lanes_ignore_overflow_under_the_callers_errstate")),
-    # model: a batch of one block runs on the calling thread
+    # model: a batch of one block (float) or one chunk (int8) runs on the calling thread
     Mutant("forward-lanes-at-batch-one", "src/efld/model.py",
-           "    if tape is not None or len(images.data) <= block:",
-           "    if tape is not None:",
-           ("tests/test_model.py::TestForwardLanes::test_batch_of_one_starts_no_thread",)),
+           "    if len(starts) == 1:\n        return fn(0)\n",
+           "",
+           ("tests/test_model.py::TestForwardLanes::test_batch_of_one_starts_no_thread",
+            "tests/test_quantize.py::TestQuantizedForward::test_batch_of_one_starts_no_thread")),
     # model: an observer (calibration) runs on the lanes with the blocks
     Mutant("observed-blocks-in-order-on-the-caller", "src/efld/model.py",
-           "    rows = on_lanes(block_rows, range(0, len(images.data), block))",
+           "    return Tensor(rows_on_lanes(block_rows, len(images.data), block))",
            "    starts = range(0, len(images.data), block)\n"
-           "    rows = map(block_rows, starts) if observer is not None "
-           "else on_lanes(block_rows, starts)",
+           "    return Tensor(np.concatenate([block_rows(start) for start in starts])\n"
+           "                  if observer is not None\n"
+           "                  else rows_on_lanes(block_rows, len(images.data), block))",
            ("tests/test_quantize.py::TestCalibrate"
             "::test_observer_runs_on_the_lanes_in_any_block_order",)),
+    # quantize: a non-finite pixel is named by its index in the batch, not in its chunk
+    Mutant("int8-nan-named-within-its-chunk", "src/efld/quantize.py",
+           'raise ValidationError(f"quantized_forward: image {first + n} has a non-finite pixel")',
+           'raise ValidationError(f"quantized_forward: image {n} has a non-finite pixel")',
+           ("tests/test_quantize.py::TestQuantizedForward"
+            "::test_non_finite_pixel_is_named_by_its_batch_index",)),
     # quantize: calibration merges the blocks' ranges keeping any NaN, and
     # rejects a range that is not finite
     Mutant("calibration-merge-drops-nan", "src/efld/quantize.py",
@@ -380,7 +397,8 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
            "                acc *= self.outputs[0].multiplier",
            ("tests/test_differential.py::test_quantized_forward_matches_the_integer_oracle",)),
     Mutant("group-adds-the-first-bias-row", "src/efld/quantize.py",
-           "            _add_bias(r, o.bias)", "            _add_bias(r, outputs[0].bias)",
+           "np.add(y.reshape(n * out_h, -1), o.bias, out=r.reshape(n * out_h, -1))",
+           "np.add(y.reshape(n * out_h, -1), outputs[0].bias, out=r.reshape(n * out_h, -1))",
            ("tests/test_differential.py::test_quantized_forward_matches_the_integer_oracle",)),
     Mutant("gradients-want-every-tensor", "src/efld/tensor.py",
            "return self._wanted is None or id(tensor) in self._wanted", "return True",

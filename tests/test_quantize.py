@@ -11,6 +11,7 @@ import pytest
 from efld import quantize as quantize_module
 from efld.errors import CalibrationError, ShapeError, UsageError, ValidationError
 from efld.model import (
+    STEP_LANES,
     VARIANTS,
     EosaConfig,
     LayerSpec,
@@ -21,6 +22,7 @@ from efld.model import (
     iter_layers,
     model_forward,
     run_plan,
+    site_shapes,
 )
 from efld.quantize import (
     QuantizedModel,
@@ -40,7 +42,7 @@ from efld.quantize import (
 from efld.synthetic import generate_synthetic
 from efld.tensor import Tape, Tensor
 
-from conftest import delay_block, integer_oracle, reduced_config, ref_conv2d
+from conftest import delay_block, delay_chunk, integer_oracle, reduced_config, ref_conv2d
 
 
 class TestQuantizeValue:
@@ -429,10 +431,14 @@ class TestQuantizedForward:
         assert plan_layers == layers_by_hand(config)
 
     def test_int8_values_dropped_after_last_reader(self, small_setup, monkeypatch):
+        """Each run of compiled steps, a chunk's backbone on its lane or the
+        heads on the joined rows, holds no int8 value past its last reader."""
         _, _, dataset, _, qmodel = small_setup
-        read = {}
+        runs = []
 
         def spy_run_plan(steps, values, apply, drops):
+            read = {}  # this run's sites, each with its last value read
+            runs.append(read)
             last_read = {site: k for k, step in enumerate(steps) for site in step.inputs}
 
             def spy(step, operands):
@@ -449,7 +455,9 @@ class TestQuantizedForward:
 
         monkeypatch.setattr(quantize_module, "run_plan", spy_run_plan)
         out = quantized_forward(qmodel, np.stack([s.image for s in dataset.samples[:4]]))
-        assert len(read) > 10 and out["p51"].shape == (4, 102)
+        assert len(runs) == STEP_LANES + 1  # a backbone run per chunk, then the heads
+        assert "decoder.out" in runs[-1]  # the heads ran last, on the joined rows
+        assert min(len(read) for read in runs[:-1]) > 10 and out["p51"].shape == (4, 102)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     def test_non_finite_pixel_is_rejected(self, small_setup, bad):
@@ -460,29 +468,79 @@ class TestQuantizedForward:
         with pytest.raises(ValidationError, match="image 3 has a non-finite pixel"):
             quantized_forward(qmodel, images)
 
+    @pytest.mark.parametrize("bad,named", [((4,), 4), ((1, 4), 1)],
+                             ids=["second-chunk", "both-chunks"])
+    def test_non_finite_pixel_is_named_by_its_batch_index(self, small_setup, monkeypatch, bad,
+                                                          named):
+        """A batch of 6 runs as chunks of 3: a NaN in the second chunk is
+        named by its index in the batch, and with NaNs in both chunks the
+        first chunk's image is named, also when the second fails first."""
+        _, _, dataset, _, qmodel = small_setup
+        images = np.stack([s.image for s in dataset.samples[:6]])
+        for k in bad:
+            images[k, 2, 3, 0] = np.nan
+        _, returned, _ = delay_chunk(monkeypatch, {0: 0.3})
+        with pytest.raises(ValidationError) as info:
+            quantized_forward(qmodel, images)
+        assert str(info.value) == f"quantized_forward: image {named} has a non-finite pixel"
+        assert returned == [3, 0]  # the first chunk ended last
+
     @pytest.mark.parametrize("block", [quantize_module._BLOCK_ELEMENTS, 2048],
                              ids=["stock-blocks", "small-blocks"])
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_rows_do_not_depend_on_the_batch(self, variant, block, monkeypatch):
         """Row k of a batch-B forward equals the batch-1 forward of image k,
-        bit for bit, also when blocks of samples split the batch unevenly."""
+        bit for bit, also when chunks, or blocks of samples within a chunk,
+        split the batch unevenly."""
         config = apply_variant(reduced_config(("p51", "p68")), variant)
         model = build_model(config, seed=5)
-        dataset = generate_synthetic(8, 32, seed=9, formats=[])
-        qmodel = quantize_model(model, calibrate(model, dataset))
+        dataset = generate_synthetic(17, 32, seed=9, formats=[])
+        qmodel = quantize_model(model, calibrate(model, dataset.samples[:8]))
         monkeypatch.setattr(quantize_module, "_BLOCK_ELEMENTS", block)
         images = np.stack([s.image for s in dataset.samples])
         singles = [quantized_forward(qmodel, images[k : k + 1]) for k in range(len(images))]
-        for batch in (1, 3, 8):
+        for batch in (1, 2, 3, 5, 8, 17):  # chunks of 1; 1 + 1; 2 + 1; 3 + 2; 4 + 4; 9 + 8
             out = quantized_forward(qmodel, images[:batch])
             for fmt in ("p51", "p68"):
                 for k in range(batch):
                     np.testing.assert_array_equal(out[fmt][k], singles[k][fmt][0])
 
+    def test_first_chunk_ending_last_gives_the_rows_in_batch_order(self, small_setup,
+                                                                   monkeypatch):
+        """A batch of 5 runs as chunks of 3 and 2 on the lanes: with the
+        first made to end last, the rows still come out in batch order, each
+        the bits of its batch-1 forward."""
+        _, _, dataset, _, qmodel = small_setup
+        images = np.stack([s.image for s in dataset.samples[:5]])
+        singles = np.concatenate([quantized_forward(qmodel, images[k : k + 1])["p51"]
+                                  for k in range(len(images))])
+        _, returned, threads = delay_chunk(monkeypatch, {0: 0.3})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the lanes trade the GIL as often as they can
+        try:
+            got = quantized_forward(qmodel, images)["p51"]
+        finally:
+            sys.setswitchinterval(interval)
+        assert returned == [3, 0]  # the first chunk ended last
+        assert {name.startswith("efld-lane") for name in threads} == {True}
+        assert got.tobytes() == singles.tobytes()
+
+    def test_batch_of_one_starts_no_thread(self, small_setup, monkeypatch):
+        import efld.model as model_module
+
+        _, _, dataset, _, qmodel = small_setup
+
+        def submit(*args, **kwargs):
+            raise AssertionError("a batch of one chunk was sent to the lanes")
+
+        monkeypatch.setattr(model_module._LANES, "submit", submit)
+        assert quantized_forward(qmodel, dataset.samples[0].image)["p51"].shape == (1, 102)
+
     def test_peak_memory_is_a_fraction_of_the_activations(self):
         """At batch 16 the stock int8 forward holds at most 3/4 of the bytes of
-        all its int8 activation sites at once: values are dropped after their
-        last reader, and every layer works on one block of samples in float.
+        all its int8 activation sites at once, with its two chunks of 8 in
+        flight on the lanes: values are dropped after their last reader, and
+        every layer of a chunk works on one block of samples in float.
         (A forward that quantizes the whole batch in float64 peaks above
         1.5 times those bytes.)"""
         import tracemalloc
@@ -571,9 +629,10 @@ class TestIntegerOracle:
     @pytest.mark.parametrize("zero_point,q", [(-128, 127), (127, -128)], ids=["+255", "-255"])
     @pytest.mark.parametrize("layer", ["eosa4.osa.l0", "eosa4.osa.l1"])
     def test_accumulator_is_exact_at_the_extremes(self, layer, zero_point, q):
-        config = wide_config(("p51",))
+        # at 64 px the layer's input is 8x8 or 4x4, so an output window lies inside it
+        config = replace(wide_config(("p51",)), input_size=64)
         model = build_model(config, seed=4)
-        dataset = generate_synthetic(2, 32, seed=8, formats=[])
+        dataset = generate_synthetic(2, 64, seed=8, formats=[])
         base = quantize_model(model, calibrate(model, dataset))
         step = next(s for s in base.plan if s.layer == layer)
         kh, kw, cin, cout = step.spec.weight_shape
@@ -591,15 +650,16 @@ class TestIntegerOracle:
         activations[in_site] = QuantParams(activations[in_site].scale, zero_point)
         qmodel = QuantizedModel(config, {**base.weights, layer: w}, base.weight_scales,
                                 {**base.biases, layer: b}, activations)
-        x = np.full((2, 5, 5, cin), q, dtype=np.int8)
+        # the layer's own input shape: a compiled layer adds its bias along output rows
+        x = np.full((2,) + site_shapes(base.plan, config.input_size)[in_site], q, dtype=np.int8)
         sums = ref_conv2d(x.astype(np.int64) - zero_point, w.astype(np.int64),
                           np.zeros(cout, np.int64), step.spec.stride, step.spec.padding)
         mid = sums.shape[1] // 2  # the output whose window lies inside the input
         centre = np.abs(sums[:, mid, mid, :])
         assert np.all(centre % 2 == 1)
         assert (centre.min() > 2**24) == (accumulator_dtype(step.spec) is np.float64)
-        layer_step = next(s for s in qmodel._states.steps
+        layer_step = next(s for s in qmodel._states.backbone.steps
                           if isinstance(s, _Layer) and s.step.layer == layer)
-        got = np.concatenate([acc.copy() for _, (acc,) in _accumulate(layer_step, x)])
+        got = np.concatenate([acc.copy() for _, (acc,), _ in _accumulate(layer_step, x)])
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, sums + b)
