@@ -185,19 +185,11 @@ def _predict(model, images, fmt: str):
     return quantized_forward(model, stack_images(images, np.float64))[fmt]
 
 
-# ``efld eval`` predicts about this many samples per forward, rounded up to
-# whole blocks of the float backbone (``model.block_samples``): each sample
-# then runs in the same block as in one forward over the whole dataset.
+# ``efld eval`` predicts this many samples per forward, so that its memory
+# does not grow with the dataset. The forwards split their batch further
+# themselves; the backbone treats each sample on its own, so only the head
+# GEMMs see the chunk.
 EVAL_SAMPLES = 32
-
-
-def _eval_chunk(model) -> int:
-    from .model import block_samples, build_plan, site_pads, site_shapes
-
-    plan = build_plan(model.config)
-    shapes = site_shapes(plan, model.config.input_size)
-    block = block_samples(shapes, site_pads(plan, shapes))
-    return block * -(-EVAL_SAMPLES // block)
 
 
 def cmd_eval(args) -> int:
@@ -217,10 +209,10 @@ def cmd_eval(args) -> int:
     if not annotated:
         raise DataError(f"{args.data}: no samples annotated with {args.format!r}")
     _check_crop_size(dataset, args.data, model.config)
-    chunk = _eval_chunk(model)
     predictions = np.concatenate([
-        _predict(model, [s.pixels for s in annotated[start : start + chunk]], args.format)
-        for start in range(0, len(annotated), chunk)
+        _predict(model, [s.pixels for s in annotated[start : start + EVAL_SAMPLES]],
+                 args.format)
+        for start in range(0, len(annotated), EVAL_SAMPLES)
     ])
     gt = np.stack([s.annotations[args.format] for s in annotated])
     report = evaluate(predictions, gt, fmt, threshold=args.threshold,

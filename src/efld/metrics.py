@@ -10,7 +10,7 @@ NME equal to the threshold counts as success.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,8 @@ from .formats import LandmarkFormat, _nme_terms
 from .model import ModelConfig, iter_layers
 
 DTYPE_BYTES = {"float64": 8, "float32": 4, "int8": 1}
+# A point is correct within this many pixels of its ground truth (boundary inclusive).
+PIXEL_RADIUS = 5.0
 
 
 @dataclass
@@ -53,7 +55,7 @@ class EvalReport:
             f"CED-AUC@{self.threshold:g} {100.0 * self.ced_auc:.2f}",
         ]
         if self.pixel_accuracy is not None:
-            parts.append(f"acc@5px {100.0 * self.pixel_accuracy:.2f}")
+            parts.append(f"acc@{PIXEL_RADIUS:g}px {100.0 * self.pixel_accuracy:.2f}")
         return "  ".join(parts)
 
     def to_json(self) -> str:
@@ -103,7 +105,7 @@ def ced_curve(nmes, threshold: float):
 
 
 def evaluate(predictions, ground_truth, fmt: LandmarkFormat, threshold: float = 0.10,
-             image_size: int | None = None, pixel_radius: float = 5.0) -> EvalReport:
+             image_size: int | None = None) -> EvalReport:
     """Per-sample NME (inter-ocular normalized) with FR and CED-AUC at the
     threshold; pixel accuracy is included when an image size is given."""
     pred = np.asarray(predictions, dtype=np.float64)
@@ -122,20 +124,20 @@ def evaluate(predictions, ground_truth, fmt: LandmarkFormat, threshold: float = 
     nmes, _, valid = _nme_terms(pred, gt, fmt)
     if not valid.all():
         raise UsageError("evaluate: ground truth contains degenerate inter-ocular distances")
-    acc = pixel_accuracy(pred, gt, image_size, pixel_radius) if image_size else None
+    acc = pixel_accuracy(pred, gt, image_size) if image_size else None
     return EvalReport(nmes=[float(x) for x in nmes], threshold=threshold, pixel_accuracy=acc)
 
 
-def pixel_accuracy(predictions, ground_truth, image_size: int, radius: float = 5.0) -> float:
+def pixel_accuracy(predictions, ground_truth, image_size: int) -> float:
     """Fraction of points whose Euclidean pixel distance to the ground truth
-    is at most ``radius`` (boundary inclusive)."""
+    is at most ``PIXEL_RADIUS`` (boundary inclusive)."""
     pred = np.asarray(predictions, dtype=np.float64) * image_size
     gt = np.asarray(ground_truth, dtype=np.float64) * image_size
     if pred.ndim == 1:
         pred, gt = pred[None, :], gt[None, :]
     diff = (pred - gt).reshape(pred.shape[0], -1, 2)
     dist = np.sqrt((diff * diff).sum(axis=2))
-    return float((dist <= radius).mean())
+    return float((dist <= PIXEL_RADIUS).mean())
 
 
 @dataclass
@@ -203,13 +205,10 @@ def layer_macs(kind: str, kernel, cin: int, cout: int, out_hw) -> int:
     return cin * cout
 
 
-def count_cost(config: ModelConfig, input_size: int | None = None) -> CostReport:
+def count_cost(config: ModelConfig) -> CostReport:
     """MACs and parameters per layer, per sample, of the model of ``config``
     with all its heads (``ModelConfig.with_heads`` picks a subset)."""
     config.validate()
-    if input_size is not None and input_size != config.input_size:
-        config = replace(config, input_size=input_size)
-        config.validate()
     layers = [LayerCost(spec.name, spec.kind,
                         layer_macs(spec.kind, spec.kernel, spec.cin, spec.cout, spec.out_hw),
                         spec.param_count)

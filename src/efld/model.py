@@ -582,14 +582,12 @@ def last_reads(steps) -> list:
     return drops[::-1]
 
 
-def run_plan(steps, values: dict, apply, drops=None) -> dict:
+def run_plan(steps, values: dict, apply, drops) -> dict:
     """Set ``values[step.output] = apply(step, operands)`` for each step in
     order, the operands being the values of ``step.inputs``, and drop each
     value after its last reader. ``values`` starts with the sites the steps
     read before writing; the values that no step reads are returned.
-    ``drops`` is ``last_reads(steps)``, computed here when not given."""
-    if drops is None:
-        drops = last_reads(steps)
+    ``drops`` is ``last_reads(steps)``."""
     for step, drop in zip(steps, drops):
         operands = [values.pop(site) if site in drop else values[site] for site in step.inputs]
         values[step.output] = apply(step, operands)

@@ -29,21 +29,19 @@ columns split into stride phases (one phase at stride 1), and each phase is
 a stride-1 correlation of the output gradient, zero-extended where the
 phase needs it, with the flipped, transposed sub-kernel of its taps, in one
 GEMM per sample. A depthwise input gradient is the transpose of its tap
-loop: each stride phase of a chunk of samples gets its own buffer, each tap
-of the phase adds its product along whole output rows into it, and the
-phases are interleaved into the gradient once; a full-extent kernel's is one
-broadcast product. The depthwise forward and input gradient both run in
-cache-sized chunks of samples. A bias gradient sums the output gradient's
-rows of W*C values, then the W pixels of the result, not one C-wide pixel
-at a time. Every op forms an input gradient only when the backward's
-``Gradients`` wants it (see ``tensor.Tape``). The GEMMs sum float32 inputs
-in float32 and float64 inputs in float64, never in a narrower type; the
-int8 path relies on it for exact integer sums (see ``quantize``). The
-forward kernel bodies, the per-sample GEMM loop ``_conv_gemm`` and the
-depthwise tap loop ``_depthwise_taps``, are also the int8 path's kernels,
-which it runs on its own zero-bordered blocks of samples (it adds its
-float64 bias along output rows itself, in the same pass that widens the
-accumulator to float64).
+loop: each stride phase gets its own buffer, each tap of the phase adds its
+product along whole output rows into it, and the phases are interleaved into
+the gradient once; a full-extent kernel's is one broadcast product. A bias
+gradient sums the output gradient's rows of W*C values, then the W pixels of
+the result, not one C-wide pixel at a time. Every op forms an input gradient
+only when the backward's ``Gradients`` wants it (see ``tensor.Tape``). The
+GEMMs sum float32 inputs in float32 and float64 inputs in float64, never in
+a narrower type; the int8 path relies on it for exact integer sums (see
+``quantize``). The forward kernel bodies, the per-sample GEMM loop
+``_conv_gemm`` and the depthwise tap loop ``_depthwise_taps``, are also the
+int8 path's kernels, which it runs on its own zero-bordered blocks of
+samples (it adds its float64 bias along output rows itself, in the same pass
+that widens the accumulator to float64).
 
 Every conventional convolution runs through one body: ``sibling_conv2d``
 runs convolutions that share an input and a kernel size (the model's
@@ -144,26 +142,14 @@ def _conv_gemm(fields, weights, outs):
         del cols  # before the next sample's copy, which can then reuse its memory
 
 
-# The depthwise kernels run on as many samples at a time as keep one
-# chunk's padded input within this many elements (at least one sample), so
-# that the chunk's stride phases and partial sums stay in cache.
-_CHUNK_ELEMENTS = 5 << 16
-
-
-def _chunks(batch, per_sample):
-    """(start, stop) of each chunk of samples for ``per_sample`` elements."""
-    step = max(1, _CHUNK_ELEMENTS // per_sample)
-    return [(n, min(n + step, batch)) for n in range(0, batch, step)]
-
-
 def _depthwise_taps(padded, w, stride, out):
     """out += each tap's strided window of ``padded`` (B, H, W, C) times its
     filter ``w[i, j]``, tap by tap in row-major order, into the C-contiguous
-    ``out``, a chunk of samples at a time.
+    ``out``.
 
     Each multiply-add runs along whole output rows, out_w*C values, with the
     tap's filter tiled along the row; at stride 2 the windows are read from
-    contiguous copies of the four stride phases of the chunk. A 1x1 output
+    contiguous copies of the four stride phases of ``padded``. A 1x1 output
     (a full-extent kernel) of more than one channel is one reduction over
     the taps: the tap axis is then not the innermost one, so numpy adds
     along it in tap order, from +0.0 as the loop does (along the innermost
@@ -175,17 +161,15 @@ def _depthwise_taps(padded, w, stride, out):
         out += np.add.reduce(taps, axis=1, initial=0.0).reshape(out.shape)
         return
     w_rows = np.tile(w, (1, 1, out_w))
-    for n0, n1 in _chunks(batch, padded[0].size):
-        chunk = padded[n0:n1]
-        rows = out[n0:n1].reshape(n1 - n0, out_h, out_w * c)
-        phases = {(a, b): chunk if stride == 1
-                  else np.ascontiguousarray(chunk[:, a::stride, b::stride])
-                  for a in range(min(stride, kh)) for b in range(min(stride, kw))}
-        for i in range(kh):
-            for j in range(kw):
-                r, s = i // stride, j // stride
-                window = phases[i % stride, j % stride][:, r : r + out_h, s : s + out_w]
-                rows += window.reshape(rows.shape) * w_rows[i, j]
+    rows = out.reshape(batch, out_h, out_w * c)
+    phases = {(a, b): padded if stride == 1
+              else np.ascontiguousarray(padded[:, a::stride, b::stride])
+              for a in range(min(stride, kh)) for b in range(min(stride, kw))}
+    for i in range(kh):
+        for j in range(kw):
+            r, s = i // stride, j // stride
+            window = phases[i % stride, j % stride][:, r : r + out_h, s : s + out_w]
+            rows += window.reshape(rows.shape) * w_rows[i, j]
 
 
 def _depthwise_input_grad(grad, w, stride, pt, pl, padded_hw, shape):
@@ -194,10 +178,10 @@ def _depthwise_input_grad(grad, w, stride, pt, pl, padded_hw, shape):
     a padded extent ``padded_hw``: the transpose of ``_depthwise_taps``.
 
     Tap (i, j) reaches only the padded pixels of stride phase
-    (i mod stride, j mod stride). So each phase of a chunk of samples gets
-    its own zero buffer, each of its taps adds grad * w[i, j] along whole
-    output rows into it, in row-major tap order, and the phase is written
-    into its rows and columns of ``dx`` once. Every pixel gets its taps'
+    (i mod stride, j mod stride). So each phase gets its own zero buffer,
+    each of its taps adds grad * w[i, j] along whole output rows into it, in
+    row-major tap order, and the phase is written into its rows and columns
+    of ``dx`` once. Every pixel gets its taps'
     products in the order the scatter over the padded input added them,
     from +0.0, so the bits are the scatter's. A 1x1 output (a full-extent
     kernel) meets each pixel with at most one tap: one broadcast product.
@@ -213,23 +197,22 @@ def _depthwise_input_grad(grad, w, stride, pt, pl, padded_hw, shape):
     dx = np.empty(shape, dtype=grad.dtype)
     hp, wp = padded_hw
     w_rows = np.tile(w, (1, 1, out_w))
-    for n0, n1 in _chunks(batch, hp * wp * c):
-        g = grad[n0:n1].reshape(n1 - n0, out_h, out_w * c)
-        for a in range(stride):
-            r0 = (a - pt) % stride  # the first row of dx in phase a
-            for b in range(stride):
-                c0 = (b - pl) % stride
-                phase = np.zeros((n1 - n0, len(range(a, hp, stride)),
-                                  len(range(b, wp, stride)), c), dtype=grad.dtype)
-                for i in range(a, kh, stride):
-                    for j in range(b, kw, stride):
-                        r, s = i // stride, j // stride
-                        window = phase[:, r : r + out_h, s : s + out_w].reshape(g.shape)
-                        window += g * w_rows[i, j]
-                top, left = (r0 + pt) // stride, (c0 + pl) // stride
-                dx[n0:n1, r0::stride, c0::stride] = phase[
-                    :, top : top + len(range(r0, h, stride)),
-                    left : left + len(range(c0, wdt, stride))]
+    g = grad.reshape(batch, out_h, out_w * c)
+    for a in range(stride):
+        r0 = (a - pt) % stride  # the first row of dx in phase a
+        for b in range(stride):
+            c0 = (b - pl) % stride
+            phase = np.zeros((batch, len(range(a, hp, stride)), len(range(b, wp, stride)), c),
+                             dtype=grad.dtype)
+            for i in range(a, kh, stride):
+                for j in range(b, kw, stride):
+                    r, s = i // stride, j // stride
+                    window = phase[:, r : r + out_h, s : s + out_w].reshape(g.shape)
+                    window += g * w_rows[i, j]
+            top, left = (r0 + pt) // stride, (c0 + pl) // stride
+            dx[:, r0::stride, c0::stride] = phase[
+                :, top : top + len(range(r0, h, stride)),
+                left : left + len(range(c0, wdt, stride))]
     return dx
 
 

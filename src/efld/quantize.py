@@ -562,7 +562,7 @@ def _accumulate(layer: _Layer, q: np.ndarray):
         yield rows, rs, ys
 
 
-def _quantize_images(images: np.ndarray, qp: QuantParams, first: int = 0) -> np.ndarray:
+def _quantize_images(images: np.ndarray, qp: QuantParams, first: int) -> np.ndarray:
     """The int8 input site of float64 ``images``, samples ``first`` onward
     of the batch, one sample at a time. Raises ``ValidationError`` naming
     the first image with a NaN or an infinite pixel by its batch index."""
@@ -576,7 +576,7 @@ def _quantize_images(images: np.ndarray, qp: QuantParams, first: int = 0) -> np.
     return q
 
 
-def _backbone_chunk(plan: _Int8Plan, images: np.ndarray, first: int = 0) -> np.ndarray:
+def _backbone_chunk(plan: _Int8Plan, images: np.ndarray, first: int) -> np.ndarray:
     """The int8 ``decoder.out`` rows of float64 ``images``, samples ``first``
     onward of the batch: the input quantized, then the backbone steps, in
     buffers of this chunk's own."""
@@ -600,8 +600,6 @@ def quantized_forward(qmodel: QuantizedModel, images) -> dict:
     by its index in the batch."""
     config = qmodel.config
     arr = np.asarray(images, dtype=np.float64)
-    if arr.ndim == 3:
-        arr = arr[None]
     s = config.input_size
     if arr.shape[1:] != (s, s, 3) or not arr.shape[0]:
         raise ShapeError("quantized_forward",

@@ -267,7 +267,7 @@ def delay_chunk(monkeypatch, delays):
     chunk = quantize_module._backbone_chunk
     started, returned, threads = [], [], set()
 
-    def delayed(plan, images, first=0):
+    def delayed(plan, images, first):
         started.append(first)
         threads.add(threading.current_thread().name)
         time.sleep(delays.get(first, 0))

@@ -226,11 +226,17 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
             "::test_one_by_one_stride2_leaves_untapped_pixels_exactly_zero",)),
     # ops: the depthwise input gradient adds its taps in row-major order
     Mutant("phase-gradient-taps-column-major", "src/efld/ops.py",
-           "                for i in range(a, kh, stride):\n"
-           "                    for j in range(b, kw, stride):",
-           "                for j in range(b, kw, stride):\n"
-           "                    for i in range(a, kh, stride):",
+           "            for i in range(a, kh, stride):\n"
+           "                for j in range(b, kw, stride):",
+           "            for j in range(b, kw, stride):\n"
+           "                for i in range(a, kh, stride):",
            ("tests/test_tensor_ops.py::TestDepthwiseInputGradient::test_bit_equal_to_the_scatter",)),
+    # ops: a depthwise convolution reads each sample's own stride phases
+    Mutant("depthwise-samples-coupled", "src/efld/ops.py",
+           "else np.ascontiguousarray(padded[:, a::stride, b::stride])",
+           "else np.ascontiguousarray(padded[:1, a::stride, b::stride])",
+           ("tests/test_tensor_ops.py::TestDepthwiseInputGradient"
+            "::test_each_sample_has_the_bits_of_its_own_call",)),
     # recorded in CHANGES.md with earlier changes
     Mutant("container-bias-shape-cin", "src/efld/container.py",
            '".b", (spec.cout,), "bias"', '".b", (spec.cin,), "bias"',
@@ -353,6 +359,11 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
     Mutant("interocular-wrong-eye-index", "src/efld/formats.py",
            "g[:, left] - g[:, right]", "g[:, left] - g[:, -1]",
            ("tests/test_formats_data.py::TestInterocular::test_hand_case",)),
+    # metrics: a point within 5 pixels of its ground truth counts as correct
+    Mutant("pixel-radius-4", "src/efld/metrics.py",
+           "PIXEL_RADIUS = 5.0", "PIXEL_RADIUS = 4.0",
+           ("tests/test_metrics.py::TestPixelAccuracy"
+            "::test_three_four_five_triangle_boundary_inclusive",)),
     # metrics: the inference modules do not import the trainer
     Mutant("metrics-imports-the-trainer", "src/efld/metrics.py",
            "from .formats import LandmarkFormat, _nme_terms",
@@ -377,8 +388,8 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
            ("tests/test_tensor_ops.py::TestDepthwiseInputGradient"
             "::test_one_by_one_output_bit_equal_to_the_scatter",)),
     Mutant("eval-predicts-its-first-chunk", "src/efld/cli.py",
-           "for start in range(0, len(annotated), chunk)",
-           "for start in range(0, min(len(annotated), chunk), chunk)",
+           "for start in range(0, len(annotated), EVAL_SAMPLES)",
+           "for start in range(0, min(len(annotated), EVAL_SAMPLES), EVAL_SAMPLES)",
            ("tests/test_cli.py::TestEvalCommand::test_chunks_score_like_one_forward",)),
     Mutant("int8-accumulates-in-float32", "src/efld/quantize.py",
            "return np.float32 if spec.fan_in * (QMAX - QMIN) * -QMIN < 2**24 else np.float64",

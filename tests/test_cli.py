@@ -355,7 +355,6 @@ class TestEvalCommand:
         expected = evaluate(whole, gt, default_registry().get("p51"), image_size=32)
         monkeypatch.setattr(efld.model, "_BLOCK_ELEMENTS", 1)
         monkeypatch.setattr(efld.cli, "EVAL_SAMPLES", 3)
-        assert efld.cli._eval_chunk(load(pipeline[kind])) == 3
         report = tmp_path / "report.json"
         assert run(["eval", "--model", str(pipeline[kind]), "--data", str(pipeline["data"]),
                     "--format", "p51", "--report", str(report)]) == 0
@@ -364,14 +363,6 @@ class TestEvalCommand:
             assert payload == json.loads(expected.to_json())
         else:
             assert payload["nme_mean"] == pytest.approx(expected.nme_mean, rel=1e-5)
-
-    def test_chunk_is_whole_blocks_of_the_stock_model(self):
-        from efld.cli import EVAL_SAMPLES, _eval_chunk
-        from efld.model import build_model, default_config
-
-        model = build_model(default_config(("p51", "p68", "p98")))
-        chunk = _eval_chunk(model)
-        assert chunk % model._block == 0 and chunk >= EVAL_SAMPLES
 
 
     @pytest.mark.parametrize("command", ["eval", "infer"])

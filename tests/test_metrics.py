@@ -1,6 +1,7 @@
 """Evaluation metrics, cost accounting, and the score formula."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,17 +89,17 @@ class TestPixelAccuracy:
     def test_three_four_five_triangle_boundary_inclusive(self):
         gt = np.array([[0.5, 0.5]])
         pred = np.array([[0.5 + 3 / 128, 0.5 + 4 / 128]])
-        assert pixel_accuracy(pred, gt, image_size=128, radius=5.0) == 1.0
+        assert pixel_accuracy(pred, gt, image_size=128) == 1.0
 
     def test_six_pixels_off_is_incorrect(self):
         gt = np.array([[0.5, 0.5]])
         pred = np.array([[0.5 + 6 / 128, 0.5]])
-        assert pixel_accuracy(pred, gt, image_size=128, radius=5.0) == 0.0
+        assert pixel_accuracy(pred, gt, image_size=128) == 0.0
 
     def test_mixed_points_fraction(self):
         gt = np.array([[0.5, 0.5, 0.2, 0.2]])
         pred = np.array([[0.5, 0.5, 0.2 + 10 / 64, 0.2]])
-        assert pixel_accuracy(pred, gt, image_size=64, radius=5.0) == 0.5
+        assert pixel_accuracy(pred, gt, image_size=64) == 0.5
 
 
 def instrumented_conv_mac_count(x_shape, w_shape, stride, padding):
@@ -188,7 +189,7 @@ class TestCostAccounting:
         assert got == instrumented_conv_mac_count((1, 32, 32, 3), (3, 3, 3, 4), 2, "same")
 
     def test_input_size_override(self):
-        small = count_cost(default_config(), input_size=64)
+        small = count_cost(replace(default_config(), input_size=64))
         assert small.macs < count_cost(default_config()).macs
         assert small.parameters != count_cost(default_config()).parameters  # decoder dw kernel shrinks
 

@@ -659,7 +659,7 @@ def test_run_plan_returns_the_head_outputs(variant):
         ran.append(step.output)
         return step.output
 
-    out = run_plan(plan, {"input": "input"}, apply)
+    out = run_plan(plan, {"input": "input"}, apply, last_reads(plan))
     assert ran == [step.output for step in plan]
     assert out == {f"head.{f}.out": f"head.{f}.out" for f in formats}
 

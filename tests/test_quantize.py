@@ -415,13 +415,19 @@ class TestQuantizedForward:
 
     def test_single_image_accepted(self, small_setup):
         _, _, dataset, _, qmodel = small_setup
-        out = quantized_forward(qmodel, dataset.samples[0].image)["p51"]
+        out = quantized_forward(qmodel, dataset.samples[0].image[None])["p51"]
         assert out.shape == (1, 102)
 
     def test_empty_batch_raises(self, small_setup):
         qmodel = small_setup[-1]
         with pytest.raises(ShapeError, match=r"B >= 1, got \(0, 32, 32, 3\)"):
             quantized_forward(qmodel, np.zeros((0, 32, 32, 3)))
+
+    def test_image_without_a_batch_axis_raises(self, small_setup):
+        """As in ``model_forward``, one crop is a batch of one."""
+        qmodel = small_setup[-1]
+        with pytest.raises(ShapeError, match=r"got \(32, 32, 3\)"):
+            quantized_forward(qmodel, np.zeros((32, 32, 3)))
 
     @pytest.mark.parametrize("formats", HEAD_SETS, ids=["1head", "3heads"])
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -534,7 +540,7 @@ class TestQuantizedForward:
             raise AssertionError("a batch of one chunk was sent to the lanes")
 
         monkeypatch.setattr(model_module._LANES, "submit", submit)
-        assert quantized_forward(qmodel, dataset.samples[0].image)["p51"].shape == (1, 102)
+        assert quantized_forward(qmodel, dataset.samples[0].image[None])["p51"].shape == (1, 102)
 
     def test_peak_memory_is_a_fraction_of_the_activations(self):
         """At batch 16 the stock int8 forward holds at most 3/4 of the bytes of
@@ -573,7 +579,7 @@ class TestQuantizedForward:
         save(qmodel, tmp_path / "q.efld")
         loaded = load(tmp_path / "q.efld")
         assert "_states" not in vars(qmodel) and "_states" not in vars(loaded)
-        quantized_forward(loaded, dataset.samples[0].image)
+        quantized_forward(loaded, dataset.samples[0].image[None])
         assert "_states" in vars(loaded)
 
 

@@ -473,19 +473,24 @@ class TestDepthwiseInputGradient:
 
     @pytest.mark.parametrize("size", [7, 65])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_chunks_of_one_sample_keep_every_bit(self, rng, monkeypatch, size, stride):
-        """With one sample per chunk, the forward has the bits of the whole
-        batch in one chunk and the input gradient those of the scatter."""
+    def test_each_sample_has_the_bits_of_its_own_call(self, rng, size, stride):
+        """Over a batch of 3, the forward and the input gradient of each
+        sample are, bit for bit, those of a call on that sample alone, and
+        the batch's input gradient is the scatter's."""
         x = Tensor(rng.standard_normal((3, size, size, 4)).astype("float32"))
         p = typed_params(rng, (3, 3, 4), "float32", "depthwise-conv")
-        whole = depthwise_conv2d(x, p, stride=stride).data
-        monkeypatch.setattr(efld.ops, "_CHUNK_ELEMENTS", 1)
         tape = Tape()
         out = depthwise_conv2d(x, p, stride=stride, tape=tape)
-        assert out.data.tobytes() == whole.tobytes()
         grad = rng.standard_normal(out.shape).astype("float32")
-        want = ref_depthwise_input_grad(grad, p.weights.data, x.shape, stride)
-        assert backward(tape, grad).wrt(x).tobytes() == want.tobytes()
+        dx = backward(tape, grad).wrt(x)
+        for n in range(3):
+            alone = Tensor(x.data[n : n + 1].copy())
+            tape = Tape()
+            y = depthwise_conv2d(alone, p, stride=stride, tape=tape)
+            assert y.data.tobytes() == out.data[n : n + 1].tobytes()
+            assert backward(tape, grad[n : n + 1]).wrt(alone).tobytes() == dx[n : n + 1].tobytes()
+        assert dx.tobytes() == ref_depthwise_input_grad(grad, p.weights.data, x.shape,
+                                                        stride).tobytes()
 
     @pytest.mark.parametrize("shape", [(2, 7, 7, 3), (1, 5, 7, 2)], ids=["odd", "odd-wide"])
     @pytest.mark.parametrize("stride,padding", MODES)
