@@ -15,7 +15,7 @@ import math
 import os
 import sys
 
-from . import __version__
+from . import CONTAINER_VERSION, VARIANTS, __version__
 from .errors import ConfigError, DataError, EfldError, UsageError
 
 
@@ -46,9 +46,6 @@ def _resolved(name: str, **kwargs) -> None:
 
 
 def build_parser() -> _Parser:
-    from .container import CONTAINER_VERSION
-    from .model import VARIANTS
-
     parser = _Parser(prog="efld", description=__doc__.splitlines()[0])
     parser.add_argument(
         "--version", action="version",
@@ -129,12 +126,15 @@ def cmd_synth(args) -> int:
 
 
 def _check_crop_size(dataset, path, model_config) -> None:
-    """Raise DataError unless the crops of a nonempty dataset fit the model's input."""
-    if dataset.samples and dataset.image_size != model_config.input_size:
-        raise DataError(
-            f"{path}: dataset images are {dataset.image_size}px but the model expects "
-            f"{model_config.input_size}px"
-        )
+    """Raise DataError unless the crops of a nonempty dataset are square at
+    the model's input size."""
+    if not dataset.samples:
+        return
+    h, w = dataset.samples[0].pixels.shape[:2]
+    size = model_config.input_size
+    if (h, w) != (size, size):
+        crop = f"{h}px" if h == w else f"{h}x{w}px (height x width)"
+        raise DataError(f"{path}: dataset images are {crop} but the model expects {size}px")
 
 
 def cmd_train(args) -> int:
@@ -341,26 +341,7 @@ def _set_thread_env(threads: int) -> None:
         os.environ[var] = str(threads)
 
 
-def _global_threads(argv):
-    """The N of ``--threads N`` or ``--threads=N`` before the subcommand, or None."""
-    value = ""
-    for arg, following in zip(argv, [*argv[1:], ""]):
-        if arg in _COMMANDS:
-            break
-        name, eq, given = arg.partition("=")
-        if len(name) > 2 and "--threads".startswith(name):  # argparse takes abbreviations
-            value = given if eq else following
-    try:  # read as argparse reads it, so "+2" counts and "²" does not
-        threads = int(value)
-    except ValueError:
-        return None
-    return threads if threads >= 1 else None
-
-
 def run(argv) -> int:
-    threads = _global_threads(argv)
-    if threads is not None:
-        _set_thread_env(threads)  # before the parser imports numpy
     try:
         parser = build_parser()
         try:
@@ -375,6 +356,7 @@ def run(argv) -> int:
         if args.command is None:
             raise UsageError(f"missing subcommand\n{parser.format_usage().rstrip()}")
         if args.threads is not None:
+            _set_thread_env(args.threads)  # before a command imports numpy
             print(f"efld: threads={args.threads}", file=sys.stderr)
         return _COMMANDS[args.command](args)
     except UsageError as exc:

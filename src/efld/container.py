@@ -21,6 +21,7 @@ import tempfile
 
 import numpy as np
 
+from . import CONTAINER_VERSION
 from .config import parse_model_config, render_model_config
 from .errors import ConfigError, ContainerError, CorruptionError
 from .model import Model, iter_layers
@@ -28,7 +29,6 @@ from .quantize import QMAX, QMIN, QuantParams, QuantizedModel, layer_input_sites
 from .tensor import Tensor
 
 MAGIC = b"EFLD"
-CONTAINER_VERSION = 1
 FLAG_INT8 = 0x0001
 
 _TAG_DTYPES = dict(enumerate(map(np.dtype, ["float32", "float64", "int8", "int32"])))

@@ -53,9 +53,8 @@ class Sample:
 class Dataset:
     """Ordered samples sharing one image size; immutable after load."""
 
-    def __init__(self, samples, formats):
+    def __init__(self, samples):
         self.samples = list(samples)
-        self.formats = tuple(formats)
         sizes = {s.pixels.shape for s in self.samples}
         if len(sizes) > 1:
             raise ValidationError(f"samples disagree on image shape: {sorted(sizes)}")
@@ -139,7 +138,6 @@ def load_dataset(path, registry: FormatRegistry | None = None) -> Dataset:
     if not os.path.isfile(index):
         raise DataError(f"{path}: no {ANNOTATIONS_FILE} found")
     samples = []
-    seen_formats = []
     with open(index, "rb") as fh:
         # one line at a time: the file yields chunks that end in "\n", and
         # splitlines also ends a line at "\r", as on the whole file
@@ -156,10 +154,7 @@ def load_dataset(path, registry: FormatRegistry | None = None) -> Dataset:
             if not os.path.isfile(image_path):
                 raise DataError(f"line {line_no}: image file {image_rel!r} not found")
             samples.append(Sample(image=read_ppm_codes(image_path), annotations=annotations))
-            for fmt in annotations:
-                if fmt not in seen_formats:
-                    seen_formats.append(fmt)
-    return Dataset(samples, seen_formats)
+    return Dataset(samples)
 
 
 def _fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -141,14 +141,6 @@ def pixel_accuracy(predictions, ground_truth, image_size: int) -> float:
 
 
 @dataclass
-class LayerCost:
-    name: str
-    kind: str
-    macs: int
-    params: int
-
-
-@dataclass
 class CostReport:
     """Static cost accounting; totals always equal the breakdown sums."""
 
@@ -197,23 +189,11 @@ class CostReport:
         return json.dumps(payload, indent=2)
 
 
-def layer_macs(kind: str, kernel, cin: int, cout: int, out_hw) -> int:
-    if kind == "conv":
-        return kernel[0] * kernel[1] * cin * cout * out_hw[0] * out_hw[1]
-    if kind == "depthwise-conv":
-        return kernel[0] * kernel[1] * cout * out_hw[0] * out_hw[1]
-    return cin * cout
-
-
 def count_cost(config: ModelConfig) -> CostReport:
     """MACs and parameters per layer, per sample, of the model of ``config``
     with all its heads (``ModelConfig.with_heads`` picks a subset)."""
     config.validate()
-    layers = [LayerCost(spec.name, spec.kind,
-                        layer_macs(spec.kind, spec.kernel, spec.cin, spec.cout, spec.out_hw),
-                        spec.param_count)
-              for spec in iter_layers(config)]
-    return CostReport(layers=layers, input_size=config.input_size)
+    return CostReport(list(iter_layers(config)), config.input_size)
 
 
 def competition_score(accuracy: float, time_ms: float, gflops: float, power: float,

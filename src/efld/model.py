@@ -93,6 +93,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import VARIANTS
 from .errors import ConfigError, ShapeError, UsageError, ValidationError
 from .formats import default_registry
 from .ops import (_out_and_pad, concat_channels, conv2d, depthwise_conv2d, flatten_rows, linear,
@@ -195,9 +196,6 @@ class ModelConfig:
         return replace(self, heads=tuple(h for h in self.heads if h.format in wanted))
 
 
-VARIANTS = ("default", "conv-backbone", "pfld-head")
-
-
 def apply_variant(config: ModelConfig, variant: str) -> ModelConfig:
     """Architecture ablations: all-conventional extra convs, or plain heads."""
     if variant == "default":
@@ -232,11 +230,8 @@ class LayerSpec:
         return (self.cin, self.cout)
 
     @property
-    def param_count(self) -> int:
-        n = 1
-        for d in self.weight_shape:
-            n *= d
-        return n + self.cout
+    def params(self) -> int:
+        return math.prod(self.weight_shape) + self.cout
 
     @property
     def fan_in(self) -> int:
@@ -245,6 +240,11 @@ class LayerSpec:
         if self.kind == "depthwise-conv":
             return self.kernel[0] * self.kernel[1]
         return self.cin
+
+    @property
+    def macs(self) -> int:
+        """Multiply-accumulates per sample: ``fan_in`` per output value."""
+        return self.fan_in * self.cout * math.prod(self.out_hw)
 
 
 class PlanStep(NamedTuple):
@@ -671,7 +671,7 @@ def backbone_forward(model: Model, images: Tensor, tape: Tape | None = None,
         raise ShapeError("model_forward", f"expected images of shape (B, {s}, {s}, "
                          f"{INPUT_CHANNELS}) with B >= 1, got {tuple(images.shape)}")
     if tape is not None:
-        return _backbone_block(model, images, tape, observer)
+        return _backbone_block(model, images, tape, observer, 0)
     block = model._block
 
     def block_rows(start):
@@ -682,7 +682,7 @@ def backbone_forward(model: Model, images: Tensor, tape: Tape | None = None,
 
 
 def _backbone_block(model: Model, images: Tensor, tape: Tape | None, observer,
-                    first: int = 0) -> Tensor:
+                    first: int) -> Tensor:
     """The backbone and decoder on ``images``, samples ``first`` onward of
     the batch, in one piece, stage by stage. Raises ``ValidationError``
     naming the first image with a NaN or infinite pixel."""

@@ -139,12 +139,13 @@ class QuantParams:
             raise UsageError(f"zero point {self.zero_point} outside [{QMIN}, {QMAX}]")
 
 
-def params_from_range(lo: float, hi: float, site: str = "") -> QuantParams:
-    """Asymmetric params mapping [lo, hi] onto [-128, 127]."""
+def params_from_range(lo: float, hi: float, site: str) -> QuantParams:
+    """Asymmetric params mapping [lo, hi] of activation site ``site`` onto
+    [-128, 127]."""
     scale = (hi - lo) / 255.0
     if scale < SCALE_FLOOR:
         log.warning("site %s has constant activations (range [%g, %g]); flooring scale",
-                    site or "?", lo, hi)
+                    site, lo, hi)
         scale = SCALE_FLOOR
     zp = int(np.clip(-128.0 - float(_round_half_away(lo / scale)), QMIN, QMAX))
     return QuantParams(scale=scale, zero_point=zp)

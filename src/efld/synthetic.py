@@ -244,4 +244,4 @@ def generate_synthetic(count: int, image_size: int, seed: int, formats,
             for name in chosen
         }
         samples.append(Sample(image=codes, annotations=annotations))
-    return Dataset(samples, formats)
+    return Dataset(samples)

@@ -122,7 +122,7 @@ def head_counts(batch, formats, registry: FormatRegistry, dtype) -> dict:
     return counts
 
 
-def masked_multihead_loss(predictions: dict, batch, registry: FormatRegistry, counts=None):
+def masked_multihead_loss(predictions: dict, batch, registry: FormatRegistry, counts: dict):
     """Total loss over the heads present in ``predictions``.
 
     Each head contributes the mean NME over the batch samples annotated in
@@ -131,10 +131,10 @@ def masked_multihead_loss(predictions: dict, batch, registry: FormatRegistry, co
     samples are exactly zero. The detail maps each head to its loss and the
     number of samples of ``batch`` it averaged over.
 
-    ``counts``, when given, is ``head_counts`` of a whole batch of which
-    ``batch`` is a micro-batch: each head's NME sum and seed gradients are
-    divided by the head's count there, so that the losses and gradients of
-    the micro-batches add up to the whole batch's.
+    ``counts`` is ``head_counts`` of the whole batch of which ``batch`` is a
+    micro-batch (or of ``batch`` itself): each head's NME sum and seed
+    gradients are divided by the head's count there, so that the losses and
+    gradients of the micro-batches add up to the whole batch's.
     """
     total = 0.0
     detail = {}
@@ -152,7 +152,7 @@ def masked_multihead_loss(predictions: dict, batch, registry: FormatRegistry, co
         if count == 0:
             detail[fmt_name] = (0.0, 0)
             continue
-        scale = count if counts is None else counts[fmt_name]
+        scale = counts[fmt_name]
         head_loss = float(nme.sum() / scale)
         grad = np.zeros_like(pd)
         grad[rows] = (dnme / scale).astype(pd.dtype)

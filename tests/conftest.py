@@ -243,7 +243,7 @@ def delay_block(monkeypatch, delays):
     block = model_module._backbone_block
     started, returned, threads = [], [], set()
 
-    def delayed(model, images, tape, observer, start=0):
+    def delayed(model, images, tape, observer, start):
         started.append(start)
         threads.add(threading.current_thread().name)
         time.sleep(delays.get(start, 0))

@@ -246,7 +246,7 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
            "lo, hi = (QMIN, QMAX) if", "lo, hi = (QMIN + 1, QMAX) if",
            ("tests/test_container.py::TestPlanChecks::test_zero_point_range",)),
     Mutant("micro-batch-scaled-by-its-own-count", "src/efld/training.py",
-           "scale = count if counts is None else counts[fmt_name]", "scale = count",
+           "scale = counts[fmt_name]", "scale = count",
            ("tests/test_differential.py::test_micro_batched_step_matches_the_whole_batch",)),
     # model: on_lanes yields in item order; one runner serves the training
     # step, the float forward and the int8 forward, so the tests of each must
@@ -348,8 +348,18 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
            ("tests/test_training.py::test_training_step_peak_memory_is_bounded_by_the_plan",
             "tests/test_differential.py::test_micro_batched_step_matches_the_whole_batch")),
     Mutant("param-count-without-bias", "src/efld/model.py",
-           "        return n + self.cout", "        return n",
+           "return math.prod(self.weight_shape) + self.cout", "return math.prod(self.weight_shape)",
            ("tests/test_metrics.py::TestCostAccounting::test_default_config_flops_and_params",)),
+    # model: a layer's MACs are fan_in per output value, over the whole output
+    Mutant("macs-without-output-area", "src/efld/model.py",
+           "return self.fan_in * self.cout * math.prod(self.out_hw)",
+           "return self.fan_in * self.cout",
+           ("tests/test_metrics.py::TestCostAccounting::test_default_config_flops_and_params",
+            "tests/test_metrics.py::TestCostAccounting"
+            "::test_separable_macs_per_documented_formula",
+            "tests/test_acceptance.py::test_criterion_01_default_cost_and_container",
+            "tests/test_acceptance.py::test_criterion_02_conv_backbone_ablation_cost",
+            "tests/test_acceptance.py::test_criterion_03_plain_head_ablation_cost")),
     Mutant("mixed-batch-stacked-unconverted", "src/efld/image.py",
            "return np.stack([_as_float(p) for p in images]).astype(dtype, copy=False)",
            "return np.stack(images).astype(dtype, copy=False)",
@@ -373,6 +383,16 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
            "from .errors import ConfigError, UsageError\n",
            "from .errors import ConfigError, UsageError\nfrom .tensor import Tensor  # noqa: F401\n",
            ("tests/test_cli.py::test_inference_modules_load_no_trainer",)),
+    # cli: the parser loads no numpy, so --threads is set before numpy reads it
+    Mutant("parser-imports-the-model", "src/efld/cli.py",
+           "def build_parser() -> _Parser:\n",
+           "def build_parser() -> _Parser:\n    from .model import VARIANTS  # noqa: F401\n",
+           ("tests/test_cli.py::test_parser_loads_no_numpy",
+            "tests/test_cli.py::test_threads_set_before_numpy_import")),
+    # cli: train, eval and quantize take only square crops at the model's size
+    Mutant("crop-check-height-only", "src/efld/cli.py",
+           "    if (h, w) != (size, size):", "    if h != size:",
+           ("tests/test_cli.py::TestInvalidInput::test_crops_narrower_than_model_exit_2",)),
     # cli: infer --image reads one PPM and loads no dataset reader
     Mutant("infer-image-imports-the-dataset-reader", "src/efld/cli.py",
            "    from .image import bilinear_resize, read_ppm\n\n    if (args.image",

@@ -218,6 +218,32 @@ class TestInvalidInput:
         assert err.splitlines()[-1] == (
             f"error: {crops / 'd64'}: dataset images are 64px but the model expects 32px")
 
+    @pytest.mark.parametrize("command", ["train", "eval", "quantize"])
+    def test_crops_narrower_than_model_exit_2(self, pipeline, tmp_path, capsys, command):
+        """Crops as high as the model's input but narrower are rejected
+        before any forward, naming the dataset and the crop's height x width."""
+        from efld.data import Dataset, Sample, save_dataset
+        from efld.synthetic import generate_synthetic
+
+        data = tmp_path / "narrow"
+        square = generate_synthetic(4, 32, seed=1, formats=["p51"])
+        save_dataset(Dataset(Sample(s.pixels[:, :24], s.annotations) for s in square), data)
+        out = tmp_path / "out.efld"
+        argv = {"train": ["--config", str(pipeline["config"]), "--data", str(data)],
+                "eval": ["--model", str(pipeline["model"]), "--data", str(data),
+                         "--format", "p51"],
+                "quantize": ["--model", str(pipeline["model"]), "--calib", str(data)]}[command]
+        if command != "eval":
+            argv += ["--out", str(out)]
+        capsys.readouterr()
+        code = run([command, *argv])
+        stdout, err = capsys.readouterr()
+        assert code == 2 and not stdout and not out.exists()
+        assert "internal error" not in err
+        assert err.splitlines()[-1] == (
+            f"error: {data}: dataset images are 32x24px (height x width) but the model "
+            f"expects 32px")
+
     @pytest.mark.parametrize("argv,message", [
         (["--threads", "0"], "argument --threads: must be >= 1, got 0"),
         (["--threads=-3"], "argument --threads: must be >= 1, got -3"),
@@ -630,6 +656,19 @@ def fresh_python(script, *args):
         p for p in (str(Path(efld.__file__).resolve().parent.parent), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
                           text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("argv, code", [(["--version"], 0), (["--help"], 0),
+                                        (["--threads", "0", "analyze"], 1)],
+                         ids=["version", "help", "usage-error"])
+def test_parser_loads_no_numpy(argv, code):
+    """Building the parser and parsing load no numpy, so ``--threads``,
+    which argparse alone reads, is set before numpy reads its thread count."""
+    script = ("import sys\nfrom efld.cli import run\ncode = run(sys.argv[1:])\n"
+              "print(code, 'numpy' in sys.modules)\n")
+    proc = fresh_python(script, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{code} False"
 
 
 def test_inference_modules_load_no_trainer():

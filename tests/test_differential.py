@@ -266,7 +266,8 @@ def whole_batch_step(model, batch, registry):
     tape = Tape(model.params.values())
     images = np.stack([s.image for s in batch]).astype(model.dtype)
     predictions = model_forward(model.with_heads(formats), Tensor(images), tape=tape)
-    total, detail, seeds = training.masked_multihead_loss(predictions, batch, registry)
+    counts = training.head_counts(batch, formats, registry, model.dtype)
+    total, detail, seeds = training.masked_multihead_loss(predictions, batch, registry, counts)
     grads = backward_multi(tape, seeds)
     return total, detail, {name: grads.wrt(t) for name, t in model.params.items()}
 

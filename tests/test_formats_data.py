@@ -370,9 +370,9 @@ class TestEightBitCrops:
             raise AssertionError("an image was converted")
 
         monkeypatch.setattr(Sample, "image", property(converted))
-        dataset = Dataset(samples, ["p51"])
+        dataset = Dataset(samples)
         assert dataset.image_size == 16
-        stream = BatchStream([dataset, Dataset(samples[:3], ["p51"])], batch_size=4, seed=0)
+        stream = BatchStream([dataset, Dataset(samples[:3])], batch_size=4, seed=0)
         assert sum(len(batch) for batch in stream.batches(0)) == len(samples) + 3
 
     def test_read_ppm_codes_reads_what_write_ppm_wrote(self, tmp_path, rng):
@@ -388,7 +388,7 @@ def _tiny_dataset(n, size=8, seed=0):
         Sample(image=np.round(rng.uniform(size=(size, size, 3)) * 255) / 255, annotations={})
         for _ in range(n)
     ]
-    return Dataset(samples, ())
+    return Dataset(samples)
 
 
 class TestBatchStream:

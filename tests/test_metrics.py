@@ -155,11 +155,10 @@ class TestCostAccounting:
 
     def test_separable_macs_per_documented_formula(self):
         # depthwise 3x3 on 16 channels plus 16->8 pointwise at 32x32 output
-        from efld.metrics import layer_macs
+        from efld.model import LayerSpec
 
-        total = layer_macs("depthwise-conv", (3, 3), 16, 16, (32, 32)) + layer_macs(
-            "conv", (1, 1), 16, 8, (32, 32)
-        )
+        total = (LayerSpec("dw", "depthwise-conv", (3, 3), 16, 16, out_hw=(32, 32)).macs
+                 + LayerSpec("pw", "conv", (1, 1), 16, 8, out_hw=(32, 32)).macs)
         assert total == (9 * 16 + 16 * 8) * 32 * 32 == 278528
 
     def test_totals_equal_breakdown_sum(self):

@@ -116,12 +116,12 @@ class TestRoundHalfAway:
 
 class TestParamsFromRange:
     def test_relu_style_range(self):
-        qp = params_from_range(0.0, 2.54)
+        qp = params_from_range(0.0, 2.54, "x")
         assert qp.scale == pytest.approx(2.54 / 255)
         assert qp.zero_point == -128
 
     def test_symmetric_range_zero_point_near_zero(self):
-        qp = params_from_range(-1.0, 1.0)
+        qp = params_from_range(-1.0, 1.0, "x")
         assert abs(qp.zero_point) <= 1
 
     def test_constant_site_floors_scale(self, caplog):
@@ -293,7 +293,7 @@ class TestCalibrate:
         from efld.data import Dataset
 
         with pytest.raises(UsageError, match="nonempty"):
-            calibrate(model, Dataset([], ()))
+            calibrate(model, Dataset([]))
         with pytest.raises(UsageError, match="nonempty"):
             calibrate(model, iter([]))
 

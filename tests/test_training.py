@@ -27,6 +27,7 @@ from efld.training import (
     OptimizerState,
     adamw_step,
     cosine_lr,
+    head_counts,
     masked_multihead_loss,
     train,
 )
@@ -93,7 +94,8 @@ class TestMaskedLoss:
         batch = [make(["a"]), make(["a"])]
         registry = _tiny_registry()
         preds = {"a": Tensor(rng.uniform(size=(2, 6))), "b": Tensor(rng.uniform(size=(2, 6)))}
-        total, detail, seeds = masked_multihead_loss(preds, batch, registry)
+        total, detail, seeds = masked_multihead_loss(
+            preds, batch, registry, head_counts(batch, preds, registry, np.float64))
         assert detail["b"] == (0.0, 0)
         assert len(seeds) == 1
         gt = np.stack([s.annotations["a"] for s in batch])
@@ -104,7 +106,8 @@ class TestMaskedLoss:
         batch = [make(["a", "b"]), make(["a", "b"])]
         registry = _tiny_registry()
         preds = {"a": Tensor(rng.uniform(size=(2, 6))), "b": Tensor(rng.uniform(size=(2, 6)))}
-        total, detail, _ = masked_multihead_loss(preds, batch, registry)
+        total, detail, _ = masked_multihead_loss(
+            preds, batch, registry, head_counts(batch, preds, registry, np.float64))
         expected = sum(
             nme_loss(preds[f].data, np.stack([s.annotations[f] for s in batch]), registry.get(f))
             for f in ("a", "b")
@@ -116,7 +119,8 @@ class TestMaskedLoss:
         batch = [make(["a"]), make(["b"]), make(["a"])]
         registry = _tiny_registry()
         preds = {"a": Tensor(rng.uniform(size=(3, 6))), "b": Tensor(rng.uniform(size=(3, 6)))}
-        _, _, seeds = masked_multihead_loss(preds, batch, registry)
+        _, _, seeds = masked_multihead_loss(
+            preds, batch, registry, head_counts(batch, preds, registry, np.float64))
         grads = {id(t): g for t, g in seeds}
         ga = grads[id(preds["a"])]
         gb = grads[id(preds["b"])]
@@ -133,7 +137,8 @@ class TestMaskedLoss:
         images = Tensor(np.stack([s.image for s in batch]))
         tape = Tape()
         preds = model_forward(model, images, tape=tape)
-        _, _, seeds = masked_multihead_loss(preds, batch, registry)
+        _, _, seeds = masked_multihead_loss(
+            preds, batch, registry, head_counts(batch, preds, registry, np.float64))
         grads = backward_multi(tape, seeds)
         for name, tensor in model.params.items():
             g = grads.wrt(tensor)
@@ -494,7 +499,7 @@ def test_training_step_peak_memory_is_bounded_by_the_plan():
     activation_bytes = 4 * batch * sum(int(np.prod(shape)) for shape in sites)
     tracemalloc.start()
     try:
-        train(model, [Dataset(samples, formats)], TrainConfig(epochs=1, batch_size=batch))
+        train(model, [Dataset(samples)], TrainConfig(epochs=1, batch_size=batch))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -553,7 +558,7 @@ training.adamw_step = hashed
 ds = generate_synthetic(8, 32, seed=2, formats=["p51"])
 model = build_model(reduced_config(("p51",)), seed=1)
 model.micro_batch = 512
-log = training.train(model, [Dataset(ds.samples * 64, ds.formats)],
+log = training.train(model, [Dataset(ds.samples * 64)],
                      training.TrainConfig(epochs=1, batch_size=512, lr_max=0.002, seed=3))
 digest.update(log.to_csv().encode())
 for name in sorted(model.params):
