@@ -137,6 +137,16 @@ def _check_crop_size(dataset, path, model_config) -> None:
         raise DataError(f"{path}: dataset images are {crop} but the model expects {size}px")
 
 
+def _nonempty_dataset(path):
+    """The dataset at ``path``; raises DataError if it holds no sample."""
+    from .data import load_dataset  # not loaded by infer --image
+
+    dataset = load_dataset(path)
+    if not dataset.samples:
+        raise DataError(f"{path}: empty dataset")
+    return dataset
+
+
 def cmd_train(args) -> int:
     from .config import load_config_file
     from .container import save
@@ -197,7 +207,7 @@ def cmd_eval(args) -> int:
 
     from .container import load
     from .data import load_dataset
-    from .formats import default_registry
+    from .formats import default_registry, eye_distances, usable_eyes
     from .metrics import ced_curve, evaluate
 
     _resolved("eval", model=args.model, data=args.data, format=args.format,
@@ -209,12 +219,16 @@ def cmd_eval(args) -> int:
     if not annotated:
         raise DataError(f"{args.data}: no samples annotated with {args.format!r}")
     _check_crop_size(dataset, args.data, model.config)
+    gt = np.stack([s.annotations[args.format] for s in annotated])
+    usable = usable_eyes(eye_distances(gt, fmt))
+    if not usable.all():
+        raise DataError(f"{args.data}: {annotated[np.argmin(usable)].path}: degenerate "
+                        f"inter-ocular distance in its {args.format!r} annotation")
     predictions = np.concatenate([
         _predict(model, [s.pixels for s in annotated[start : start + EVAL_SAMPLES]],
                  args.format)
         for start in range(0, len(annotated), EVAL_SAMPLES)
     ])
-    gt = np.stack([s.annotations[args.format] for s in annotated])
     report = evaluate(predictions, gt, fmt, threshold=args.threshold,
                       image_size=dataset.image_size)
     print(report.summary())
@@ -232,7 +246,6 @@ def cmd_eval(args) -> int:
 
 def cmd_quantize(args) -> int:
     from .container import load, save
-    from .data import load_dataset
     from .model import Model
     from .quantize import calibrate, quantize_model
 
@@ -240,7 +253,7 @@ def cmd_quantize(args) -> int:
     model = load(args.model)
     if not isinstance(model, Model):
         raise UsageError(f"{args.model} is already quantized")
-    dataset = load_dataset(args.calib)
+    dataset = _nonempty_dataset(args.calib)
     _check_crop_size(dataset, args.calib, model.config)
     activations = calibrate(model, dataset)
     qmodel = quantize_model(model, activations)
@@ -300,13 +313,8 @@ def cmd_infer(args) -> int:
     if args.image is not None:
         jobs = [(args.image, read_ppm(args.image))]
     else:
-        from .data import IMAGES_DIR, load_dataset  # not loaded for --image
-
-        dataset = load_dataset(args.data)
-        if not dataset.samples:
-            raise DataError(f"{args.data}: empty dataset")
         # one crop converted to floats at a time
-        jobs = ((f"{IMAGES_DIR}/{i:06d}.ppm", sample.image) for i, sample in enumerate(dataset))
+        jobs = ((sample.path, sample.image) for sample in _nonempty_dataset(args.data))
 
     lines = []
     for name, image in jobs:

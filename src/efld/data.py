@@ -33,14 +33,17 @@ class Sample:
     ``generate_synthetic``), 49,152 bytes at 128 px, or the floats in
     [0, 1] of a sample built by hand. ``image`` is the crop in floats:
     float64 k / 255 for codes, computed on each access, else ``pixels``
-    itself.
+    itself. ``path`` is the ``image`` field of the record it was loaded
+    from, relative to its dataset directory, and None for a sample that was
+    not loaded.
     """
 
-    __slots__ = ("pixels", "annotations")
+    __slots__ = ("pixels", "annotations", "path")
 
-    def __init__(self, image: np.ndarray, annotations: dict):
+    def __init__(self, image: np.ndarray, annotations: dict, path: str | None = None):
         self.pixels = image
         self.annotations = annotations  # format name -> flat (2K,) float64 coordinates
+        self.path = path
 
     @property
     def image(self) -> np.ndarray:
@@ -130,9 +133,10 @@ def _parse_record(text: str, line: int, registry: FormatRegistry) -> tuple:
 
 
 def load_dataset(path, registry: FormatRegistry | None = None) -> Dataset:
-    """Load a dataset directory; samples keep file order and hold each crop
-    as the uint8 codes of its PPM. The index is read one line at a time,
-    numbered as ``bytes.splitlines`` numbers the whole file."""
+    """Load a dataset directory; samples keep file order, hold each crop as
+    the uint8 codes of its PPM and keep their record's ``image`` path. The
+    index is read one line at a time, numbered as ``bytes.splitlines``
+    numbers the whole file."""
     registry = registry or default_registry()
     index = os.path.join(path, ANNOTATIONS_FILE)
     if not os.path.isfile(index):
@@ -153,7 +157,7 @@ def load_dataset(path, registry: FormatRegistry | None = None) -> Dataset:
             image_path = os.path.join(path, image_rel)
             if not os.path.isfile(image_path):
                 raise DataError(f"line {line_no}: image file {image_rel!r} not found")
-            samples.append(Sample(image=read_ppm_codes(image_path), annotations=annotations))
+            samples.append(Sample(read_ppm_codes(image_path), annotations, image_rel))
     return Dataset(samples)
 
 

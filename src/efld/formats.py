@@ -4,7 +4,9 @@ A format names its point count and the two eye points whose distance, the
 inter-ocular distance, normalizes its error. This module holds the format
 registry and the one copy of that rule: ``eye_distances`` and
 ``_nme_terms`` over a batch, which training's loss and evaluation's
-metrics both read, and ``nme_loss``, their batch mean.
+metrics both read, and ``nme_loss``, their batch mean. ``usable_eyes``
+alone decides which inter-ocular distances the NME can divide by; a sample
+with another one is degenerate.
 """
 
 from __future__ import annotations
@@ -95,23 +97,35 @@ def eye_distances(gt: np.ndarray, fmt: LandmarkFormat) -> np.ndarray:
     return np.linalg.norm(g[:, left] - g[:, right], axis=1)
 
 
+def usable_eyes(dio: np.ndarray) -> np.ndarray:
+    """Which of the inter-ocular distances ``dio`` the NME divides by: those
+    of at least ``MIN_INTEROCULAR``."""
+    return dio >= MIN_INTEROCULAR
+
+
+def warn_excluded(fmt: LandmarkFormat, usable: np.ndarray) -> None:
+    """Log how many samples of ``fmt`` a loss leaves out because their
+    inter-ocular distance is not ``usable``."""
+    if not np.all(usable):
+        log.warning(
+            "%s: excluding %d sample(s) with degenerate inter-ocular distance from the loss",
+            fmt.name, int((~usable).sum()),
+        )
+
+
 def _nme_terms(pred: np.ndarray, gt: np.ndarray, fmt: LandmarkFormat):
     """Per-sample NME values, gradients w.r.t. pred, and a validity mask.
 
-    Samples with a degenerate inter-ocular distance get weight 0 and a
-    logged warning. The gradient at exact point coincidence is 0.
+    Samples with a degenerate inter-ocular distance get weight 0; the
+    callers that leave them out of a loss log them (``warn_excluded``). The
+    gradient at exact point coincidence is 0.
     """
     n = pred.shape[0]
     k = fmt.points
     p = pred.reshape(n, k, 2)
     g = gt.reshape(n, k, 2)
     dio = eye_distances(gt, fmt)
-    valid = dio >= MIN_INTEROCULAR
-    if not np.all(valid):
-        log.warning(
-            "%s: excluding %d sample(s) with degenerate inter-ocular distance from the loss",
-            fmt.name, int((~valid).sum()),
-        )
+    valid = usable_eyes(dio)
     diff = p - g
     dist = np.sqrt((diff * diff).sum(axis=2))
     safe_dio = np.where(valid, dio, 1.0)
@@ -138,6 +152,7 @@ def nme_loss(pred, gt, fmt: LandmarkFormat) -> float:
             f"{fmt.name!r} with {fmt.points} points"
         )
     nme, _, valid = _nme_terms(p, g, fmt)
+    warn_excluded(fmt, valid)
     if not valid.any():
         raise UsageError("nme_loss: every sample has a degenerate inter-ocular distance")
     return float(nme[valid].sum() / valid.sum())

@@ -4,15 +4,16 @@ It runs a ``config.TrainConfig``. The per-sample loss is the NME of
 ``efld.formats``: the mean per-point Euclidean error divided by the ground
 truth's inter-ocular distance. Heads are masked at the gradient level: a
 sample lacking a format contributes an exactly-zero gradient to that head,
-and a head with no annotated sample gets no seed gradient, so it moves no
-gradient at all. Each head's loss is normalized by its annotated-sample
-count so head gradients stay scale-comparable when formats are unevenly
-represented.
+and a head that reads no sample gets no seed gradient, so it moves no
+gradient at all. ``head_rows`` alone decides which samples a head's loss
+reads; the loss is normalized by their number, so head gradients stay
+scale-comparable when formats are unevenly represented.
 
 A step's memory is bounded by the plan, not by the batch. The step runs
-forward and backward on micro-batches of ``Model.micro_batch`` samples (see
-``model.micro_batch_samples``), each head's loss and seed gradients scaled
-by its count over the whole batch. The micro-batches run through
+forward and backward on the micro-batches of ``Model.micro_batch`` samples
+(see ``model.micro_batch_samples``) that hold a sample some head reads, each
+head's loss and seed gradients scaled by its count over the whole batch; a
+batch that no head reads is skipped. The micro-batches run through
 ``model.on_lanes``, ``STEP_LANES`` at once on the process's lanes, each
 under its own ``np.errstate``: a micro-batch's work is independent of the
 others' until its gradients are added, and numpy releases the GIL for most
@@ -39,8 +40,8 @@ import numpy as np
 from .config import TrainConfig
 from .data import BatchStream
 from .errors import ConfigError, NumericsError, UsageError
-from .formats import (MIN_INTEROCULAR, FormatRegistry, _nme_terms, default_registry,
-                      eye_distances)
+from .formats import (FormatRegistry, _nme_terms, default_registry, eye_distances,
+                      usable_eyes, warn_excluded)
 from .image import stack_images
 from .model import Model, model_forward, on_lanes
 from .tensor import Tape, Tensor, backward_multi
@@ -108,33 +109,37 @@ def _ground_truth(batch, rows, fmt_name: str, dtype) -> np.ndarray:
                      for i in rows]).astype(np.float64)
 
 
-def head_counts(batch, formats, registry: FormatRegistry, dtype) -> dict:
-    """Per format, the samples of ``batch`` that its loss averages over:
-    annotated in it, with an inter-ocular distance of at least
-    ``MIN_INTEROCULAR`` in the ground truth as the loss reads it."""
-    counts = {}
+def head_rows(batch, formats, registry: FormatRegistry, dtype) -> dict:
+    """Per format, the rows of ``batch`` that its loss reads, in batch
+    order: those annotated in it whose ground truth, as the loss reads it,
+    has a usable inter-ocular distance. A head's loss divides by their
+    number. Logs the samples it leaves out (``formats.warn_excluded``)."""
+    rows = {}
     for fmt_name in formats:
-        rows = [i for i, sample in enumerate(batch) if sample.has(fmt_name)]
-        counts[fmt_name] = 0
-        if rows:
-            dio = eye_distances(_ground_truth(batch, rows, fmt_name, dtype), registry.get(fmt_name))
-            counts[fmt_name] = int(np.count_nonzero(dio >= MIN_INTEROCULAR))
-    return counts
+        annotated = [i for i, sample in enumerate(batch) if sample.has(fmt_name)]
+        usable = []
+        if annotated:
+            fmt = registry.get(fmt_name)
+            gt = _ground_truth(batch, annotated, fmt_name, dtype)
+            usable = usable_eyes(eye_distances(gt, fmt))
+            warn_excluded(fmt, usable)
+        rows[fmt_name] = [i for i, ok in zip(annotated, usable) if ok]
+    return rows
 
 
-def masked_multihead_loss(predictions: dict, batch, registry: FormatRegistry, counts: dict):
+def masked_multihead_loss(predictions: dict, batch, registry: FormatRegistry, read: dict):
     """Total loss over the heads present in ``predictions``.
 
-    Each head contributes the mean NME over the batch samples annotated in
-    its format, or 0 when none are. Returns (total, per-head detail, seed
-    gradients suitable for ``backward_multi``); gradient rows of unannotated
-    samples are exactly zero. The detail maps each head to its loss and the
+    Each head contributes the mean NME over the samples it reads, or 0 when
+    it reads none. Returns (total, per-head detail, seed gradients suitable
+    for ``backward_multi``); gradient rows of unannotated samples are
+    exactly zero. The detail maps each head to its loss and the
     number of samples of ``batch`` it averaged over.
 
-    ``counts`` is ``head_counts`` of the whole batch of which ``batch`` is a
+    ``read`` is ``head_rows`` of the whole batch of which ``batch`` is a
     micro-batch (or of ``batch`` itself): each head's NME sum and seed
-    gradients are divided by the head's count there, so that the losses and
-    gradients of the micro-batches add up to the whole batch's.
+    gradients are divided by the number of rows it reads there, so that the
+    losses and gradients of the micro-batches add up to the whole batch's.
     """
     total = 0.0
     detail = {}
@@ -152,7 +157,7 @@ def masked_multihead_loss(predictions: dict, batch, registry: FormatRegistry, co
         if count == 0:
             detail[fmt_name] = (0.0, 0)
             continue
-        scale = counts[fmt_name]
+        scale = len(read[fmt_name])
         head_loss = float(nme.sum() / scale)
         grad = np.zeros_like(pd)
         grad[rows] = (dnme / scale).astype(pd.dtype)
@@ -198,11 +203,11 @@ class TrainLog:
             fh.write(self.to_csv())
 
 
-def _micro_step(model: Model, micro, formats, registry: FormatRegistry, counts: dict,
+def _micro_step(model: Model, micro, registry: FormatRegistry, rows: dict,
                 config: TrainConfig, where: str) -> tuple:
     """Forward, masked loss and backward of one micro-batch, on a lane's
-    thread. Returns ({format: loss} for the heads ``formats``, {parameter
-    name: gradient})."""
+    thread. Returns ({format: loss} for every head, {parameter name:
+    gradient})."""
     # numpy's error state is per thread, so each lane sets its own: a
     # diverging run overflows in the forward and backward first; the loss
     # check and adamw_step's gradient check turn that into NumericsError
@@ -210,38 +215,38 @@ def _micro_step(model: Model, micro, formats, registry: FormatRegistry, counts: 
         images = stack_images([s.pixels for s in micro], model.dtype)
         tape = Tape(model.params.values())
         predictions = model_forward(model, Tensor(images), tape=tape)
-        part, detail, seeds = masked_multihead_loss(predictions, micro, registry, counts)
+        part, detail, seeds = masked_multihead_loss(predictions, micro, registry, rows)
         if not math.isfinite(part):
             raise NumericsError(f"loss became non-finite at {where}; {_diverged(config)}")
         grads = backward_multi(tape, seeds)
-        return ({f: detail[f][0] for f in formats},
+        return ({f: loss for f, (loss, _) in detail.items()},
                 {name: grads.wrt(t) for name, t in model.params.items()})
 
 
-def _train_step(model: Model, batch, formats, registry: FormatRegistry,
-                state: OptimizerState, lr: float, config: TrainConfig, where: str) -> tuple:
-    """One step on ``batch``, whose samples are annotated in the heads
-    ``formats`` only: forward of every head, masked loss and backward per
-    micro-batch of ``model.micro_batch`` samples, on the lanes
-    (``on_lanes``), then one AdamW update. A head with no annotated sample
-    gets no seed, so it moves no gradient. The losses and gradients of the
-    micro-batches are added in micro-batch order, whichever finished first,
-    and the first micro-batch that fails raises its error. Returns (total
-    loss, {format: (loss, count)}) for the heads ``formats`` over the whole
-    batch. Its tapes, predictions, seeds and gradients die with it."""
-    counts = head_counts(batch, formats, registry, model.dtype)
-    micros = (batch[start : start + model.micro_batch]
-              for start in range(0, len(batch), model.micro_batch))
-    annotated = (micro for micro in micros
-                 if any(s.has(f) for s in micro for f in formats))  # else calibration-only
+def _train_step(model: Model, batch, registry: FormatRegistry, state: OptimizerState,
+                lr: float, config: TrainConfig, where: str):
+    """One step on ``batch``: forward of every head, masked loss and
+    backward per micro-batch of ``model.micro_batch`` samples that holds a
+    row some head reads (``head_rows``), on the lanes (``on_lanes``), then
+    one AdamW update. A head that reads no row gets no seed, so it moves no
+    gradient. The micro-batches' losses and gradients are added in
+    micro-batch order, whichever finished first, and the first micro-batch
+    that fails raises its error. Returns (total loss, {format: (loss,
+    count)}) for every head, or None, with no update, when no head reads a
+    row. Its tapes, predictions, seeds and gradients die with it."""
+    rows = head_rows(batch, model.head_formats(), registry, model.dtype)
+    size = model.micro_batch
+    starts = sorted({i - i % size for read in rows.values() for i in read})
+    if not starts:
+        return None
 
-    def micro_step(micro):
-        return _micro_step(model, micro, formats, registry, counts, config, where)
+    def micro_step(start):
+        return _micro_step(model, batch[start : start + size], registry, rows, config, where)
 
-    losses = dict.fromkeys(formats, 0.0)
+    losses = dict.fromkeys(rows, 0.0)
     grad_map = None
-    for part, grads in on_lanes(micro_step, annotated):
-        for fmt_name in formats:
+    for part, grads in on_lanes(micro_step, starts):
+        for fmt_name in losses:
             losses[fmt_name] += part[fmt_name]
         if grad_map is None:
             grad_map = grads
@@ -249,7 +254,7 @@ def _train_step(model: Model, batch, formats, registry: FormatRegistry,
             for name, grad in grads.items():
                 grad_map[name] += grad
     adamw_step(model.params, grad_map, state, lr, config)
-    return sum(losses.values()), {f: (losses[f], counts[f]) for f in formats}
+    return sum(losses.values()), {f: (losses[f], len(rows[f])) for f in rows}
 
 
 def train(model: Model, datasets, config: TrainConfig,
@@ -257,11 +262,13 @@ def train(model: Model, datasets, config: TrainConfig,
     """Cross-format training loop; mutates the model in place.
 
     Per step: draw a merged-shuffle batch, forward every head, compute the
-    masked loss over the heads with an annotated sample, backpropagate, and
-    apply one AdamW step at the per-step cosine learning rate, micro-batch by
-    micro-batch as the module describes, so that memory stops growing with
-    ``batch_size`` past ``model.micro_batch`` samples. Fully deterministic
-    given (seed, config, data).
+    masked loss over the rows each head reads (``head_rows``),
+    backpropagate, and apply one AdamW step at the per-step cosine learning
+    rate, micro-batch by micro-batch as the module describes, so that memory
+    stops growing with ``batch_size`` past ``model.micro_batch`` samples. A
+    batch that no head reads is skipped. Raises ``ConfigError`` before the
+    first step when no head reads any sample of the data. Fully
+    deterministic given (seed, config, data).
     """
     config.validate()
     registry = registry or default_registry()
@@ -270,49 +277,40 @@ def train(model: Model, datasets, config: TrainConfig,
             raise ConfigError(f"[head.{head.format}] points = {head.points}, but format "
                               f"{head.format!r} has {registry.get(head.format).points} points")
     head_formats = model.head_formats()
-    present = set()
-    for ds in datasets:
-        for sample in ds:
-            present.update(sample.annotations)
-    uncovered = present - set(head_formats)
+    samples = [sample for ds in datasets for sample in ds]
+    uncovered = {f for sample in samples for f in sample.annotations} - set(head_formats)
     if uncovered:
-        raise ConfigError(
-            f"data contains formats with no head: {', '.join(sorted(uncovered))}"
-        )
-    if not present:
-        raise ConfigError("training data has no annotated samples")
+        raise ConfigError(f"data contains formats with no head: {', '.join(sorted(uncovered))}")
+    if not any(head_rows(samples, head_formats, registry, model.dtype).values()):
+        raise ConfigError("training data has no annotated sample with a usable "
+                          "inter-ocular distance")
     stream = BatchStream(datasets, config.batch_size, config.seed)
-    total_steps = config.epochs * stream.steps_per_epoch
+    steps = stream.steps_per_epoch
+    total_steps = config.epochs * steps
     state = OptimizerState(model)
     train_log = TrainLog(head_formats)
-    step = 0
     for epoch in range(config.epochs):
-        epoch_lr = None
         step_totals = []
         loss_sums = {f: 0.0 for f in head_formats}
         count_sums = {f: 0 for f in head_formats}
-        for batch in stream.batches(epoch):
+        for step, batch in enumerate(stream.batches(epoch), epoch * steps):
             lr = cosine_lr(step, total_steps, config.lr_max, config.lr_min)
-            if epoch_lr is None:
-                epoch_lr = lr
-            formats = [f for f in head_formats if any(s.has(f) for s in batch)]
-            if formats:  # else a batch of calibration-only samples
-                total, detail = _train_step(model, batch, formats, registry, state, lr, config,
-                                            f"epoch {epoch}, step {step}")
-                step_totals.append(total)
-                for fmt_name, (head_loss, count) in detail.items():
-                    loss_sums[fmt_name] += head_loss * count
-                    count_sums[fmt_name] += count
-            step += 1
+            result = _train_step(model, batch, registry, state, lr, config,
+                                 f"epoch {epoch}, step {step}")
+            if result is None:  # no head reads a row of the batch
+                continue
+            total, detail = result
+            step_totals.append(total)
+            for fmt_name, (head_loss, count) in detail.items():
+                loss_sums[fmt_name] += head_loss * count
+                count_sums[fmt_name] += count
         train_log.append(
             EpochStats(
                 epoch=epoch,
-                lr=epoch_lr,
+                lr=cosine_lr(epoch * steps, total_steps, config.lr_max, config.lr_min),
                 loss_total=float(np.mean(step_totals)) if step_totals else 0.0,
-                head_loss={
-                    f: (loss_sums[f] / count_sums[f] if count_sums[f] else 0.0)
-                    for f in head_formats
-                },
+                head_loss={f: (loss_sums[f] / count_sums[f] if count_sums[f] else 0.0)
+                           for f in head_formats},
                 head_count=dict(count_sums),
             )
         )

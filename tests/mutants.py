@@ -246,8 +246,22 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
            "lo, hi = (QMIN, QMAX) if", "lo, hi = (QMIN + 1, QMAX) if",
            ("tests/test_container.py::TestPlanChecks::test_zero_point_range",)),
     Mutant("micro-batch-scaled-by-its-own-count", "src/efld/training.py",
-           "scale = counts[fmt_name]", "scale = count",
+           "scale = len(read[fmt_name])", "scale = count",
            ("tests/test_differential.py::test_micro_batched_step_matches_the_whole_batch",)),
+    # training: head_rows alone decides what a step, its micro-batches and
+    # each head's divisor read, so a degenerate annotation neither runs a
+    # micro-batch nor a step
+    Mutant("micro-batch-runs-on-an-annotation", "src/efld/training.py",
+           "starts = sorted({i - i % size for read in rows.values() for i in read})",
+           "starts = sorted({i - i % size for i, s in enumerate(batch) if s.annotations})",
+           ("tests/test_training.py"
+            "::test_step_with_degenerate_samples_does_not_depend_on_its_split",)),
+    Mutant("step-runs-on-an-annotation", "src/efld/training.py",
+           "    if not starts:\n        return None",
+           "    if not any(s.annotations for s in batch):\n        return None",
+           ("tests/test_training.py::TestTrainLoop"
+            "::test_degenerate_sample_in_a_batch_of_its_own_is_skipped",
+            "tests/test_cli.py::TestTrainCommand::test_degenerate_sample_in_a_batch_of_its_own")),
     # model: on_lanes yields in item order; one runner serves the training
     # step, the float forward and the int8 forward, so the tests of each must
     # catch it on their own
@@ -407,6 +421,18 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
            "dx[:, :rows, :cols] = grad * w[pt : pt + rows, pl : pl + cols]",
            ("tests/test_tensor_ops.py::TestDepthwiseInputGradient"
             "::test_one_by_one_output_bit_equal_to_the_scatter",)),
+    # cli: eval rejects a degenerate annotation as bad data, naming its record
+    Mutant("eval-degenerate-is-a-usage-error", "src/efld/cli.py",
+           "        raise DataError(f\"{args.data}: {annotated[np.argmin(usable)].path}",
+           "        raise UsageError(f\"{args.data}: {annotated[np.argmin(usable)].path}",
+           ("tests/test_cli.py::TestExitCodes"
+            "::test_eval_of_a_degenerate_annotation_exits_2_naming_it",)),
+    # cli: infer --data names each prediction by its record's image
+    Mutant("infer-names-by-index", "src/efld/cli.py",
+           "jobs = ((sample.path, sample.image) for sample in _nonempty_dataset(args.data))",
+           "jobs = ((f\"images/{i:06d}.ppm\", sample.image)\n"
+           "                for i, sample in enumerate(_nonempty_dataset(args.data)))",
+           ("tests/test_cli.py::TestExportInfer::test_infer_names_each_prediction_by_its_record",)),
     Mutant("eval-predicts-its-first-chunk", "src/efld/cli.py",
            "for start in range(0, len(annotated), EVAL_SAMPLES)",
            "for start in range(0, min(len(annotated), EVAL_SAMPLES), EVAL_SAMPLES)",

@@ -17,7 +17,7 @@ from efld.model import apply_variant, build_model, default_config, model_forward
 from efld.quantize import QuantParams, _to_int8, calibrate, quantize_model, quantized_forward
 from efld.synthetic import generate_synthetic
 from efld.tensor import Tape, Tensor, backward, backward_multi
-from efld.training import head_counts, masked_multihead_loss, train
+from efld.training import head_rows, masked_multihead_loss, train
 
 from conftest import central_difference, max_rel_error, reduced_config
 
@@ -187,8 +187,8 @@ def test_criterion_06_cross_format_training(trained):
     images = Tensor(np.stack([s.image for s in batch]).astype(model.dtype))
     tape = Tape()
     predictions = model_forward(model, images, tape=tape)
-    counts = head_counts(batch, predictions, REGISTRY, model.dtype)
-    _, _, seeds = masked_multihead_loss(predictions, batch, REGISTRY, counts)
+    rows = head_rows(batch, predictions, REGISTRY, model.dtype)
+    _, _, seeds = masked_multihead_loss(predictions, batch, REGISTRY, rows)
     grads = backward_multi(tape, seeds)
     for name, tensor in model.params.items():
         if name.startswith("head.p98."):

@@ -45,6 +45,18 @@ def pipeline(tmp_path_factory):
             "qmodel": qmodel, "log": log}
 
 
+def synth_with_coincident_eyes(root):
+    """``efld synth`` of three 32 px crops, with the p51 eyes (points 0 and
+    1) of the second record moved onto one point."""
+    assert run(["synth", "--count", "3", "--size", "32", "--seed", "1", "--formats", "p51",
+                "--out", str(root)]) == 0
+    index = root / "annotations.jsonl"
+    records = [json.loads(line) for line in index.read_text().splitlines()]
+    points = records[1]["annotations"]["p51"]
+    points[1] = points[0]
+    index.write_text("".join(json.dumps(record) + "\n" for record in records))
+
+
 class TestExitCodes:
     def test_unknown_subcommand_exits_1(self, capsys):
         assert run(["frobnicate"]) == 1
@@ -66,6 +78,28 @@ class TestExitCodes:
         (empty / "annotations.jsonl").write_text("")
         assert run(["eval", "--model", str(pipeline["model"]), "--data", str(empty),
                     "--format", "p51"]) == 2
+
+    def test_eval_of_a_degenerate_annotation_exits_2_naming_it(self, pipeline, tmp_path,
+                                                               capsys, caplog):
+        data = tmp_path / "d32"
+        synth_with_coincident_eyes(data)
+        capsys.readouterr()
+        assert run(["eval", "--model", str(pipeline["model"]), "--data", str(data),
+                    "--format", "p51"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            f"error: {data}: images/000001.ppm: degenerate inter-ocular distance "
+            "in its 'p51' annotation")
+        assert "loss" not in err + caplog.text
+
+    def test_quantize_on_empty_calibration_set_exits_2_naming_it(self, pipeline, tmp_path,
+                                                                 capsys):
+        empty = tmp_path / "empty"
+        os.makedirs(empty / "images")
+        (empty / "annotations.jsonl").write_text("")
+        assert run(["quantize", "--model", str(pipeline["model"]), "--calib", str(empty),
+                    "--out", str(tmp_path / "q.efld")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {empty}: empty dataset"
 
     def test_eval_missing_dataset_exits_2(self, pipeline):
         assert run(["eval", "--model", str(pipeline["model"]), "--data", "/nonexistent",
@@ -454,6 +488,23 @@ class TestExportInfer:
         assert record["format"] == "p51"
         assert len(record["points"]) == 51
 
+    def test_infer_names_each_prediction_by_its_record(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "named"
+        shutil.copytree(pipeline["data"], data)
+        os.makedirs(data / "crops")
+        index = data / "annotations.jsonl"
+        records = [json.loads(line) for line in index.read_text().splitlines()[:2]]
+        for record, name in zip(records, ("crops/face_b.ppm", "crops/face_a.ppm")):
+            os.rename(data / record["image"], data / name)
+            record["image"] = name
+        index.write_text("".join(json.dumps(record) + "\n" for record in records))
+        capsys.readouterr()
+        assert run(["infer", "--model", str(pipeline["model"]), "--data", str(data),
+                    "--format", "p51"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [json.loads(line)["image"] for line in lines] == ["crops/face_b.ppm",
+                                                                 "crops/face_a.ppm"]
+
     @pytest.mark.parametrize("target,message", [
         ("missing/m.efld", "[Errno 2] No such file or directory"),
         ("directory", "[Errno 21] Is a directory"),
@@ -557,6 +608,20 @@ class TestTrainCommand:
                     "--out", str(model), "--log", str(log)]) == 0
         header = log.read_text().splitlines()[0]
         assert header == "epoch,lr,loss_total,loss_p51,loss_p68,n_p51,n_p68"
+
+
+    def test_degenerate_sample_in_a_batch_of_its_own(self, tmp_path, caplog):
+        """Batches of one: the step of the sample whose eyes coincide is
+        skipped with a warning, and the run completes."""
+        data, config, log = tmp_path / "d32", tmp_path / "m.ini", tmp_path / "t.csv"
+        synth_with_coincident_eyes(data)
+        write_config(config, epochs=2, batch_size=1)
+        with caplog.at_level("WARNING"):
+            assert run(["train", "--config", str(config), "--data", str(data),
+                        "--out", str(tmp_path / "m.efld"), "--log", str(log)]) == 0
+        assert "p51: excluding 1 sample(s) with degenerate inter-ocular distance" in caplog.text
+        rows = [line.split(",") for line in log.read_text().splitlines()[1:]]
+        assert [row[-1] for row in rows] == ["2", "2"]
 
 
 class TestQuantizeCommand:

@@ -262,12 +262,11 @@ def training_case(seed, dtype):
 def whole_batch_step(model, batch, registry):
     """A step as one forward and one backward on the whole batch: the loss,
     the per-head detail and the parameter gradients."""
-    formats = [f for f in model.head_formats() if any(s.has(f) for s in batch)]
     tape = Tape(model.params.values())
     images = np.stack([s.image for s in batch]).astype(model.dtype)
-    predictions = model_forward(model.with_heads(formats), Tensor(images), tape=tape)
-    counts = training.head_counts(batch, formats, registry, model.dtype)
-    total, detail, seeds = training.masked_multihead_loss(predictions, batch, registry, counts)
+    predictions = model_forward(model, Tensor(images), tape=tape)
+    rows = training.head_rows(batch, model.head_formats(), registry, model.dtype)
+    total, detail, seeds = training.masked_multihead_loss(predictions, batch, registry, rows)
     grads = backward_multi(tape, seeds)
     return total, detail, {name: grads.wrt(t) for name, t in model.params.items()}
 
@@ -278,9 +277,7 @@ def train_step(model, batch, registry, monkeypatch):
     applied = {}
     monkeypatch.setattr(training, "adamw_step",
                         lambda params, grads, *args: applied.update(grads))
-    formats = [f for f in model.head_formats() if any(s.has(f) for s in batch)]
-    total, detail = training._train_step(model, batch, formats, registry, None, 0.0, None,
-                                         "test")
+    total, detail = training._train_step(model, batch, registry, None, 0.0, None, "test")
     return total, detail, applied
 
 

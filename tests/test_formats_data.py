@@ -60,16 +60,18 @@ class TestInterocular:
         assert eye_distances(pts, self.FMT) == pytest.approx([0.4])
 
     def test_coincident_eyes_degenerate(self, caplog):
-        """A sample whose eyes coincide is left out of the NME: weight 0,
-        a zero gradient row and a warning, beside a valid sample."""
+        """A sample whose eyes coincide is left out of the NME: weight 0 and
+        a zero gradient row, beside a valid sample, and a warning from the
+        loss that leaves it out."""
         pts = np.array([[0.3, 0.4, 0.7, 0.4, 0.5, 0.9], [0.5, 0.5, 0.5, 0.5, 0.1, 0.1]])
         assert eye_distances(pts, self.FMT)[1] < MIN_INTEROCULAR
-        with caplog.at_level("WARNING"):
-            nme, dnme, valid = _nme_terms(pts + 0.1, pts, self.FMT)
-        assert "t3: excluding 1 sample(s) with degenerate inter-ocular distance" in caplog.text
+        nme, dnme, valid = _nme_terms(pts + 0.1, pts, self.FMT)
         assert valid.tolist() == [True, False]
         assert nme[1] == 0.0 and nme[0] > 0.0
         np.testing.assert_array_equal(dnme[1], np.zeros(6))
+        with caplog.at_level("WARNING"):
+            nme_loss(pts + 0.1, pts, self.FMT)
+        assert "t3: excluding 1 sample(s) with degenerate inter-ocular distance" in caplog.text
 
     def test_translation_invariant(self, rng):
         pts = rng.uniform(size=(1, 6))

@@ -27,7 +27,7 @@ from efld.training import (
     OptimizerState,
     adamw_step,
     cosine_lr,
-    head_counts,
+    head_rows,
     masked_multihead_loss,
     train,
 )
@@ -95,7 +95,7 @@ class TestMaskedLoss:
         registry = _tiny_registry()
         preds = {"a": Tensor(rng.uniform(size=(2, 6))), "b": Tensor(rng.uniform(size=(2, 6)))}
         total, detail, seeds = masked_multihead_loss(
-            preds, batch, registry, head_counts(batch, preds, registry, np.float64))
+            preds, batch, registry, head_rows(batch, preds, registry, np.float64))
         assert detail["b"] == (0.0, 0)
         assert len(seeds) == 1
         gt = np.stack([s.annotations["a"] for s in batch])
@@ -107,7 +107,7 @@ class TestMaskedLoss:
         registry = _tiny_registry()
         preds = {"a": Tensor(rng.uniform(size=(2, 6))), "b": Tensor(rng.uniform(size=(2, 6)))}
         total, detail, _ = masked_multihead_loss(
-            preds, batch, registry, head_counts(batch, preds, registry, np.float64))
+            preds, batch, registry, head_rows(batch, preds, registry, np.float64))
         expected = sum(
             nme_loss(preds[f].data, np.stack([s.annotations[f] for s in batch]), registry.get(f))
             for f in ("a", "b")
@@ -120,7 +120,7 @@ class TestMaskedLoss:
         registry = _tiny_registry()
         preds = {"a": Tensor(rng.uniform(size=(3, 6))), "b": Tensor(rng.uniform(size=(3, 6)))}
         _, _, seeds = masked_multihead_loss(
-            preds, batch, registry, head_counts(batch, preds, registry, np.float64))
+            preds, batch, registry, head_rows(batch, preds, registry, np.float64))
         grads = {id(t): g for t, g in seeds}
         ga = grads[id(preds["a"])]
         gb = grads[id(preds["b"])]
@@ -138,7 +138,7 @@ class TestMaskedLoss:
         tape = Tape()
         preds = model_forward(model, images, tape=tape)
         _, _, seeds = masked_multihead_loss(
-            preds, batch, registry, head_counts(batch, preds, registry, np.float64))
+            preds, batch, registry, head_rows(batch, preds, registry, np.float64))
         grads = backward_multi(tape, seeds)
         for name, tensor in model.params.items():
             g = grads.wrt(tensor)
@@ -320,11 +320,73 @@ class TestTrainLoop:
         assert str(info.value) == ("loss became non-finite at epoch 1, step 1; "
                                    "training diverged: lower lr_max (now 1e+20)")
 
+    def test_degenerate_sample_in_a_batch_of_its_own_is_skipped(self, caplog):
+        """Batches of one: the step of the sample whose eyes coincide is
+        skipped with the warning, and the log counts the other three."""
+        ds = generate_synthetic(4, 32, seed=6, formats=["p51"])
+        with_coincident_eyes(ds.samples[2], "p51")
+        model = build_model(reduced_config(("p51",)), seed=1)
+        with caplog.at_level("WARNING"):
+            log = train(model, [ds], TrainConfig(epochs=2, batch_size=1, lr_max=0.003))
+        assert [row.head_count["p51"] for row in log.rows] == [3, 3]
+        assert "p51: excluding 1 sample(s) with degenerate inter-ocular distance" in caplog.text
+
+    def test_data_no_head_can_read_is_rejected_before_any_step(self, monkeypatch):
+        ds = generate_synthetic(2, 32, seed=6, formats=["p51"])
+        for sample in ds:
+            with_coincident_eyes(sample, "p51")
+        monkeypatch.setattr(training, "model_forward", None)  # a step would call it
+        with pytest.raises(ConfigError, match="no annotated sample with a usable"):
+            train(build_model(reduced_config(("p51",))), [ds], TrainConfig(batch_size=1))
+
     def test_first_epoch_lr_is_lr_max(self):
         ds = generate_synthetic(4, 32, seed=6, formats=["p51"])
         model = build_model(reduced_config(("p51",)), seed=1)
         log = train(model, [ds], TrainConfig(epochs=2, batch_size=4, lr_max=0.003, seed=0))
         assert log.rows[0].lr == pytest.approx(0.003)
+
+
+def with_coincident_eyes(sample, fmt_name):
+    """Move ``sample``'s second eye point of ``fmt_name`` onto its first."""
+    left, right = default_registry().get(fmt_name).interocular
+    points = sample.annotations[fmt_name]
+    points[2 * right : 2 * right + 2] = points[2 * left : 2 * left + 2]
+
+
+@pytest.mark.parametrize("micro_batch", [1, 2, 4])
+def test_step_with_degenerate_samples_does_not_depend_on_its_split(micro_batch, monkeypatch):
+    """A batch of usable, degenerate and unannotated samples, whose last
+    four hold degenerate annotations only: run in micro-batches of 1, 2 or
+    4, the step completes, and its losses and gradients match the whole
+    batch's within float64 rounding."""
+    ds = generate_synthetic(8, 32, seed=7, formats=["p51", "p68"])
+    keep = [{"p51"}, {"p51", "p68"}, set(), {"p68"}, {"p51"}, set(), {"p68"}, set()]
+    for sample, formats in zip(ds, keep):
+        sample.annotations = {f: sample.annotations[f] for f in formats}
+    for i, fmt_name in ((1, "p51"), (4, "p51"), (6, "p68")):
+        with_coincident_eyes(ds.samples[i], fmt_name)
+    model = build_model(reduced_config(("p51", "p68")), seed=2, dtype="float64")
+    registry = default_registry()
+
+    def step(size):
+        applied = {}
+        monkeypatch.setattr(training, "adamw_step",
+                            lambda params, grads, *args: applied.update(grads))
+        model.micro_batch = size
+        total, detail = training._train_step(model, ds.samples, registry, None, 0.0, None,
+                                             "test")
+        return total, detail, applied
+
+    want_total, want_detail, want_grads = step(len(ds))
+    assert {f: count for f, (_, count) in want_detail.items()} == {"p51": 1, "p68": 2}
+    total, detail, grads = step(micro_batch)
+    assert total == pytest.approx(want_total, rel=1e-12, abs=0)
+    for fmt, (loss, count) in want_detail.items():
+        assert detail[fmt][1] == count
+        assert detail[fmt][0] == pytest.approx(loss, rel=1e-12, abs=0)
+    assert set(grads) == set(want_grads)
+    for name, want in want_grads.items():
+        assert np.abs(grads[name] - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 def delay_forward(monkeypatch, delays):
@@ -363,26 +425,23 @@ def lane_step(monkeypatch, model, batch, registry, state, lr, config):
         update(params, grads, *args)
 
     monkeypatch.setattr(training, "adamw_step", recorded)
-    formats = [f for f in model.head_formats() if any(s.has(f) for s in batch)]
-    total, detail = training._train_step(model, batch, formats, registry, state, lr, config,
-                                         "test")
+    total, detail = training._train_step(model, batch, registry, state, lr, config, "test")
     return total, detail, applied
 
 
 def sequential_step(model, batch, registry, state, lr, config):
     """The step written as a loop: each micro-batch run after the last,
     its losses and gradients added as it ends, then one AdamW update."""
-    formats = [f for f in model.head_formats() if any(s.has(f) for s in batch)]
-    counts = training.head_counts(batch, formats, registry, model.dtype)
-    losses = dict.fromkeys(formats, 0.0)
+    rows = training.head_rows(batch, model.head_formats(), registry, model.dtype)
+    losses = dict.fromkeys(rows, 0.0)
     grads = None
     for start in range(0, len(batch), model.micro_batch):
         micro = batch[start : start + model.micro_batch]
         tape = Tape(model.params.values())
         images = Tensor(stack_images([s.pixels for s in micro], model.dtype))
         predictions = model_forward(model, images, tape=tape)
-        _, detail, seeds = masked_multihead_loss(predictions, micro, registry, counts)
-        for f in formats:
+        _, detail, seeds = masked_multihead_loss(predictions, micro, registry, rows)
+        for f in rows:
             losses[f] += detail[f][0]
         wrt = backward_multi(tape, seeds)
         if grads is None:
@@ -391,7 +450,7 @@ def sequential_step(model, batch, registry, state, lr, config):
             for name, t in model.params.items():
                 grads[name] += wrt.wrt(t)
     adamw_step(model.params, grads, state, lr, config)
-    return sum(losses.values()), {f: (losses[f], counts[f]) for f in formats}, grads
+    return sum(losses.values()), {f: (losses[f], len(rows[f])) for f in rows}, grads
 
 
 class TestLanes:
