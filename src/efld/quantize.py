@@ -26,14 +26,11 @@ convolution (every conv and depthwise layer but the flattened
 large layers), so that its scratch stays in cache: it writes q - zero_point
 into the interior of a zero-bordered float scratch, which the kernel body of
 the float op (``ops._conv_gemm`` or ``ops._depthwise_taps``) reads as its
-padded input; it then forms the float64 accumulator in one pass, the
-kernel's output plus the int32 bias repeated along a whole output row (built
-once per layer), and requantizes it in place, with the rounding's
-copysign(0.5, x) written into the kernel's output buffer, free by then: 14
-bytes of scratch per output element. It maps the int8 result through the
-ReLU's table, and writes each concat operand through that operand's table
-straight into its channel slice of the concat buffer, so that the concat
-step only hands the buffer on.
+padded input; it then requantizes the kernel's exact sums (below) through a
+float64 buffer into uint8 codes: 14 bytes of scratch per output element. It
+maps the codes through the ReLU's table, and writes each concat operand
+through that operand's table straight into its channel slice of the concat
+buffer, so that the concat step only hands the buffer on.
 A group of ``sibling_convs`` (``eosa1.extra`` with ``eosa1.osa.l0`` in the
 stock model) is one such step: one scratch, one receptive-field copy per
 sample and one ``_conv_gemm`` call, in which each layer has its own GEMM, so
@@ -62,6 +59,22 @@ exactly (K * 255 * 128 stays far below 2**53). ReLU and concat
 requantizations map int8 to int8, so they run as 256-entry tables built
 with the same arithmetic; a layer maps its codes into a concat slice
 through one table, its ReLU's table followed by the operand's.
+
+A layer's code is the contract's for its exact accumulator A = y + b, the
+kernel's sum y plus the int32 bias b, but it is not computed that way.
+Compiling the plan proves, for every layer but a head's final one at once
+(``_proved_offsets``), that four float64 passes give those bits for every
+y the layer can reach: u = trunc(clip(fl(fl(y * m) + o), 0, 255)), with
+the per-channel offset o = fl(fl(b * m) + (zero_point + 128.5)) laid along
+an output row as the bias is, is the code plus 128 (``_floor_requant``).
+That is a floor map, and it fails at an exact negative tie, which the
+contract rounds away from zero: a dyadic multiplier such as 0.5 with a
+reachable negative side. A layer whose proof fails keeps the contract's
+chain: y + b in float64, times m, ``_to_int8``, then XOR 0x80. Either way
+a layer step's codes are the int8 code plus 128 (its uint8 view XOR
+0x80), so its ReLU and concat tables are built in that order, rotated by
+128 from a concat step's tables, which its int8 operands index through
+their uint8 view.
 """
 
 from __future__ import annotations
@@ -89,8 +102,11 @@ log = logging.getLogger(__name__)
 SCALE_FLOOR = 1e-8
 QMIN, QMAX = -128, 127
 INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
-# Every int8 value, at the index of its uint8 view: the domain of a requantization table.
+# Every int8 value, at the index of its uint8 view: the domain of a concat step's table.
 _CODES = np.arange(256, dtype=np.uint8).view(np.int8)
+# Every int8 value at index code + 128 (its uint8 view XOR 0x80): the domain
+# of a layer step's tables, which ``_floor_requant``'s codes index.
+_LEVELS = np.arange(QMIN, QMAX + 1).astype(np.int8)
 
 
 def _round_half_away(x, out=None, half=None):
@@ -117,6 +133,105 @@ def _to_int8(x, zero_point: int, out=None, half=None) -> np.ndarray:
         return q.astype(np.int8)
     out[...] = q
     return out
+
+
+def _floor_requant(y, multiplier: float, offset: np.ndarray, real, codes) -> np.ndarray:
+    """codes = trunc(clip(fl(fl(y * multiplier) + offset), 0, 255)) as uint8,
+    in four passes, through the float64 scratch ``real`` shaped like ``y``;
+    ``offset`` runs along the last axis of ``y.reshape(-1, len(offset))``.
+    With an offset of ``_proved_offsets``, codes is the int8 code of
+    ``y`` + bias, plus 128. The float64 ``dtype`` is forced: numpy 2 would
+    multiply a float32 ``y`` by a Python float in float32."""
+    np.multiply(y, multiplier, out=real, dtype=np.float64)
+    rows = real.reshape(-1, len(offset))
+    np.add(rows, offset, out=rows)
+    np.clip(real, 0, 255, out=real)
+    codes[...] = real
+    return codes
+
+
+def _chain_requant(y, bias: np.ndarray, multiplier: float, zero_point: int, real,
+                   codes) -> np.ndarray:
+    """``_floor_requant``'s codes by the contract's own chain, for a layer
+    whose offset is not proved: real = y + bias (along the last axis of
+    ``y.reshape(-1, len(bias))``), times the multiplier, through
+    ``_to_int8`` with ``y`` as its ``half`` buffer, then XOR 0x80."""
+    np.add(y.reshape(-1, len(bias)), bias, out=real.reshape(-1, len(bias)))
+    real *= multiplier
+    _to_int8(real, zero_point, out=codes.view(np.int8), half=y)
+    return np.bitwise_xor(codes, 0x80, out=codes)
+
+
+def _proved_offsets(layers) -> list:
+    """Per layer (multiplier m > 0, output zero point, int32 bias b, fan-in),
+    the per-channel offsets o = fl(fl(b * m) + (zero_point + 128.5)) of
+    ``_floor_requant``, when they are proved to give
+    ``_to_int8((y + b) * m, zero_point)`` + 128 for every exact kernel sum y
+    that the layer can reach (|y| <= fan_in * 255 * 128), else None.
+
+    Both maps are non-decreasing step functions of the integer y, so they
+    are equal iff, at each level L = -127..127, they put the same integers
+    at or above L. The contract puts there the y whose accumulator A = y + b
+    is at least a threshold T_L, which ``_to_int8`` itself finds among the
+    three integers around (L - zero_point - 0.5) / m; a level whose step
+    lies outside them fails the proof. The fast map puts y there iff its value
+    fl(fl(y * m) + o) is at least L + 128. That value lies within
+    2**-51 * ((|y| + |b|) * m + 256) of y * m + o = A * m + h, where
+    h = o - b * m is the channel's zero_point + 128.5 as its offset holds
+    it. So a level at which T_L * m + h clears L + 128, and
+    (T_L - 1) * m + h stays below it, by more than
+    2**-48 * ((|T_L| + 2 * max|b| + 1) * m + 256) for the layer's least and
+    greatest h, holds in every channel. Any other level (an exact or near
+    tie, such as a dyadic m like 0.5 makes, or a threshold beyond every
+    reachable A) is checked per channel by ``_fits_every_channel``. One
+    vectorized pass serves every layer; the per-channel check runs only for
+    a layer with such a level. Exact negative ties, which the contract
+    rounds away from zero and the fast map up, fail it."""
+    counts = [len(b) for _, _, b, _ in layers]
+    starts = np.cumsum([0] + counts[:-1])
+    m, zp, reach = (np.array(column, dtype=np.float64)[:, None] for column in zip(
+        *[(mul, z, fan_in * (QMAX - QMIN) * -QMIN) for mul, z, _, fan_in in layers]))
+    bias = np.concatenate([b for _, _, b, _ in layers]).astype(np.float64)
+    scaled = bias * np.repeat(m[:, 0], counts)
+    offset = scaled + np.repeat(zp[:, 0] + 128.5, counts)
+    half = offset - scaled  # h, within 2**-52 * (|b| * m + 256) of o - b * m
+    low, high, big = (ufunc.reduceat(values, starts)[:, None] for ufunc, values in (
+        (np.minimum, half), (np.maximum, half), (np.maximum, np.abs(bias))))
+    edge = reach - INT32_MIN + 8  # beyond every reachable accumulator
+    levels = np.arange(QMIN + 1, QMAX + 1)
+    guess = np.minimum(np.maximum(np.ceil((levels - zp - 0.5) / m), -edge), edge)
+    low_end, high_end = guess == -edge, guess == edge
+    # whether the code is at least L at guess - 1, guess and guess + 1
+    below, at, above = _to_int8((guess + np.array([-1, 0, 1])[:, None, None]) * m, zp) >= levels
+    bracketed = ((above | high_end) & (~below | low_end)).all(axis=1)
+    # T_L; where every reachable A is on one side of it, a value on that side
+    thresholds = guess + 2.0 - below - at - above
+    error = 2.0**-48 * ((np.abs(thresholds) + 2 * big + 1) * m + 256)
+    target = levels + 128
+    tied = ((thresholds * m + low - target <= error)
+            | (target - ((thresholds - 1) * m + high) <= error) | low_end | high_end)
+    proved = []
+    for (multiplier, _, b, _), o, ok, ties, t, span in zip(
+            layers, np.split(offset, starts[1:]), bracketed, tied, thresholds, reach[:, 0]):
+        if ok and ties.any():
+            ok = _fits_every_channel(multiplier, o, b, span, t[ties], levels[ties])
+        proved.append(o if ok else None)
+    return proved
+
+
+def _fits_every_channel(multiplier: float, offset, bias, reach: float, thresholds,
+                        levels) -> bool:
+    """Whether, in every channel, ``_floor_requant``'s value with ``offset``
+    reaches L + 128 at y = T_L - b and stays below it at y = T_L - b - 1,
+    for each level L of ``levels`` and its threshold T_L of
+    ``thresholds``, at each such y within [-reach, reach], and at the
+    reach's end for a threshold beyond it (see ``_proved_offsets``)."""
+    gap = thresholds - bias[:, None].astype(np.float64)  # T_L - b: the least y at or above L
+    fast_at = np.clip(gap, -reach, reach) * multiplier + offset[:, None]
+    fast_below = np.clip(gap - 1, -reach, reach) * multiplier + offset[:, None]
+    fits_at = (gap > reach) | (fast_at >= levels + 128)
+    fits_below = (gap <= -reach) | (fast_below < levels + 128)
+    return bool(fits_at.all() and fits_below.all())
 
 
 def accumulator_dtype(spec: LayerSpec):
@@ -291,7 +406,8 @@ def _requant(values, in_qp: QuantParams, out_qp: QuantParams) -> np.ndarray:
 
 
 def _relu_table(in_qp: QuantParams, out_qp: QuantParams) -> np.ndarray:
-    return _requant(np.maximum(_CODES, in_qp.zero_point), in_qp, out_qp)
+    """The ReLU's requantization, indexed by code + 128."""
+    return _requant(np.maximum(_LEVELS, in_qp.zero_point), in_qp, out_qp)
 
 
 # A blocked layer takes as many samples at a time as keep its block's input
@@ -302,10 +418,11 @@ _BLOCK_ELEMENTS = 1 << 16
 
 class _Output(NamedTuple):
     """One layer of a compiled layer step: its weights, its requantization,
-    and where its int8 codes go."""
+    and where its int8 codes go. Its tables are indexed by code + 128."""
 
     params: LayerParams  # int8 weights cast to the accumulator dtype, zero bias
     bias: np.ndarray  # the int32 bias in float64, along one output row if blocked
+    offset: np.ndarray | None  # proved (``_proved_offsets``), along the bias's row; or None
     multiplier: float  # see the module docstring
     zero_point: int  # of the layer's output site; unused for a head output
     site: str  # the fused ReLU's site, else the layer's
@@ -313,14 +430,14 @@ class _Output(NamedTuple):
     keep: bool  # a later step reads the site's int8 value
     writes: tuple  # per concat: (site, its channels, first channel, ReLU-then-operand table)
 
-    def allocate(self, batch: int, acc, buffers: dict) -> tuple:
+    def allocate(self, batch: int, y, buffers: dict) -> tuple:
         """This call's int8 value (None unless ``keep``), its concat slices,
-        and the int8 scratch of a block shaped like ``acc``."""
-        shape = (batch,) + acc.shape[1:]
+        and the uint8 scratch of a block shaped like ``y``."""
+        shape = (batch,) + y.shape[1:]
         out = np.empty(shape, np.int8) if self.keep else None
         dests = [_concat_buffer(buffers, site, shape[:-1] + (channels,))[..., lo : lo + shape[-1]]
                  for site, channels, lo, _ in self.writes]
-        return out, dests, (np.empty(acc.shape, np.int8), np.empty(acc.shape, np.int8))
+        return out, dests, (np.empty(y.shape, np.uint8), np.empty(y.shape, np.int8))
 
 
 class _Layer(NamedTuple):
@@ -350,21 +467,23 @@ class _Layer(NamedTuple):
         ``buffers`` under its site, for its own step to hand on. ``buffers``
         holds this call's concat buffers and group values by site."""
         (q,) = operands
-        for rows, accs, spares in _accumulate(self, q):
+        for rows, ys, reals in _accumulate(self, q):
             if self.head:
-                (acc,) = accs
-                acc *= self.outputs[0].multiplier
-                return acc
+                (o,), (y,), (real,) = self.outputs, ys, reals
+                np.add(y, o.bias, out=real)
+                real *= o.multiplier
+                return real
             if rows.start == 0:  # the first block sizes this call's buffers
-                targets = [o.allocate(len(q), acc, buffers) for o, acc in zip(self.outputs, accs)]
-            n = len(accs[0])
-            for o, acc, spare, (out, dests, (code, mapped)) in zip(self.outputs, accs, spares,
-                                                                   targets):
-                # Requantize the block in place, then map it through the ReLU
-                # table and through each concat's table into its slice, while
-                # it is in cache.
-                acc *= o.multiplier
-                codes = _to_int8(acc, o.zero_point, out=code[:n], half=spare).view(np.uint8)
+                targets = [o.allocate(len(q), y, buffers) for o, y in zip(self.outputs, ys)]
+            n = len(ys[0])
+            for o, y, real, (out, dests, (code, mapped)) in zip(self.outputs, ys, reals, targets):
+                # Requantize the block, then map it through the ReLU table and
+                # through each concat's table into its slice, while it is in cache.
+                codes = code[:n]
+                if o.offset is None:  # the layer's proof failed
+                    _chain_requant(y, o.bias, o.multiplier, o.zero_point, real, codes)
+                else:
+                    _floor_requant(y, o.multiplier, o.offset, real, codes)
                 if out is not None:  # mode "wrap" (codes are 0..255) does not buffer ``out``
                     np.take(o.table, codes, out=out[rows], mode="wrap")
                 for dest, (*_, table) in zip(dests, o.writes):
@@ -463,6 +582,11 @@ def _compile(qmodel: QuantizedModel) -> _Int8Plan:
     taken = set(fused.values())
     groups = {group[0]: group for group in sibling_convs(plan)}
     later = {step for group in groups.values() for step in group[1:]}
+    heads_out = {f"head.{fmt}.out" for fmt in qmodel.head_formats()}
+    requantized = [step for step in plan if step.spec is not None and step.output not in heads_out]
+    offsets = dict(zip(requantized, _proved_offsets([
+        (_multiplier(qmodel, step), act[step.output].zero_point, qmodel.biases[step.spec.name],
+         step.spec.fan_in) for step in requantized])))
 
     def layer_output(layer):
         site = (fused[layer] or layer).output
@@ -483,18 +607,26 @@ def _compile(qmodel: QuantizedModel) -> _Int8Plan:
             steps.append(_Buffered((), (fused[step] or step).output))
         else:
             group = groups.get(step, (step,))
-            steps.append(_compile_layer(qmodel, group, [layer_output(layer) for layer in group]))
+            steps.append(_compile_layer(qmodel, group, [layer_output(layer) for layer in group],
+                                        offsets))
     return _Int8Plan(act["input"], *(_Section(tuple(steps), last_reads(steps))
                                      for steps in (backbone, heads)))
 
 
-def _compile_layer(qmodel: QuantizedModel, group, outputs) -> _Layer:
+def _multiplier(qmodel: QuantizedModel, step: PlanStep) -> float:
+    """The requantization multiplier of a layer that is not a head's final
+    one: its bias scale over its output site's scale."""
+    return qmodel.bias_scales[step.spec.name] / qmodel.activations[step.output].scale
+
+
+def _compile_layer(qmodel: QuantizedModel, group, outputs, offsets: dict) -> _Layer:
     """The step of one layer, or of a group of sibling convolutions, from
-    each layer's (ReLU taken in, keep, concat slices)."""
+    each layer's (ReLU taken in, keep, concat slices) and the
+    ``_proved_offsets`` of every layer but a head's final one, by step."""
     act, step = qmodel.activations, group[0]
     dtype = accumulator_dtype(step.spec)
     in_qp = act[step.inputs[0]]
-    head = step.output in {f"head.{fmt}.out" for fmt in qmodel.head_formats()}
+    head = step not in offsets
     blocked = _blocked(step)
     row = step.spec.out_hw[1] if blocked else 1  # a blocked layer adds its bias along rows
     compiled = []
@@ -503,37 +635,35 @@ def _compile_layer(qmodel: QuantizedModel, group, outputs) -> _Layer:
         w = qmodel.weights[name]
         params = LayerParams(layer.spec.kind, Tensor(w.astype(dtype)),
                              Tensor(np.zeros(w.shape[-1], dtype)))
-        bias = np.tile(qmodel.biases[name].astype(np.float64), row)
-        multiplier = qmodel.bias_scales[name]
-        if not head:
-            multiplier /= out_qp.scale
+        bias = qmodel.biases[name]
+        multiplier = qmodel.bias_scales[name] if head else _multiplier(qmodel, layer)
+        offset = None if head else offsets[layer]
         site = (relu or layer).output
-        table = _relu_table(out_qp, act[site]) if relu else _CODES
+        table = _relu_table(out_qp, act[site]) if relu else _LEVELS
         writes = tuple((concat, channels, first, _requant(table, act[site], act[concat]))
                        for concat, channels, first in slices)
-        compiled.append(_Output(params, bias, multiplier, out_qp.zero_point, site, table, keep,
-                                writes))
+        compiled.append(_Output(params, np.tile(bias.astype(np.float64), row),
+                                None if offset is None else np.tile(offset, row), multiplier,
+                                out_qp.zero_point, site, table, keep, writes))
     return _Layer(step, in_qp.zero_point, head, blocked, tuple(compiled))
 
 
 def _accumulate(layer: _Layer, q: np.ndarray):
-    """Yield (rows, accs, spares): per layer of the step, its integer
-    accumulator for the int8 input ``q[rows]``, bias included, as exact
-    integers in float64 that the caller may overwrite, and a float buffer of
-    the same shape that the caller may overwrite too (the kernel's output,
-    free once the bias is added). A blocked step yields one block of samples
-    at a time: it writes q - zero_point into the interior of a zero-bordered
-    scratch, which the ``ops`` kernel reads as its padded input, forms the
-    float64 accumulator in one pass, the kernel's output plus the bias row,
-    and reuses every buffer; the layers of a group read one receptive-field
-    copy per sample. A whole-batch layer runs its ``ops`` op once and yields
-    all rows."""
+    """Yield (rows, ys, reals): per layer of the step, the kernel's exact
+    integer sums for the int8 input ``q[rows]``, bias excluded, in the
+    accumulator dtype, and a float64 buffer of the same shape; the caller
+    may overwrite both. A blocked step yields one block of samples at a
+    time: it writes q - zero_point into the interior of a zero-bordered
+    scratch, which the ``ops`` kernel reads as its padded input, and reuses
+    every buffer; the layers of a group read one receptive-field copy per
+    sample. A whole-batch layer runs its ``ops`` op once and yields all
+    rows."""
     first = layer.outputs[0]
     dtype = first.params.weights.data.dtype
     if not layer.blocked:
         x = Tensor(np.subtract(q, layer.in_zero_point, dtype=dtype))
         y = _apply(layer.step, first.params, [x]).data
-        yield slice(0, len(q)), [np.add(y, first.bias, dtype=np.float64)], [y]
+        yield slice(0, len(q)), [y], [np.empty(y.shape)]
         return
     spec, outputs = layer.step.spec, layer.outputs
     batch, h, w, cin = q.shape
@@ -551,16 +681,14 @@ def _accumulate(layer: _Layer, q: np.ndarray):
         rows = slice(start, min(start + block, batch))
         n = rows.stop - start
         x = padded[:n]
-        ys, rs = [y[:n] for y in kernel_outs], [real[:n] for real in reals]
+        ys = [y[:n] for y in kernel_outs]
         np.subtract(q[rows], layer.in_zero_point, out=x[:, pt : pt + h, pl : pl + w], dtype=dtype)
         if layer.step.op == "conv":
             _conv_gemm(_receptive_fields(x, kh, kw, stride, out_h, out_w), gemm, ys)
         else:
             ys[0].fill(0)
             _depthwise_taps(x, weights[0], stride, ys[0])
-        for y, r, o in zip(ys, rs, outputs):
-            np.add(y.reshape(n * out_h, -1), o.bias, out=r.reshape(n * out_h, -1))
-        yield rows, rs, ys
+        yield rows, ys, [real[:n] for real in reals]
 
 
 def _quantize_images(images: np.ndarray, qp: QuantParams, first: int) -> np.ndarray:

@@ -13,6 +13,10 @@ BLAS thread), REV's first. A manifest holds one SHA-256 per artifact:
 - the int8 outputs of REV's int8 containers at batch 32, at batch 5 (two
   uneven chunks) and at batch 1, on 32 synthetic crops that REV's tree
   made, and checks that batches 32 and 5 give the bits of batch 1;
+- the container bytes and the int8 outputs, at batch 32 and at batch 1,
+  of REV's 1-head stock container with ``decoder.dw`` remade by
+  ``conftest.halving_model``: a layer whose requantization keeps the
+  contract's own chain, where every other layer takes the four passes;
 - the CSV log of a short 3-head training run at 32 px;
 - a 32 px CLI pipeline: ``synth``, ``train``, ``quantize``, ``eval`` and
   ``infer`` of each head with both models, an ``infer`` that resizes, and
@@ -27,8 +31,9 @@ bytes, int8 outputs, synthetic data) must not move. It may differ only
 after an artifact that it is made from differs, and is then reported as
 following it. A *check* must hold in the checkout. The exit status is 0
 when every exact artifact and check holds, 1 when one does not, and 2 when
-a manifest could not be built. Needs numpy and git only; pytest does not
-collect this file, and it is not part of tier-1.
+a manifest could not be built. Needs numpy, git, and pytest (for the
+``conftest`` that it imports); pytest does not collect this file, and it
+is not part of tier-1.
 """
 
 from __future__ import annotations
@@ -103,6 +108,8 @@ def build(out: str, fixed: str, write_fixed: bool) -> None:
     from efld.synthetic import generate_synthetic
     from efld.training import TrainConfig, train
 
+    from conftest import halving_model
+
     m = Manifest(out)
     if write_fixed:
         crops = generate_synthetic(32, 128, seed=12, formats=["p51"], annotate="none")
@@ -144,6 +151,18 @@ def build(out: str, fixed: str, write_fixed: bool) -> None:
                         one.tobytes() == whole[fmt].tobytes())
                 m.check(f"int8-outputs/{tag}/{fmt}: batch 1 == batch 5",
                         one[:5].tobytes() == five[fmt].tobytes())
+
+    halved = halving_model(load(os.path.join(fixed, "default-1h-int8.efld")))
+    path = os.path.join(out, "containers", "default-1h-int8-halved.efld")
+    save(halved, path)
+    m.put("container/default/1h/int8-halved", _read(path))
+    whole = quantized_forward(halved, crops)["p51"]
+    one = np.concatenate([quantized_forward(halved, crops[i : i + 1])["p51"]
+                          for i in range(len(crops))])
+    m.put("int8-outputs/default/1h-halved/p51/batch32", whole.tobytes())
+    m.put("int8-outputs/default/1h-halved/p51/batch1", one.tobytes())
+    m.check("int8-outputs/default/1h-halved/p51: batch 1 == batch 32",
+            one.tobytes() == whole.tobytes())
 
     small = replace(default_config(FORMATS), input_size=32)
     model = build_model(small, seed=0)

@@ -1,7 +1,8 @@
 """Shared test oracles: naive loop-reference layers, an int64 interpreter of
 the int8 plan built on them, a whole-image bilinear resize, and finite
-differences; plus a container byte-patcher and probes that delay blocks
-of the untaped forward and chunks of the int8 forward on the lanes.
+differences; plus a container byte-patcher, an int8 model whose layer
+requantizes exact ties, and probes that delay blocks of the untaped
+forward and chunks of the int8 forward on the lanes.
 
 These stay deliberately independent of the library's vectorized kernels so
 they can serve as ground truth for them.
@@ -134,6 +135,27 @@ def integer_oracle(qmodel, images):
             values[step.output] = oracle_requant(acc * (multiplier / out_qp.scale),
                                                  out_qp.zero_point)
     return results
+
+
+def halving_model(qmodel, layer="decoder.dw"):
+    """``qmodel`` with ``layer``, a depthwise layer with no ReLU after it,
+    remade so that its requantization multiplier is exactly 0.5 and its
+    output zero point 0: one weight of 1 per channel, at the first tap, and
+    odd negative biases. Wherever that tap reads the input's zero point,
+    the accumulator is an odd negative integer, whose half is an exact tie
+    that the contract rounds away from zero. The output site's scale is
+    twice the layer's bias scale, which makes the multiplier 0.5 exactly."""
+    from efld.quantize import QuantizedModel, QuantParams
+
+    w = np.zeros_like(qmodel.weights[layer])
+    w[0, 0] = 1
+    channels = w.shape[-1]
+    b = (-1 - 2 * (np.arange(channels) % 100)).astype(np.int32)
+    out = next(step.output for step in qmodel.plan if step.layer == layer)
+    activations = {**qmodel.activations,
+                   out: QuantParams(2 * qmodel.bias_scales[layer], 0)}
+    return QuantizedModel(qmodel.config, {**qmodel.weights, layer: w}, qmodel.weight_scales,
+                          {**qmodel.biases, layer: b}, activations)
 
 
 def ref_bilinear_resize(image, out_h, out_w):

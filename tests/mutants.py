@@ -450,13 +450,24 @@ def _conv_backward(x: Tensor, params: LayerParams, w2, cols, stride: int, pt: in
             "::test_quantized_forward_matches_integer_oracle",
             "tests/test_differential.py::test_quantized_forward_matches_the_integer_oracle")),
     Mutant("group-requantized-with-the-first-multiplier", "src/efld/quantize.py",
-           "                acc *= o.multiplier",
-           "                acc *= self.outputs[0].multiplier",
+           "_floor_requant(y, o.multiplier, o.offset, real, codes)",
+           "_floor_requant(y, self.outputs[0].multiplier, o.offset, real, codes)",
            ("tests/test_differential.py::test_quantized_forward_matches_the_integer_oracle",)),
-    Mutant("group-adds-the-first-bias-row", "src/efld/quantize.py",
-           "np.add(y.reshape(n * out_h, -1), o.bias, out=r.reshape(n * out_h, -1))",
-           "np.add(y.reshape(n * out_h, -1), outputs[0].bias, out=r.reshape(n * out_h, -1))",
+    Mutant("group-adds-the-first-offset-row", "src/efld/quantize.py",
+           "_floor_requant(y, o.multiplier, o.offset, real, codes)",
+           "_floor_requant(y, o.multiplier, self.outputs[0].offset, real, codes)",
            ("tests/test_differential.py::test_quantized_forward_matches_the_integer_oracle",)),
+    # quantize: the four-pass requantization runs only where its offsets are proved
+    Mutant("floor-requant-without-the-proof", "src/efld/quantize.py",
+           "proved.append(o if ok else None)", "proved.append(o)",
+           ("tests/test_quantize.py::TestFloorRequant::test_an_unproved_layer_keeps_the_contract",)),
+    Mutant("proof-checks-only-at-the-threshold", "src/efld/quantize.py",
+           "return bool(fits_at.all() and fits_below.all())", "return bool(fits_at.all())",
+           ("tests/test_quantize.py::TestFloorRequant"
+            "::test_proved_offsets_give_the_contract_codes",)),
+    Mutant("floor-offset-without-the-half", "src/efld/quantize.py",
+           "np.repeat(zp[:, 0] + 128.5, counts)", "np.repeat(zp[:, 0] + 128.0, counts)",
+           ("tests/test_quantize.py::TestFloorRequant::test_every_calibrated_layer_is_proved",)),
     Mutant("gradients-want-every-tensor", "src/efld/tensor.py",
            "return self._wanted is None or id(tensor) in self._wanted", "return True",
            ("tests/test_autodiff.py::test_excluded_leaf_gradient_is_never_read_as_zero",

@@ -25,10 +25,16 @@ from efld.model import (
     site_shapes,
 )
 from efld.quantize import (
+    INT32_MAX,
+    INT32_MIN,
+    QMAX,
+    QMIN,
     QuantizedModel,
     QuantParams,
+    _floor_requant,
     _Layer,
     _accumulate,
+    _proved_offsets,
     _round_half_away,
     _to_int8,
     accumulator_dtype,
@@ -42,7 +48,8 @@ from efld.quantize import (
 from efld.synthetic import generate_synthetic
 from efld.tensor import Tape, Tensor
 
-from conftest import delay_block, delay_chunk, integer_oracle, reduced_config, ref_conv2d
+from conftest import (delay_block, delay_chunk, halving_model, integer_oracle, oracle_requant,
+                      reduced_config, ref_conv2d)
 
 
 class TestQuantizeValue:
@@ -666,6 +673,86 @@ class TestIntegerOracle:
         assert (centre.min() > 2**24) == (accumulator_dtype(step.spec) is np.float64)
         layer_step = next(s for s in qmodel._states.backbone.steps
                           if isinstance(s, _Layer) and s.step.layer == layer)
-        got = np.concatenate([acc.copy() for _, (acc,), _ in _accumulate(layer_step, x)])
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(got, sums + b)
+        got = np.concatenate([y.copy() for _, (y,), _ in _accumulate(layer_step, x)])
+        assert got.dtype == accumulator_dtype(step.spec)
+        np.testing.assert_array_equal(got, sums)
+        # the layer's int8 codes, with its ReLU taken in, follow the oracle's
+        out_qp = activations[step.output]
+        relu_qp = activations[next(s.output for s in base.plan if s.inputs == (step.output,))]
+        multiplier = activations[in_site].scale * base.weight_scales[layer] / out_qp.scale
+        codes = oracle_requant((sums + b) * multiplier, out_qp.zero_point)
+        want = oracle_requant((np.maximum(codes, out_qp.zero_point) - out_qp.zero_point)
+                              * (out_qp.scale / relu_qp.scale), relu_qp.zero_point)
+        np.testing.assert_array_equal(layer_step.run([x], {}), want)
+
+
+def compiled_layers(qmodel):
+    """Every ``_Layer`` of the compiled int8 plan, backbone then heads."""
+    plan = qmodel._states
+    return [s for section in (plan.backbone, plan.heads) for s in section.steps
+            if isinstance(s, _Layer)]
+
+
+class TestFloorRequant:
+    """The four-pass requantization: ``_floor_requant`` with the offsets of
+    ``_proved_offsets``, where the proof passes, gives ``_to_int8``'s code
+    plus 128 for every accumulator the layer can reach; where it fails, the
+    layer keeps the contract's own chain."""
+
+    def test_proved_offsets_give_the_contract_codes(self):
+        rng = np.random.default_rng(31)
+        ends = np.array([INT32_MIN, INT32_MIN + 1, INT32_MAX - 1, INT32_MAX])
+        dyadic = [0.5, 0.25, 1.5, 2.0**-7, 1.0, 3.0]  # exact ties, some of them harmless
+        layers = []
+        for k in range(2000):
+            if k < 120:
+                m, small = dyadic[k % len(dyadic)], 300  # with ties in reach of small biases
+            else:
+                m, small = float(np.exp(rng.uniform(np.log(1e-6), np.log(4.0)))), 2**20
+            b = np.concatenate([rng.integers(-small, small + 1, 2), rng.choice(ends, 1),
+                                rng.integers(INT32_MIN, INT32_MAX, 1, endpoint=True)])
+            layers.append((m, int(rng.integers(QMIN, QMAX + 1)), b.astype(np.int32),
+                           int(rng.integers(1, 600))))
+        offsets = _proved_offsets(layers)
+        assert all(o is not None for o in offsets[120:])  # every random multiplier
+        assert 0 < sum(o is None for o in offsets[:120]) < 120
+        # m = 0.5 ties at odd accumulators: below the zero point they round
+        # away from zero, so the floor map differs; above it, they round up
+        zero = np.zeros(1, np.int32)
+        assert _proved_offsets([(0.5, 0, zero, 9)]) == [None]
+        assert _proved_offsets([(0.5, QMIN, zero, 9)])[0] is not None
+        levels = np.arange(QMIN + 1, QMAX + 1)
+        for (m, zp, b, fan_in), offset in zip(layers, offsets):
+            if offset is None:
+                continue
+            reach = fan_in * (QMAX - QMIN) * -QMIN
+            near = (np.ceil((levels - zp - 0.5) / m)[:, None] + np.arange(-3, 4)).ravel()
+            y = np.concatenate([near[:, None] - b, rng.integers(-reach, reach + 1, (64, len(b))),
+                                [[-reach] * len(b), [reach] * len(b)]])
+            y = np.where(np.abs(y) <= reach, y, 0).astype(np.float64)
+            real, codes = np.empty(y.shape), np.empty(y.shape, np.uint8)
+            got = _floor_requant(y, m, offset, real, codes).astype(np.int64) - 128
+            want = _to_int8((y + b) * m, zp)
+            np.testing.assert_array_equal(got, want, err_msg=f"m={m!r} zp={zp} b={b}")
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_an_unproved_layer_keeps_the_contract(self, small_setup, batch):
+        _, _, dataset, _, qmodel = small_setup
+        halved = halving_model(qmodel)
+        assert halved.bias_scales["decoder.dw"] / halved.activations["decoder.out"].scale == 0.5
+        chains = [o.site for layer in compiled_layers(halved) if not layer.head
+                  for o in layer.outputs if o.offset is None]
+        assert chains == ["decoder.out"]
+        images = np.stack([s.image for s in dataset.samples[:batch]])
+        got, want = quantized_forward(halved, images), integer_oracle(halved, images)
+        np.testing.assert_array_equal(got["p51"], want["p51"])
+
+    @pytest.mark.parametrize("formats", HEAD_SETS, ids=["1head", "3heads"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_calibrated_layer_is_proved(self, variant, formats):
+        model = build_model(apply_variant(default_config(formats), variant), seed=0)
+        dataset = generate_synthetic(4, 128, seed=11, formats=[])
+        layers = compiled_layers(quantize_model(model, calibrate(model, dataset)))
+        outputs = [o for layer in layers if not layer.head for o in layer.outputs]
+        assert len(outputs) == len(list(iter_layers(model.config))) - len(formats)
+        assert [o.site for o in outputs if o.offset is None] == []
